@@ -39,7 +39,3 @@ class FusionError(SkeinlabError):
 
 class AlgebraError(SkeinlabError):
     """Skein elements are incompatible (pattern, argument or backend)."""
-
-
-class PositionError(SkeinlabError):
-    """Non-transverse configuration in the intersection rule."""

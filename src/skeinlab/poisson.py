@@ -27,7 +27,6 @@ from .ribbon_backend import (
     make_backend,
     tensor_word,
     word_tensor,
-    _dict_to_morphism,
     _frac_compose,
     _frac_ident,
     _frac_kron,
@@ -102,7 +101,7 @@ def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, sec
     """
     entries = two_leg_insertion(factors, first_blocks, second_blocks, tensor)
     word = left_nested(tensor_word([leaf for a in element.argument for leaf in a.leaves()]))
-    m = _dict_to_morphism(entries, word, word, classical_mode())
+    m = Morphism(word, word, classical_mode(), [entries])
     terms = [(labels, core @ m) for labels, core in element.terms]
     return SkeinElement(element.backend, element.pattern, element.argument, terms)
 
@@ -310,7 +309,7 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
     factors = [X1, X2, Y1, Y2]
     entries = two_leg_insertion(factors, [1], [2], T_TENSOR)
     word = left_nested(tensor_word([leaf for a in factors for leaf in a.leaves()]))
-    tmat = _dict_to_morphism(entries, word, word, classical_mode())
+    tmat = Morphism(word, word, classical_mode(), [entries])
     term2 = SkeinElement(
         backend_cl, fused, target_argument, [(labels, core @ tmat) for labels, core in prod.terms]
     )
@@ -391,7 +390,7 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
                 for k, val in two_leg_insertion(list(factors), [i], [nslots + j], tensor).items():
                     entries[k] = entries.get(k, Fraction(0)) + val
             word = left_nested(tensor_word(list(factors)))
-            slot_cache[factors] = _dict_to_morphism(entries, word, word, backend.mode)
+            slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
         mid = slot_cache[factors]
         core = None
         for sid, step, _info in chain:

@@ -1,8 +1,9 @@
 """Concrete ribbon-category backends on sl2.
 
 Four backends share one interface: objects are parenthesized tensor words
-over simple labels and their duals, morphisms are exact sparse matrices
-over the backend's truncated coefficient ring.
+over simple labels and their duals, morphisms are matrices over the
+backend's truncated coefficient ring, stored as per-order sparse rational
+matrices M = sum_k param^k M_k; ScalarSeries is their entry and scalar view.
 
   ClassicalSl2   symmetric flip braiding, trivial twist and associator
   EpsilonSl2     braiding flip(1 + e*r) with r = e(x)f + h(x)h/4
@@ -17,20 +18,25 @@ C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import CgError, LabelError, ModeError, TruncationUnsupported
+from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from .scalars import (
     RingMode,
     ScalarSeries,
+    as_fraction,
     classical_mode,
+    conversion_prefix,
     epsilon_mode,
     exp_param_series,
     hbar_mode,
 )
+
+_ZERO = Fraction(0)
 
 MAX_SPIN = 8
 
@@ -205,45 +211,56 @@ def object_from_json(data) -> ObjectExpr:
 
 
 # ---------------------------------------------------------------------------
-# Morphisms: exact sparse matrices between tensor words
+# Morphisms: per-order sparse rational matrices between tensor words
 # ---------------------------------------------------------------------------
 
 
 class Morphism:
     """A dim(target) x dim(source) exact matrix over the backend ring.
 
-    Entries are stored sparsely.  Composition requires source/target to
+    Stored as its truncation layers: the matrix is sum_k param^k layers[k],
+    with one sparse {(i, j): Fraction} dict per order (mode.order layers,
+    no zero values), so every ring operation is a truncated convolution of
+    rational sparse products.  `entry` and `entries` view the matrix as
+    positions -> ScalarSeries.  Composition requires source/target to
     match as parenthesized words, not merely in dimension; use `retyped`
     (or backend coherence morphisms) to move between bracketings.
     """
 
-    __slots__ = ("source", "target", "mode", "entries")
+    __slots__ = ("source", "target", "mode", "layers")
 
-    def __init__(self, source, target, mode, entries):
+    def __init__(self, source, target, mode, layers):
+        """`layers[k]` is the {(i, j): rational} matrix of param^k.
+
+        Missing higher layers are zero and zero values are dropped.
+        """
+        if len(layers) > mode.order:
+            raise ModeError(f"{len(layers)} layers exceed the order of {mode}")
+        layers = [{k: as_fraction(v) for k, v in layer.items() if v} for layer in layers]
         self.source = source
         self.target = target
         self.mode = mode
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
+        self.layers = tuple(layers) + tuple({} for _ in range(mode.order - len(layers)))
+
+    @staticmethod
+    def _of(source, target, mode, layers) -> "Morphism":
+        """Trusted constructor: exactly mode.order zero-free layers."""
+        m = object.__new__(Morphism)
+        m.source, m.target, m.mode, m.layers = source, target, mode, tuple(layers)
+        return m
 
     @staticmethod
     def identity(obj: ObjectExpr, mode: RingMode) -> "Morphism":
-        one = ScalarSeries.one(mode)
-        return Morphism(obj, obj, mode, {(i, i): one for i in range(obj.dim)})
+        return Morphism._of(obj, obj, mode, _layers_ident(obj.dim, mode.order))
 
     @staticmethod
     def zero(source, target, mode) -> "Morphism":
-        return Morphism(source, target, mode, {})
+        return Morphism._of(source, target, mode, [{} for _ in range(mode.order)])
 
     @staticmethod
     def from_rows(source, target, mode, rows) -> "Morphism":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if not isinstance(v, ScalarSeries):
-                    v = ScalarSeries.from_rational(mode, v)
-                if not v.is_zero:
-                    entries[(i, j)] = v
-        return Morphism(source, target, mode, entries)
+        """The constant matrix with the given rational rows."""
+        return Morphism(source, target, mode, [{(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}])
 
     @property
     def source_dim(self):
@@ -254,18 +271,16 @@ class Morphism:
         return self.target.dim
 
     def entry(self, i, j) -> ScalarSeries:
-        return self.entries.get((i, j), ScalarSeries.zero(self.mode))
+        return ScalarSeries(self.mode, tuple(layer.get((i, j), _ZERO) for layer in self.layers))
+
+    @property
+    def entries(self):
+        """Read-only view: position -> ScalarSeries, for every nonzero position."""
+        return _EntryView(self)
 
     @property
     def is_zero(self):
-        return not self.entries
-
-    def dense(self):
-        zero = ScalarSeries.zero(self.mode)
-        rows = [[zero] * self.source_dim for _ in range(self.target_dim)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        return not any(self.layers)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -274,7 +289,7 @@ class Morphism:
             self.mode == other.mode
             and self.source == other.source
             and self.target == other.target
-            and self.entries == other.entries
+            and self.layers == other.layers
         )
 
     __hash__ = None
@@ -290,24 +305,20 @@ class Morphism:
 
     def __add__(self, other):
         self._check_parallel(other)
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k)
-            entries[k] = v if s is None else s + v
-        return Morphism(self.source, self.target, self.mode, entries)
+        return Morphism._of(self.source, self.target, self.mode, _layers_add(self.layers, other.layers))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Morphism(self.source, self.target, self.mode, {k: -v for k, v in self.entries.items()})
+        return Morphism._of(self.source, self.target, self.mode, [_frac_scale(a, _MINUS_ONE) for a in self.layers])
 
     def scale(self, s) -> "Morphism":
         if not isinstance(s, ScalarSeries):
             s = ScalarSeries.from_rational(self.mode, s)
         if s.mode != self.mode:
             raise ModeError("scalar mode mismatch")
-        return Morphism(self.source, self.target, self.mode, {k: v * s for k, v in self.entries.items()})
+        return Morphism._of(self.source, self.target, self.mode, _layers_scale(self.layers, s))
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self o other (apply `other` first)."""
@@ -315,8 +326,8 @@ class Morphism:
             raise ModeError(f"mode mismatch {self.mode} vs {other.mode}")
         if self.source != other.target:
             raise ModeError(f"cannot compose: source {self.source} != target {other.target}")
-        entries = _series_compose(self.entries, other.entries)
-        return Morphism(other.source, self.target, self.mode, entries)
+        layers = _convolve(self.layers, other.layers, _frac_compose)
+        return Morphism._of(other.source, self.target, self.mode, layers)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -326,8 +337,8 @@ class Morphism:
             raise ModeError("mode mismatch in tensor")
         src = word_tensor(self.source, other.source)
         tgt = word_tensor(self.target, other.target)
-        entries = _series_kron(self.entries, other.entries, other.target_dim, other.source_dim)
-        return Morphism(src, tgt, self.mode, entries)
+        layers = _layers_kron(self.layers, other.layers, other.target_dim, other.source_dim)
+        return Morphism._of(src, tgt, self.mode, layers)
 
     def retyped(self, source=None, target=None) -> "Morphism":
         """Same matrix with rebracketed endpoints (dimensions must agree)."""
@@ -335,46 +346,37 @@ class Morphism:
         target = self.target if target is None else target
         if source.dim != self.source_dim or target.dim != self.target_dim:
             raise ModeError("retyped endpoints must preserve dimensions")
-        return Morphism(source, target, self.mode, self.entries)
+        return Morphism._of(source, target, self.mode, self.layers)
 
     def part0(self) -> "Morphism":
-        mode = classical_mode()
-        return Morphism(self.source, self.target, mode, {k: v.part0() for k, v in self.entries.items()})
+        return Morphism._of(self.source, self.target, classical_mode(), self.layers[:1])
 
     def part1(self) -> "Morphism":
-        mode = classical_mode()
-        return Morphism(self.source, self.target, mode, {k: v.part1() for k, v in self.entries.items()})
+        """First-order layer; only defined on multiples of the parameter."""
+        if self.layers[0]:
+            raise Part1DomainError(f"nonzero constant term {next(iter(self.layers[0].values()))}")
+        first = self.layers[1] if self.mode.order >= 2 else {}
+        return Morphism._of(self.source, self.target, classical_mode(), [first])
 
     def convert(self, mode: RingMode) -> "Morphism":
-        return Morphism(self.source, self.target, mode, {k: v.convert(mode) for k, v in self.entries.items()})
+        """Entrywise ring homomorphism into `mode` (see ScalarSeries.convert)."""
+        kept = self.layers[: conversion_prefix(self.mode, mode)]
+        return Morphism._of(self.source, self.target, mode, list(kept) + [{} for _ in range(mode.order - len(kept))])
 
     def inverse(self) -> "Morphism":
         """Order-by-order inverse; the constant part must be invertible."""
-        n = self.mode.order
         d = self.source_dim
         if d != self.target_dim:
             raise ModeError("only square morphisms can be inverted")
-        orders = [dict() for _ in range(n)]
-        for (i, j), v in self.entries.items():
-            for k, c in enumerate(v.coeffs):
-                if c:
-                    orders[k][(i, j)] = c
-        inv0 = _frac_inverse(orders[0], d)
+        layers = self.layers
+        inv0 = _frac_inverse(layers[0], d)
         result = [inv0]
-        for k in range(1, n):
+        for k in range(1, len(layers)):
             acc = {}
             for i in range(1, k + 1):
-                prod = _frac_compose(orders[i], result[k - i])
-                for key, v in prod.items():
-                    acc[key] = acc.get(key, Fraction(0)) - v
-            result.append(_frac_compose(inv0, acc))
-        entries = {}
-        for k, layer in enumerate(result):
-            for key, c in layer.items():
-                if c:
-                    entries.setdefault(key, [Fraction(0)] * n)[k] = c
-        final = {key: ScalarSeries.from_coeffs(self.mode, coeffs) for key, coeffs in entries.items()}
-        return Morphism(self.target, self.source, self.mode, final)
+                _frac_iadd(acc, _frac_compose(layers[i], result[k - i]))
+            result.append(_frac_scale(_frac_compose(inv0, acc), _MINUS_ONE))
+        return Morphism._of(self.target, self.source, self.mode, result)
 
     def to_json(self):
         return {
@@ -382,24 +384,66 @@ class Morphism:
             "target": self.target.to_json(),
             "mode": self.mode.kind,
             "order": self.mode.order,
-            "entries": {f"{i},{j}": [str(c) for c in v.coeffs] for (i, j), v in sorted(self.entries.items())},
+            "entries": {
+                f"{i},{j}": [str(layer.get((i, j), _ZERO)) for layer in self.layers]
+                for i, j in sorted(set().union(*self.layers))
+            },
         }
 
     @staticmethod
     def from_json(data) -> "Morphism":
+        """Inverse of to_json: entries map "i,j" to at most `order` coefficients,
+        0 <= i < target dim and 0 <= j < source dim; anything else raises."""
         mode = RingMode(data["mode"], data["order"])
         source = object_from_json(data["source"])
         target = object_from_json(data["target"])
-        entries = {}
+        layers = [{} for _ in range(mode.order)]
         for pos, coeffs in data["entries"].items():
-            i, j = (int(x) for x in pos.split(","))
-            entries[(i, j)] = ScalarSeries.from_coeffs(mode, [Fraction(c) for c in coeffs])
-        return Morphism(source, target, mode, entries)
+            i, _, j = pos.partition(",")
+            if not (_is_int(i) and _is_int(j) and f"{int(i)},{int(j)}" == pos):
+                raise SkeinlabError(f"morphism entry key {pos!r} is not of the form 'i,j'")
+            i, j = int(i), int(j)
+            if not (0 <= i < target.dim and 0 <= j < source.dim):
+                raise SkeinlabError(f"morphism entry {pos!r} lies outside the {target.dim}x{source.dim} matrix")
+            if len(coeffs) > mode.order:
+                raise SkeinlabError(f"morphism entry {pos!r} has {len(coeffs)} coefficients, order is {mode.order}")
+            for layer, c in zip(layers, coeffs):
+                layer[(i, j)] = Fraction(c)
+        return Morphism(source, target, mode, layers)
+
+
+def _is_int(text):
+    return text.lstrip("-").isdigit()
+
+
+class _EntryView(Mapping):
+    """Read-only view of a morphism as position -> ScalarSeries."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: Morphism):
+        self._m = m
+
+    def _positions(self):
+        return set().union(*self._m.layers)
+
+    def __len__(self):
+        return len(self._positions())
+
+    def __iter__(self):
+        return iter(self._positions())
+
+    def __getitem__(self, pos):
+        if not any(pos in layer for layer in self._m.layers):
+            raise KeyError(pos)
+        return self._m.entry(*pos)
 
 
 # ---------------------------------------------------------------------------
-# Sparse-dict kernels (Fraction-valued and series-valued)
+# Sparse Fraction kernels and their truncated convolutions over layers
 # ---------------------------------------------------------------------------
+
+_MINUS_ONE = Fraction(-1)
 
 
 def _frac_compose(a, b):
@@ -410,7 +454,9 @@ def _frac_compose(a, b):
     for (i, j), x in a.items():
         for k, y in by_row.get(j, ()):
             key = (i, k)
-            out[key] = out.get(key, Fraction(0)) + x * y
+            p = x * y
+            s = out.get(key)
+            out[key] = p if s is None else s + p
     return {k: v for k, v in out.items() if v}
 
 
@@ -422,15 +468,23 @@ def _frac_kron(a, b, bd_rows, bd_cols):
     return out
 
 
-def _frac_add(a, b):
-    out = dict(a)
+def _frac_iadd(out, b):
+    """out += b in place, dropping cancelled entries; returns out."""
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
+        s = out.get(k)
+        if s is None:
+            out[k] = v
         else:
-            out.pop(k, None)
+            s += v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     return out
+
+
+def _frac_add(a, b):
+    return _frac_iadd(dict(a), b)
 
 
 def _frac_ident(d):
@@ -446,73 +500,45 @@ def _frac_scale(a, s):
 
 
 def _frac_inverse(entries, d):
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for (i, j), v in entries.items():
-        rows[i][j] = v
-    aug = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("constant part of the matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = {}
-    for i in range(d):
-        for j in range(d):
-            if aug[i][d + j]:
-                out[(i, j)] = aug[i][d + j]
-    return out
+    aug = [
+        [entries.get((i, j), _ZERO) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)
+    ]
+    if rref(aug)[:d] != list(range(d)):
+        raise ZeroDivisionError("constant part of the matrix is singular")
+    return {(i, j): v for i, row in enumerate(aug) for j, v in enumerate(row[d:]) if v}
 
 
-def _series_compose(a, b):
-    by_row = {}
-    for (j, k), v in b.items():
-        by_row.setdefault(j, []).append((k, v))
-    out = {}
-    for (i, j), x in a.items():
-        row = by_row.get(j)
-        if not row:
+def _convolve(a, b, product):
+    """Truncated convolution: layer k of the result is sum_{i+j=k} product(a[i], b[j])."""
+    n = len(a)
+    out = [None] * n
+    for i, x in enumerate(a):
+        if not x:
             continue
-        for k, y in row:
-            key = (i, k)
-            prod = x * y
-            s = out.get(key)
-            out[key] = prod if s is None else s + prod
-    return {k: v for k, v in out.items() if not v.is_zero}
+        for j in range(n - i):
+            y = b[j]
+            if y:
+                p = product(x, y)
+                acc = out[i + j]
+                out[i + j] = p if acc is None else _frac_iadd(acc, p)
+    return [{} if layer is None else layer for layer in out]
 
 
-def _series_kron(a, b, bd_rows, bd_cols):
-    out = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            out[(i * bd_rows + k, j * bd_cols + l)] = x * y
-    return out
+def _layers_kron(a, b, bd_rows, bd_cols):
+    return _convolve(a, b, lambda x, y: _frac_kron(x, y, bd_rows, bd_cols))
 
 
-def _series_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        out[k] = v if s is None else s + v
-    return {k: v for k, v in out.items() if not v.is_zero}
+def _layers_add(a, b):
+    return [_frac_add(x, y) if x else y for x, y in zip(a, b)]
 
 
-def _series_scale(a, r):
-    return {k: v * r for k, v in a.items()}
+def _layers_scale(a, s: ScalarSeries):
+    """The layers of s * M, with s a ring element."""
+    return _convolve(s.coeffs, a, lambda c, m: _frac_scale(m, c))
 
 
-def _series_transpose(a):
-    return {(j, i): v for (i, j), v in a.items()}
-
-
-def _series_ident(d, mode):
-    one = ScalarSeries.one(mode)
-    return {(i, i): one for i in range(d)}
+def _layers_ident(d, order):
+    return [_frac_ident(d)] + [{} for _ in range(order - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,21 +599,21 @@ def frac_solve(rows, rhs):
     return x
 
 
-def kernel_series(layers, ncols, mode: RingMode):
+def kernel_series(layers, ncols, order: int):
     """Kernel basis of A = sum_k param^k layers[k] over the truncated ring.
 
-    Each returned vector is a lift v0 + param v1 + ... of a classical kernel
+    Each returned vector is the list [v0, v1, ...] of its `order` dense
+    coefficient vectors, a lift v0 + param v1 + ... of a classical kernel
     vector v0.  Requires the kernel to be free of the classical rank, which
     holds for the Hom-modules used here (free skein modules).
     """
-    n = mode.order
     dense0 = layers[0]
     base = frac_kernel(dense0, ncols)
     nrows = len(dense0)
     lifted = []
     for v0 in base:
         vecs = [v0]
-        for k in range(1, n):
+        for k in range(1, order):
             rhs = [Fraction(0)] * nrows
             for i in range(1, min(k, len(layers) - 1) + 1):
                 li = layers[i]
@@ -607,9 +633,7 @@ def kernel_series(layers, ncols, mode: RingMode):
             if sol is None:
                 raise CgError("kernel does not lift: module is not free")
             vecs.append(sol)
-        lifted.append(
-            [ScalarSeries.from_coeffs(mode, [vecs[k][c] for k in range(n)]) for c in range(ncols)]
-        )
+        lifted.append(vecs)
     return lifted
 
 
@@ -707,47 +731,26 @@ def two_leg_action(tensor, x: ObjectExpr, y: ObjectExpr):
     return {k: v for k, v in out.items() if v}
 
 
-def _dict_to_morphism(entries, source, target, mode, order_shift=0):
-    """Fraction entry dict -> Morphism with coefficients at `order_shift`."""
-    out = {}
-    if order_shift < mode.order:
-        for k, v in entries.items():
-            coeffs = [Fraction(0)] * mode.order
-            coeffs[order_shift] = v
-            out[k] = ScalarSeries.from_coeffs(mode, coeffs)
-    return Morphism(source, target, mode, out)
+def exp_nilseries(entries, d, mode: RingMode, rate=Fraction(1)):
+    """Layers of exp(rate * param * M) over the truncated ring, exactly.
 
-
-def exp_nilseries(entries, d, mode: RingMode, rate=Fraction(1), order_shift=1):
-    """exp(rate * param^order_shift * M) over the truncated ring, exactly.
-
-    The exponent carries at least one power of the deformation parameter,
-    so the series terminates at the truncation order.
+    The exponent carries one power of the deformation parameter, so layer
+    k is rate^k / k! M^k and the series terminates at the truncation order.
     """
-    n = mode.order
-    steps = (n - 1) // order_shift if order_shift else 0
-    coeff_layers = {}
-    power = _frac_ident(d)
-    for k in range(steps + 1):
-        if k > 0:
-            power = _frac_compose(power, entries)
-            if not power:
-                break
-        c = Fraction(rate) ** k / factorial(k)
-        layer = k * order_shift
-        for key, v in power.items():
-            coeff_layers.setdefault(key, [Fraction(0)] * n)[layer] += c * v
-    return {k: ScalarSeries.from_coeffs(mode, coeffs) for k, coeffs in coeff_layers.items()}
+    layers = _layers_ident(d, mode.order)
+    power = layers[0]
+    for k in range(1, mode.order):
+        power = _frac_compose(power, entries)
+        if not power:
+            break
+        layers[k] = _frac_scale(power, Fraction(rate) ** k / factorial(k))
+    return layers
 
 
 def flip_matrix(x: ObjectExpr, y: ObjectExpr, mode: RingMode) -> Morphism:
     dx, dy = x.dim, y.dim
-    one = ScalarSeries.one(mode)
-    entries = {}
-    for i in range(dx):
-        for j in range(dy):
-            entries[(j * dx + i, i * dy + j)] = one
-    return Morphism(word_tensor(x, y), word_tensor(y, x), mode, entries)
+    flip = {(j * dx + i, i * dy + j): Fraction(1) for i in range(dx) for j in range(dy)}
+    return Morphism(word_tensor(x, y), word_tensor(y, x), mode, [flip])
 
 
 # ---------------------------------------------------------------------------
@@ -770,25 +773,32 @@ def _q_int(mode: RingMode, k: int) -> ScalarSeries:
 
 @lru_cache(maxsize=None)
 def _quantum_rep(spin: int, order: int):
-    """Matrices E, F, K, Kinv on V_spin over the hbar ring."""
+    """Layers of E, F, K, Kinv on V_spin over the hbar ring."""
     mode = hbar_mode(order)
     n = spin
-    E, F, K, Kinv = {}, {}, {}, {}
+    gens = {g: [{} for _ in range(order)] for g in ("E", "F", "K", "Kinv")}
+
+    def put(gen, key, s: ScalarSeries):
+        for layer, c in zip(gens[gen], s.coeffs):
+            if c:
+                layer[key] = c
+
     for j in range(n + 1):
-        K[(j, j)] = _q_power(mode, n - 2 * j)
-        Kinv[(j, j)] = _q_power(mode, 2 * j - n)
+        put("K", (j, j), _q_power(mode, n - 2 * j))
+        put("Kinv", (j, j), _q_power(mode, 2 * j - n))
         if j + 1 <= n:
-            F[(j + 1, j)] = ScalarSeries.one(mode)
+            gens["F"][0][(j + 1, j)] = Fraction(1)
         if j >= 1:
-            E[(j - 1, j)] = _q_int(mode, j) * _q_int(mode, n + 1 - j)
-    return {"E": E, "F": F, "K": K, "Kinv": Kinv}
+            put("E", (j - 1, j), _q_int(mode, j) * _q_int(mode, n + 1 - j))
+    return gens
 
 
 class _QuantumOps:
     """U_q(sl2) generator actions on tensor words, with antipode duals.
 
     Coproduct: Delta(E) = E(x)K + 1(x)E, Delta(F) = F(x)1 + Kinv(x)F,
-    antipode: S(E) = -E Kinv, S(F) = -K F, S(K) = Kinv.
+    antipode: S(E) = -E Kinv, S(F) = -K F, S(K) = Kinv.  Actions and the
+    R-matrix data are layer lists (see Morphism).
     """
 
     def __init__(self, order: int):
@@ -801,43 +811,39 @@ class _QuantumOps:
             self._cache[key] = self._compute(gen, word)
         return self._cache[key]
 
+    def _ident(self, d):
+        return _layers_ident(d, self.mode.order)
+
     def _compute(self, gen, word):
-        mode = self.mode
         if isinstance(word, UnitObj):
             if gen in ("K", "Kinv"):
-                return _series_ident(1, mode)
-            return {}
+                return self._ident(1)
+            return [{} for _ in range(self.mode.order)]
         if isinstance(word, SimpleObj):
-            return dict(_quantum_rep(word.spin, mode.order)[gen])
+            return _quantum_rep(word.spin, self.mode.order)[gen]
         if isinstance(word, DualObj):
             inner = word.inner
             if gen == "K":
                 m = self.action("Kinv", inner)
             elif gen == "Kinv":
                 m = self.action("K", inner)
-            elif gen == "E":
-                m = _series_scale(
-                    _series_compose(self.action("E", inner), self.action("Kinv", inner)),
-                    ScalarSeries.from_rational(mode, -1),
-                )
             else:
-                m = _series_scale(
-                    _series_compose(self.action("K", inner), self.action("F", inner)),
-                    ScalarSeries.from_rational(mode, -1),
-                )
-            return _series_transpose(m)
+                left, right = ("E", "Kinv") if gen == "E" else ("K", "F")
+                m = _convolve(self.action(left, inner), self.action(right, inner), _frac_compose)
+                m = [_frac_scale(x, _MINUS_ONE) for x in m]
+            return [_frac_transpose(x) for x in m]
         if isinstance(word, TensorObj):
             a, b = word.left, word.right
             db = b.dim
             if gen in ("K", "Kinv"):
-                return _series_kron(self.action(gen, a), self.action(gen, b), db, db)
+                return _layers_kron(self.action(gen, a), self.action(gen, b), db, db)
             if gen == "E":
-                left = _series_kron(self.action("E", a), self.action("K", b), db, db)
-                right = _series_kron(_series_ident(a.dim, mode), self.action("E", b), db, db)
-                return _series_add(left, right)
-            left = _series_kron(self.action("F", a), _series_ident(b.dim, mode), db, db)
-            right = _series_kron(self.action("Kinv", a), self.action("F", b), db, db)
-            return _series_add(left, right)
+                left = _layers_kron(self.action("E", a), self.action("K", b), db, db)
+                right = _layers_kron(self._ident(a.dim), self.action("E", b), db, db)
+                return _layers_add(left, right)
+            left = _layers_kron(self.action("F", a), self._ident(b.dim), db, db)
+            right = _layers_kron(self.action("Kinv", a), self.action("F", b), db, db)
+            return _layers_add(left, right)
         raise TypeError(word)
 
     def _ladder_coeffs(self):
@@ -858,19 +864,19 @@ class _QuantumOps:
         d = x.dim * dy
         hh = _frac_kron(classical_action("h", x), classical_action("h", y), dy, dy)
         cartan = exp_nilseries(hh, d, mode, rate=Fraction(1, 4))
-        total = _series_ident(d, mode)
-        Epow = _series_ident(x.dim, mode)
-        Fpow = _series_ident(dy, mode)
+        total = self._ident(d)
+        Epow = self._ident(x.dim)
+        Fpow = self._ident(dy)
         Ex = self.action("E", x)
         Fy = self.action("F", y)
         for n, coeff in self._ladder_coeffs():
-            Epow = _series_compose(Epow, Ex)
-            Fpow = _series_compose(Fpow, Fy)
-            if not Epow or not Fpow:
+            Epow = _convolve(Epow, Ex, _frac_compose)
+            Fpow = _convolve(Fpow, Fy, _frac_compose)
+            if not any(Epow) or not any(Fpow):
                 break
-            term = _series_kron(Epow, Fpow, dy, dy)
-            total = _series_add(total, _series_scale(term, coeff))
-        return _series_compose(cartan, total)
+            term = _layers_kron(Epow, Fpow, dy, dy)
+            total = _layers_add(total, _layers_scale(term, coeff))
+        return _convolve(cartan, total, _frac_compose)
 
     def r_matrix_inv(self, x: ObjectExpr, y: ObjectExpr):
         """(S (x) 1)(R) = R^{-1} acting on x(x)y.
@@ -884,25 +890,26 @@ class _QuantumOps:
         d = x.dim * dy
         hh = _frac_kron(classical_action("h", x), classical_action("h", y), dy, dy)
         cartan = exp_nilseries(hh, d, mode, rate=Fraction(-1, 4))
-        total = dict(cartan)
-        EKpow = _series_ident(x.dim, mode)
-        Fpow = _series_ident(dy, mode)
-        EK = _series_compose(self.action("E", x), self.action("Kinv", x))
+        total = cartan
+        EKpow = self._ident(x.dim)
+        Fpow = self._ident(dy)
+        EK = _convolve(self.action("E", x), self.action("Kinv", x), _frac_compose)
         Fy = self.action("F", y)
-        idx = _series_ident(x.dim, mode)
-        idy = _series_ident(dy, mode)
+        idx = self._ident(x.dim)
+        idy = self._ident(dy)
         for n, coeff in self._ladder_coeffs():
-            EKpow = _series_compose(EKpow, EK)
-            Fpow = _series_compose(Fpow, Fy)
-            if not EKpow or not Fpow:
+            EKpow = _convolve(EKpow, EK, _frac_compose)
+            Fpow = _convolve(Fpow, Fy, _frac_compose)
+            if not any(EKpow) or not any(Fpow):
                 break
             if n % 2:
                 coeff = coeff * Fraction(-1)
-            term = _series_compose(
-                _series_kron(EKpow, idy, dy, dy),
-                _series_compose(cartan, _series_kron(idx, Fpow, dy, dy)),
+            term = _convolve(
+                _layers_kron(EKpow, idy, dy, dy),
+                _convolve(cartan, _layers_kron(idx, Fpow, dy, dy), _frac_compose),
+                _frac_compose,
             )
-            total = _series_add(total, _series_scale(term, coeff))
+            total = _layers_add(total, _layers_scale(term, coeff))
         return total
 
     def u_matrix(self, word: ObjectExpr):
@@ -912,19 +919,19 @@ class _QuantumOps:
         hw = classical_action("h", word)
         mid = exp_nilseries(_frac_compose(hw, hw), d, mode, rate=Fraction(-1, 4))
         E = self.action("E", word)
-        KF = _series_compose(self.action("K", word), self.action("F", word))
-        total = dict(mid)
-        KFpow = _series_ident(d, mode)
-        Epow = _series_ident(d, mode)
+        KF = _convolve(self.action("K", word), self.action("F", word), _frac_compose)
+        total = mid
+        KFpow = self._ident(d)
+        Epow = self._ident(d)
         for n, coeff in self._ladder_coeffs():
-            KFpow = _series_compose(KFpow, KF)
-            Epow = _series_compose(Epow, E)
-            if not KFpow or not Epow:
+            KFpow = _convolve(KFpow, KF, _frac_compose)
+            Epow = _convolve(Epow, E, _frac_compose)
+            if not any(KFpow) or not any(Epow):
                 break
             if n % 2:
                 coeff = coeff * Fraction(-1)
-            term = _series_compose(KFpow, _series_compose(mid, Epow))
-            total = _series_add(total, _series_scale(term, coeff))
+            term = _convolve(KFpow, _convolve(mid, Epow, _frac_compose), _frac_compose)
+            total = _layers_add(total, _layers_scale(term, coeff))
         return total
 
 
@@ -969,7 +976,7 @@ class BackendSpec:
             return flip
         src = word_tensor(x, y)
         if self.name == "epsilon":
-            r = _dict_to_morphism(two_leg_action(R_TENSOR, x, y), src, src, self.mode, order_shift=1)
+            r = Morphism(src, src, self.mode, [{}, two_leg_action(R_TENSOR, x, y)])
             return flip @ (Morphism.identity(src, self.mode) + r)
         if self.name == "drinfeld":
             t = two_leg_action(T_TENSOR, x, y)
@@ -987,7 +994,7 @@ class BackendSpec:
         if self.name == "classical":
             return flip
         if self.name == "epsilon":
-            r = _dict_to_morphism(two_leg_action(R_TENSOR, x, y), tgt, tgt, self.mode, order_shift=1)
+            r = Morphism(tgt, tgt, self.mode, [{}, two_leg_action(R_TENSOR, x, y)])
             return (Morphism.identity(tgt, self.mode) - r) @ flip
         if self.name == "drinfeld":
             t = two_leg_action(T_TENSOR, x, y)
@@ -1011,15 +1018,15 @@ class BackendSpec:
         if self.name == "classical":
             return Morphism.identity(x, self.mode)
         if self.name == "epsilon":
-            c = _dict_to_morphism(casimir_action(x), x, x, self.mode, order_shift=1)
+            c = Morphism(x, x, self.mode, [{}, casimir_action(x)])
             return Morphism.identity(x, self.mode) + c.scale(Fraction(1, 2))
         if self.name == "drinfeld":
             return Morphism(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, rate=Fraction(1, 2)))
         # quantum: inverse of exp(-h rho) u so that V_n twists by exp(h n(n+2)/4),
         # matching the Casimir normalization of the other backends
-        u = self._qops.u_matrix(x)
-        g = exp_nilseries(classical_action("h", x), x.dim, self.mode, rate=Fraction(-1, 2))
-        return Morphism(x, x, self.mode, _series_compose(g, u)).inverse()
+        u = Morphism(x, x, self.mode, self._qops.u_matrix(x))
+        g = Morphism(x, x, self.mode, exp_nilseries(classical_action("h", x), x.dim, self.mode, rate=Fraction(-1, 2)))
+        return (g @ u).inverse()
 
     def twist_inv(self, x: ObjectExpr) -> Morphism:
         return self._cached(("twistinv", x), lambda: self.twist(x).inverse())
@@ -1035,7 +1042,7 @@ class BackendSpec:
         """
         src = word_tensor(x, y)
         if self.name in ("classical", "drinfeld"):
-            return _dict_to_morphism(two_leg_action(T_TENSOR, x, y), src, src, classical_mode())
+            return Morphism(src, src, classical_mode(), [two_leg_action(T_TENSOR, x, y)])
         double = self.braiding(y, x) @ self.braiding(x, y)
         return (double - Morphism.identity(src, self.mode)).part1()
 
@@ -1048,12 +1055,7 @@ class BackendSpec:
         if spin not in self._coev_scales:
             x = SimpleObj(spin)
             dx = DualObj(x)
-            naive = Morphism(
-                UNIT,
-                TensorObj(x, dx),
-                self.mode,
-                {(i * x.dim + i, 0): ScalarSeries.one(self.mode) for i in range(x.dim)},
-            )
+            naive = self._naive_copairing(x)
             idx = Morphism.identity(x, self.mode)
             phi = self.associator(x, dx, x)
             snake = idx.tensor(self._pairing(x)) @ phi @ naive.tensor(idx)
@@ -1063,13 +1065,14 @@ class BackendSpec:
 
     def _pairing(self, x: SimpleObj) -> Morphism:
         d = x.dim
-        one = ScalarSeries.one(self.mode)
-        return Morphism(TensorObj(DualObj(x), x), UNIT, self.mode, {(0, i * d + i): one for i in range(d)})
+        return Morphism(TensorObj(DualObj(x), x), UNIT, self.mode, [{(0, i * d + i): 1 for i in range(d)}])
+
+    def _naive_copairing(self, x: SimpleObj) -> Morphism:
+        d = x.dim
+        return Morphism(UNIT, TensorObj(x, DualObj(x)), self.mode, [{(i * d + i, 0): 1 for i in range(d)}])
 
     def _copairing(self, x: SimpleObj) -> Morphism:
-        d = x.dim
-        s = self._coev_scale(x.spin)
-        return Morphism(UNIT, TensorObj(x, DualObj(x)), self.mode, {(i * d + i, 0): s for i in range(d)})
+        return self._naive_copairing(x).scale(self._coev_scale(x.spin))
 
     def ev(self, x: ObjectExpr) -> Morphism:
         """Evaluation dual(x) (x) x -> unit."""
@@ -1159,12 +1162,8 @@ class BackendSpec:
         t12 = _frac_kron(two_leg_action(T_TENSOR, x, y), _frac_ident(dz), dz, dz)
         t23 = _frac_kron(_frac_ident(dx), two_leg_action(T_TENSOR, y, z), dy * dz, dy * dz)
         comm = _frac_add(_frac_compose(t12, t23), _frac_scale(_frac_compose(t23, t12), Fraction(-1)))
-        entries = {}
-        for key, v in comm.items():
-            coeffs = [Fraction(0)] * self.mode.order
-            coeffs[2] = v / 24
-            entries[key] = ScalarSeries.from_coeffs(self.mode, coeffs)
-        phi = Morphism.identity(src, self.mode) + Morphism(src, src, self.mode, entries)
+        h2 = Morphism(src, src, self.mode, [{}, {}, _frac_scale(comm, Fraction(1, 24))])
+        phi = Morphism.identity(src, self.mode) + h2
         return phi.retyped(target=tgt)
 
     def associator_inv(self, x, y, z) -> Morphism:
@@ -1262,65 +1261,53 @@ class BackendSpec:
         word = TensorObj(x, y)
         d = word.dim
         mode = self.mode
-        if self.name == "quantum":
-            Eop = self._qops.action("E", word)
-            Fop = self._qops.action("F", word)
-        else:
-            Eop = {k: ScalarSeries.from_rational(mode, v) for k, v in classical_action("e", word).items()}
-            Fop = {k: ScalarSeries.from_rational(mode, v) for k, v in classical_action("f", word).items()}
+        Eop, Fop = self._raising_lowering(word)
         weights = weights_of(word)
         pieces = []
         all_cols = []
         for k in range(m + n, abs(m - n) - 1, -2):
-            hw = self._highest_weight_vector(Eop, weights, k, d)
-            vecs = [hw]
+            # column vectors are layered d x 1 matrices
+            vecs = [self._highest_weight_vector(Eop, weights, k, d)]
             for _ in range(k):
-                vecs.append(_apply_series(Fop, vecs[-1], mode))
+                vecs.append(_convolve(Fop, vecs[-1], _frac_compose))
             target = SimpleObj(k)
-            entries = {}
-            for col, vec in enumerate(vecs):
-                for row, val in enumerate(vec):
-                    if not val.is_zero:
-                        entries[(row, col)] = val
-            pieces.append((target, Morphism(target, word, mode, entries)))
+            pieces.append((target, Morphism._of(target, word, mode, _columns(vecs))))
             all_cols.extend(vecs)
-        big_entries = {}
-        for col, vec in enumerate(all_cols):
-            for row, val in enumerate(vec):
-                if not val.is_zero:
-                    big_entries[(row, col)] = val
-        big = Morphism(word, word, mode, big_entries)
-        big_inv = big.inverse()
+        big_inv = Morphism._of(word, word, mode, _columns(all_cols)).inverse()
         result = []
         offset = 0
         for target, embed in pieces:
             dk = target.dim
-            proj = {
-                (i - offset, j): v for (i, j), v in big_inv.entries.items() if offset <= i < offset + dk
-            }
-            result.append((target, embed, Morphism(word, target, mode, proj)))
+            proj = [
+                {(i - offset, j): v for (i, j), v in layer.items() if offset <= i < offset + dk}
+                for layer in big_inv.layers
+            ]
+            result.append((target, embed, Morphism._of(word, target, mode, proj)))
             offset += dk
         return result
+
+    def _raising_lowering(self, word):
+        """Layers of the raising and lowering operators on the word."""
+        if self.name == "quantum":
+            return self._qops.action("E", word), self._qops.action("F", word)
+        empty = [{} for _ in range(self.mode.order - 1)]
+        return [classical_action("e", word)] + empty, [classical_action("f", word)] + empty
 
     def _highest_weight_vector(self, Eop, weights, k, d):
         cols = [i for i in range(d) if weights[i] == k]
         colpos = {c: a for a, c in enumerate(cols)}
-        rows = sorted({i for (i, j) in Eop if j in colpos})
+        rows = sorted({i for layer in Eop for (i, j) in layer if j in colpos})
         rowpos = {r: a for a, r in enumerate(rows)}
         nrows = max(len(rows), 1)
         layers = [[[Fraction(0)] * len(cols) for _ in range(nrows)] for _ in range(self.mode.order)]
-        for (i, j), v in Eop.items():
-            if j in colpos and i in rowpos:
-                for o, c in enumerate(v.coeffs):
-                    if c:
-                        layers[o][rowpos[i]][colpos[j]] = c
-        kernel = kernel_series(layers, len(cols), self.mode)
+        for dense, layer in zip(layers, Eop):
+            for (i, j), c in layer.items():
+                if j in colpos and i in rowpos:
+                    dense[rowpos[i]][colpos[j]] = c
+        kernel = kernel_series(layers, len(cols), self.mode.order)
         if len(kernel) != 1:
             raise CgError(f"expected a 1-dim highest-weight space at weight {k}, got {len(kernel)}")
-        vec = [ScalarSeries.zero(self.mode)] * d
-        for pos, val in zip(cols, kernel[0]):
-            vec[pos] = val
-        return vec
+        return [{(pos, 0): c for pos, c in zip(cols, vec) if c} for vec in kernel[0]]
 
     # -- invariant Hom spaces -----------------------------------------------------
 
@@ -1335,51 +1322,36 @@ class BackendSpec:
         return self._cached(("hom", source, target), lambda: self._hom_basis(source, target))
 
     def _hom_basis(self, source, target):
-        mode = self.mode
+        order = self.mode.order
         ws, wt = weights_of(source), weights_of(target)
         unknowns = [(i, j) for i in range(target.dim) for j in range(source.dim) if wt[i] == ws[j]]
         upos = {u: a for a, u in enumerate(unknowns)}
-        if self.name == "quantum":
-            gens = [
-                (self._qops.action(g, source), self._qops.action(g, target)) for g in ("E", "F")
-            ]
-        else:
-            gens = []
-            for g in ("e", "f"):
-                gs = {k: ScalarSeries.from_rational(mode, v) for k, v in classical_action(g, source).items()}
-                gt = {k: ScalarSeries.from_rational(mode, v) for k, v in classical_action(g, target).items()}
-                gens.append((gs, gt))
+        gens = zip(self._raising_lowering(source), self._raising_lowering(target))
+        # condition rows indexed by (g, i, j): (gt M - M gs)_{ij} = 0, one
+        # sparse {unknown: coefficient} dict per order
         rows = {}
 
-        def add(cond_key, upair, coeffs, sign):
-            if upair not in upos:
-                return
-            row = rows.setdefault(cond_key, {})
-            col = upos[upair]
-            acc = row.get(col)
-            add_c = [sign * c for c in coeffs]
-            row[col] = add_c if acc is None else [a + b for a, b in zip(acc, add_c)]
+        def add(cond_key, upair, o, v):
+            col = upos.get(upair)
+            if col is not None:
+                row = rows.setdefault(cond_key, [{} for _ in range(order)])[o]
+                row[col] = row.get(col, 0) + v
 
         for g_index, (gs, gt) in enumerate(gens):
-            # condition rows indexed by (g, i, j): (gt M - M gs)_{ij} = 0
-            for (i, k), v in gt.items():
-                for j in range(source.dim):
-                    add((g_index, i, j), (k, j), v.coeffs, 1)
-            for (k, j), v in gs.items():
-                for i in range(target.dim):
-                    add((g_index, i, j), (i, k), v.coeffs, -1)
-        layers = [[] for _ in range(mode.order)]
-        for row in rows.values():
-            for o in range(mode.order):
-                layers[o].append([row[c][o] if c in row else Fraction(0) for c in range(len(unknowns))])
-        basis_vecs = kernel_series(layers, len(unknowns), mode)
+            for o in range(order):
+                for (i, k), v in gt[o].items():
+                    for j in range(source.dim):
+                        add((g_index, i, j), (k, j), o, v)
+                for (k, j), v in gs[o].items():
+                    for i in range(target.dim):
+                        add((g_index, i, j), (i, k), o, -v)
+        layers = [
+            [[row[o].get(c, _ZERO) for c in range(len(unknowns))] for row in rows.values()] for o in range(order)
+        ]
         basis = []
-        for vec in basis_vecs:
-            entries = {}
-            for pos, val in enumerate(vec):
-                if not val.is_zero:
-                    entries[unknowns[pos]] = val
-            basis.append(Morphism(source, target, mode, entries))
+        for vec in kernel_series(layers, len(unknowns), order):
+            entries = [{unknowns[pos]: c for pos, c in enumerate(v) if c} for v in vec]
+            basis.append(Morphism._of(source, target, self.mode, entries))
         return basis
 
     def random_invariant(self, source, target, rng) -> Morphism:
@@ -1390,12 +1362,11 @@ class BackendSpec:
         return out
 
 
-def _apply_series(op, vec, mode):
-    out = [ScalarSeries.zero(mode)] * len(vec)
-    for (i, j), v in op.items():
-        if not vec[j].is_zero:
-            out[i] = out[i] + v * vec[j]
-    return out
+def _columns(vecs):
+    """Layers of the matrix whose columns are the layered d x 1 matrices `vecs`."""
+    return [
+        {(i, col): c for col, vec in enumerate(vecs) for (i, _), c in vec[o].items()} for o in range(len(vecs[0]))
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -62,7 +62,23 @@ def hbar_mode(order: int = 3) -> RingMode:
     return RingMode(HBAR, order)
 
 
-def _as_fraction(x) -> Fraction:
+def conversion_prefix(source: RingMode, target: RingMode) -> int:
+    """The ring homomorphism source -> target, as the number of leading
+    coefficients it keeps; the target's remaining coefficients are zero.
+
+    hbar -> epsilon sends h to e and kills orders >= 2; anything ->
+    classical is the constant term; classical embeds as constants.
+    Truncation to a lower hbar order is the quotient map.
+    """
+    if source.kind == EPSILON and target.kind == HBAR and target.order > 2:
+        # e -> h; well-defined only into order <= 2 (e^2 = 0 must hold)
+        raise ModeError("epsilon ring only maps to hbar orders <= 2")
+    if source.kind == HBAR and target.kind == HBAR and target.order > source.order:
+        raise ModeError("cannot extend truncation order")
+    return min(source.order, target.order)
+
+
+def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -93,12 +109,12 @@ class ScalarSeries:
     @staticmethod
     def from_rational(mode: RingMode, value) -> "ScalarSeries":
         coeffs = [_ZERO] * mode.order
-        coeffs[0] = _as_fraction(value)
+        coeffs[0] = as_fraction(value)
         return ScalarSeries(mode, tuple(coeffs))
 
     @staticmethod
     def from_coeffs(mode: RingMode, values) -> "ScalarSeries":
-        values = [_as_fraction(v) for v in values]
+        values = [as_fraction(v) for v in values]
         if len(values) > mode.order:
             values = values[: mode.order]
         while len(values) < mode.order:
@@ -153,7 +169,7 @@ class ScalarSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = _as_fraction(other)
+            r = as_fraction(other)
             return ScalarSeries(self.mode, tuple(a * r for a in self.coeffs))
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -212,30 +228,10 @@ class ScalarSeries:
         return ScalarSeries(classical_mode(), (c1,))
 
     def convert(self, mode: RingMode) -> "ScalarSeries":
-        """Ring homomorphism into `mode`.
-
-        hbar -> epsilon sends h to e and kills orders >= 2; anything ->
-        classical is the constant term; classical embeds as constants.
-        Truncation to a lower hbar order is the quotient map.
-        """
+        """Ring homomorphism into `mode` (see `conversion_prefix`)."""
         if mode == self.mode:
             return self
-        if mode.kind == CLASSICAL:
-            return self.part0()
-        if self.mode.kind == CLASSICAL:
-            return ScalarSeries.from_coeffs(mode, self.coeffs)
-        if self.mode.kind == HBAR and mode.kind == EPSILON:
-            return ScalarSeries.from_coeffs(mode, self.coeffs[:2])
-        if self.mode.kind == EPSILON and mode.kind == HBAR:
-            # e -> h; well-defined only into order <= 2 (e^2 = 0 must hold)
-            if mode.order > 2:
-                raise ModeError("epsilon ring only maps to hbar orders <= 2")
-            return ScalarSeries.from_coeffs(mode, self.coeffs[: mode.order])
-        if self.mode.kind == HBAR and mode.kind == HBAR:
-            if mode.order > self.mode.order:
-                raise ModeError("cannot extend truncation order")
-            return ScalarSeries.from_coeffs(mode, self.coeffs[: mode.order])
-        raise ModeError(f"no conversion {self.mode} -> {mode}")
+        return ScalarSeries.from_coeffs(mode, self.coeffs[: conversion_prefix(self.mode, mode)])
 
     # -- misc -----------------------------------------------------------
 
@@ -271,14 +267,6 @@ def exp_param_series(mode: RingMode, rate) -> ScalarSeries:
 
     Exact: coefficient k is rate^k / k!.  In the classical ring this is 1.
     """
-    rate = _as_fraction(rate)
+    rate = as_fraction(rate)
     coeffs = [rate**k / factorial(k) for k in range(mode.order)]
     return ScalarSeries.from_coeffs(mode, coeffs)
-
-
-def part0_vector(vec):
-    return [s.part0() for s in vec]
-
-
-def part1_vector(vec):
-    return [s.part1() for s in vec]

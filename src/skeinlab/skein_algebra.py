@@ -292,11 +292,7 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
             idx = idx * dims[pos] + k
         raw[(idx, 0)] = raw.get((idx, 0), Fraction(0)) + one
     target = left_nested(tensor_word(objs))
-    from .scalars import ScalarSeries
-
-    core = Morphism(
-        UNIT, target, backend.mode, {k: ScalarSeries.from_rational(backend.mode, v) for k, v in raw.items()}
-    )
+    core = Morphism(UNIT, target, backend.mode, [raw])
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
 
@@ -391,10 +387,12 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
 
 def _coordinates(m: Morphism, basis):
     """Exact coordinates of a classical morphism in a classical Hom basis."""
-    positions = sorted({k for b in basis for k in b.entries} | set(m.entries))
-    rows = [[b.entries.get(p, None) for b in basis] for p in positions]
-    dense = [[(x.coeffs[0] if x is not None else Fraction(0)) for x in row] for row in rows]
-    rhs = [m.entries[p].coeffs[0] if p in m.entries else Fraction(0) for p in positions]
+    columns = [b.layers[0] for b in basis]
+    target = m.layers[0]
+    positions = sorted(set(target).union(*columns))
+    zero = Fraction(0)
+    dense = [[col.get(p, zero) for col in columns] for p in positions]
+    rhs = [target.get(p, zero) for p in positions]
     sol = frac_solve(dense, rhs)
     if sol is None:
         raise AlgebraError("morphism does not lie in the invariant Hom space")
@@ -608,7 +606,7 @@ def holonomy_evaluate(s: SkeinElement):
         for h, lab in enumerate(labels):
             if (lab.spin, h) not in rep_cache:
                 rep_cache[(lab.spin, h)] = sl2_rep_entries(lab.spin, n, h)
-        for (i, j), v in core.entries.items():
+        for (i, j), v in core.layers[0].items():
             # decode the boundary index i into slot indices
             idx = []
             rest = i
@@ -623,44 +621,9 @@ def holonomy_evaluate(s: SkeinElement):
                     plus[h] = idx[pos]
                 else:
                     minus[h] = idx[pos]
-            poly = SL2Poly.constant(n, v.coeffs[0])
+            poly = SL2Poly.constant(n, v)
             for h, lab in enumerate(labels):
                 rep = rep_cache[(lab.spin, h)]
                 poly = poly * rep[minus[h]][plus[h]]
             out[j] = out[j] + poly
     return out
-
-
-def holonomy_pairing_indices(arg1, arg2):
-    """Index map identifying basis of (x)(X_v (x) Y_v) with pairs (i, j)."""
-    dims1 = [a.dim for a in arg1]
-    dims2 = [a.dim for a in arg2]
-    total = []
-    d1 = 1
-    for d in dims1:
-        d1 *= d
-    d2 = 1
-    for d in dims2:
-        d2 *= d
-
-    def interleaved_index(i, j):
-        # decode i over dims1 and j over dims2, then interleave
-        ii = []
-        rest = i
-        for d in reversed(dims1):
-            ii.append(rest % d)
-            rest //= d
-        ii.reverse()
-        jj = []
-        rest = j
-        for d in reversed(dims2):
-            jj.append(rest % d)
-            rest //= d
-        jj.reverse()
-        idx = 0
-        for v in range(len(dims1)):
-            idx = idx * dims1[v] + ii[v]
-            idx = idx * dims2[v] + jj[v]
-        return idx
-
-    return interleaved_index, d1, d2

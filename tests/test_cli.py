@@ -91,3 +91,14 @@ def test_env_seed(tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify", "--suite", "torsion"])
     assert code == 0
     assert json.loads(out)["seed"] == 11
+
+
+def test_coupon_entry_out_of_range_exit_2(tmp_path):
+    # a V -> V coupon whose only entry lies outside the 2x2 matrix
+    coupon = {"source": ["V"], "target": ["V"], "mode": "hbar", "order": 3, "entries": {"9,9": ["1", "0", "0"]}}
+    w = {"bottom": [["V", "+"]], "slices": [[{"cell": "coupon", "at": 0, "id": "c"}]], "coupons": {"c": coupon}}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(w))
+    code, out, err = run_cli(["eval-tangle", str(path), "--backend", "quantum", "--order", "3"])
+    assert code == 2 and out == ""
+    assert "outside" in err

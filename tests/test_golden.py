@@ -35,8 +35,10 @@ CASES = {
     "sigma_goldman_torus": ["sigma", "torus_a.json", "torus_b.json", "--method", "goldman"],
     "sigma_fock_rosly_torus": ["sigma", "torus_a.json", "torus_b.json", "--method", "fock-rosly"],
     "sigma_algebraic_annulus": ["sigma", "annulus_a.json", "annulus_b.json", "--method", "algebraic"],
-    "verify_moves_drinfeld3": ["verify", "--suite", "moves", "--backend", "drinfeld", "--order", "3", "--seed", "7", "--cases", "2"],
-    "verify_moves_quantum3": ["verify", "--suite", "moves", "--backend", "quantum", "--order", "3", "--seed", "7", "--cases", "2"],
+    "verify_moves_drinfeld3": ["verify", "--suite", "moves", "--backend", "drinfeld", "--order", "3", "--seed", "7",
+                               "--cases", "2"],
+    "verify_moves_quantum3": ["verify", "--suite", "moves", "--backend", "quantum", "--order", "3", "--seed", "7",
+                              "--cases", "2"],
     "verify_ribbon_drinfeld3": ["verify", "--suite", "ribbon", "--backend", "drinfeld", "--order", "3"],
     "verify_ribbon_quantum3": ["verify", "--suite", "ribbon", "--backend", "quantum", "--order", "3"],
     "verify_sigma": ["verify", "--suite", "sigma", "--seed", "3", "--cases", "1"],

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeinlab.errors import CgError, LabelError, TruncationUnsupported
+from skeinlab.errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from skeinlab.ribbon_backend import (
     DualObj,
     Morphism,
@@ -18,7 +18,7 @@ from skeinlab.ribbon_backend import (
     tensor_word,
     word_tensor,
 )
-from skeinlab.scalars import ScalarSeries
+from skeinlab.scalars import ScalarSeries, classical_mode, epsilon_mode, hbar_mode
 
 V = simple("V")
 ADJ = simple("adj")
@@ -252,3 +252,183 @@ def test_morphism_json_roundtrip():
     ep = make_backend("epsilon")
     m = ep.braiding(V, VS)
     assert Morphism.from_json(m.to_json()) == m
+
+
+# -- layered kernels against per-entry ScalarSeries arithmetic ---------------
+
+REF_MODES = [classical_mode(), epsilon_mode(), hbar_mode(2), hbar_mode(3)]
+
+
+def _obj(d):
+    return simple(d - 1)
+
+
+def _random_dense(rng, mode, rows, cols, shape=None):
+    """Dense ScalarSeries rows; the shape picks sparse, zero, constant-only
+    or no-constant matrices so that empty layers occur."""
+    shape = shape or rng.choice(["sparse", "dense", "zero", "constant", "no-constant"])
+
+    def coeff(k):
+        if shape == "zero" or (shape == "constant" and k > 0) or (shape == "no-constant" and k == 0):
+            return 0
+        if shape == "sparse" and rng.random() < 0.6:
+            return 0
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    return [
+        [ScalarSeries.from_coeffs(mode, [coeff(k) for k in range(mode.order)]) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _from_dense(src, tgt, mode, rows):
+    layers = [
+        {(i, j): v.coeffs[k] for i, row in enumerate(rows) for j, v in enumerate(row)} for k in range(mode.order)
+    ]
+    return Morphism(src, tgt, mode, layers)
+
+
+def _dense(m):
+    return [[m.entry(i, j) for j in range(m.source_dim)] for i in range(m.target_dim)]
+
+
+def _ref_matmul(a, b, mode):
+    return [
+        [sum((a[i][j] * b[j][k] for j in range(len(b))), ScalarSeries.zero(mode)) for k in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _ref_inverse(a, mode):
+    """Gauss-Jordan over the truncated ring, pivoting on units."""
+    d = len(a)
+    one, zero = ScalarSeries.one(mode), ScalarSeries.zero(mode)
+    aug = [list(row) + [one if k == i else zero for k in range(d)] for i, row in enumerate(a)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if aug[r][col].coeffs[0] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pinv = aug[col][col].inverse()
+        aug[col] = [x * pinv for x in aug[col]]
+        for r in range(d):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def _check(m, src, tgt, mode, ref):
+    assert (m.source, m.target, m.mode) == (src, tgt, mode)
+    assert all(v for layer in m.layers for v in layer.values()), "stored zero"
+    assert len(m.layers) == mode.order
+    assert _dense(m) == ref
+    assert m == _from_dense(src, tgt, mode, ref)
+
+
+def test_layered_ops_match_entrywise_reference():
+    for seed, mode in enumerate(REF_MODES):
+        rng = random.Random(seed)
+        for _ in range(40):
+            d0, d1, d2 = (rng.randint(1, 6) for _ in range(3))
+            x0, x1, x2 = _obj(d0), _obj(d1), _obj(d2)
+            a = _random_dense(rng, mode, d2, d1)
+            b = _random_dense(rng, mode, d1, d0)
+            c = _random_dense(rng, mode, d2, d1)
+            ma, mb, mc = _from_dense(x1, x2, mode, a), _from_dense(x0, x1, mode, b), _from_dense(x1, x2, mode, c)
+            _check(ma, x1, x2, mode, a)
+            _check(ma.compose(mb), x0, x2, mode, _ref_matmul(a, b, mode))
+            _check(ma + mc, x1, x2, mode, [[u + v for u, v in zip(r, s)] for r, s in zip(a, c)])
+            _check(ma - mc, x1, x2, mode, [[u - v for u, v in zip(r, s)] for r, s in zip(a, c)])
+            s = _random_dense(rng, mode, 1, 1)[0][0]
+            _check(ma.scale(s), x1, x2, mode, [[u * s for u in r] for r in a])
+            kron = [
+                [a[i][j] * b[k][l] for j in range(d1) for l in range(d0)] for i in range(d2) for k in range(d1)
+            ]
+            _check(ma.tensor(mb), TensorObj(x1, x0), TensorObj(x2, x1), mode, kron)
+            _check(ma.part0(), x1, x2, classical_mode(), [[u.part0() for u in r] for r in a])
+            if all(u.coeffs[0] == 0 for r in a for u in r):
+                _check(ma.part1(), x1, x2, classical_mode(), [[u.part1() for u in r] for r in a])
+            else:
+                with pytest.raises(Part1DomainError):
+                    ma.part1()
+
+
+def test_layered_inverse_matches_entrywise_reference():
+    for seed, mode in enumerate(REF_MODES):
+        rng = random.Random(100 + seed)
+        done = 0
+        while done < 15:
+            d = rng.randint(1, 6)
+            a = _random_dense(rng, mode, d, d, rng.choice(["sparse", "dense", "constant"]))
+            x = _obj(d)
+            m = _from_dense(x, x, mode, a)
+            try:
+                m.part0().inverse()
+            except ZeroDivisionError:
+                continue
+            _check(m.inverse(), x, x, mode, _ref_inverse(a, mode))
+            done += 1
+
+
+def test_layered_convert_matches_entrywise_reference():
+    conversions = [
+        (classical_mode(), epsilon_mode()),
+        (classical_mode(), hbar_mode(3)),
+        (epsilon_mode(), classical_mode()),
+        (epsilon_mode(), hbar_mode(2)),
+        (hbar_mode(3), epsilon_mode()),
+        (hbar_mode(3), hbar_mode(2)),
+        (hbar_mode(3), classical_mode()),
+        (hbar_mode(2), hbar_mode(2)),
+        (hbar_mode(3), hbar_mode(3)),
+        (hbar_mode(4), hbar_mode(3)),
+    ]
+    rng = random.Random(7)
+    for src_mode, mode in conversions:
+        for _ in range(10):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = _random_dense(rng, src_mode, rows, cols)
+            m = _from_dense(_obj(cols), _obj(rows), src_mode, a)
+            _check(m.convert(mode), _obj(cols), _obj(rows), mode, [[u.convert(mode) for u in r] for r in a])
+    m = _from_dense(V, V, epsilon_mode(), _random_dense(rng, epsilon_mode(), 2, 2, "dense"))
+    with pytest.raises(ModeError):
+        m.convert(hbar_mode(3))
+    with pytest.raises(ModeError):
+        Morphism.identity(V, hbar_mode(2)).convert(hbar_mode(3))
+
+
+# -- malformed morphism JSON ------------------------------------------------
+
+
+def _coupon_json(entries, mode="hbar", order=2):
+    return {"source": ["V"], "target": ["V"], "mode": mode, "order": order, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"9,9": ["1", "0"]},
+        {"2,0": ["1"]},
+        {"0,2": ["1"]},
+        {"-1,0": ["1"]},
+        {"0,-1": ["1"]},
+    ],
+)
+def test_morphism_json_rejects_out_of_range_positions(entries):
+    with pytest.raises(SkeinlabError, match="outside"):
+        Morphism.from_json(_coupon_json(entries))
+
+
+@pytest.mark.parametrize("key", ["0;0", "0", "a,b", "0,0,0", "00,1", " 0,1", "+1,0", "1,", ""])
+def test_morphism_json_rejects_malformed_keys(key):
+    with pytest.raises(SkeinlabError, match="form"):
+        Morphism.from_json(_coupon_json({key: ["1"]}))
+
+
+def test_morphism_json_rejects_too_many_coefficients():
+    with pytest.raises(SkeinlabError, match="coefficients"):
+        Morphism.from_json(_coupon_json({"0,0": ["1", "0", "9"]}))
+    with pytest.raises(SkeinlabError, match="coefficients"):
+        Morphism.from_json(_coupon_json({"0,0": ["1", "0"]}, mode="classical", order=1))
+    m = Morphism.from_json(_coupon_json({"0,0": ["1"], "1,1": ["0", "1/2"]}))
+    assert m.entry(0, 0) == ScalarSeries.one(m.mode)
+    assert m.entry(1, 1) == ScalarSeries.from_coeffs(m.mode, [0, Fraction(1, 2)])

@@ -45,6 +45,15 @@ CASES = {
     "verify_fusion": ["verify", "--suite", "fusion", "--seed", "3", "--cases", "1"],
     "verify_jacobi": ["verify", "--suite", "jacobi", "--seed", "3", "--cases", "1"],
     "verify_torsion": ["verify", "--suite", "torsion", "--order", "2"],
+    "verify_torsion_order3": ["verify", "--suite", "torsion", "--order", "3"],
+    "eval_tangle_adj_classical": ["eval-tangle", "tangle_adj.json", "--backend", "classical"],
+    "eval_tangle_adj_epsilon": ["eval-tangle", "tangle_adj.json", "--backend", "epsilon"],
+    "verify_ribbon_epsilon": ["verify", "--suite", "ribbon", "--backend", "epsilon"],
+    "verify_ribbon_drinfeld2": ["verify", "--suite", "ribbon", "--backend", "drinfeld", "--order", "2"],
+    "verify_moves_epsilon": ["verify", "--suite", "moves", "--backend", "epsilon", "--seed", "7", "--cases", "2"],
+    "sigma_fock_rosly_annulus": ["sigma", "annulus_a.json", "annulus_b.json", "--method", "fock-rosly"],
+    "sigma_fock_rosly_torus_nodiag": ["sigma", "torus_a.json", "torus_b.json", "--method", "fock-rosly",
+                                      "--fr-diagonal", "exclude"],
 }
 
 

@@ -42,7 +42,6 @@ from .poisson import (
     SigmaResult,
     biderivation_check,
     check_fusion,
-    extract_t,
     fock_rosly_sigma,
     sigma_algebraic,
     sigma_goldman,
@@ -58,6 +57,6 @@ __all__ = [
     "TangleWord", "apply_move", "compose", "rt_evaluate", "tensor",
     "SkeinElement", "action", "holonomy_evaluate", "lift_element", "loop_element",
     "mu", "mu_op_minus", "random_element", "unit_element",
-    "SigmaResult", "biderivation_check", "check_fusion", "extract_t",
-    "fock_rosly_sigma", "sigma_algebraic", "sigma_goldman", "symmetrization_check",
+    "SigmaResult", "biderivation_check", "check_fusion", "fock_rosly_sigma",
+    "sigma_algebraic", "sigma_goldman", "symmetrization_check",
 ]

@@ -13,23 +13,19 @@ pin all sign and side conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlgebraError, ModeError
 from .ribbon_backend import (
-    BackendSpec,
     Morphism,
     RA_TENSOR,
     TSYM_TENSOR,
     T_TENSOR,
-    classical_action,
+    flip_matrix,
+    leg_insertion,
     left_nested,
     make_backend,
     tensor_word,
     word_tensor,
-    _frac_compose,
-    _frac_ident,
-    _frac_kron,
 )
 from .scalars import classical_mode
 from .skein_algebra import (
@@ -58,38 +54,8 @@ class SigmaResult:
 
 
 # ---------------------------------------------------------------------------
-# Insertion helpers (classical two-leg actions on element words)
+# Insertion helper (classical two-leg actions on element words)
 # ---------------------------------------------------------------------------
-
-
-def _single_leg_spread(word_factors, positions, gen):
-    """Matrix of `gen` acting diagonally on the chosen factors of a word."""
-    dims = [w.dim for w in word_factors]
-    total = {}
-    for p in positions:
-        mats = []
-        for v, w in enumerate(word_factors):
-            mats.append(classical_action(gen, w) if v == p else _frac_ident(dims[v]))
-        m = mats[0]
-        for v in range(1, len(word_factors)):
-            m = _frac_kron(m, mats[v], dims[v], dims[v])
-        for k, val in m.items():
-            total[k] = total.get(k, Fraction(0)) + val
-    return total
-
-
-def two_leg_insertion(word_factors, pos1, pos2, tensor):
-    """Sum_k c_k (a_k on the pos1 factors)(b_k on the pos2 factors)."""
-    d = 1
-    for w in word_factors:
-        d *= w.dim
-    total = {}
-    for coeff, g1, g2 in tensor:
-        m1 = _single_leg_spread(word_factors, pos1, g1)
-        m2 = _single_leg_spread(word_factors, pos2, g2)
-        for k, val in _frac_compose(m1, m2).items():
-            total[k] = total.get(k, Fraction(0)) + coeff * val
-    return total
 
 
 def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, second_blocks) -> SkeinElement:
@@ -99,7 +65,7 @@ def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, sec
     explicitly (unit blocks included), so that product elements keep their
     pair structure even when one side's argument is trivial.
     """
-    entries = two_leg_insertion(factors, first_blocks, second_blocks, tensor)
+    entries = leg_insertion(factors, first_blocks, second_blocks, tensor)
     word = left_nested(tensor_word([leaf for a in element.argument for leaf in a.leaves()]))
     m = Morphism(word, word, classical_mode(), [entries])
     terms = [(labels, core @ m) for labels, core in element.terms]
@@ -207,20 +173,6 @@ def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
 
 
 # ---------------------------------------------------------------------------
-# t extraction
-# ---------------------------------------------------------------------------
-
-
-def extract_t(backend: BackendSpec, x, y) -> Morphism:
-    """[beta^2 - id]_1 on x (x) y; needs a deformed backend."""
-    if not backend.is_deformed:
-        raise ModeError("the classical backend carries no first-order braiding data")
-    src = word_tensor(x, y)
-    double = backend.braiding(y, x) @ backend.braiding(x, y)
-    return (double - Morphism.identity(src, backend.mode)).part1()
-
-
-# ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
 
@@ -231,8 +183,6 @@ def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
     sig21 = sigma_algebraic(s2, s1).element
     # pull sigma(Y,X) back along the per-vertex classical flips
     backend = sig21.backend
-    from .ribbon_backend import flip_matrix
-
     context = []
     placed = []
     for v in range(s1.pattern.n_vertices):
@@ -251,8 +201,6 @@ def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
 
 def biderivation_check(s1: SkeinElement, s2: SkeinElement, s3: SkeinElement) -> bool:
     """Leibniz rule: sigma(mu(a,b), c) = perm*[mu0(sigma(a,c), b0)] + mu0(a0, sigma(b,c))."""
-    from .ribbon_backend import flip_matrix
-
     lhs = sigma_algebraic(mu(s1, s2), s3).element.canonical()
     backend_cl = make_backend("classical")
     sig13 = sigma_algebraic(s1, s3).element
@@ -292,8 +240,6 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
     # pulled back along the classical middle interchange J0
     sig = sigma_algebraic(s1, s2).element
     sig_f = _transplant(sig, fused)
-    from .ribbon_backend import flip_matrix
-
     backend_cl = make_backend("classical")
     X1, X2 = s1.argument
     Y1, Y2 = s2.argument
@@ -306,13 +252,7 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
 
     # second term: classical fused product with t on the middle arguments
     prod = mu(_transplant(s1.part0(), fused), _transplant(s2.part0(), fused))
-    factors = [X1, X2, Y1, Y2]
-    entries = two_leg_insertion(factors, [1], [2], T_TENSOR)
-    word = left_nested(tensor_word([leaf for a in factors for leaf in a.leaves()]))
-    tmat = Morphism(word, word, classical_mode(), [entries])
-    term2 = SkeinElement(
-        backend_cl, fused, target_argument, [(labels, core @ tmat) for labels, core in prod.terms]
-    )
+    term2 = argument_insertion(prod, T_TENSOR, context, [1], [2])
 
     # align lhs argument bracketing with the rhs one
     lhs = SkeinElement(backend_cl, fused, target_argument, list(lhs.terms))
@@ -387,8 +327,8 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
         if factors not in slot_cache:
             entries = {}
             for i, j, tensor in triples:
-                for k, val in two_leg_insertion(list(factors), [i], [nslots + j], tensor).items():
-                    entries[k] = entries.get(k, Fraction(0)) + val
+                for k, val in leg_insertion(factors, [i], [nslots + j], tensor).items():
+                    entries[k] = entries.get(k, 0) + val
             word = left_nested(tensor_word(list(factors)))
             slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
         mid = slot_cache[factors]

@@ -11,6 +11,13 @@ matrices M = sum_k param^k M_k; ScalarSeries is their entry and scalar view.
   DrinfeldSl2    braiding flip*exp(h*t/2), twist exp(h*C/2), associator
                  1 + h^2/24 [t12, t23] (needs truncation order <= 3)
 
+All but the quantum backend share one formula each: the braiding is
+flip o exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip,
+and the twist exp(param*C/2), with (Omega, rate) = (r, 1) on epsilon and
+(t, 1/2) otherwise.  The truncation does the rest: the order-1 exponential
+is the identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.
+Every two-leg tensor (r, t, r_a) acts through `leg_insertion`.
+
 Normalization: the invariant form is the trace form on the fundamental
 representation, so t = e(x)f + f(x)e + h(x)h/2, C = ef + fe + h^2/2, and
 C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
@@ -22,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from .scalars import (
@@ -696,9 +703,8 @@ def casimir_action(word: ObjectExpr):
     )
 
 
-# r = e(x)f + h(x)h/4, its flip, and t = r + flip(r), as (coeff, leg1, leg2).
+# r = e(x)f + h(x)h/4 and t = r + flip(r), as (coeff, leg1, leg2).
 R_TENSOR = ((Fraction(1), "e", "f"), (Fraction(1, 4), "h", "h"))
-R21_TENSOR = ((Fraction(1), "f", "e"), (Fraction(1, 4), "h", "h"))
 T_TENSOR = (
     (Fraction(1), "e", "f"),
     (Fraction(1), "f", "e"),
@@ -712,23 +718,30 @@ TSYM_TENSOR = (
 )  # (r + r21)/2
 
 
-def two_leg_action(tensor, x: ObjectExpr, y: ObjectExpr):
-    """Matrix on x(x)y of sum_k c_k (a_k acting on x)(x)(b_k acting on y)."""
-    dy = y.dim
-    out = {}
+def leg_insertion(factors, first, second, tensor):
+    """Matrix of sum_k c_k A_k B_k on the flat word of `factors`.
+
+    `tensor` lists (c_k, a_k, b_k); A_k is a_k acting on each factor listed
+    in `first` in turn (id (x) a_k (x) id, summed over the list), and B_k is
+    b_k acting on the factors listed in `second` likewise.
+    """
+    dims = [w.dim for w in factors]
+    total = {}
     for coeff, a, b in tensor:
-        ma = classical_action(a, x)
-        if not ma:
-            continue
-        mb = classical_action(b, y)
-        if not mb:
-            continue
-        for (i, j), va in ma.items():
-            cva = coeff * va
-            for (k, l), vb in mb.items():
-                key = (i * dy + k, j * dy + l)
-                out[key] = out.get(key, Fraction(0)) + cva * vb
-    return {k: v for k, v in out.items() if v}
+        legs = _frac_compose(_leg_spread(factors, dims, first, a), _leg_spread(factors, dims, second, b))
+        _frac_iadd(total, _frac_scale(legs, coeff))
+    return total
+
+
+def _leg_spread(factors, dims, positions, gen):
+    """Sum over the positions p of id (x) (gen on factors[p]) (x) id."""
+    out = {}
+    for p in positions:
+        left = prod(dims[:p])
+        right = prod(dims[p + 1 :])
+        m = _frac_kron(_frac_ident(left), classical_action(gen, factors[p]), dims[p], dims[p])
+        _frac_iadd(out, _frac_kron(m, _frac_ident(right), right, right))
+    return out
 
 
 def exp_nilseries(entries, d, mode: RingMode, rate=Fraction(1)):
@@ -951,13 +964,17 @@ class BackendSpec:
         self._cache = {}
         self._coev_scales = {}
         self._qops = _QuantumOps(mode.order) if name == "quantum" else None
+        # the exponent Omega of the non-quantum braidings and its rate
+        self._omega, self._rate = (R_TENSOR, Fraction(1)) if name == "epsilon" else (T_TENSOR, Fraction(1, 2))
+        self.nontrivial_associator = name == "drinfeld" and mode.order >= 3
 
     def __repr__(self):
         return f"BackendSpec({self.name}, {self.mode})"
 
     @property
     def is_deformed(self):
-        return self.name != "classical"
+        """Whether the ring has a first-order term (order >= 2)."""
+        return self.mode.order > 1
 
     def _cached(self, key, build):
         if key not in self._cache:
@@ -971,37 +988,23 @@ class BackendSpec:
         return self._cached(("braid", x, y), lambda: self._braiding(x, y))
 
     def _braiding(self, x, y):
-        flip = flip_matrix(x, y, self.mode)
-        if self.name == "classical":
-            return flip
         src = word_tensor(x, y)
-        if self.name == "epsilon":
-            r = Morphism(src, src, self.mode, [{}, two_leg_action(R_TENSOR, x, y)])
-            return flip @ (Morphism.identity(src, self.mode) + r)
-        if self.name == "drinfeld":
-            t = two_leg_action(T_TENSOR, x, y)
-            return flip @ Morphism(src, src, self.mode, exp_nilseries(t, src.dim, self.mode, rate=Fraction(1, 2)))
-        return flip @ Morphism(src, src, self.mode, self._qops.r_matrix(x, y))
+        layers = self._exp_omega(x, y, self._rate) if self._qops is None else self._qops.r_matrix(x, y)
+        return flip_matrix(x, y, self.mode) @ Morphism(src, src, self.mode, layers)
 
     def braiding_inv(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
         """Inverse of braiding(x, y): a morphism y(x)x -> x(x)y."""
         return self._cached(("braidinv", x, y), lambda: self._braiding_inv(x, y))
 
     def _braiding_inv(self, x, y):
-        flip = flip_matrix(y, x, self.mode)
-        src = word_tensor(y, x)
         tgt = word_tensor(x, y)
-        if self.name == "classical":
-            return flip
-        if self.name == "epsilon":
-            r = Morphism(tgt, tgt, self.mode, [{}, two_leg_action(R_TENSOR, x, y)])
-            return (Morphism.identity(tgt, self.mode) - r) @ flip
-        if self.name == "drinfeld":
-            t = two_leg_action(T_TENSOR, x, y)
-            e = exp_nilseries(t, tgt.dim, self.mode, rate=Fraction(-1, 2))
-            return Morphism(tgt, tgt, self.mode, e) @ flip
-        rinv = Morphism(tgt, tgt, self.mode, self._qops.r_matrix_inv(x, y))
-        return rinv @ flip
+        layers = self._exp_omega(x, y, -self._rate) if self._qops is None else self._qops.r_matrix_inv(x, y)
+        return Morphism(tgt, tgt, self.mode, layers) @ flip_matrix(y, x, self.mode)
+
+    def _exp_omega(self, x, y, rate):
+        """Layers of exp(rate * param * Omega) on x(x)y."""
+        omega = leg_insertion([x, y], [0], [1], self._omega)
+        return exp_nilseries(omega, x.dim * y.dim, self.mode, rate)
 
     def swap(self, x: ObjectExpr, y: ObjectExpr, left_over: bool) -> Morphism:
         """The iso x(x)y -> y(x)x; the left strand passes over iff left_over."""
@@ -1015,12 +1018,7 @@ class BackendSpec:
         return self._cached(("twist", x), lambda: self._twist(x))
 
     def _twist(self, x):
-        if self.name == "classical":
-            return Morphism.identity(x, self.mode)
-        if self.name == "epsilon":
-            c = Morphism(x, x, self.mode, [{}, casimir_action(x)])
-            return Morphism.identity(x, self.mode) + c.scale(Fraction(1, 2))
-        if self.name == "drinfeld":
+        if self._qops is None:
             return Morphism(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, rate=Fraction(1, 2)))
         # quantum: inverse of exp(-h rho) u so that V_n twists by exp(h n(n+2)/4),
         # matching the Casimir normalization of the other backends
@@ -1036,13 +1034,17 @@ class BackendSpec:
     def inf_braiding(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
         """t on x(x)y, as a classical morphism.
 
-        Classical and Drinfeld store t = e(x)f + f(x)e + h(x)h/2 directly;
-        the deformed backends extract [beta^2 - id]_1, which equals the same
-        tensor (the ratio between the two is one in these conventions).
+        An undeformed backend (classical, or truncation order 1) stores
+        t = e(x)f + f(x)e + h(x)h/2 directly; every deformed backend extracts
+        [beta^2 - id]_1, which equals the same tensor (the ratio between the
+        two is one in these conventions).
         """
+        return self._cached(("t", x, y), lambda: self._inf_braiding(x, y))
+
+    def _inf_braiding(self, x, y):
         src = word_tensor(x, y)
-        if self.name in ("classical", "drinfeld"):
-            return Morphism(src, src, classical_mode(), [two_leg_action(T_TENSOR, x, y)])
+        if not self.is_deformed:
+            return Morphism(src, src, classical_mode(), [leg_insertion([x, y], [0], [1], T_TENSOR)])
         double = self.braiding(y, x) @ self.braiding(x, y)
         return (double - Morphism.identity(src, self.mode)).part1()
 
@@ -1050,7 +1052,7 @@ class BackendSpec:
 
     def _coev_scale(self, spin: int) -> ScalarSeries:
         """Correction making the snake identities exact (Drinfeld only)."""
-        if self.name != "drinfeld" or self.mode.order < 3:
+        if not self.nontrivial_associator:
             return ScalarSeries.one(self.mode)
         if spin not in self._coev_scales:
             x = SimpleObj(spin)
@@ -1151,24 +1153,21 @@ class BackendSpec:
         """(x(x)y)(x)z -> x(x)(y(x)z)."""
         src = TensorObj(TensorObj(x, y), z)
         tgt = TensorObj(x, TensorObj(y, z))
-        if self.name != "drinfeld":
+        if not self.nontrivial_associator:
             return Morphism.identity(src, self.mode).retyped(target=tgt)
         return self._cached(("assoc", x, y, z), lambda: self._drinfeld_phi(x, y, z, src, tgt))
 
     def _drinfeld_phi(self, x, y, z, src, tgt):
-        if self.mode.order < 3:
-            return Morphism.identity(src, self.mode).retyped(target=tgt)
-        dx, dy, dz = x.dim, y.dim, z.dim
-        t12 = _frac_kron(two_leg_action(T_TENSOR, x, y), _frac_ident(dz), dz, dz)
-        t23 = _frac_kron(_frac_ident(dx), two_leg_action(T_TENSOR, y, z), dy * dz, dy * dz)
-        comm = _frac_add(_frac_compose(t12, t23), _frac_scale(_frac_compose(t23, t12), Fraction(-1)))
+        t12 = leg_insertion([x, y, z], [0], [1], T_TENSOR)
+        t23 = leg_insertion([x, y, z], [1], [2], T_TENSOR)
+        comm = _frac_add(_frac_compose(t12, t23), _frac_scale(_frac_compose(t23, t12), _MINUS_ONE))
         h2 = Morphism(src, src, self.mode, [{}, {}, _frac_scale(comm, Fraction(1, 24))])
         phi = Morphism.identity(src, self.mode) + h2
         return phi.retyped(target=tgt)
 
     def associator_inv(self, x, y, z) -> Morphism:
         m = self.associator(x, y, z)
-        if self.name != "drinfeld" or self.mode.order < 3:
+        if not self.nontrivial_associator:
             return m.retyped(source=m.target, target=m.source)
         return self._cached(("associnv", x, y, z), lambda: m.inverse())
 
@@ -1178,7 +1177,7 @@ class BackendSpec:
             return Morphism.identity(src, self.mode)
         if src.leaves() != tgt.leaves():
             raise ModeError(f"coherence needs equal flat words: {src} vs {tgt}")
-        if self.name != "drinfeld":
+        if not self.nontrivial_associator:
             return Morphism.identity(src, self.mode).retyped(target=tgt)
 
         def build():
@@ -1288,7 +1287,7 @@ class BackendSpec:
 
     def _raising_lowering(self, word):
         """Layers of the raising and lowering operators on the word."""
-        if self.name == "quantum":
+        if self._qops is not None:
             return self._qops.action("E", word), self._qops.action("F", word)
         empty = [{} for _ in range(self.mode.order - 1)]
         return [classical_action("e", word)] + empty, [classical_action("f", word)] + empty

@@ -116,7 +116,7 @@ class ScalarSeries:
     def from_coeffs(mode: RingMode, values) -> "ScalarSeries":
         values = [as_fraction(v) for v in values]
         if len(values) > mode.order:
-            values = values[: mode.order]
+            raise ModeError(f"{len(values)} coefficients exceed the order of {mode}")
         while len(values) < mode.order:
             values.append(_ZERO)
         return ScalarSeries(mode, tuple(values))

@@ -198,16 +198,37 @@ class SkeinElement:
 
     @staticmethod
     def from_json(data) -> "SkeinElement":
+        """Inverse of to_json.  Each core must be over the backend's ring, map
+        the argument word to the boundary word of its labels and lie in the
+        span of `element_hom_basis`; anything else raises."""
         from .ribbon_backend import object_from_json, parse_label
 
         backend = make_backend(data["backend"], data.get("order", 3))
         pattern = SurfacePattern.from_json(data["pattern"])
         argument = tuple(object_from_json(a) for a in data["argument"])
-        terms = []
-        for t in data["terms"]:
+        element = SkeinElement(backend, pattern, argument, [])
+        source = _source_word(argument)
+        for n, t in enumerate(data["terms"]):
             labels = tuple(simple(parse_label(lab)) for lab in t["labels"])
-            terms.append((labels, Morphism.from_json(t["core"])))
-        return SkeinElement(backend, pattern, argument, terms)
+            core = Morphism.from_json(t["core"])
+            where = f"term {n} (labels {', '.join(map(str, labels))})"
+            if len(labels) != pattern.n_handles:
+                raise AlgebraError(f"{where}: the pattern has {pattern.n_handles} handles")
+            if core.mode != backend.mode:
+                raise ModeError(f"{where}: core is over {core.mode}, the backend over {backend.mode}")
+            target = tensor_word(slot_objects(pattern, labels))
+            if core.source.leaves() != source.leaves() or core.target.leaves() != target.leaves():
+                raise AlgebraError(
+                    f"{where}: core {core.source} -> {core.target} does not map the argument "
+                    f"{source} to the boundary word {target}"
+                )
+            basis = element_hom_basis(backend, pattern, argument, labels)
+            try:
+                _coordinates(core, basis)
+            except AlgebraError:
+                raise AlgebraError(f"{where}: core does not lie in the invariant Hom space") from None
+            element.terms.append((labels, core))
+        return element
 
 
 def _cg_with_transpose(backend: BackendSpec, b: SimpleObj, c: SimpleObj):
@@ -232,11 +253,6 @@ def unit_element(backend: BackendSpec, pattern: SurfacePattern) -> SkeinElement:
     core = Morphism.from_rows(UNIT, target, backend.mode, [[1]])
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
-
-
-def zero_element(backend, pattern, argument=None) -> SkeinElement:
-    argument = argument or tuple(UNIT for _ in range(pattern.n_vertices))
-    return SkeinElement(backend, pattern, tuple(argument), [])
 
 
 def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int = 1) -> SkeinElement:
@@ -377,7 +393,7 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
     for labels, core in element.terms:
         cl_basis = element_hom_basis(cl, element.pattern, element.argument, labels)
         q_basis = element_hom_basis(backend, element.pattern, element.argument, labels)
-        coords = _coordinates(core, cl_basis)
+        coords = _coordinates(core, cl_basis)[0]
         lifted = Morphism.zero(core.source, core.target, backend.mode)
         for x, b in zip(coords, q_basis):
             lifted = lifted + b.scale(x)
@@ -386,17 +402,28 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
 
 
 def _coordinates(m: Morphism, basis):
-    """Exact coordinates of a classical morphism in a classical Hom basis."""
-    columns = [b.layers[0] for b in basis]
-    target = m.layers[0]
-    positions = sorted(set(target).union(*columns))
+    """Exact coordinates of m in a Hom basis over the backend ring.
+
+    Solved order by order against the constant layers of the basis: returns
+    one rational vector per order, m = sum_k sum_b param^k coords[k][b] basis[b].
+    """
     zero = Fraction(0)
+    columns = [b.layers[0] for b in basis]
+    positions = sorted(set().union(*m.layers, *(layer for b in basis for layer in b.layers)))
     dense = [[col.get(p, zero) for col in columns] for p in positions]
-    rhs = [target.get(p, zero) for p in positions]
-    sol = frac_solve(dense, rhs)
-    if sol is None:
-        raise AlgebraError("morphism does not lie in the invariant Hom space")
-    return sol
+    coords = []
+    for k, layer in enumerate(m.layers):
+        rest = dict(layer)
+        for i, xs in enumerate(coords):
+            for x, b in zip(xs, basis):
+                if x:
+                    for p, v in b.layers[k - i].items():
+                        rest[p] = rest.get(p, zero) - x * v
+        sol = frac_solve(dense, [rest.get(p, zero) for p in positions])
+        if sol is None:
+            raise AlgebraError("morphism does not lie in the invariant Hom space")
+        coords.append(sol)
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +478,6 @@ def product_plan(pattern: SurfacePattern):
     return plan_a, plan_b
 
 
-def _replay(backend, blocks, plan, swap_for_site, site_offset):
-    """Compose the swap morphisms of a plan over the given (tag, obj) blocks."""
-    total = None
-    for _, step in _replay_steps(backend, blocks, plan, swap_for_site, site_offset):
-        total = step if total is None else step @ total
-    if total is None:
-        total = Morphism.identity(left_nested(tensor_word([o for _, o in blocks])), backend.mode)
-    return total
-
-
 def _replay_steps(backend, blocks, plan, swap_for_site, site_offset):
     """Yield (site_id, step, (context, position, objL, objR)) per swap."""
     work = list(blocks)
@@ -506,33 +523,21 @@ def product_term_chains(s1: SkeinElement, s2: SkeinElement, swap_for_site):
             yield new_labels, chain
 
 
-def mu(
-    s1: SkeinElement,
-    s2: SkeinElement,
-    positive: bool = True,
-    site_hooks=None,
-) -> SkeinElement:
+def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElement:
     """The stacking product E(X) (x) E(Y) -> E(X (x) Y).
 
     With positive=True the boundary-interleaving crossings (stage B) are
     positive braidings and the argument-side crossings at the marked
     points (stage A) are negative; this is the convention under which the
     disk algebra satisfies sigma = mu0 o t-hat on the second components.
-    positive=False is the global mirror.  site_hooks optionally overrides
-    single crossing sites with custom morphisms, which the diagrammatic
-    first-order rule uses to insert infinitesimal-braiding coupons.
+    positive=False is the global mirror.
     """
     s1._check_compatible(s2)
     backend = s1.backend
     pattern = s1.pattern
-    plan_a, plan_b = product_plan(pattern)
-    site_hooks = site_hooks or {}
-    n_arg_sites = len(plan_a)
+    n_arg_sites = len(product_plan(pattern)[0])
 
     def swap_for_site(n, objL, objR):
-        hook = site_hooks.get(n)
-        if hook is not None:
-            return hook(objL, objR)
         pos = positive if n >= n_arg_sites else not positive
         if pos:
             return backend.braiding(objL, objR)

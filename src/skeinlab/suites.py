@@ -350,7 +350,8 @@ def jacobi_suite(seed: int, pairs: int = 5, include_diagonal: bool = True):
     return cases
 
 
-def torsion_suite(order: int = 2):
+def torsion_suite():
+    """theta^2 - id == (3/2) h id on V, which holds modulo h^2 only."""
     cases = []
     for name in ("quantum", "drinfeld"):
         bk = make_backend(name, 2)
@@ -370,5 +371,5 @@ SUITES = {
     "sigma": lambda cfg: sigma_suite(cfg["seed"], cfg.get("cases", 5)),
     "fusion": lambda cfg: fusion_suite(cfg["seed"], cfg.get("cases", 5), cfg.get("fusion_order", "v1v2")),
     "jacobi": lambda cfg: jacobi_suite(cfg["seed"], cfg.get("cases", 3), cfg.get("fr_diagonal", True)),
-    "torsion": lambda cfg: torsion_suite(cfg["order"]),
+    "torsion": lambda cfg: torsion_suite(),
 }

@@ -30,7 +30,6 @@ from skeinlab.skein_algebra import (
 from skeinlab.poisson import (
     biderivation_check,
     check_fusion,
-    extract_t,
     fock_rosly_consistency,
     fock_rosly_sigma,
     sigma_algebraic,
@@ -91,14 +90,14 @@ def test_criterion_04_t_extraction():
     expected = flip_matrix(V, V, classical_mode()).retyped(target=TensorObj(V, V)) - Morphism.identity(
         TensorObj(V, V), classical_mode()
     ).scale(F(1, 2))
-    ok = extract_t(EP, V, V) == expected
+    t = EP.inf_braiding(V, V)
+    ok = t == expected
     ident = Morphism.identity(TensorObj(V, V), classical_mode())
-    t = extract_t(EP, V, V)
     ok &= ((t - ident.scale(F(1, 2))) @ (t + ident.scale(F(3, 2)))).is_zero
     # quantum: the h-coefficient of R21 R - 1 matches with ratio one
     for order in (2, 3):
         q = make_backend("quantum", order)
-        ok &= extract_t(q, V, V) == expected
+        ok &= q.inf_braiding(V, V) == expected
     report(4, "t extraction", ok, "(eigenvalues 1/2, -3/2; quantum ratio 1)")
 
 

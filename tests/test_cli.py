@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from skeinlab.cli import main
 from skeinlab.ribbon_backend import make_backend, simple
@@ -102,3 +103,28 @@ def test_coupon_entry_out_of_range_exit_2(tmp_path):
     code, out, err = run_cli(["eval-tangle", str(path), "--backend", "quantum", "--order", "3"])
     assert code == 2 and out == ""
     assert "outside" in err
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _edited_annulus(tmp_path, edit):
+    data = json.loads((GOLDEN_INPUTS / "annulus_a.json").read_text(encoding="utf-8"))
+    edit(data["terms"][0])
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_non_intertwiner_core_exit_2(tmp_path):
+    left = _edited_annulus(tmp_path, lambda term: term["core"]["entries"].update({"1,0": ["5"]}))
+    code, out, err = run_cli(["product", left, str(GOLDEN_INPUTS / "annulus_b.json")])
+    assert code == 2 and out == ""
+    assert "term 0 (labels adj)" in err and "invariant Hom space" in err
+
+
+def test_labels_not_matching_core_exit_2(tmp_path):
+    left = _edited_annulus(tmp_path, lambda term: term.update({"labels": ["V"]}))
+    code, out, err = run_cli(["product", left, str(GOLDEN_INPUTS / "annulus_b.json")])
+    assert code == 2 and out == ""
+    assert "term 0 (labels V)" in err and "boundary word" in err

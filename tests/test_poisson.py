@@ -26,7 +26,6 @@ from skeinlab.skein_algebra import (
 from skeinlab.poisson import (
     SigmaResult,
     check_fusion,
-    extract_t,
     fock_rosly_consistency,
     fock_rosly_sigma,
     forgetful_correction,
@@ -47,24 +46,22 @@ TOR = once_punctured_torus()
 DISK = disk_with_two_points()
 
 
-def test_extract_t_value_and_ratio():
+def test_t_extraction_value_and_ratio():
     # [beta^2 - 1]_1 = e(x)f + f(x)e + h(x)h/2 = flip - id/2 on V(x)V
     expected = flip_matrix(V, V, classical_mode()).retyped(target=TensorObj(V, V)) - Morphism.identity(
         TensorObj(V, V), classical_mode()
     ).scale(F(1, 2))
     for bk in (EP, Q2, make_backend("quantum", 3), make_backend("drinfeld", 3)):
-        t = extract_t(bk, V, V)
+        t = bk.inf_braiding(V, V)
         assert t == expected, bk.name
-        # ratio one against the stored tensor
-        assert t == bk.inf_braiding(V, V), bk.name
-    assert extract_t(EP, UNIT, V).is_zero
-    with pytest.raises(ModeError):
-        extract_t(CL, V, V)
+        # ratio one against the tensor the classical backend stores
+        assert t == CL.inf_braiding(V, V), bk.name
+    assert EP.inf_braiding(UNIT, V).is_zero
 
 
-def test_extract_t_eigenvalues():
+def test_t_extraction_eigenvalues():
     # eigenvalues 1/2 (triple) and -3/2 (single): (t - 1/2)(t + 3/2) = 0
-    t = extract_t(EP, V, V)
+    t = EP.inf_braiding(V, V)
     word = t.source
     ident = Morphism.identity(word, classical_mode())
     prod = (t - ident.scale(F(1, 2))) @ (t + ident.scale(F(3, 2)))

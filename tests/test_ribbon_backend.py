@@ -5,13 +5,19 @@ import pytest
 
 from skeinlab.errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from skeinlab.ribbon_backend import (
+    RA_TENSOR,
+    R_TENSOR,
+    TSYM_TENSOR,
+    T_TENSOR,
     DualObj,
     Morphism,
     SimpleObj,
     TensorObj,
     UNIT,
+    classical_action,
     dual,
     flip_matrix,
+    leg_insertion,
     make_backend,
     object_from_json,
     simple,
@@ -74,6 +80,18 @@ def test_inf_braiding_is_flip_minus_half():
         ).scale(Fraction(1, 2))
         assert t == expected, bk.name
         assert bk.inf_braiding(UNIT, V).is_zero
+
+
+@pytest.mark.parametrize(
+    "name,order", [("epsilon", 2), ("quantum", 1), ("quantum", 2), ("quantum", 3), ("drinfeld", 1), ("drinfeld", 3)]
+)
+def test_extracted_inf_braiding_equals_classical_t(name, order):
+    # [beta^2 - id]_1 of each deformed braiding against t built from its legs;
+    # at order 1 there is no first-order term, and t is built from its legs
+    cl = make_backend("classical")
+    bk = make_backend(name, order)
+    for x, y in ((V, V), (VS, V), (ADJ, V), (UNIT, V)):
+        assert bk.inf_braiding(x, y) == cl.inf_braiding(x, y), (name, order, str(x), str(y))
 
 
 def test_inf_braiding_symmetry():
@@ -432,3 +450,74 @@ def test_morphism_json_rejects_too_many_coefficients():
     m = Morphism.from_json(_coupon_json({"0,0": ["1"], "1,1": ["0", "1/2"]}))
     assert m.entry(0, 0) == ScalarSeries.one(m.mode)
     assert m.entry(1, 1) == ScalarSeries.from_coeffs(m.mode, [0, Fraction(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# leg_insertion against the full Kronecker-chain construction
+# ---------------------------------------------------------------------------
+
+
+def _matmul(a, b):
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if j == k:
+                out[(i, l)] = out.get((i, l), 0) + x * y
+    return out
+
+
+def _kron_chain_spread(factors, positions, gen):
+    """gen on each listed factor in turn: a Kronecker chain over all factors."""
+    total = {}
+    for p in positions:
+        m = {(0, 0): Fraction(1)}
+        for v, w in enumerate(factors):
+            d = w.dim
+            factor = classical_action(gen, w) if v == p else {(i, i): Fraction(1) for i in range(d)}
+            m = {(i * d + k, j * d + l): x * y for (i, j), x in m.items() for (k, l), y in factor.items()}
+        for key, val in m.items():
+            total[key] = total.get(key, 0) + val
+    return total
+
+
+def _kron_chain_insertion(factors, first, second, tensor):
+    total = {}
+    for coeff, a, b in tensor:
+        legs = _matmul(_kron_chain_spread(factors, first, a), _kron_chain_spread(factors, second, b))
+        for key, val in legs.items():
+            total[key] = total.get(key, 0) + coeff * val
+    return {k: v for k, v in total.items() if v}
+
+
+LEG_CASES = [
+    ([V, V], [0], [1]),
+    ([VS, V], [0], [1]),
+    ([UNIT, V, ADJ], [0], [2]),
+    ([V, UNIT, ADJ], [2], [0]),
+    ([TensorObj(V, ADJ), VS], [0], [1]),
+    ([V, TensorObj(VS, V), ADJ], [1], [0, 2]),
+    ([V, UNIT, VS, ADJ], [0, 2], [1, 3]),
+    ([V, ADJ, VS], [1], [1]),
+    ([V, VS, V], [0, 2], [0, 2]),
+]
+
+
+@pytest.mark.parametrize("tensor", [R_TENSOR, T_TENSOR, RA_TENSOR, TSYM_TENSOR])
+def test_leg_insertion_matches_kron_chain_fixed(tensor):
+    for factors, first, second in LEG_CASES:
+        assert leg_insertion(factors, first, second, tensor) == _kron_chain_insertion(factors, first, second, tensor)
+
+
+def test_leg_insertion_matches_kron_chain_random():
+    rng = random.Random(31)
+    pool = [UNIT, V, VS, ADJ, DualObj(ADJ), TensorObj(V, ADJ)]
+    gens = ("e", "f", "h")
+    for _ in range(40):
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        n = len(factors)
+        first = rng.sample(range(n), rng.randint(1, n))
+        second = first if rng.random() < 0.25 else rng.sample(range(n), rng.randint(1, n))
+        tensor = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.choice(gens), rng.choice(gens))
+                  for _ in range(rng.randint(1, 3))]
+        expected = _kron_chain_insertion(factors, first, second, tensor)
+        assert leg_insertion(factors, first, second, tensor) == expected, (factors, first, second, tensor)

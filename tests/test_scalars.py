@@ -156,3 +156,11 @@ def test_leibniz_for_composites():
         lhs = comp.part1()
         rhs = g.part0() @ f.part1() + g.part1() @ f.part0()
         assert lhs == rhs
+
+
+def test_from_json_rejects_coefficients_beyond_the_order():
+    with pytest.raises(ModeError):
+        ScalarSeries.from_json({"mode": "hbar", "order": 2, "coeffs": ["1", "0", "9"]})
+    with pytest.raises(ModeError):
+        ScalarSeries.from_coeffs(epsilon_mode(), [1, 2, 3])
+    assert ScalarSeries.from_json({"mode": "hbar", "order": 3, "coeffs": ["1"]}) == S(hbar_mode(3), 1, 0, 0)

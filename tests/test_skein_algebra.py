@@ -182,6 +182,34 @@ def test_element_json_roundtrip():
     assert mu(ta2, ta2).equal(mu(ta, ta))
 
 
+def test_element_json_checks_every_core():
+    rng = random.Random(10)
+    for bk in (CL, Q3):
+        s = random_element(bk, ANN, rng, label_pool=(1, 2))
+        assert SkeinElement.from_json(s.to_json()).equal(s), bk.name
+    data = random_element(CL, ANN, rng, label_pool=(2,)).to_json()
+    core = data["terms"][0]["core"]
+    # a core over another ring
+    with pytest.raises(ModeError, match="term 0"):
+        SkeinElement.from_json({**data, "terms": [{"labels": ["adj"], "core": {**core, "mode": "epsilon", "order": 2}}]})
+    # labels whose boundary word the core does not reach
+    with pytest.raises(AlgebraError, match=r"term 0 \(labels V\).*boundary word"):
+        SkeinElement.from_json({**data, "terms": [{"labels": ["V"], "core": core}]})
+    with pytest.raises(AlgebraError, match="handles"):
+        SkeinElement.from_json({**data, "terms": [{"labels": ["adj", "adj"], "core": core}]})
+    # a core that is not an intertwiner, at the classical and at a higher order
+    bad = {**core, "entries": {**core["entries"], "1,0": ["5"]}}
+    with pytest.raises(AlgebraError, match="term 0.*invariant Hom space"):
+        SkeinElement.from_json({**data, "terms": [{"labels": ["adj"], "core": bad}]})
+    lifted = lift_element(SkeinElement.from_json(data), Q3).to_json()
+    qcore = lifted["terms"][0]["core"]
+    pos = next(iter(qcore["entries"]))
+    qbad = {**qcore, "entries": {**qcore["entries"], pos: qcore["entries"][pos][:1] + ["1", "0"]}}
+    assert SkeinElement.from_json(lifted)
+    with pytest.raises(AlgebraError, match="invariant Hom space"):
+        SkeinElement.from_json({**lifted, "terms": [{"labels": ["adj"], "core": qbad}]})
+
+
 def test_classical_commutativity():
     # mu(s1, s2) == mu(s2, s1) pulled back along the argument flips; with
     # the disk formula this is the first-order content of the braided

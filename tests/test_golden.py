@@ -3,8 +3,11 @@
 Each case runs `skeinlab.cli.main` in-process on JSON inputs from
 `tests/golden/inputs/` and compares its stdout byte for byte with the
 committed file `tests/golden/<case>.json`.  `verify` reports are compared
-with their `elapsed_ms` timing field removed.  A refactor of the engine
-must leave every one of these files unchanged.
+with their `elapsed_ms` timing field removed.  `tests/golden/hom_cg.json`
+pins the exact solver's outputs on every backend: invariant Hom bases and
+the Clebsch-Gordan idempotents embed o project, which do not depend on how
+an embedding is normalised.  A refactor of the engine must leave every one
+of these files unchanged.
 
 To regenerate after a deliberate change of output:
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from skeinlab.cli import main
+from skeinlab.ribbon_backend import UNIT, dual, make_backend, simple, tensor_word
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -57,6 +61,31 @@ CASES = {
 }
 
 
+V, ADJ = simple(1), simple(2)
+HOM_SPACES = {
+    "Hom(1, V V V* V*)": (UNIT, tensor_word([V, V, dual(V), dual(V)])),
+    "End(V V)": (tensor_word([V, V]), tensor_word([V, V])),
+    "End(V V adj)": (tensor_word([V, V, ADJ]), tensor_word([V, V, ADJ])),
+    "Hom(1, adj adj V V)": (UNIT, tensor_word([ADJ, ADJ, V, V])),
+}
+CG_PAIRS = {"V x V": (V, V), "adj x V": (ADJ, V), "V x adj": (V, ADJ), "adj x adj": (ADJ, ADJ),
+            "V3 x adj": (simple(3), ADJ)}
+
+
+def hom_cg_text():
+    payload = {}
+    for name in ("classical", "epsilon", "quantum", "drinfeld"):
+        bk = make_backend(name, 3)
+        payload[name] = {
+            "hom": {key: [b.to_json() for b in bk.invariant_hom_basis(s, t)] for key, (s, t) in HOM_SPACES.items()},
+            "cg": {
+                key: [{"spin": z.spin, "idempotent": (e @ p).to_json()} for z, e, p in bk.cg_decompose(x, y)]
+                for key, (x, y) in CG_PAIRS.items()
+            },
+        }
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def run_case(name):
     args = [str(INPUTS / a) if a.endswith(".json") else a for a in CASES[name]]
     out, err = io.StringIO(), io.StringIO()
@@ -77,9 +106,14 @@ def test_golden_output(name):
     assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def test_hom_and_cg_outputs():
+    assert hom_cg_text() == (GOLDEN / "hom_cg.json").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         exit_code, output = run_case(case)
         if exit_code != 0:
             sys.exit(f"{case}: exit {exit_code}")
         (GOLDEN / f"{case}.json").write_text(output, encoding="utf-8")
+    (GOLDEN / "hom_cg.json").write_text(hom_cg_text(), encoding="utf-8")

@@ -18,6 +18,13 @@ and the twist exp(param*C/2), with (Omega, rate) = (r, 1) on epsilon and
 is the identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.
 Every two-leg tensor (r, t, r_a) acts through `leg_insertion`.
 
+All exact linear solving goes through one solver: `eliminate` row-reduces
+the constant layer once for all right-hand sides, and `solve_series` lifts
+its solutions order by order.  Invariant Hom bases, the inverse of a
+constant layer and the coordinates of a skein core use it, and each
+Clebsch-Gordan embedding is the basis of the one-dimensional Hom space
+Hom(V_k, x (x) y).
+
 Normalization: the invariant form is the trace form on the fundamental
 representation, so t = e(x)f + f(x)e + h(x)h/2, C = ef + fe + h^2/2, and
 C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
@@ -507,12 +514,10 @@ def _frac_scale(a, s):
 
 
 def _frac_inverse(entries, d):
-    aug = [
-        [entries.get((i, j), _ZERO) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)
-    ]
-    if rref(aug)[:d] != list(range(d)):
+    kernel, columns = eliminate(entries, d, [{j: Fraction(1)} for j in range(d)])
+    if kernel:
         raise ZeroDivisionError("constant part of the matrix is singular")
-    return {(i, j): v for i, row in enumerate(aug) for j, v in enumerate(row[d:]) if v}
+    return {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
 
 
 def _convolve(a, b, product):
@@ -549,14 +554,14 @@ def _layers_ident(d, order):
 
 
 # ---------------------------------------------------------------------------
-# Dense exact linear algebra (small systems)
+# Exact linear solving: one elimination, lifted order by order
 # ---------------------------------------------------------------------------
 
 
-def rref(rows):
-    """Row-reduce a dense Fraction matrix in place; returns pivot columns."""
+def rref(rows, ncols):
+    """Row-reduce a dense Fraction matrix in place, pivoting only on its
+    first `ncols` columns; returns the pivot columns."""
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -577,71 +582,66 @@ def rref(rows):
     return pivots
 
 
-def frac_kernel(rows, ncols):
-    """Basis of the rational kernel of the dense matrix `rows`."""
-    work = [list(r) for r in rows] if rows else [[Fraction(0)] * ncols]
-    pivots = rref(work)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+def eliminate(a0, ncols, rhs):
+    """Solve a0 x = b for every b in `rhs` with one row reduction of [a0 | rhs].
 
-
-def frac_solve(rows, rhs):
-    """One exact solution of rows*x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = rref(work)
-    for row in work:
-        if row[-1] != 0 and all(x == 0 for x in row[:-1]):
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = work[r][-1]
-    return x
-
-
-def kernel_series(layers, ncols, order: int):
-    """Kernel basis of A = sum_k param^k layers[k] over the truncated ring.
-
-    Each returned vector is the list [v0, v1, ...] of its `order` dense
-    coefficient vectors, a lift v0 + param v1 + ... of a classical kernel
-    vector v0.  Requires the kernel to be free of the classical rank, which
-    holds for the Hom-modules used here (free skein modules).
+    `a0` is a sparse {(row, col): rational} matrix with `ncols` columns (rows
+    are any hashable keys) and each b a sparse {row: rational} vector.
+    Returns (kernel, solutions): a kernel basis of a0, one vector per free
+    column with that column set to 1, and per b the solution with the free
+    variables set to 0, or None if b is inconsistent.  Vectors are sparse
+    {col: rational}.
     """
-    dense0 = layers[0]
-    base = frac_kernel(dense0, ncols)
-    nrows = len(dense0)
-    lifted = []
-    for v0 in base:
-        vecs = [v0]
-        for k in range(1, order):
-            rhs = [Fraction(0)] * nrows
-            for i in range(1, min(k, len(layers) - 1) + 1):
-                li = layers[i]
-                vk = vecs[k - i]
-                for r in range(nrows):
-                    row = li[r]
-                    acc = Fraction(0)
-                    for c, x in enumerate(vk):
-                        if x and row[c]:
-                            acc += row[c] * x
-                    if acc:
-                        rhs[r] -= acc
-            if nrows == 0:
-                sol = [Fraction(0)] * ncols
-            else:
-                sol = frac_solve(dense0, rhs)
-            if sol is None:
-                raise CgError("kernel does not lift: module is not free")
-            vecs.append(sol)
-        lifted.append(vecs)
-    return lifted
+    rows = {r: n for n, r in enumerate(dict.fromkeys([r for r, _ in a0] + [r for b in rhs for r in b]))}
+    work = [[_ZERO] * (ncols + len(rhs)) for _ in rows]
+    for (r, c), v in a0.items():
+        work[rows[r]][c] = v
+    for j, b in enumerate(rhs, ncols):
+        for r, v in b.items():
+            work[rows[r]][j] = v
+    pivots = rref(work, ncols)
+    free = sorted(set(range(ncols)) - set(pivots))
+    kernel = [{fc: Fraction(1)} | {pc: -work[r][fc] for r, pc in enumerate(pivots) if work[r][fc]} for fc in free]
+    solutions = [
+        None
+        if any(row[j] for row in work[len(pivots) :])
+        else {pc: work[r][j] for r, pc in enumerate(pivots) if work[r][j]}
+        for j in range(ncols, ncols + len(rhs))
+    ]
+    return kernel, solutions
+
+
+def solve_series(layers, ncols, rhs):
+    """Solve A x = b over the truncated ring, A = sum_k param^k layers[k].
+
+    `layers` are sparse matrices as in `eliminate`, and each b in `rhs` is
+    the list of its per-order vectors.  Order k solves A_0 x_k = b_k -
+    sum_{i>=1} A_i x_{k-i} for all vectors at once.  Returns (kernel,
+    solutions): the lift of every classical kernel vector (A v = 0) and per
+    b one solution or None, each as its list of per-order vectors.  A kernel
+    vector that does not lift means the module is not free and raises.
+    """
+    kernel, first = eliminate(layers[0], ncols, [b[0] for b in rhs])
+    lifts = [[v] for v in kernel]
+    solutions = [None if x is None else [x] for x in first]
+    zero = [{} for _ in layers]
+    for k in range(1, len(layers)):
+        pending = [(x, zero) for x in lifts] + [(x, b) for x, b in zip(solutions, rhs) if x is not None]
+        residuals = []
+        for x, b in pending:
+            res = dict(b[k])
+            for i in range(1, k + 1):
+                prev = x[k - i]
+                for (r, c), v in layers[i].items():
+                    if c in prev:
+                        res[r] = res.get(r, _ZERO) - v * prev[c]
+            residuals.append(res)
+        for (x, _), step in zip(pending, eliminate(layers[0], ncols, residuals)[1]):
+            x.append(step)
+        if any(v[-1] is None for v in lifts):
+            raise CgError("kernel does not lift: module is not free")
+        solutions = [None if x is None or x[-1] is None else x for x in solutions]
+    return lifts, solutions
 
 
 # ---------------------------------------------------------------------------
@@ -1249,6 +1249,8 @@ class BackendSpec:
 
         Returns a list of (SimpleObj, embed, project) with
         sum_k embed_k o project_k = id and project_k o embed_l = delta_kl id.
+        The embedding is any basis of the one-dimensional Hom(V_k, x (x) y);
+        only embed o project is independent of that choice.
         """
         x, y = simple(x), simple(y)
         return self._cached(("cg", x.spin, y.spin), lambda: self._cg(x, y))
@@ -1258,21 +1260,18 @@ class BackendSpec:
         if m + n > MAX_SPIN:
             raise CgError(f"product spin {m + n} exceeds the supported bound {MAX_SPIN}")
         word = TensorObj(x, y)
-        d = word.dim
         mode = self.mode
-        Eop, Fop = self._raising_lowering(word)
-        weights = weights_of(word)
         pieces = []
-        all_cols = []
+        stacked = [{} for _ in range(mode.order)]
+        offset = 0
         for k in range(m + n, abs(m - n) - 1, -2):
-            # column vectors are layered d x 1 matrices
-            vecs = [self._highest_weight_vector(Eop, weights, k, d)]
-            for _ in range(k):
-                vecs.append(_convolve(Fop, vecs[-1], _frac_compose))
             target = SimpleObj(k)
-            pieces.append((target, Morphism._of(target, word, mode, _columns(vecs))))
-            all_cols.extend(vecs)
-        big_inv = Morphism._of(word, word, mode, _columns(all_cols)).inverse()
+            (embed,) = self.invariant_hom_basis(target, word)
+            for layer, part in zip(stacked, embed.layers):
+                layer.update({(i, j + offset): v for (i, j), v in part.items()})
+            pieces.append((target, embed))
+            offset += target.dim
+        big_inv = Morphism._of(word, word, mode, stacked).inverse()
         result = []
         offset = 0
         for target, embed in pieces:
@@ -1292,22 +1291,6 @@ class BackendSpec:
         empty = [{} for _ in range(self.mode.order - 1)]
         return [classical_action("e", word)] + empty, [classical_action("f", word)] + empty
 
-    def _highest_weight_vector(self, Eop, weights, k, d):
-        cols = [i for i in range(d) if weights[i] == k]
-        colpos = {c: a for a, c in enumerate(cols)}
-        rows = sorted({i for layer in Eop for (i, j) in layer if j in colpos})
-        rowpos = {r: a for a, r in enumerate(rows)}
-        nrows = max(len(rows), 1)
-        layers = [[[Fraction(0)] * len(cols) for _ in range(nrows)] for _ in range(self.mode.order)]
-        for dense, layer in zip(layers, Eop):
-            for (i, j), c in layer.items():
-                if j in colpos and i in rowpos:
-                    dense[rowpos[i]][colpos[j]] = c
-        kernel = kernel_series(layers, len(cols), self.mode.order)
-        if len(kernel) != 1:
-            raise CgError(f"expected a 1-dim highest-weight space at weight {k}, got {len(kernel)}")
-        return [{(pos, 0): c for pos, c in zip(cols, vec) if c} for vec in kernel[0]]
-
     # -- invariant Hom spaces -----------------------------------------------------
 
     def invariant_hom_basis(self, source: ObjectExpr, target: ObjectExpr):
@@ -1326,15 +1309,14 @@ class BackendSpec:
         unknowns = [(i, j) for i in range(target.dim) for j in range(source.dim) if wt[i] == ws[j]]
         upos = {u: a for a, u in enumerate(unknowns)}
         gens = zip(self._raising_lowering(source), self._raising_lowering(target))
-        # condition rows indexed by (g, i, j): (gt M - M gs)_{ij} = 0, one
-        # sparse {unknown: coefficient} dict per order
-        rows = {}
+        # one constraint row per (g, i, j): (gt M - M gs)_{ij} = 0, as a
+        # sparse {(row, unknown): coefficient} matrix per order
+        layers = [{} for _ in range(order)]
 
-        def add(cond_key, upair, o, v):
+        def add(row, upair, o, v):
             col = upos.get(upair)
             if col is not None:
-                row = rows.setdefault(cond_key, [{} for _ in range(order)])[o]
-                row[col] = row.get(col, 0) + v
+                layers[o][(row, col)] = layers[o].get((row, col), _ZERO) + v
 
         for g_index, (gs, gt) in enumerate(gens):
             for o in range(order):
@@ -1344,14 +1326,11 @@ class BackendSpec:
                 for (k, j), v in gs[o].items():
                     for i in range(target.dim):
                         add((g_index, i, j), (i, k), o, -v)
-        layers = [
-            [[row[o].get(c, _ZERO) for c in range(len(unknowns))] for row in rows.values()] for o in range(order)
+        lifts, _ = solve_series(layers, len(unknowns), [])
+        return [
+            Morphism._of(source, target, self.mode, [{unknowns[c]: v for c, v in x.items()} for x in lift])
+            for lift in lifts
         ]
-        basis = []
-        for vec in kernel_series(layers, len(unknowns), order):
-            entries = [{unknowns[pos]: c for pos, c in enumerate(v) if c} for v in vec]
-            basis.append(Morphism._of(source, target, self.mode, entries))
-        return basis
 
     def random_invariant(self, source, target, rng) -> Morphism:
         basis = self.invariant_hom_basis(source, target)
@@ -1359,13 +1338,6 @@ class BackendSpec:
         for b in basis:
             out = out + b.scale(Fraction(rng.randint(-3, 3)))
         return out
-
-
-def _columns(vecs):
-    """Layers of the matrix whose columns are the layered d x 1 matrices `vecs`."""
-    return [
-        {(i, col): c for col, vec in enumerate(vecs) for (i, _), c in vec[o].items()} for o in range(len(vecs[0]))
-    ]
 
 
 @lru_cache(maxsize=None)

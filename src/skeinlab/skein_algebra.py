@@ -28,10 +28,10 @@ from .ribbon_backend import (
     TensorObj,
     UNIT,
     dual,
-    frac_solve,
     left_nested,
     make_backend,
     simple,
+    solve_series,
     tensor_word,
     word_tensor,
 )
@@ -393,10 +393,9 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
     for labels, core in element.terms:
         cl_basis = element_hom_basis(cl, element.pattern, element.argument, labels)
         q_basis = element_hom_basis(backend, element.pattern, element.argument, labels)
-        coords = _coordinates(core, cl_basis)[0]
         lifted = Morphism.zero(core.source, core.target, backend.mode)
-        for x, b in zip(coords, q_basis):
-            lifted = lifted + b.scale(x)
+        for n, x in _coordinates(core, cl_basis)[0].items():
+            lifted = lifted + q_basis[n].scale(x)
         terms.append((labels, lifted))
     return SkeinElement(backend, element.pattern, element.argument, terms)
 
@@ -404,25 +403,13 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
 def _coordinates(m: Morphism, basis):
     """Exact coordinates of m in a Hom basis over the backend ring.
 
-    Solved order by order against the constant layers of the basis: returns
-    one rational vector per order, m = sum_k sum_b param^k coords[k][b] basis[b].
+    Returns one sparse {basis index: rational} vector per order, with
+    m = sum_k sum_b param^k coords[k][b] basis[b].
     """
-    zero = Fraction(0)
-    columns = [b.layers[0] for b in basis]
-    positions = sorted(set().union(*m.layers, *(layer for b in basis for layer in b.layers)))
-    dense = [[col.get(p, zero) for col in columns] for p in positions]
-    coords = []
-    for k, layer in enumerate(m.layers):
-        rest = dict(layer)
-        for i, xs in enumerate(coords):
-            for x, b in zip(xs, basis):
-                if x:
-                    for p, v in b.layers[k - i].items():
-                        rest[p] = rest.get(p, zero) - x * v
-        sol = frac_solve(dense, [rest.get(p, zero) for p in positions])
-        if sol is None:
-            raise AlgebraError("morphism does not lie in the invariant Hom space")
-        coords.append(sol)
+    layers = [{(p, n): v for n, b in enumerate(basis) for p, v in b.layers[k].items()} for k in range(m.mode.order)]
+    _, (coords,) = solve_series(layers, len(basis), [m.layers])
+    if coords is None:
+        raise AlgebraError("morphism does not lie in the invariant Hom space")
     return coords
 
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -17,10 +19,12 @@ from skeinlab.ribbon_backend import (
     classical_action,
     dual,
     flip_matrix,
+    eliminate,
     leg_insertion,
     make_backend,
     object_from_json,
     simple,
+    solve_series,
     tensor_word,
     word_tensor,
 )
@@ -521,3 +525,105 @@ def test_leg_insertion_matches_kron_chain_random():
                   for _ in range(rng.randint(1, 3))]
         expected = _kron_chain_insertion(factors, first, second, tensor)
         assert leg_insertion(factors, first, second, tensor) == expected, (factors, first, second, tensor)
+
+
+# ---------------------------------------------------------------------------
+# The exact series solver against Morphism arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _det(rows):
+    """Leibniz determinant: independent of the elimination under test."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((rows[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+def _random_layer(rng, rows, cols):
+    return {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(rows) for j in range(cols)}
+
+
+def _one_plus_param(rng, ob, mode):
+    """An invertible endomorphism 1 + O(param) with random higher layers."""
+    higher = [_random_layer(rng, ob.dim, ob.dim) for _ in range(1, mode.order)]
+    return Morphism(ob, ob, mode, [{(i, i): 1 for i in range(ob.dim)}] + higher)
+
+
+def _solvable_system(rng, mode, nrows, ncols, rank, extra):
+    """A = J L A0 R with L, R = 1 + O(param) and A0 = U W of rank `rank`.
+
+    U is the identity on the rows `urows` and W on the columns `wcols`, so
+    ker A is free (it is R^-1 ker W) and a vector that is nonzero in a row
+    outside J(urows) is not in the column space of A's constant layer.  J
+    places the nrows rows among nrows + extra, leaving `extra` zero rows.
+    """
+    urows, wcols = rng.sample(range(nrows), rank), rng.sample(range(ncols), rank)
+    u, w = _random_layer(rng, nrows, rank), _random_layer(rng, rank, ncols)
+    for a in range(rank):
+        u.update({(r, a): Fraction(int(r == urows[a])) for r in urows})
+        w.update({(a, c): Fraction(int(c == wcols[a])) for c in wcols})
+    a0 = {
+        (i, j): sum((u[i, a] * w[a, j] for a in range(rank)), Fraction(0)) for i in range(nrows) for j in range(ncols)
+    }
+    placed = rng.sample(range(nrows + extra), nrows)
+    src, mid, tgt = _obj(ncols), _obj(nrows), _obj(nrows + extra)
+    embed = Morphism(mid, tgt, mode, [{(placed[i], i): 1 for i in range(nrows)}])
+    a = embed @ _one_plus_param(rng, mid, mode) @ Morphism(src, mid, mode, [a0]) @ _one_plus_param(rng, src, mode)
+    outside = sorted(set(range(nrows + extra)) - {placed[r] for r in urows})
+    return a, wcols, outside
+
+
+def _columns_of(m, n):
+    """Per right-hand side, the list of per-order sparse column vectors."""
+    return [[{i: v for (i, j), v in layer.items() if j == col} for layer in m.layers] for col in range(n)]
+
+
+def _matrix_of(src, tgt, mode, vectors):
+    """The morphism whose columns are the given per-order vectors."""
+    layers = [{(i, col): v for col, vec in enumerate(vectors) for i, v in vec[k].items()} for k in range(mode.order)]
+    return Morphism(src, tgt, mode, layers)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_series_solver_against_morphism_arithmetic(seed):
+    rng = random.Random(seed)
+    mode = hbar_mode(rng.randint(1, 3))
+    nrows, ncols, extra, nrhs = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 2), rng.randint(1, 3)
+    rank = max(0, min(nrows, ncols) - rng.randint(0, 2))
+    a, wcols, outside = _solvable_system(rng, mode, nrows, ncols, rank, extra)
+    src, tgt, rhs_obj = a.source, a.target, _obj(nrhs)
+    x_star = Morphism(rhs_obj, src, mode, [_random_layer(rng, ncols, nrhs) for _ in range(mode.order)])
+    b = a @ x_star
+    rhs = _columns_of(b, nrhs)
+    at = rng.randint(0, nrhs)
+    if outside:
+        # b_0 plus param^k e_row, with e_row outside the column space of A_0
+        bad = [dict(layer) for layer in rhs[0]]
+        row, k = rng.choice(outside), rng.randrange(mode.order)
+        bad[k][row] = bad[k].get(row, 0) + 1
+        rhs.insert(at, bad)
+    kernel, solutions = solve_series(a.layers, ncols, rhs)
+    if outside:
+        assert solutions.pop(at) is None
+    assert a @ _matrix_of(rhs_obj, src, mode, solutions) == b
+    # the lifts: as many as ker A_0 has dimensions, killed by A, and
+    # independent already classically (W is the identity on wcols)
+    assert len(kernel) == ncols - rank
+    for v in kernel:
+        assert (a @ _matrix_of(_obj(1), src, mode, [v])).is_zero
+    free = [c for c in range(ncols) if c not in wcols]
+    assert _det([[v[0].get(c, 0) for c in free] for v in kernel]) != 0
+
+
+def test_series_solver_without_rows_or_columns():
+    zero = Fraction(0)
+    # no constraint rows: every unknown is free, and only b = 0 is solvable
+    kernel, solutions = solve_series([{}, {}], 3, [[{}, {}], [{}, {7: Fraction(1)}]])
+    assert kernel == [[{c: 1}, {}] for c in range(3)]
+    assert solutions == [[{}, {}], None]
+    # no unknowns
+    assert eliminate({}, 0, [{}, {0: zero}, {2: Fraction(5)}]) == ([], [{}, {}, None])
+    assert solve_series([{}, {}], 0, [[{1: zero}, {}], [{}, {1: Fraction(-1)}]]) == ([], [[{}, {}], None])

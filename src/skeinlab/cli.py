@@ -1,6 +1,7 @@
 """Batch front-end: parse JSON inputs, dispatch backends, run suites.
 
-Exit codes: 0 success, 1 verification defects, 2 parse/usage errors.
+Exit codes: 0 success, 1 verification defects, 2 parse/usage errors,
+3 internal errors (printed with their traceback).
 Reports are deterministic for a fixed config apart from elapsed_ms.
 """
 
@@ -11,6 +12,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from .errors import SkeinlabError
@@ -39,12 +41,17 @@ class RunConfig:
             raise SkeinlabError("drinfeld backend supports orders <= 3")
 
 
-def _load_json(path):
+def _load(kind, path):
+    """Parse the JSON file `path` with `kind.from_json`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SkeinlabError(f"cannot read {path}: {exc}")
+    try:
+        return kind.from_json(data)
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        raise SkeinlabError(f"malformed {kind.__name__} in {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(payload, out):
@@ -64,7 +71,10 @@ def _fail(message, code):
 def _config_from(args) -> RunConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("SKEINLAB_SEED", "0"))
+        try:
+            seed = int(os.environ.get("SKEINLAB_SEED", "0"))
+        except ValueError:
+            raise SkeinlabError(f"SKEINLAB_SEED must be an integer, got {os.environ['SKEINLAB_SEED']!r}") from None
     fusion_order = "v1v2"
     fr_diagonal = True
     for conv in args.convention or []:
@@ -91,7 +101,7 @@ def _config_from(args) -> RunConfig:
 def cmd_eval_tangle(args) -> int:
     cfg = _config_from(args)
     backend = make_backend(cfg.backend, cfg.order)
-    word = TangleWord.from_json(_load_json(args.file))
+    word = _load(TangleWord, args.file)
     result = rt_evaluate(word, backend)
     _emit(result.to_json(), cfg.out)
     return 0
@@ -99,8 +109,8 @@ def cmd_eval_tangle(args) -> int:
 
 def cmd_product(args) -> int:
     cfg = _config_from(args)
-    a = SkeinElement.from_json(_load_json(args.left))
-    b = SkeinElement.from_json(_load_json(args.right))
+    a = _load(SkeinElement, args.left)
+    b = _load(SkeinElement, args.right)
     result = mu(a, b)
     _emit(result.to_json(), cfg.out)
     return 0
@@ -108,8 +118,8 @@ def cmd_product(args) -> int:
 
 def cmd_sigma(args) -> int:
     cfg = _config_from(args)
-    a = SkeinElement.from_json(_load_json(args.left))
-    b = SkeinElement.from_json(_load_json(args.right))
+    a = _load(SkeinElement, args.left)
+    b = _load(SkeinElement, args.right)
     if args.method == "algebraic":
         if a.backend.name == "classical":
             ep = make_backend("epsilon")
@@ -127,7 +137,7 @@ def cmd_sigma(args) -> int:
 
 def cmd_fuse(args) -> int:
     cfg = _config_from(args)
-    pattern = SurfacePattern.from_json(_load_json(args.file))
+    pattern = _load(SurfacePattern, args.file)
     fused = fuse(pattern, args.v1, args.v2, order=cfg.fusion_order)
     _emit(fused.to_json(), cfg.out)
     return 0
@@ -218,8 +228,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SkeinlabError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (SkeinlabError, FileNotFoundError) as exc:
         return _fail(str(exc), 2)
+    except Exception:
+        traceback.print_exc()
+        return _fail("internal error", 3)
 
 
 if __name__ == "__main__":

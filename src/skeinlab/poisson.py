@@ -91,8 +91,8 @@ def interleaved_argument_factors(s1: SkeinElement, s2: SkeinElement):
 
 def sigma_algebraic(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
     """[mu - mu^op-]_1 over a deformed backend, as a classical element."""
-    if s1.backend.name not in ("epsilon", "quantum"):
-        raise ModeError("sigma needs a first-order deformation (epsilon or quantum backend)")
+    if s1.backend.name not in ("epsilon", "quantum") or not s1.backend.is_deformed:
+        raise ModeError("sigma needs a first-order deformation (epsilon, or quantum at order >= 2)")
     diff = (mu(s1, s2) - mu_op_minus(s1, s2)).canonical()
     for _, core in diff.terms:
         if not core.part0().is_zero:

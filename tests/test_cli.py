@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from skeinlab import cli
 from skeinlab.cli import main
 from skeinlab.ribbon_backend import make_backend, simple
-from skeinlab.skein_algebra import loop_element, mu, random_element
-from skeinlab.surface import annulus, disk_with_two_points
+from skeinlab.skein_algebra import lift_element, loop_element, mu, random_element
+from skeinlab.surface import annulus, disk_with_two_points, once_punctured_torus
 from skeinlab.tangle import Cell, Strand, TangleWord
 
 
@@ -128,3 +129,35 @@ def test_labels_not_matching_core_exit_2(tmp_path):
     code, out, err = run_cli(["product", left, str(GOLDEN_INPUTS / "annulus_b.json")])
     assert code == 2 and out == ""
     assert "term 0 (labels V)" in err and "boundary word" in err
+
+
+def test_sigma_algebraic_quantum_order_1_exit_2(tmp_path):
+    q1 = make_backend("quantum", 1)
+    paths = []
+    for name, loops in (("a", [[0]]), ("b", [[1]])):
+        element = lift_element(loop_element(make_backend("classical"), once_punctured_torus(), loops), q1)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(element.to_json()))
+    code, out, err = run_cli(["sigma", str(paths[0]), str(paths[1]), "--method", "algebraic"])
+    assert code == 2 and out == ""
+    assert "first-order deformation" in err
+
+
+def test_missing_key_exit_2_names_the_file(tmp_path):
+    data = json.loads((GOLDEN_INPUTS / "annulus_a.json").read_text(encoding="utf-8"))
+    del data["pattern"]
+    path = tmp_path / "no_pattern.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["product", str(path), str(GOLDEN_INPUTS / "annulus_b.json")])
+    assert code == 2 and out == ""
+    assert "no_pattern.json" in err and "KeyError" in err and "internal error" not in err
+
+
+def test_internal_error_exit_3(monkeypatch):
+    def broken_mu(a, b):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "mu", broken_mu)
+    code, out, err = run_cli(["product", str(GOLDEN_INPUTS / "annulus_a.json"), str(GOLDEN_INPUTS / "annulus_b.json")])
+    assert code == 3 and out == ""
+    assert "internal error" in err and "Traceback" in err and "broken_mu" in err

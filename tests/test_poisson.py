@@ -281,3 +281,8 @@ def test_sigma_mode_errors():
         sigma_algebraic(s, s)
     with pytest.raises(ModeError):
         sigma_goldman(lift_element(s, EP), lift_element(s, EP))
+    # quantum at order 1 has no first-order term: raise rather than return 0
+    q1 = make_backend("quantum", 1)
+    a, b = loop_element(CL, TOR, [[0]]), loop_element(CL, TOR, [[1]])
+    with pytest.raises(ModeError):
+        sigma_algebraic(lift_element(a, q1), lift_element(b, q1))

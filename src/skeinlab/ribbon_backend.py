@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, prod
 
 from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
@@ -237,8 +237,8 @@ class Morphism:
     no zero values), so every ring operation is a truncated convolution of
     rational sparse products.  `entry` and `entries` view the matrix as
     positions -> ScalarSeries.  Composition requires source/target to
-    match as parenthesized words, not merely in dimension; use `retyped`
-    (or backend coherence morphisms) to move between bracketings.
+    match as parenthesized words, not merely in dimension; use
+    `BackendSpec.rebracket` to move between bracketings.
     """
 
     __slots__ = ("source", "target", "mode", "layers")
@@ -959,6 +959,9 @@ class BackendSpec:
     """Ribbon-category data for one of the four sl2 instances."""
 
     def __init__(self, name: str, mode: RingMode):
+        if name == "drinfeld" and mode.order > 3:
+            # the associator formula and its inverse need h^3 = 0
+            raise TruncationUnsupported("DrinfeldSl2 supports truncation orders <= 3")
         self.name = name
         self.mode = mode
         self._cache = {}
@@ -1112,11 +1115,9 @@ class BackendSpec:
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
             da, db = dual(a), dual(b)
-            src = TensorObj(dual(x), x)
             m1 = self.flat_apply([db, da, a, b], [(1, 2, self.ev(a))])
             m2 = self.flat_apply([db, b], [(0, 2, self.ev(b))])
-            start = self.coherence(src, tensor_word([db, da, a, b]))
-            return (m2 @ m1 @ start).retyped(source=src)
+            return self.rebracket(m2 @ m1, source=TensorObj(dual(x), x))
         raise TypeError(x)
 
     def _coev(self, x):
@@ -1128,48 +1129,46 @@ class BackendSpec:
             return self.coev_right(x.inner).retyped(target=TensorObj(x, dual(x)))
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
-            da = dual(a)
-            tgt = TensorObj(x, dual(x))
             m1 = self.flat_apply([], [(0, 0, self.coev(a))])
-            m2 = self.flat_apply([a, da], [(1, 0, self.coev(b))])
-            finish = self.coherence(tensor_word([a, b, dual(b), da]), tgt)
-            return (finish @ m2 @ m1).retyped(target=tgt)
+            m2 = self.flat_apply([a, dual(a)], [(1, 0, self.coev(b))])
+            return self.rebracket(m2 @ m1, target=TensorObj(x, dual(x)))
         raise TypeError(x)
 
     def transpose(self, u: Morphism) -> Morphism:
         """Categorical transpose Hom(a, b) -> Hom(dual(b), dual(a))."""
         a, b = u.source, u.target
         da, db = dual(a), dual(b)
-        start = self.coherence(db, left_nested(db))
         m1 = self.flat_apply([db], [(1, 0, self.coev(a))])
         m2 = self.flat_apply([db, a, da], [(1, 1, u)])
         m3 = self.flat_apply([db, b, da], [(0, 2, self.ev(b))])
-        finish = self.coherence(left_nested(da), da)
-        return finish @ m3 @ m2 @ m1 @ start
+        return self.rebracket(m3 @ m2 @ m1, db, da)
 
     # -- associator and coherence ------------------------------------------------
 
     def associator(self, x: ObjectExpr, y: ObjectExpr, z: ObjectExpr) -> Morphism:
         """(x(x)y)(x)z -> x(x)(y(x)z)."""
-        src = TensorObj(TensorObj(x, y), z)
-        tgt = TensorObj(x, TensorObj(y, z))
-        if not self.nontrivial_associator:
-            return Morphism.identity(src, self.mode).retyped(target=tgt)
-        return self._cached(("assoc", x, y, z), lambda: self._drinfeld_phi(x, y, z, src, tgt))
+        return self._associator(x, y, z, 1)
 
-    def _drinfeld_phi(self, x, y, z, src, tgt):
-        t12 = leg_insertion([x, y, z], [0], [1], T_TENSOR)
-        t23 = leg_insertion([x, y, z], [1], [2], T_TENSOR)
-        comm = _frac_add(_frac_compose(t12, t23), _frac_scale(_frac_compose(t23, t12), _MINUS_ONE))
-        h2 = Morphism(src, src, self.mode, [{}, {}, _frac_scale(comm, Fraction(1, 24))])
-        phi = Morphism.identity(src, self.mode) + h2
-        return phi.retyped(target=tgt)
+    def associator_inv(self, x: ObjectExpr, y: ObjectExpr, z: ObjectExpr) -> Morphism:
+        """x(x)(y(x)z) -> (x(x)y)(x)z."""
+        return self._associator(x, y, z, -1)
 
-    def associator_inv(self, x, y, z) -> Morphism:
-        m = self.associator(x, y, z)
+    def _associator(self, x, y, z, sign):
+        """Phi^sign = 1 + sign h^2/24 [t12, t23]; with h^3 = 0 the h^2 terms
+        of Phi and Phi^-1 multiply to zero, so the inverse only flips a sign."""
+        left = TensorObj(TensorObj(x, y), z)
+        right = TensorObj(x, TensorObj(y, z))
+        src, tgt = (left, right) if sign > 0 else (right, left)
         if not self.nontrivial_associator:
-            return m.retyped(source=m.target, target=m.source)
-        return self._cached(("associnv", x, y, z), lambda: m.inverse())
+            return Morphism.identity(left, self.mode).retyped(src, tgt)
+
+        def build():
+            t12 = leg_insertion([x, y, z], [0], [1], T_TENSOR)
+            t23 = leg_insertion([x, y, z], [1], [2], T_TENSOR)
+            comm = _frac_add(_frac_compose(t12, t23), _frac_scale(_frac_compose(t23, t12), _MINUS_ONE))
+            return Morphism(src, tgt, self.mode, [_frac_ident(left.dim), {}, _frac_scale(comm, Fraction(sign, 24))])
+
+        return self._cached(("assoc", sign, x, y, z), build)
 
     def coherence(self, src: ObjectExpr, tgt: ObjectExpr) -> Morphism:
         """The canonical rebracketing morphism src -> tgt (same flat word)."""
@@ -1186,6 +1185,25 @@ class BackendSpec:
             return up.inverse() @ down
 
         return self._cached(("coh", src, tgt), build)
+
+    def rebracket(self, m: Morphism, source=None, target=None) -> Morphism:
+        """`m` between other bracketings of its flat source and target words.
+
+        The one place a morphism changes bracketing: with a nontrivial
+        associator the coherence morphisms are composed on each side whose
+        bracketing changes; on strict backends only the endpoints change.
+        """
+        source = m.source if source is None else source
+        target = m.target if target is None else target
+        if source.leaves() != m.source.leaves() or target.leaves() != m.target.leaves():
+            raise ModeError(f"rebracket needs equal flat words: {m.source} -> {m.target} vs {source} -> {target}")
+        if not self.nontrivial_associator:
+            return m.retyped(source, target)
+        if source != m.source:
+            m = m @ self.coherence(source, m.source)
+        if target != m.target:
+            m = self.coherence(m.target, target) @ m
+        return m
 
     def _comb(self, tree: ObjectExpr) -> Morphism:
         """Canonical morphism tree -> left_nested(tree)."""
@@ -1208,39 +1226,21 @@ class BackendSpec:
         `context` is a list of strand/word objects; `placed` is a list of
         (position, span, morphism): the morphism replaces `span` consecutive
         context entries starting at `position` (span 0 inserts before it).
-        Associator corrections to and from the left-nested bracketings are
-        inserted, so the result is exact in the Drinfeld backend as well.
+        `rebracket` moves the result to the left-nested bracketings, so it is
+        exact in the Drinfeld backend as well.
         """
-        parts = []
+        factors = []
         pos = 0
         for at, span, m in sorted(placed, key=lambda p: p[0]):
-            while pos < at:
-                parts.append(context[pos])
-                pos += 1
-            consumed = tensor_word(context[at : at + span])
-            if consumed.leaves() != m.source.leaves():
+            factors += context[pos:at]
+            if tensor_word(context[at : at + span]).leaves() != m.source.leaves():
                 raise ModeError(f"flat_apply: source {m.source} does not match context at {at}")
-            parts.append(m)
-            pos += span
-        while pos < len(context):
-            parts.append(context[pos])
-            pos += 1
-        raw = None
-        src_factors = []
-        tgt_factors = []
-        for p in parts:
-            m = p if isinstance(p, Morphism) else Morphism.identity(p, self.mode)
-            raw = m if raw is None else raw.tensor(m)
-            src_factors.append(m.source)
-            tgt_factors.append(m.target)
-        if raw is None:
-            return Morphism.identity(UNIT, self.mode)
-        src_tree = tensor_word(src_factors)
-        tgt_tree = tensor_word(tgt_factors)
-        raw = raw.retyped(source=src_tree, target=tgt_tree)
-        c_in = self.coherence(left_nested(src_tree), src_tree)
-        c_out = self.coherence(tgt_tree, left_nested(tgt_tree))
-        return c_out @ raw @ c_in
+            factors.append(m)
+            pos = at + span
+        factors += context[pos:]
+        parts = [f if isinstance(f, Morphism) else Morphism.identity(f, self.mode) for f in factors]
+        raw = reduce(Morphism.tensor, parts or [Morphism.identity(UNIT, self.mode)])
+        return self.rebracket(raw, left_nested(raw.source), left_nested(raw.target))
 
     # -- Clebsch-Gordan -------------------------------------------------------
 
@@ -1347,10 +1347,6 @@ def make_backend(name: str, order: int = 3) -> BackendSpec:
         return BackendSpec("classical", classical_mode())
     if name == "epsilon":
         return BackendSpec("epsilon", epsilon_mode())
-    if name == "quantum":
-        return BackendSpec("quantum", hbar_mode(order))
-    if name == "drinfeld":
-        if order > 3:
-            raise TruncationUnsupported("DrinfeldSl2 supports truncation orders <= 3")
-        return BackendSpec("drinfeld", hbar_mode(order))
+    if name in ("quantum", "drinfeld"):
+        return BackendSpec(name, hbar_mode(order))
     raise LabelError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")

@@ -543,16 +543,13 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4, max_width: 
 def reparenthesize_coupon(word: TangleWord, coupon_id: str, new_source, new_target, backend) -> TangleWord:
     """Rebracket a coupon's boundary parenthesizations.
 
-    The coupon morphism is conjugated by the backend coherence morphisms,
-    so evaluation is unchanged.
+    The backend rebrackets the coupon morphism, so evaluation is unchanged.
     """
     if coupon_id not in word.coupons:
         raise WordError(f"unknown coupon {coupon_id!r}")
     m = word.coupons[coupon_id]
     if new_source.leaves() != m.source.leaves() or new_target.leaves() != m.target.leaves():
         raise WordError("new parenthesization must keep the same flat boundary")
-    c_in = backend.coherence(new_source, m.source)
-    c_out = backend.coherence(m.target, new_target)
     coupons = dict(word.coupons)
-    coupons[coupon_id] = c_out @ m @ c_in
+    coupons[coupon_id] = backend.rebracket(m, new_source, new_target)
     return TangleWord(word.bottom, word.slices, coupons)

@@ -8,6 +8,7 @@ import pytest
 from skeinlab.errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from skeinlab.ribbon_backend import (
     RA_TENSOR,
+    BackendSpec,
     R_TENSOR,
     TSYM_TENSOR,
     T_TENSOR,
@@ -189,6 +190,65 @@ def test_drinfeld_associator_and_pentagon():
     assert p1.entries == p2.entries
     with pytest.raises(TruncationUnsupported):
         make_backend("drinfeld", 4)
+    with pytest.raises(TruncationUnsupported):
+        BackendSpec("drinfeld", hbar_mode(4))
+
+
+def test_drinfeld_associator_inverse():
+    dr = make_backend("drinfeld", 3)
+    words = (V, VS, ADJ, UNIT, TensorObj(V, VS), TensorObj(ADJ, TensorObj(V, V)))
+    rng = random.Random(5)
+    for _ in range(8):
+        x, y, z = (rng.choice(words) for _ in range(3))
+        phi, phi_inv = dr.associator(x, y, z), dr.associator_inv(x, y, z)
+        assert phi_inv.source == phi.target and phi_inv.target == phi.source
+        assert phi @ phi_inv == Morphism.identity(phi.target, dr.mode)
+        assert phi_inv @ phi == Morphism.identity(phi.source, dr.mode)
+
+
+def bracketings(letters):
+    """Every binary bracketing of the letters, units kept as leaves."""
+    if len(letters) == 1:
+        return [letters[0]]
+    return [
+        TensorObj(left, right)
+        for k in range(1, len(letters))
+        for left in bracketings(letters[:k])
+        for right in bracketings(letters[k:])
+    ]
+
+
+@pytest.mark.parametrize("name,order", ALL_BACKENDS + [("drinfeld", 2)])
+def test_rebracket_is_coherence_conjugation(name, order):
+    bk = make_backend(name, order)
+    rng = random.Random(order * 31 + len(name))
+    words = [[V, VS, V, V]]
+    for length in (3, 3, 4, 4):
+        letters = [rng.choice((UNIT, V, VS, ADJ)) for _ in range(length)]
+        while prod(w.dim for w in letters) > 18:
+            letters = [rng.choice((UNIT, V, VS, ADJ)) for _ in range(length)]
+        words.append(letters)
+    for letters in words:
+        trees = bracketings(letters)
+        m = Morphism.zero(UNIT, UNIT, bk.mode)
+        while m.is_zero:
+            m = bk.random_invariant(rng.choice(trees), rng.choice(trees), rng)
+        for s in trees:
+            for t in trees:
+                expected = bk.coherence(m.target, t) @ m @ bk.coherence(s, m.source)
+                assert bk.rebracket(m, s, t) == expected, (letters, s, t)
+        assert bk.rebracket(m) == m
+
+
+def test_rebracket_rejects_other_flat_words():
+    for bk in backends() + [make_backend("drinfeld", 2)]:
+        m = Morphism.identity(TensorObj(TensorObj(V, VS), V), bk.mode)
+        with pytest.raises(ModeError):
+            bk.rebracket(m, source=TensorObj(VS, TensorObj(V, V)))
+        with pytest.raises(ModeError):
+            bk.rebracket(m, target=TensorObj(V, TensorObj(V, VS)))
+        with pytest.raises(ModeError):
+            bk.rebracket(m, source=TensorObj(V, VS))
 
 
 def test_hexagons_all_backends():

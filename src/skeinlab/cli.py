@@ -39,6 +39,8 @@ class RunConfig:
             raise SkeinlabError(f"unknown backend {self.backend!r}")
         if self.backend == "drinfeld" and self.order > 3:
             raise SkeinlabError("drinfeld backend supports orders <= 3")
+        if self.cases < 1:
+            raise SkeinlabError(f"--cases must be at least 1, got {self.cases}")
 
 
 def _load(kind, path):

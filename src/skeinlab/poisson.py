@@ -22,7 +22,6 @@ from .ribbon_backend import (
     T_TENSOR,
     flip_matrix,
     leg_insertion,
-    left_nested,
     make_backend,
     tensor_word,
     word_tensor,
@@ -66,7 +65,7 @@ def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, sec
     pair structure even when one side's argument is trivial.
     """
     entries = leg_insertion(factors, first_blocks, second_blocks, tensor)
-    word = left_nested(tensor_word([leaf for a in element.argument for leaf in a.leaves()]))
+    word = tensor_word([leaf for a in element.argument for leaf in a.leaves()])
     m = Morphism(word, word, classical_mode(), [entries])
     terms = [(labels, core @ m) for labels, core in element.terms]
     return SkeinElement(element.backend, element.pattern, element.argument, terms)
@@ -329,7 +328,7 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
             for i, j, tensor in triples:
                 for k, val in leg_insertion(factors, [i], [nslots + j], tensor).items():
                     entries[k] = entries.get(k, 0) + val
-            word = left_nested(tensor_word(list(factors)))
+            word = tensor_word(list(factors))
             slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
         mid = slot_cache[factors]
         core = None

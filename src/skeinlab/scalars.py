@@ -147,12 +147,7 @@ class ScalarSeries:
         if isinstance(other, (int, Fraction)):
             other = ScalarSeries.from_rational(self.mode, other)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            return ScalarSeries(self.mode, (a[0] + b[0],))
-        if len(a) == 2:
-            return ScalarSeries(self.mode, (a[0] + b[0], a[1] + b[1]))
-        return ScalarSeries(self.mode, tuple(x + y for x, y in zip(a, b)))
+        return ScalarSeries(self.mode, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -174,10 +169,6 @@ class ScalarSeries:
         self._check(other)
         a, b = self.coeffs, other.coeffs
         n = len(a)
-        if n == 1:
-            return ScalarSeries(self.mode, (a[0] * b[0],))
-        if n == 2:
-            return ScalarSeries(self.mode, (a[0] * b[0], a[0] * b[1] + a[1] * b[0]))
         out = [_ZERO] * n
         for i, ai in enumerate(a):
             if not ai:

@@ -249,7 +249,7 @@ def _cg_with_transpose(backend: BackendSpec, b: SimpleObj, c: SimpleObj):
 def unit_element(backend: BackendSpec, pattern: SurfacePattern) -> SkeinElement:
     """The unit: all handles labeled by the trivial simple, scalar core one."""
     labels = tuple(simple(0) for _ in pattern.handles)
-    target = left_nested(tensor_word(slot_objects(pattern, labels)))
+    target = tensor_word(slot_objects(pattern, labels))
     core = Morphism.from_rows(UNIT, target, backend.mode, [[1]])
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
@@ -307,7 +307,7 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
                 k = ass[h][0] if e.sign > 0 else ass[h][1]
             idx = idx * dims[pos] + k
         raw[(idx, 0)] = raw.get((idx, 0), Fraction(0)) + one
-    target = left_nested(tensor_word(objs))
+    target = tensor_word(objs)
     core = Morphism(UNIT, target, backend.mode, [raw])
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
@@ -327,12 +327,12 @@ def element_hom_basis(backend: BackendSpec, pattern: SurfacePattern, argument, l
     pos = 0
     for v in range(pattern.n_vertices):
         k = len(pattern.slots_at(v))
-        w_v = left_nested(tensor_word(objs[pos : pos + k]))
+        w_v = tensor_word(objs[pos : pos + k])
         x_v = left_nested(argument[v])
         per_vertex.append(backend.invariant_hom_basis(x_v, w_v))
         pos += k
-    source = left_nested(_source_word(argument))
-    target = left_nested(tensor_word(objs))
+    source = _source_word(argument)
+    target = tensor_word(objs)
     basis = []
     for combo in iproduct(*per_vertex):
         m = None

@@ -60,10 +60,6 @@ def _case(case_id, ok, defect=None):
     return {"id": case_id, "ok": bool(ok), "defect": defect if not ok else None}
 
 
-def _morphism_defect(m):
-    return m.to_json() if isinstance(m, Morphism) else m
-
-
 # ---------------------------------------------------------------------------
 # moves
 # ---------------------------------------------------------------------------

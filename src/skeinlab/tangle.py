@@ -249,53 +249,43 @@ def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
     return total
 
 
-def compose(upper: TangleWord, lower: TangleWord) -> TangleWord:
-    """Stack `upper` on top of `lower`."""
-    if lower.top != upper.bottom:
-        raise WordError("boundaries do not match for composition")
-    coupons = dict(lower.coupons)
+def _merge_coupons(base: TangleWord, extra: TangleWord):
+    """The coupon table of `base` joined with that of `extra`, and the slices
+    of `extra` with its coupon ids renamed where they clash with base's."""
+    coupons = dict(base.coupons)
     renames = {}
-    for cid, m in upper.coupons.items():
+    for cid, m in extra.coupons.items():
         new = cid
         while new in coupons and coupons[new] != m:
             new = new + "'"
         renames[cid] = new
         coupons[new] = m
-    upper_slices = tuple(
+    slices = tuple(
         tuple(replace(c, coupon_id=renames.get(c.coupon_id)) if c.kind == "coupon" else c for c in cells)
-        for cells in upper.slices
+        for cells in extra.slices
     )
+    return coupons, slices
+
+
+def compose(upper: TangleWord, lower: TangleWord) -> TangleWord:
+    """Stack `upper` on top of `lower`."""
+    if lower.top != upper.bottom:
+        raise WordError("boundaries do not match for composition")
+    coupons, upper_slices = _merge_coupons(lower, upper)
     return TangleWord(lower.bottom, lower.slices + upper_slices, coupons)
 
 
 def tensor(left: TangleWord, right: TangleWord) -> TangleWord:
     """Juxtapose two words side by side."""
     llevels = left.interfaces()
-    rlevels = right.interfaces()
-    depth = max(len(left.slices), len(right.slices))
-    coupons = dict(left.coupons)
-    renames = {}
-    for cid, m in right.coupons.items():
-        new = cid
-        while new in coupons and coupons[new] != m:
-            new = new + "'"
-        renames[cid] = new
-        coupons[new] = m
+    coupons, right_slices = _merge_coupons(left, right)
     slices = []
-    for i in range(depth):
-        cells = []
+    for i in range(max(len(left.slices), len(right.slices))):
+        cells = list(left.slices[i]) if i < len(left.slices) else []
+        # right's cells shift past left's strands at this level
         width = len(llevels[min(i, len(left.slices))])
-        if i < len(left.slices):
-            width = len(llevels[i])
-            cells.extend(left.slices[i])
-        else:
-            width = len(llevels[-1])
-        if i < len(right.slices):
-            for c in right.slices[i]:
-                c2 = replace(c, at=c.at + width)
-                if c2.kind == "coupon":
-                    c2 = replace(c2, coupon_id=renames.get(c2.coupon_id))
-                cells.append(c2)
+        if i < len(right_slices):
+            cells.extend(replace(c, at=c.at + width) for c in right_slices[i])
         slices.append(tuple(cells))
     return TangleWord(left.bottom + right.bottom, tuple(slices), coupons)
 
@@ -381,16 +371,12 @@ def _move_r3(word, site):
     if not all(len(s) == 1 and s[0].kind == "braid+" for s in trip):
         raise MoveError("R3 pattern must be three positive braid slices")
     a, b, c = (s[0].at for s in trip)
-    if direction == "lr":
-        if not (a == c and b == a + 1):
-            raise MoveError("no (p, p+1, p) braid pattern at site")
-        new = ([Cell("braid+", b)], [Cell("braid+", a)], [Cell("braid+", b)])
-    elif direction == "rl":
-        if not (a == c and b == a - 1):
-            raise MoveError("no (p, p-1, p) braid pattern at site")
-        new = ([Cell("braid+", b)], [Cell("braid+", a)], [Cell("braid+", b)])
-    else:
+    step = {"lr": 1, "rl": -1}.get(direction)
+    if step is None:
         raise MoveError(f"unknown R3 direction {direction!r}")
+    if not (a == c and b == a + step):
+        raise MoveError(f"no (p, p{step:+d}, p) braid pattern at site")
+    new = ([Cell("braid+", b)], [Cell("braid+", a)], [Cell("braid+", b)])
     slices = word.slices[:level] + new + word.slices[level + 3 :]
     return TangleWord(word.bottom, slices, dict(word.coupons))
 

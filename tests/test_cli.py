@@ -73,6 +73,13 @@ def test_verify_exit_codes_and_determinism(tmp_path):
     assert r1 == r2  # byte-identical up to timing
 
 
+def test_verify_rejects_case_counts_below_one():
+    for suite, cases in (("moves", "0"), ("moves", "-3"), ("sigma", "-3")):
+        code, out, err = run_cli(["verify", "--suite", suite, "--cases", cases])
+        assert code == 2 and out == "", (suite, cases)
+        assert "--cases must be at least 1" in err
+
+
 def test_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -20,7 +20,7 @@ from .ribbon_backend import BACKEND_NAMES, make_backend
 from .skein_algebra import SkeinElement, lift_element, mu
 from .poisson import fock_rosly_sigma, sigma_algebraic, sigma_goldman
 from .surface import SurfacePattern, fuse
-from .suites import SUITES
+from .suites import BACKEND_SUITES, SUITES
 from .tangle import TangleWord, rt_evaluate
 
 
@@ -165,13 +165,13 @@ def cmd_verify(args) -> int:
     defects = [c for c in cases if not c["ok"]]
     report = {
         "suite": args.suite,
-        "backend": cfg.backend,
-        "order": cfg.order,
         "seed": cfg.seed,
         "cases": len(cases),
         "defects": defects,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
+    if args.suite in BACKEND_SUITES:
+        report.update(backend=cfg.backend, order=cfg.order)
     _emit(report, cfg.out)
     return 1 if defects else 0
 

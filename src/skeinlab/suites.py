@@ -361,6 +361,9 @@ def torsion_suite():
     return cases
 
 
+# the suites that run the configured backend and order; the others fix their own
+BACKEND_SUITES = ("moves", "ribbon")
+
 SUITES = {
     "moves": lambda cfg: moves_suite(cfg["backend"], cfg["order"], cfg["seed"], cfg.get("cases", 5)),
     "ribbon": lambda cfg: ribbon_suite(cfg["backend"], cfg["order"], cfg["seed"]),

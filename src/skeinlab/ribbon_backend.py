@@ -9,7 +9,7 @@ matrices M = sum_k param^k M_k; ScalarSeries is their entry and scalar view.
   EpsilonSl2     braiding flip(1 + e*r) with r = e(x)f + h(x)h/4
   QuantumSl2     braiding from the truncated universal R-matrix, q = exp(h/2)
   DrinfeldSl2    braiding flip*exp(h*t/2), twist exp(h*C/2), associator
-                 1 + h^2/24 [t12, t23] (needs truncation order <= 3)
+                 1 +- h^2/24 [t12, t23] and its inverse (order <= 3)
 
 All but the quantum backend share one formula each: the braiding is
 flip o exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip,
@@ -17,6 +17,10 @@ and the twist exp(param*C/2), with (Omega, rate) = (r, 1) on epsilon and
 (t, 1/2) otherwise.  The truncation does the rest: the order-1 exponential
 is the identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.
 Every two-leg tensor (r, t, r_a) acts through `leg_insertion`.
+
+Only Drinfeld at order 3 is non-strict.  `BackendSpec.rebracket` is the one
+place a morphism changes bracketing: there it composes the coherence
+morphisms built from the associator, on the other backends it relabels.
 
 All exact linear solving goes through one solver: `eliminate` row-reduces
 the constant layer once for all right-hand sides, and `solve_series` lifts

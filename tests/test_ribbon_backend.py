@@ -22,6 +22,7 @@ from skeinlab.ribbon_backend import (
     flip_matrix,
     eliminate,
     leg_insertion,
+    left_nested,
     make_backend,
     object_from_json,
     simple,
@@ -141,6 +142,17 @@ def test_snake_identities():
             )
             assert s1 == Morphism.identity(x, bk.mode), (bk.name, str(x))
             assert s2 == Morphism.identity(dx, bk.mode), (bk.name, str(x))
+
+
+def test_snake_identities_on_a_nested_word():
+    # ev/coev of a tensor word whose left factor is itself a tensor word
+    x = TensorObj(TensorObj(V, V), VS)
+    dx = dual(x)
+    for bk in backends():
+        s1 = bk.flat_apply([x, dx, x], [(1, 2, bk.ev(x))]) @ bk.flat_apply([x], [(0, 0, bk.coev(x))])
+        s2 = bk.flat_apply([dx, x, dx], [(0, 2, bk.ev(x))]) @ bk.flat_apply([dx], [(1, 0, bk.coev(x))])
+        assert s1 == Morphism.identity(x, bk.mode), bk.name
+        assert s2 == Morphism.identity(left_nested(dx), bk.mode), bk.name
 
 
 def test_loop_value_classical_and_quantum():

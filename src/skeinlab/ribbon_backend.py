@@ -22,12 +22,13 @@ Only Drinfeld at order 3 is non-strict.  `BackendSpec.rebracket` is the one
 place a morphism changes bracketing: there it composes the coherence
 morphisms built from the associator, on the other backends it relabels.
 
-All exact linear solving goes through one solver: `eliminate` row-reduces
-the constant layer once for all right-hand sides, and `solve_series` lifts
-its solutions order by order.  Invariant Hom bases, the inverse of a
-constant layer and the coordinates of a skein core use it, and each
-Clebsch-Gordan embedding is the basis of the one-dimensional Hom space
-Hom(V_k, x (x) y).
+All exact linear solving goes through one solver: one sparse reduction of
+A0, replayed on every order's residuals.  `eliminate` reduces the constant
+layer once and replays its recorded row operations on each right-hand
+side, and `solve_series` lifts the solutions order by order with the same
+reduction.  Invariant Hom bases, the inverse of a constant layer and the
+coordinates of a skein core use it, and each Clebsch-Gordan embedding is
+the basis of the one-dimensional Hom space Hom(V_k, x (x) y).
 
 Normalization: the invariant form is the trace form on the fundamental
 representation, so t = e(x)f + f(x)e + h(x)h/2, C = ef + fe + h^2/2, and
@@ -558,90 +559,105 @@ def _layers_ident(d, order):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving: one elimination, lifted order by order
+# Exact linear solving: one sparse reduction, replayed on every right-hand side
 # ---------------------------------------------------------------------------
 
 
-def rref(rows, ncols):
-    """Row-reduce a dense Fraction matrix in place, pivoting only on its
-    first `ncols` columns; returns the pivot columns."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
+def _factor(a0, ncols):
+    """Sparse Gauss-Jordan reduction of a0 ({col: rational} rows), recorded.
+
+    Returns (kernel, solve): the kernel basis of `eliminate`, and solve(b),
+    which replays the row operations (pivot row, pivot, [(row, factor)]) on
+    a sparse vector b and returns its solution as in `eliminate`.
+    """
+    rows, cols = {}, {}
+    for (r, c), v in a0.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = None
+    ops, pivots = [], {}
     for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
+        candidates = [r for r in cols.get(c, ()) if r not in pivots]
+        if not candidates:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+        p = min(candidates, key=lambda r: len(rows[r]))
+        prow = rows[p]
+        pv = prow[c]
+        if pv != 1:
+            for k in prow:
+                prow[k] /= pv
+        updates = [(r, rows[r][c]) for r in cols[c] if r != p]
+        for r, f in updates:
+            row = rows[r]
+            for k, y in prow.items():
+                x = row.get(k, _ZERO) - f * y
+                if x:
+                    row[k] = x
+                    cols[k][r] = None
+                else:
+                    del row[k], cols[k][r]
+        ops.append((p, pv, updates))
+        pivots[p] = c
+    kernel = [
+        {fc: Fraction(1)} | {c: -rows[p][fc] for p, c in pivots.items() if fc in rows[p]}
+        for fc in sorted(set(range(ncols)) - set(pivots.values()))
+    ]
+
+    def solve(b):
+        b = dict(b)
+        for p, pv, updates in ops:
+            x = b.get(p)
+            if x:
+                if pv != 1:
+                    x = b[p] = x / pv
+                for r, f in updates:
+                    b[r] = b.get(r, _ZERO) - f * x
+        if any(v for r, v in b.items() if r not in pivots):
+            return None
+        return {c: b[p] for p, c in pivots.items() if b.get(p)}
+
+    return kernel, solve
 
 
 def eliminate(a0, ncols, rhs):
-    """Solve a0 x = b for every b in `rhs` with one row reduction of [a0 | rhs].
+    """Solve a0 x = b for every b in `rhs` by one sparse reduction of a0.
 
     `a0` is a sparse {(row, col): rational} matrix with `ncols` columns (rows
     are any hashable keys) and each b a sparse {row: rational} vector.
     Returns (kernel, solutions): a kernel basis of a0, one vector per free
     column with that column set to 1, and per b the solution with the free
     variables set to 0, or None if b is inconsistent.  Vectors are sparse
-    {col: rational}.
+    {col: rational}.  The reduced row echelon form is unique, so neither
+    depends on which row serves as a column's pivot.
     """
-    rows = {r: n for n, r in enumerate(dict.fromkeys([r for r, _ in a0] + [r for b in rhs for r in b]))}
-    work = [[_ZERO] * (ncols + len(rhs)) for _ in rows]
-    for (r, c), v in a0.items():
-        work[rows[r]][c] = v
-    for j, b in enumerate(rhs, ncols):
-        for r, v in b.items():
-            work[rows[r]][j] = v
-    pivots = rref(work, ncols)
-    free = sorted(set(range(ncols)) - set(pivots))
-    kernel = [{fc: Fraction(1)} | {pc: -work[r][fc] for r, pc in enumerate(pivots) if work[r][fc]} for fc in free]
-    solutions = [
-        None
-        if any(row[j] for row in work[len(pivots) :])
-        else {pc: work[r][j] for r, pc in enumerate(pivots) if work[r][j]}
-        for j in range(ncols, ncols + len(rhs))
-    ]
-    return kernel, solutions
+    kernel, solve = _factor(a0, ncols)
+    return kernel, [solve(b) for b in rhs]
 
 
 def solve_series(layers, ncols, rhs):
     """Solve A x = b over the truncated ring, A = sum_k param^k layers[k].
 
     `layers` are sparse matrices as in `eliminate`, and each b in `rhs` is
-    the list of its per-order vectors.  Order k solves A_0 x_k = b_k -
-    sum_{i>=1} A_i x_{k-i} for all vectors at once.  Returns (kernel,
-    solutions): the lift of every classical kernel vector (A v = 0) and per
-    b one solution or None, each as its list of per-order vectors.  A kernel
+    the list of its per-order vectors.  One sparse reduction of A_0 is
+    replayed on every order's residuals: order k solves A_0 x_k = b_k -
+    sum_{i>=1} A_i x_{k-i} for all vectors.  Returns (kernel, solutions):
+    the lift of every classical kernel vector (A v = 0) and per b one
+    solution or None, each as its list of per-order vectors.  A kernel
     vector that does not lift means the module is not free and raises.
     """
-    kernel, first = eliminate(layers[0], ncols, [b[0] for b in rhs])
+    kernel, solve = _factor(layers[0], ncols)
     lifts = [[v] for v in kernel]
-    solutions = [None if x is None else [x] for x in first]
+    solutions = [None if x is None else [x] for x in (solve(b[0]) for b in rhs)]
     zero = [{} for _ in layers]
     for k in range(1, len(layers)):
-        pending = [(x, zero) for x in lifts] + [(x, b) for x, b in zip(solutions, rhs) if x is not None]
-        residuals = []
-        for x, b in pending:
+        for x, b in [(x, zero) for x in lifts] + [(x, b) for x, b in zip(solutions, rhs) if x is not None]:
             res = dict(b[k])
             for i in range(1, k + 1):
                 prev = x[k - i]
                 for (r, c), v in layers[i].items():
                     if c in prev:
                         res[r] = res.get(r, _ZERO) - v * prev[c]
-            residuals.append(res)
-        for (x, _), step in zip(pending, eliminate(layers[0], ncols, residuals)[1]):
-            x.append(step)
+            x.append(solve(res))
         if any(v[-1] is None for v in lifts):
             raise CgError("kernel does not lift: module is not free")
         solutions = [None if x is None or x[-1] is None else x for x in solutions]

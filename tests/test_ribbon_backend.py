@@ -699,3 +699,201 @@ def test_series_solver_without_rows_or_columns():
     # no unknowns
     assert eliminate({}, 0, [{}, {0: zero}, {2: Fraction(5)}]) == ([], [{}, {}, None])
     assert solve_series([{}, {}], 0, [[{1: zero}, {}], [{}, {1: Fraction(-1)}]]) == ([], [[{}, {}], None])
+
+
+# ---------------------------------------------------------------------------
+# The sparse eliminator against the dense row reduction it replaced
+# ---------------------------------------------------------------------------
+
+
+def rref(rows, ncols):
+    """Row-reduce a dense Fraction matrix in place, pivoting only on its
+    first `ncols` columns; returns the pivot columns."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _ref_eliminate(a0, ncols, rhs):
+    """Solve a0 x = b for every b in `rhs` with one row reduction of [a0 | rhs].
+
+    `a0` is a sparse {(row, col): rational} matrix with `ncols` columns (rows
+    are any hashable keys) and each b a sparse {row: rational} vector.
+    Returns (kernel, solutions): a kernel basis of a0, one vector per free
+    column with that column set to 1, and per b the solution with the free
+    variables set to 0, or None if b is inconsistent.  Vectors are sparse
+    {col: rational}.
+    """
+    rows = {r: n for n, r in enumerate(dict.fromkeys([r for r, _ in a0] + [r for b in rhs for r in b]))}
+    work = [[Fraction(0)] * (ncols + len(rhs)) for _ in rows]
+    for (r, c), v in a0.items():
+        work[rows[r]][c] = v
+    for j, b in enumerate(rhs, ncols):
+        for r, v in b.items():
+            work[rows[r]][j] = v
+    pivots = rref(work, ncols)
+    free = sorted(set(range(ncols)) - set(pivots))
+    kernel = [{fc: Fraction(1)} | {pc: -work[r][fc] for r, pc in enumerate(pivots) if work[r][fc]} for fc in free]
+    solutions = [
+        None
+        if any(row[j] for row in work[len(pivots) :])
+        else {pc: work[r][j] for r, pc in enumerate(pivots) if work[r][j]}
+        for j in range(ncols, ncols + len(rhs))
+    ]
+    return kernel, solutions
+
+
+def _ref_solve_series(layers, ncols, rhs):
+    """The order-by-order lift that re-reduced A_0 once per order."""
+    kernel, first = _ref_eliminate(layers[0], ncols, [b[0] for b in rhs])
+    lifts = [[v] for v in kernel]
+    solutions = [None if x is None else [x] for x in first]
+    zero = [{} for _ in layers]
+    for k in range(1, len(layers)):
+        pending = [(x, zero) for x in lifts] + [(x, b) for x, b in zip(solutions, rhs) if x is not None]
+        residuals = []
+        for x, b in pending:
+            res = dict(b[k])
+            for i in range(1, k + 1):
+                prev = x[k - i]
+                for (r, c), v in layers[i].items():
+                    if c in prev:
+                        res[r] = res.get(r, Fraction(0)) - v * prev[c]
+            residuals.append(res)
+        for (x, _), step in zip(pending, _ref_eliminate(layers[0], ncols, residuals)[1]):
+            x.append(step)
+        if any(v[-1] is None for v in lifts):
+            raise CgError("kernel does not lift: module is not free")
+        solutions = [None if x is None or x[-1] is None else x for x in solutions]
+    return lifts, solutions
+
+
+def _items(vectors):
+    """Vectors (or per-order vector lists, or None) with their key order."""
+    if vectors is None or isinstance(vectors, dict):
+        return vectors if vectors is None else list(vectors.items())
+    return [_items(v) for v in vectors]
+
+
+def _sparse_system(seed):
+    """A sparse random system with tuple row keys, non-unit pivots, explicit
+    zeros, rank deficiency (rows that combine others, empty columns) and
+    right-hand sides that are consistent, random, or nonzero in a row a0
+    does not have.  Sizes grow with the seed up to 40 x 30."""
+    rng = random.Random(1000 + seed)
+    nrows, ncols = rng.randint(1, min(40, 2 + seed)), rng.randint(1, min(30, 2 + seed))
+    density = rng.uniform(0.05, 0.5)
+    keys = [(rng.randrange(3), i) for i in range(nrows)]
+    empty = set(rng.sample(range(ncols), rng.randint(0, ncols // 4)))
+
+    def value():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
+
+    def layer():
+        rows = [{c: value() for c in range(ncols) if c not in empty and rng.random() < density} for _ in keys]
+        for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+            # a combination of two rows: rank deficiency
+            a, b, s = rng.randrange(nrows), rng.randrange(nrows), value()
+            rows[i] = {c: rows[a].get(c, 0) + s * rows[b].get(c, 0) for c in rows[a].keys() | rows[b].keys()}
+        m = {(keys[i], c): v for i, row in enumerate(rows) for c, v in row.items()}
+        for _ in range(rng.randint(0, 3)):
+            m[(rng.choice(keys), rng.randrange(ncols))] = Fraction(0)
+        return m
+
+    order = rng.randint(1, 3)
+    a0 = layer()
+    if rng.random() < 0.5:
+        # A = A0 (1 + sum param^k R_k): the classical kernel lifts
+        square = [(i, j) for i in range(ncols) for j in range(ncols)]
+        higher = [{key: value() for key in square if rng.random() < density / 2} for _ in range(1, order)]
+        layers = [a0] + [_frac_product(a0, rk) for rk in higher]
+    else:
+        layers = [a0] + [layer() for _ in range(1, order)]
+
+    def vector(kind):
+        if kind == "consistent":
+            x = {c: value() for c in range(ncols) if rng.random() < density}
+            b = {}
+            for (r, c), v in a0.items():
+                if c in x:
+                    b[r] = b.get(r, 0) + v * x[c]
+        else:
+            b = {k: value() for k in keys if rng.random() < density}
+        if rng.random() < 0.3:
+            b[rng.choice(keys)] = Fraction(0)
+        if kind == "outside":
+            b[("absent", rng.randrange(3))] = value()
+        elif rng.random() < 0.2:
+            b[("absent", 9)] = Fraction(0)
+        return b
+
+    rhs = [[vector(rng.choice(["consistent", "random", "outside"])) for _ in range(order)] for _ in range(rng.randint(0, 4))]
+    return layers, ncols, rhs
+
+
+def _frac_product(a, r):
+    """The sparse product a @ r of {(row, col): rational} matrices."""
+    out = {}
+    for (i, j), x in a.items():
+        for (jj, k), y in r.items():
+            if jj == j:
+                out[(i, k)] = out.get((i, k), 0) + x * y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sparse_eliminator_matches_dense_reference(seed):
+    layers, ncols, rhs = _sparse_system(seed)
+    firsts = [b[0] for b in rhs]
+    assert _items(eliminate(layers[0], ncols, firsts)) == _items(_ref_eliminate(layers[0], ncols, firsts))
+    try:
+        expected = _ref_solve_series(layers, ncols, rhs)
+    except CgError:
+        with pytest.raises(CgError):
+            solve_series(layers, ncols, rhs)
+        return
+    assert _items(solve_series(layers, ncols, rhs)) == _items(expected)
+
+
+def test_sparse_eliminator_cases_are_not_vacuous():
+    kernels = nones = solved = lifted = raised = 0
+    for seed in range(60):
+        layers, ncols, rhs = _sparse_system(seed)
+        kernel, solutions = eliminate(layers[0], ncols, [b[0] for b in rhs])
+        kernels += bool(kernel)
+        nones += solutions.count(None)
+        solved += sum(x is not None and bool(x) for x in solutions)
+        try:
+            lifted += len(layers) > 1 and bool(solve_series(layers, ncols, rhs)[0])
+        except CgError:
+            raised += 1
+    assert min(kernels, nones, solved, lifted, raised) >= 5, (kernels, nones, solved, lifted, raised)
+
+
+def test_singular_constant_layer_and_unliftable_kernel_raise():
+    x = _obj(2)
+    mode = hbar_mode(2)
+    # constant layer of rank 1, invertible only after adding the param layer
+    m = Morphism(x, x, mode, [{(0, 0): Fraction(2)}, {(1, 1): Fraction(1)}])
+    with pytest.raises(ZeroDivisionError):
+        m.inverse()
+    # A = param: the constant layer is 0, its kernel vector e_0 does not lift
+    with pytest.raises(CgError):
+        solve_series([{}, {(0, 0): Fraction(1)}], 1, [])
+

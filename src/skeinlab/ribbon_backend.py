@@ -1038,19 +1038,21 @@ class BackendSpec:
     # -- twist ---------------------------------------------------------------
 
     def twist(self, x: ObjectExpr) -> Morphism:
-        return self._cached(("twist", x), lambda: self._twist(x))
-
-    def _twist(self, x):
-        if self._qops is None:
-            return Morphism(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, rate=Fraction(1, 2)))
-        # quantum: inverse of exp(-h rho) u so that V_n twists by exp(h n(n+2)/4),
-        # matching the Casimir normalization of the other backends
-        u = Morphism(x, x, self.mode, self._qops.u_matrix(x))
-        g = Morphism(x, x, self.mode, exp_nilseries(classical_action("h", x), x.dim, self.mode, rate=Fraction(-1, 2)))
-        return (g @ u).inverse()
+        return self._cached(("twist", x), lambda: self._twist(x, 1))
 
     def twist_inv(self, x: ObjectExpr) -> Morphism:
-        return self._cached(("twistinv", x), lambda: self.twist(x).inverse())
+        return self._cached(("twistinv", x), lambda: self._twist(x, -1))
+
+    def _twist(self, x, sign):
+        if self._qops is None:
+            return Morphism(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, rate=Fraction(sign, 2)))
+        if sign > 0:
+            return self.twist_inv(x).inverse()
+        # quantum: the inverse twist is exp(-h rho) u, so that V_n twists by
+        # exp(h n(n+2)/4), matching the Casimir normalization of the other backends
+        u = Morphism(x, x, self.mode, self._qops.u_matrix(x))
+        g = Morphism(x, x, self.mode, exp_nilseries(classical_action("h", x), x.dim, self.mode, rate=Fraction(-1, 2)))
+        return g @ u
 
     # -- infinitesimal braiding -----------------------------------------------
 

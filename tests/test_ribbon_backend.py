@@ -897,3 +897,11 @@ def test_singular_constant_layer_and_unliftable_kernel_raise():
     with pytest.raises(CgError):
         solve_series([{}, {(0, 0): Fraction(1)}], 1, [])
 
+
+@pytest.mark.parametrize("name,order", [("classical", 1), ("epsilon", 2), ("quantum", 2), ("quantum", 3), ("drinfeld", 3)])
+def test_inverse_twist_equals_inverse_of_twist(name, order):
+    # a fresh backend, so that twist_inv is built before twist
+    bk = BackendSpec(name, make_backend(name, order).mode)
+    for x in [V, ADJ, VS, TensorObj(V, ADJ)]:
+        assert bk.twist_inv(x) == bk.twist(x).inverse(), (name, order, str(x))
+        assert bk.twist(x) @ bk.twist_inv(x) == Morphism.identity(x, bk.mode)

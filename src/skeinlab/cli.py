@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
     if args.suite in BACKEND_SUITES:
-        report.update(backend=cfg.backend, order=cfg.order)
+        report.update(backend=cfg.backend, order=make_backend(cfg.backend, cfg.order).mode.order)
     _emit(report, cfg.out)
     return 1 if defects else 0
 

@@ -73,6 +73,15 @@ def test_verify_exit_codes_and_determinism(tmp_path):
     assert r1 == r2  # byte-identical up to timing
 
 
+def test_verify_reports_the_order_of_the_ring_that_ran():
+    for backend, order in (("classical", 1), ("epsilon", 2), ("quantum", 2)):
+        code, out, _ = run_cli(["verify", "--suite", "ribbon", "--backend", backend, "--order", "2"])
+        assert code == 0
+        assert json.loads(out)["order"] == order, backend
+    code, out, _ = run_cli(["verify", "--suite", "moves", "--backend", "epsilon", "--cases", "1"])
+    assert code == 0 and json.loads(out)["order"] == 2
+
+
 def test_verify_rejects_case_counts_below_one():
     for suite, cases in (("moves", "0"), ("moves", "-3"), ("sigma", "-3")):
         code, out, err = run_cli(["verify", "--suite", suite, "--cases", cases])

@@ -620,7 +620,7 @@ def _factor(a0, ncols):
 
 
 def eliminate(a0, ncols, rhs):
-    """Solve a0 x = b for every b in `rhs` by one sparse reduction of a0.
+    """Solve a0 x = b for every b in `rhs`: one sparse reduction of a0, replayed on each b.
 
     `a0` is a sparse {(row, col): rational} matrix with `ncols` columns (rows
     are any hashable keys) and each b a sparse {row: rational} vector.

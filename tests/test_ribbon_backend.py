@@ -786,8 +786,10 @@ def _ref_solve_series(layers, ncols, rhs):
 
 def _items(vectors):
     """Vectors (or per-order vector lists, or None) with their key order."""
-    if vectors is None or isinstance(vectors, dict):
-        return vectors if vectors is None else list(vectors.items())
+    if vectors is None:
+        return None
+    if isinstance(vectors, dict):
+        return list(vectors.items())
     return [_items(v) for v in vectors]
 
 
@@ -843,7 +845,8 @@ def _sparse_system(seed):
             b[("absent", 9)] = Fraction(0)
         return b
 
-    rhs = [[vector(rng.choice(["consistent", "random", "outside"])) for _ in range(order)] for _ in range(rng.randint(0, 4))]
+    kinds = [rng.choice(["consistent", "random", "outside"]) for _ in range(rng.randint(0, 4))]
+    rhs = [[vector(kind) for _ in range(order)] for kind in kinds]
     return layers, ncols, rhs
 
 
@@ -889,7 +892,7 @@ def test_sparse_eliminator_cases_are_not_vacuous():
 def test_singular_constant_layer_and_unliftable_kernel_raise():
     x = _obj(2)
     mode = hbar_mode(2)
-    # constant layer of rank 1, invertible only after adding the param layer
+    # the constant layer has rank 1, so no higher layer makes m invertible
     m = Morphism(x, x, mode, [{(0, 0): Fraction(2)}, {(1, 1): Fraction(1)}])
     with pytest.raises(ZeroDivisionError):
         m.inverse()
@@ -898,7 +901,10 @@ def test_singular_constant_layer_and_unliftable_kernel_raise():
         solve_series([{}, {(0, 0): Fraction(1)}], 1, [])
 
 
-@pytest.mark.parametrize("name,order", [("classical", 1), ("epsilon", 2), ("quantum", 2), ("quantum", 3), ("drinfeld", 3)])
+TWIST_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 2), ("quantum", 3), ("drinfeld", 3)]
+
+
+@pytest.mark.parametrize("name,order", TWIST_BACKENDS)
 def test_inverse_twist_equals_inverse_of_twist(name, order):
     # a fresh backend, so that twist_inv is built before twist
     bk = BackendSpec(name, make_backend(name, order).mode)

@@ -126,7 +126,8 @@ def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
     replaced by flip o t (the first-order difference of an overcrossing
     and an undercrossing); everything else is evaluated classically.
     Orientation signs arise from the dual-representation legs of t.
-    Prefix and suffix products of the step chain are shared across sites.
+    One forward pass over the step chain carries the plain core and the sum
+    of the insertions made so far.
     """
     if s1.backend.name != "classical":
         raise ModeError("the intersection rule runs over the classical backend")
@@ -139,31 +140,15 @@ def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
         return backend.braiding(L, R)
 
     out_terms = []
-    for labels, chain in product_term_chains(s1, s2, plain):
-        k = len(chain)
-        prefixes = []
-        acc = None
-        for _, step, _info in chain:
-            prefixes.append(acc)
-            acc = step if acc is None else step @ acc
-        suffixes = [None] * k
-        acc = None
-        for idx in range(k - 1, -1, -1):
-            suffixes[idx] = acc
-            step = chain[idx][1]
-            acc = step if acc is None else acc @ step
+    for labels, acc, chain in product_term_chains(s1, s2, plain):
         total_core = None
-        for idx, (sid, step, info) in enumerate(chain):
-            if sid not in sites:
-                continue
-            context, pos, objL, objR = info
-            t_ins = backend.flat_apply(context, [(pos, 2, backend.inf_braiding(objL, objR))])
-            core = step @ t_ins
-            if prefixes[idx] is not None:
-                core = core @ prefixes[idx]
-            if suffixes[idx] is not None:
-                core = suffixes[idx] @ core
-            total_core = core if total_core is None else total_core + core
+        for sid, context, placed, info in chain:
+            if sid in sites:
+                t_ins = backend.apply(context, [(placed[0][0], 2, backend.inf_braiding(*info))], acc)
+                total_core = t_ins if total_core is None else total_core + t_ins
+            if total_core is not None:
+                total_core = backend.apply(context, placed, total_core)
+            acc = backend.apply(context, placed, acc)
         if total_core is not None and not total_core.is_zero:
             out_terms.append((labels, total_core))
     new_argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
@@ -319,7 +304,7 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
     nslots = len(pattern.all_slots())
     slot_cache = {}
     out_terms = []
-    for new_labels, chain in product_term_chains(s1, s2, plain):
+    for new_labels, core, chain in product_term_chains(s1, s2, plain):
         objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
         objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
         factors = tuple(objs1 + objs2)
@@ -331,9 +316,8 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
             word = tensor_word(list(factors))
             slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
         mid = slot_cache[factors]
-        core = None
-        for sid, step, _info in chain:
-            core = step if core is None else step @ core
+        for sid, context, placed, _info in chain:
+            core = backend.apply(context, placed, core)
             if sid is None:
                 core = mid @ core
         out_terms.append((new_labels, core))

@@ -22,6 +22,12 @@ Only Drinfeld at order 3 is non-strict.  `BackendSpec.rebracket` is the one
 place a morphism changes bracketing: there it composes the coherence
 morphisms built from the associator, on the other backends it relabels.
 
+`BackendSpec.apply` is the one way a local morphism (a crossing, a coupon,
+a cup or cap) acts inside a word: it moves the sparse rows of a core by
+mixed-radix index arithmetic and never builds id (x) m (x) id on the word.
+`flat_apply` is `apply` on the identity, for callers whose answer is that
+matrix.
+
 All exact linear solving goes through one solver: one sparse reduction of
 A0, replayed on every order's residuals.  `eliminate` reduces the constant
 layer once and replays its recorded row operations on each right-hand
@@ -487,6 +493,29 @@ def _frac_kron(a, b, bd_rows, bd_cols):
     return out
 
 
+def _frac_apply(a, b, right, src, tgt):
+    """(id (x) a (x) id_right) b by mixed-radix row arithmetic.
+
+    Row (l * src + c) * right + rr of b goes to row (l * tgt + k) * right + rr
+    for every entry a[k, c]; the identity factors are never built.  Entries
+    of a equal to 1 (most of a crossing's) move b's entries unmultiplied.
+    """
+    by_col = {}
+    for (k, c), x in a.items():
+        by_col.setdefault(c, []).append((k, None if x == 1 else x))
+    block = src * right
+    out = {}
+    for (r, j), y in b.items():
+        l, rest = divmod(r, block)
+        c, rr = divmod(rest, right)
+        for k, x in by_col.get(c, ()):
+            key = ((l * tgt + k) * right + rr, j)
+            p = y if x is None else x * y
+            s = out.get(key)
+            out[key] = p if s is None else s + p
+    return {k: v for k, v in out.items() if v}
+
+
 def _frac_iadd(out, b):
     """out += b in place, dropping cancelled entries; returns out."""
     for k, v in b.items():
@@ -746,21 +775,19 @@ def leg_insertion(factors, first, second, tensor):
     b_k acting on the factors listed in `second` likewise.
     """
     dims = [w.dim for w in factors]
+    ident = _frac_ident(prod(dims))
     total = {}
     for coeff, a, b in tensor:
-        legs = _frac_compose(_leg_spread(factors, dims, first, a), _leg_spread(factors, dims, second, b))
+        legs = _leg_spread(factors, dims, first, a, _leg_spread(factors, dims, second, b, ident))
         _frac_iadd(total, _frac_scale(legs, coeff))
     return total
 
 
-def _leg_spread(factors, dims, positions, gen):
-    """Sum over the positions p of id (x) (gen on factors[p]) (x) id."""
+def _leg_spread(factors, dims, positions, gen, m):
+    """Sum over the positions p of (id (x) (gen on factors[p]) (x) id) m."""
     out = {}
     for p in positions:
-        left = prod(dims[:p])
-        right = prod(dims[p + 1 :])
-        m = _frac_kron(_frac_ident(left), classical_action(gen, factors[p]), dims[p], dims[p])
-        _frac_iadd(out, _frac_kron(m, _frac_ident(right), right, right))
+        _frac_iadd(out, _frac_apply(classical_action(gen, factors[p]), m, prod(dims[p + 1 :]), dims[p], dims[p]))
     return out
 
 
@@ -1138,8 +1165,7 @@ class BackendSpec:
             a, b = x.left, x.right
             da, db = dual(a), dual(b)
             m1 = self.flat_apply([db, da, a, b], [(1, 2, self.ev(a))])
-            m2 = self.flat_apply([db, b], [(0, 2, self.ev(b))])
-            return self.rebracket(m2 @ m1, source=TensorObj(dual(x), x))
+            return self.rebracket(self.apply([db, b], [(0, 2, self.ev(b))], m1), source=TensorObj(dual(x), x))
         raise TypeError(x)
 
     def _coev(self, x):
@@ -1152,18 +1178,16 @@ class BackendSpec:
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
             m1 = self.flat_apply([], [(0, 0, self.coev(a))])
-            m2 = self.flat_apply([a, dual(a)], [(1, 0, self.coev(b))])
-            return self.rebracket(m2 @ m1, target=TensorObj(x, dual(x)))
+            return self.rebracket(self.apply([a, dual(a)], [(1, 0, self.coev(b))], m1), target=TensorObj(x, dual(x)))
         raise TypeError(x)
 
     def transpose(self, u: Morphism) -> Morphism:
         """Categorical transpose Hom(a, b) -> Hom(dual(b), dual(a))."""
         a, b = u.source, u.target
         da, db = dual(a), dual(b)
-        m1 = self.flat_apply([db], [(1, 0, self.coev(a))])
-        m2 = self.flat_apply([db, a, da], [(1, 1, u)])
-        m3 = self.flat_apply([db, b, da], [(0, 2, self.ev(b))])
-        return self.rebracket(m3 @ m2 @ m1, db, da)
+        m = self.flat_apply([db], [(1, 0, self.coev(a))])
+        m = self.apply([db, a, da], [(1, 1, u)], m)
+        return self.rebracket(self.apply([db, b, da], [(0, 2, self.ev(b))], m), db, da)
 
     # -- associator and coherence ------------------------------------------------
 
@@ -1201,12 +1225,7 @@ class BackendSpec:
         if not self.nontrivial_associator:
             return Morphism.identity(src, self.mode).retyped(target=tgt)
 
-        def build():
-            down = self._comb(src)
-            up = self._comb(tgt)
-            return up.inverse() @ down
-
-        return self._cached(("coh", src, tgt), build)
+        return self._cached(("coh", src, tgt), lambda: self._comb(tgt, -1) @ self._comb(src, 1))
 
     def rebracket(self, m: Morphism, source=None, target=None) -> Morphism:
         """`m` between other bracketings of its flat source and target words.
@@ -1227,42 +1246,68 @@ class BackendSpec:
             m = self.coherence(m.target, target) @ m
         return m
 
-    def _comb(self, tree: ObjectExpr) -> Morphism:
-        """Canonical morphism tree -> left_nested(tree)."""
+    def _comb(self, tree: ObjectExpr, sign: int) -> Morphism:
+        """Canonical morphism tree -> left_nested(tree) (sign 1) or back (sign -1).
+
+        The way back runs the same steps in reverse order with `associator`
+        where the way there uses `associator_inv`, so nothing is inverted.
+        """
+        ends = (tree, left_nested(tree))[::sign]
         if not isinstance(tree, TensorObj):
-            return Morphism.identity(tree, self.mode).retyped(target=left_nested(tree))
+            return Morphism.identity(tree, self.mode).retyped(*ends)
         a, b = tree.left, tree.right
         if isinstance(b, TensorObj):
-            step = self.associator_inv(a, b.left, b.right)
-            rest = self._comb(TensorObj(TensorObj(a, b.left), b.right))
-            return rest @ step.retyped(source=tree)
+            step = self._associator(a, b.left, b.right, -sign)
+            rest = self._comb(TensorObj(TensorObj(a, b.left), b.right), sign)
+            return rest @ step if sign > 0 else step @ rest
         if isinstance(b, UnitObj):
-            return self._comb(a).retyped(source=tree)
-        comb_a = self._comb(a)
-        m = comb_a.tensor(Morphism.identity(b, self.mode))
-        return m.retyped(source=tree, target=left_nested(tree))
+            return self._comb(a, sign).retyped(*ends)
+        return self._comb(a, sign).tensor(Morphism.identity(b, self.mode)).retyped(*ends)
 
-    def flat_apply(self, context, placed) -> Morphism:
-        """Morphisms applied inside a word, between left-nested words.
+    def apply(self, context, placed, core: Morphism) -> Morphism:
+        """flat_apply(context, placed) @ core, without building the word matrix.
 
-        `context` is a list of strand/word objects; `placed` is a list of
-        (position, span, morphism): the morphism replaces `span` consecutive
-        context entries starting at `position` (span 0 inserts before it).
-        `rebracket` moves the result to the left-nested bracketings, so it is
-        exact in the Drinfeld backend as well.
+        `core` must end on the left-nested word of `context`.  Each placed
+        morphism acts on the core's rows by index arithmetic (`_frac_apply`),
+        one placement at a time.  `rebracket` moves the core onto the raw
+        placement word before and the result to the left-nested target word
+        after, so this is exact in the Drinfeld backend as well.
         """
         factors = []
         pos = 0
         for at, span, m in sorted(placed, key=lambda p: p[0]):
             factors += context[pos:at]
-            if tensor_word(context[at : at + span]).leaves() != m.source.leaves():
-                raise ModeError(f"flat_apply: source {m.source} does not match context at {at}")
+            if m.mode != self.mode or tensor_word(context[at : at + span]).leaves() != m.source.leaves():
+                raise ModeError(f"apply: {m!r} does not match the context at {at}")
             factors.append(m)
             pos = at + span
         factors += context[pos:]
-        parts = [f if isinstance(f, Morphism) else Morphism.identity(f, self.mode) for f in factors]
-        raw = reduce(Morphism.tensor, parts or [Morphism.identity(UNIT, self.mode)])
-        return self.rebracket(raw, left_nested(raw.source), left_nested(raw.target))
+        source = reduce(word_tensor, [f.source if isinstance(f, Morphism) else f for f in factors], UNIT)
+        target = reduce(word_tensor, [f.target if isinstance(f, Morphism) else f for f in factors], UNIT)
+        if core.mode != self.mode or core.target != left_nested(source):
+            raise ModeError(f"apply: core {core!r} does not end on the context word {left_nested(source)}")
+        layers = self.rebracket(core, target=source).layers
+        right = source.dim
+        for f in factors:
+            if not isinstance(f, Morphism):
+                right //= f.dim
+                continue
+            src, tgt = f.source.dim, f.target.dim
+            right //= src
+            layers = _convolve(f.layers, layers, lambda a, b: _frac_apply(a, b, right, src, tgt))
+        return self.rebracket(Morphism._of(core.source, target, self.mode, layers), target=left_nested(target))
+
+    def flat_apply(self, context, placed) -> Morphism:
+        """Morphisms applied inside a word, as one matrix between left-nested words.
+
+        `context` is a list of strand/word objects; `placed` is a list of
+        (position, span, morphism): the morphism replaces `span` consecutive
+        context entries starting at `position` (span 0 inserts before it).
+        It is `apply` on the identity of the context word; callers that go
+        on to compose with a core call `apply` and never build this matrix.
+        """
+        word = tensor_word([leaf for obj in context for leaf in obj.leaves()])
+        return self.apply(context, placed, Morphism.identity(word, self.mode))
 
     # -- Clebsch-Gordan -------------------------------------------------------
 

@@ -143,10 +143,8 @@ class SkeinElement:
         for target, project, embed_t in comps:
             new_labels = list(labels)
             new_labels[hi] = target
-            m = backend.flat_apply(
-                context, [(pos_plus, 1, project), (pos_minus, 1, embed_t)]
-            )
-            results.append((tuple(new_labels), m @ core))
+            placed = [(pos_plus, 1, project), (pos_minus, 1, embed_t)]
+            results.append((tuple(new_labels), backend.apply(context, placed, core)))
         return results
 
     def equal(self, other: "SkeinElement") -> bool:
@@ -465,29 +463,31 @@ def product_plan(pattern: SurfacePattern):
     return plan_a, plan_b
 
 
-def _replay_steps(backend, blocks, plan, swap_for_site, site_offset):
-    """Yield (site_id, step, (context, position, objL, objR)) per swap."""
+def _replay_steps(blocks, plan, swap_for_site, site_offset):
+    """Yield (site_id, context, placed, (objL, objR)) per swap."""
     work = list(blocks)
     for n, (i, tl, tr) in enumerate(plan):
         if work[i][0] != tl or work[i + 1][0] != tr:
             raise AlgebraError("product plan out of sync")
         objL, objR = work[i][1], work[i + 1][1]
         m = swap_for_site(site_offset + n, objL, objR)
-        context = [o for _, o in work]
-        step = backend.flat_apply(context, [(i, 2, m)])
-        yield site_offset + n, step, (context, i, objL, objR)
+        yield site_offset + n, [o for _, o in work], [(i, 2, m)], (objL, objR)
         work[i], work[i + 1] = work[i + 1], work[i]
 
 
 def product_term_chains(s1: SkeinElement, s2: SkeinElement, swap_for_site):
-    """Per term pair: the composite labels and the step chain of the product.
+    """Per term pair: the composite labels, the start core and the step chain.
 
-    The chain lists (site_id, morphism) in application order; site_id is
-    None for the tensor-of-cores step.  Composing the chain right-to-left
-    gives the term core of the product.
+    The chain lists (site_id, context, placed, info) in application order;
+    site_id and info are None for the tensor-of-cores step.  Applying the
+    steps in turn to the start core, the identity of the interleaved
+    argument word, with `BackendSpec.apply` gives the term core of the
+    product.
     """
     backend = s1.backend
     pattern = s1.pattern
+    arguments = [a for pair in zip(s1.argument, s2.argument) for a in pair]
+    start = Morphism.identity(_source_word(arguments), backend.mode)
     plan_a, plan_b = product_plan(pattern)
     slots = pattern.all_slots()
     for labels1, f in s1.terms:
@@ -497,17 +497,16 @@ def product_term_chains(s1: SkeinElement, s2: SkeinElement, swap_for_site):
             for v in range(pattern.n_vertices):
                 arg_blocks.append((("x", v), s1.argument[v]))
                 arg_blocks.append((("y", v), s2.argument[v]))
-            chain.extend(_replay_steps(backend, arg_blocks, plan_a, swap_for_site, 0))
-            fg = backend.flat_apply([f.source, g.source], [(0, 1, f), (1, 1, g)])
-            chain.append((None, fg, None))
+            chain.extend(_replay_steps(arg_blocks, plan_a, swap_for_site, 0))
+            chain.append((None, [f.source, g.source], [(0, 1, f), (1, 1, g)], None))
             objs1 = slot_objects(pattern, labels1)
             objs2 = slot_objects(pattern, labels2)
             slot_blocks = [(("f", i), objs1[i]) for i in range(len(slots))] + [
                 (("g", i), objs2[i]) for i in range(len(slots))
             ]
-            chain.extend(_replay_steps(backend, slot_blocks, plan_b, swap_for_site, len(plan_a)))
+            chain.extend(_replay_steps(slot_blocks, plan_b, swap_for_site, len(plan_a)))
             new_labels = tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2))
-            yield new_labels, chain
+            yield new_labels, start, chain
 
 
 def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElement:
@@ -534,10 +533,9 @@ def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElemen
         word_tensor(a, b) for a, b in zip(s1.argument, s2.argument)
     )
     out_terms = []
-    for new_labels, chain in product_term_chains(s1, s2, swap_for_site):
-        core = None
-        for _, step, _info in chain:
-            core = step if core is None else step @ core
+    for new_labels, core, chain in product_term_chains(s1, s2, swap_for_site):
+        for _, context, placed, _info in chain:
+            core = backend.apply(context, placed, core)
         out_terms.append((new_labels, core))
     out = SkeinElement(backend, pattern, new_argument, out_terms)
     return out.canonical()

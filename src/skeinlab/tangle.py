@@ -245,7 +245,7 @@ def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
             else:
                 span, m = _cell_morphism(cell, strands, backend)
                 placed.append((cell.at, span, m))
-        total = backend.flat_apply(context, placed) @ total
+        total = backend.apply(context, placed, total)
     return total
 
 

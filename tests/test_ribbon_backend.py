@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import prod
 
@@ -17,6 +18,7 @@ from skeinlab.ribbon_backend import (
     SimpleObj,
     TensorObj,
     UNIT,
+    UnitObj,
     classical_action,
     dual,
     flip_matrix,
@@ -911,3 +913,153 @@ def test_inverse_twist_equals_inverse_of_twist(name, order):
     for x in [V, ADJ, VS, TensorObj(V, ADJ)]:
         assert bk.twist_inv(x) == bk.twist(x).inverse(), (name, order, str(x))
         assert bk.twist(x) @ bk.twist_inv(x) == Morphism.identity(x, bk.mode)
+
+
+# ---------------------------------------------------------------------------
+# Coherence against the inverted comb
+# ---------------------------------------------------------------------------
+
+
+def _reference_comb(bk, tree):
+    """Canonical morphism tree -> left_nested(tree), one associator_inv at a time."""
+    if not isinstance(tree, TensorObj):
+        return Morphism.identity(tree, bk.mode).retyped(target=left_nested(tree))
+    a, b = tree.left, tree.right
+    if isinstance(b, TensorObj):
+        step = bk.associator_inv(a, b.left, b.right)
+        rest = _reference_comb(bk, TensorObj(TensorObj(a, b.left), b.right))
+        return rest @ step.retyped(source=tree)
+    if isinstance(b, UnitObj):
+        return _reference_comb(bk, a).retyped(source=tree)
+    comb_a = _reference_comb(bk, a)
+    m = comb_a.tensor(Morphism.identity(b, bk.mode))
+    return m.retyped(source=tree, target=left_nested(tree))
+
+
+def _random_tree(rng, letters):
+    if len(letters) == 1:
+        return letters[0]
+    k = rng.randint(1, len(letters) - 1)
+    return TensorObj(_random_tree(rng, letters[:k]), _random_tree(rng, letters[k:]))
+
+
+def test_coherence_matches_inverted_comb():
+    bk = BackendSpec("drinfeld", hbar_mode(3))  # fresh caches
+    rng = random.Random(17)
+    moved = 0
+    for _ in range(30):
+        letters = [rng.choice((V, VS, ADJ)) for _ in range(rng.randint(3, 5))]
+        s, t = _random_tree(rng, letters), _random_tree(rng, letters)
+        expected = _reference_comb(bk, t).inverse() @ _reference_comb(bk, s)
+        assert bk.coherence(s, t) == expected, (s, t)
+        moved += s != t
+    assert moved >= 20
+
+
+# ---------------------------------------------------------------------------
+# apply against the Kronecker-product flat_apply
+# ---------------------------------------------------------------------------
+
+APPLY_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 2), ("drinfeld", 3)]
+APPLY_POOL = (UNIT, V, VS, ADJ, TensorObj(V, ADJ))
+APPLY_TARGETS = (UNIT, V, VS, ADJ, TensorObj(VS, V), TensorObj(V, TensorObj(ADJ, VS)))
+
+
+def _kron_flat_apply(bk, context, placed):
+    """flat_apply as a Kronecker product of the placed morphisms and identities."""
+    factors = []
+    pos = 0
+    for at, span, m in sorted(placed, key=lambda p: p[0]):
+        factors += context[pos:at]
+        if tensor_word(context[at : at + span]).leaves() != m.source.leaves():
+            raise ModeError(f"flat_apply: source {m.source} does not match context at {at}")
+        factors.append(m)
+        pos = at + span
+    factors += context[pos:]
+    parts = [f if isinstance(f, Morphism) else Morphism.identity(f, bk.mode) for f in factors]
+    raw = reduce(Morphism.tensor, parts or [Morphism.identity(UNIT, bk.mode)])
+    return bk.rebracket(raw, left_nested(raw.source), left_nested(raw.target))
+
+
+def _random_morphism(rng, source, target, mode, density=0.5):
+    layers = [
+        {(i, j): Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+         for i in range(target.dim) for j in range(source.dim) if rng.random() < density}
+        for _ in range(mode.order)
+    ]
+    return Morphism(source, target, mode, layers)
+
+
+def _random_placement(rng, bk, context, lo, hi):
+    """One morphism placed in context[lo:hi]: a random span, coev, or a random source tree."""
+    span = min(rng.choice((0, 1, 2, 2)), hi - lo)
+    at = rng.randint(lo, hi - span)
+    if span == 0 and rng.random() < 0.5:
+        return at, 0, bk.coev(rng.choice((V, ADJ)))
+    pieces = context[at : at + span]
+    source = _random_tree(rng, pieces) if pieces else UNIT
+    return at, span, _random_morphism(rng, source, rng.choice(APPLY_TARGETS), bk.mode)
+
+
+def _apply_cases(bk, seed):
+    rng = random.Random(seed)
+    cases = [
+        ([], [(0, 0, bk.coev(V))]),
+        ([V, ADJ], [(1, 0, bk.coev(V))]),
+        ([VS, V, ADJ], [(0, 2, bk.ev(V)), (2, 1, bk.twist(ADJ))]),
+        ([V, V, ADJ], [(0, 2, bk.braiding(V, V)), (2, 0, bk.coev(V))]),
+    ]
+    while len(cases) < 24:
+        context = [rng.choice(APPLY_POOL) for _ in range(rng.randint(1, 4))]
+        if prod(x.dim for x in context) > 36:
+            continue
+        n = len(context)
+        if n >= 2 and rng.random() < 0.6:
+            cut = rng.randint(1, n - 1)
+            placed = [_random_placement(rng, bk, context, 0, cut), _random_placement(rng, bk, context, cut, n)]
+            if placed[0][0] + placed[0][1] > placed[1][0] or placed[0][0] == placed[1][0]:
+                continue
+        else:
+            placed = [_random_placement(rng, bk, context, 0, n)]
+        cases.append((context, placed))
+    return rng, cases
+
+
+@pytest.mark.parametrize("name,order", APPLY_BACKENDS)
+def test_apply_matches_kronecker_flat_apply(name, order):
+    bk = make_backend(name, order)
+    rng, cases = _apply_cases(bk, order * 101 + len(name))
+    for context, placed in cases:
+        ref = _kron_flat_apply(bk, context, placed)
+        assert bk.flat_apply(context, placed) == ref, (context, placed)
+        for source in (UNIT, V, ADJ, TensorObj(V, V)):
+            core = _random_morphism(rng, source, ref.source, bk.mode)
+            assert bk.apply(context, placed, core) == ref @ core, (context, placed, source)
+
+
+@pytest.mark.parametrize("name,order", APPLY_BACKENDS)
+def test_apply_drops_cancelled_entries(name, order):
+    bk = make_backend(name, order)
+    word = TensorObj(VS, V)
+    core = Morphism(UNIT, word, bk.mode, [{(0, 0): 1, (3, 0): -1}])  # ev(V) sums rows 0 and 3
+    out = bk.apply([VS, V], [(0, 2, bk.ev(V))], core)
+    assert out == _kron_flat_apply(bk, [VS, V], [(0, 2, bk.ev(V))]) @ core
+    assert out.layers == tuple({} for _ in range(order))
+
+
+def test_apply_rejects_wrong_modes_and_core_targets():
+    for name, order in APPLY_BACKENDS:
+        bk = make_backend(name, order)
+        other = make_backend("epsilon" if name == "classical" else "classical")
+        word = TensorObj(TensorObj(V, V), V)
+        braid = bk.braiding(V, V)
+        with pytest.raises(ModeError):  # core over another ring
+            bk.apply([V, V, V], [(0, 2, braid)], Morphism.identity(word, other.mode))
+        with pytest.raises(ModeError):  # placed morphism over another ring
+            bk.apply([V, V, V], [(0, 2, other.braiding(V, V))], Morphism.identity(word, bk.mode))
+        with pytest.raises(ModeError):  # core ends on another bracketing
+            bk.apply([V, V, V], [(0, 2, braid)], Morphism.identity(TensorObj(V, TensorObj(V, V)), bk.mode))
+        with pytest.raises(ModeError):  # core ends on another word
+            bk.apply([V, V, V], [(0, 2, braid)], Morphism.identity(TensorObj(V, V), bk.mode))
+        with pytest.raises(ModeError):  # placed source does not match the context
+            bk.apply([V, ADJ], [(0, 2, braid)], Morphism.identity(TensorObj(V, ADJ), bk.mode))

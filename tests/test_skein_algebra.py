@@ -5,7 +5,7 @@ import pytest
 
 from skeinlab.errors import AlgebraError, ModeError
 from skeinlab.polynomials import SL2Poly
-from skeinlab.ribbon_backend import Morphism, UNIT, make_backend, simple
+from skeinlab.ribbon_backend import BackendSpec, Morphism, UNIT, make_backend, simple
 from skeinlab.skein_algebra import (
     SkeinElement,
     action,
@@ -238,3 +238,29 @@ def test_zero_propagation():
     z = s - s
     assert z.is_zero
     assert mu(z, s).is_zero and mu(s, z).is_zero
+
+
+def test_product_builds_no_matrix_on_the_boundary_word(monkeypatch):
+    """mu, then canonical, of a torus adj x adj pair applies every step to the core.
+
+    A first product fills the backend's caches (braidings, Clebsch-Gordan
+    maps and their transposes), so only the product's own steps are
+    watched: none may build a matrix on a boundary word, whose dimension is
+    3^4 = 81 for one element and 3^8 for the product.
+    """
+    rng = random.Random(4)
+    a = random_element(CL, TOR, rng, label_pool=(2,))
+    b = random_element(CL, TOR, rng, label_pool=(2,))
+    mu(a, b)
+    dims = []
+    flat_apply = BackendSpec.flat_apply
+
+    def watched(self, context, placed):
+        m = flat_apply(self, context, placed)
+        dims.append(max(m.source.dim, m.target.dim))
+        return m
+
+    monkeypatch.setattr(BackendSpec, "flat_apply", watched)
+    product = mu(a, b).canonical()
+    assert product.terms
+    assert max(dims, default=0) < 81, (len(dims), max(dims))

@@ -21,6 +21,7 @@ from .ribbon_backend import (
     TSYM_TENSOR,
     T_TENSOR,
     flip_matrix,
+    insert_legs,
     leg_insertion,
     make_backend,
     tensor_word,
@@ -33,6 +34,7 @@ from .skein_algebra import (
     mu,
     mu_op_minus,
     product_plan,
+    same_pattern,
     slot_objects,
 )
 from .surface import SurfacePattern, fuse
@@ -288,9 +290,10 @@ def _end_pairs_tensor(pattern: SurfacePattern, include_diagonal: bool):
 def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> SkeinElement:
     """Classical product with boundary-end insertions summed per term pair.
 
-    For each pair of terms the insertions act on the factors of the
-    intermediate word W_f (x) W_g (first legs on W_f slots, second on W_g),
-    inserted right after the tensor-of-cores step of the product chain.
+    For each pair of terms the insertions act on the core right after the
+    tensor-of-cores step of the product chain, whose rows index the word
+    W_f (x) W_g: first legs on W_f slots, second legs on W_g slots, applied
+    to the core by `insert_legs` (no matrix on the word is built).
     """
     from .skein_algebra import product_term_chains
 
@@ -302,24 +305,16 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
 
     new_argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
     nslots = len(pattern.all_slots())
-    slot_cache = {}
+    pairs = [(i, nslots + j, tensor) for i, j, tensor in triples]
     out_terms = []
     for new_labels, core, chain in product_term_chains(s1, s2, plain):
         objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
         objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
-        factors = tuple(objs1 + objs2)
-        if factors not in slot_cache:
-            entries = {}
-            for i, j, tensor in triples:
-                for k, val in leg_insertion(factors, [i], [nslots + j], tensor).items():
-                    entries[k] = entries.get(k, 0) + val
-            word = tensor_word(list(factors))
-            slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
-        mid = slot_cache[factors]
         for sid, context, placed, _info in chain:
             core = backend.apply(context, placed, core)
             if sid is None:
-                core = mid @ core
+                layers = [insert_legs(objs1 + objs2, pairs, layer) for layer in core.layers]
+                core = Morphism._of(core.source, core.target, backend.mode, layers)
         out_terms.append((new_labels, core))
     out = SkeinElement(backend, pattern, new_argument, out_terms)
     return out.canonical()
@@ -337,6 +332,8 @@ def fock_rosly_sigma(
     """
     if s1.backend.name != "classical":
         raise ModeError("the vertex sum runs over the classical backend")
+    if not (same_pattern(pattern, s1.pattern) and same_pattern(pattern, s2.pattern)):
+        raise AlgebraError("the elements do not live on the given pattern")
     triples = _end_pairs_tensor(pattern, include_diagonal)
     total = _slot_insertion_product(s1, s2, triples)
     return SigmaResult(total, "fock_rosly")

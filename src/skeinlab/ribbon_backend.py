@@ -16,7 +16,8 @@ flip o exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip,
 and the twist exp(param*C/2), with (Omega, rate) = (r, 1) on epsilon and
 (t, 1/2) otherwise.  The truncation does the rest: the order-1 exponential
 is the identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.
-Every two-leg tensor (r, t, r_a) acts through `leg_insertion`.
+Every two-leg tensor (r, t, r_a) acts through `insert_legs`, on a given
+matrix; `leg_insertion` is `insert_legs` on the identity of a word.
 
 Only Drinfeld at order 3 is non-strict.  `BackendSpec.rebracket` is the one
 place a morphism changes bracketing: there it composes the coherence
@@ -772,22 +773,36 @@ def leg_insertion(factors, first, second, tensor):
 
     `tensor` lists (c_k, a_k, b_k); A_k is a_k acting on each factor listed
     in `first` in turn (id (x) a_k (x) id, summed over the list), and B_k is
-    b_k acting on the factors listed in `second` likewise.
+    b_k acting on the factors listed in `second` likewise.  It is
+    `insert_legs` on the identity of the word.
+    """
+    pairs = [(i, j, tensor) for i in first for j in second]
+    return insert_legs(factors, pairs, _frac_ident(prod(w.dim for w in factors)))
+
+
+def insert_legs(factors, pairs, m):
+    """sum over (i, j, tensor) in `pairs` of sum_k c_k a_k^(i) b_k^(j) m.
+
+    `m` is a sparse matrix whose rows index the flat word of `factors`;
+    a^(i) is a acting on factors[i] (id (x) a (x) id, by `_frac_apply`).
+    Grouped so that each (position, generator) acts once: every second
+    leg on m, then every first leg on the coefficient-weighted sum of the
+    second-leg results it is paired with.
     """
     dims = [w.dim for w in factors]
-    ident = _frac_ident(prod(dims))
-    total = {}
-    for coeff, a, b in tensor:
-        legs = _leg_spread(factors, dims, first, a, _leg_spread(factors, dims, second, b, ident))
-        _frac_iadd(total, _frac_scale(legs, coeff))
-    return total
 
+    def act(p, gen, x):
+        return _frac_apply(classical_action(gen, factors[p]), x, prod(dims[p + 1 :]), dims[p], dims[p])
 
-def _leg_spread(factors, dims, positions, gen, m):
-    """Sum over the positions p of (id (x) (gen on factors[p]) (x) id) m."""
+    seconds, firsts = {}, {}
+    for i, j, tensor in pairs:
+        for coeff, a, b in tensor:
+            if (j, b) not in seconds:
+                seconds[(j, b)] = act(j, b, m)
+            _frac_iadd(firsts.setdefault((i, a), {}), _frac_scale(seconds[(j, b)], coeff))
     out = {}
-    for p in positions:
-        _frac_iadd(out, _frac_apply(classical_action(gen, factors[p]), m, prod(dims[p + 1 :]), dims[p], dims[p]))
+    for (i, a), x in firsts.items():
+        _frac_iadd(out, act(i, a, x))
     return out
 
 
@@ -1269,33 +1284,41 @@ class BackendSpec:
 
         `core` must end on the left-nested word of `context`.  Each placed
         morphism acts on the core's rows by index arithmetic (`_frac_apply`),
-        one placement at a time.  `rebracket` moves the core onto the raw
-        placement word before and the result to the left-nested target word
-        after, so this is exact in the Drinfeld backend as well.
+        one placement at a time.  With a nontrivial associator `rebracket`
+        moves the core onto the raw placement word before and the result to
+        the left-nested target word after, so this is exact in the Drinfeld
+        backend as well; on strict backends both moves would only relabel
+        and are skipped.
         """
-        factors = []
-        pos = 0
+
+        def flat(objs):
+            return [leaf for obj in objs for leaf in obj.leaves()]
+
+        factors, pos = [], 0
         for at, span, m in sorted(placed, key=lambda p: p[0]):
-            factors += context[pos:at]
-            if m.mode != self.mode or tensor_word(context[at : at + span]).leaves() != m.source.leaves():
+            if m.mode != self.mode or flat(context[at : at + span]) != m.source.leaves():
                 raise ModeError(f"apply: {m!r} does not match the context at {at}")
-            factors.append(m)
+            factors += context[pos:at] + [m]
             pos = at + span
         factors += context[pos:]
-        source = reduce(word_tensor, [f.source if isinstance(f, Morphism) else f for f in factors], UNIT)
-        target = reduce(word_tensor, [f.target if isinstance(f, Morphism) else f for f in factors], UNIT)
-        if core.mode != self.mode or core.target != left_nested(source):
-            raise ModeError(f"apply: core {core!r} does not end on the context word {left_nested(source)}")
-        layers = self.rebracket(core, target=source).layers
-        right = source.dim
-        for f in factors:
-            if not isinstance(f, Morphism):
-                right //= f.dim
-                continue
-            src, tgt = f.source.dim, f.target.dim
-            right //= src
-            layers = _convolve(f.layers, layers, lambda a, b: _frac_apply(a, b, right, src, tgt))
-        return self.rebracket(Morphism._of(core.source, target, self.mode, layers), target=left_nested(target))
+        sources = [f.source if isinstance(f, Morphism) else f for f in factors]
+        targets = [f.target if isinstance(f, Morphism) else f for f in factors]
+        source, target = tensor_word(flat(sources)), tensor_word(flat(targets))
+        if core.mode != self.mode or core.target != source:
+            raise ModeError(f"apply: core {core!r} does not end on the context word {source}")
+        layers = core.layers
+        if self.nontrivial_associator:
+            layers = self.rebracket(core, target=reduce(word_tensor, sources, UNIT)).layers
+        dims = [s.dim for s in sources]
+        right = prod(dims)
+        for f, d in zip(factors, dims):
+            right //= d
+            if isinstance(f, Morphism):
+                layers = _convolve(f.layers, layers, lambda a, b: _frac_apply(a, b, right, d, f.target.dim))
+        if not self.nontrivial_associator:
+            return Morphism._of(core.source, target, self.mode, layers)
+        placement = Morphism._of(core.source, reduce(word_tensor, targets, UNIT), self.mode, layers)
+        return self.rebracket(placement, target=target)
 
     def flat_apply(self, context, placed) -> Morphism:
         """Morphisms applied inside a word, as one matrix between left-nested words.

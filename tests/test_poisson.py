@@ -1,30 +1,41 @@
+import json
 import random
 from fractions import Fraction as F
+from functools import lru_cache, reduce
+from pathlib import Path
 
 import pytest
 
-from skeinlab.errors import ModeError
+from skeinlab import ribbon_backend
+from skeinlab.errors import AlgebraError, ModeError
 from skeinlab.polynomials import SL2Poly
 from skeinlab.ribbon_backend import (
     DualObj,
     Morphism,
     TensorObj,
     UNIT,
+    classical_action,
     flip_matrix,
     make_backend,
     simple,
+    tensor_word,
+    word_tensor,
 )
 from skeinlab.scalars import classical_mode
 from skeinlab.skein_algebra import (
+    SkeinElement,
     holonomy_evaluate,
     lift_element,
     loop_element,
     mu,
+    product_term_chains,
     random_element,
+    slot_objects,
     unit_element,
 )
 from skeinlab.poisson import (
     SigmaResult,
+    _end_pairs_tensor,
     check_fusion,
     fock_rosly_consistency,
     fock_rosly_sigma,
@@ -249,6 +260,134 @@ def test_fock_rosly_consistency_random():
             s1 = random_element(CL, pat, rng, label_pool=pool)
             s2 = random_element(CL, pat, rng, label_pool=pool)
             assert fock_rosly_consistency(s1, s2)
+
+
+@lru_cache(maxsize=64)
+def _kron_chain(factors, p, gen):
+    """id (x) (gen on factors[p]) (x) id as a Kronecker chain of morphisms."""
+    mode = classical_mode()
+    chain = [
+        Morphism(w, w, mode, [classical_action(gen, w)]) if v == p else Morphism.identity(w, mode)
+        for v, w in enumerate(factors)
+    ]
+    return reduce(Morphism.tensor, chain)
+
+
+def _kron_leg_insertion(factors, first, second, tensor):
+    """leg_insertion from Kronecker chains id (x) g (x) id built with Morphism.tensor.
+
+    Shares no code with `insert_legs`, so the reference below does not
+    inherit a fault of the primitive under test.
+    """
+    def spread(positions, gen):
+        return reduce(Morphism.__add__, [_kron_chain(tuple(factors), p, gen) for p in positions])
+
+    terms = [(spread(first, a) @ spread(second, b)).scale(c) for c, a, b in tensor]
+    return reduce(Morphism.__add__, terms).layers[0]
+
+
+def _reference_slot_insertion_product(s1, s2, triples):
+    """The vertex sum as one D x D insertion matrix `mid` per label tuple, composed with the core.
+
+    The construction `_slot_insertion_product` used before it applied the
+    insertions to the core, with `_kron_leg_insertion` for `leg_insertion`.
+    """
+    backend = s1.backend
+    pattern = s1.pattern
+
+    def plain(n, objL, objR):
+        return backend.braiding(objL, objR)
+
+    new_argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
+    nslots = len(pattern.all_slots())
+    slot_cache = {}
+    out_terms = []
+    for new_labels, core, chain in product_term_chains(s1, s2, plain):
+        objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
+        objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
+        factors = tuple(objs1 + objs2)
+        if factors not in slot_cache:
+            entries = {}
+            for i, j, tensor in triples:
+                for k, val in _kron_leg_insertion(factors, [i], [nslots + j], tensor).items():
+                    entries[k] = entries.get(k, 0) + val
+            word = tensor_word(list(factors))
+            slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
+        mid = slot_cache[factors]
+        for sid, context, placed, _info in chain:
+            core = backend.apply(context, placed, core)
+            if sid is None:
+                core = mid @ core
+        out_terms.append((new_labels, core))
+    out = SkeinElement(backend, pattern, new_argument, out_terms)
+    return out.canonical()
+
+
+def test_fock_rosly_sigma_matches_the_insertion_matrix_reference():
+    rng = random.Random(50)
+    labels, nonzero = set(), set()
+    # the first element of a pair is drawn from `pool`: without adj on the
+    # torus, because on an adj x adj product word (3^8) the Kronecker
+    # reference takes seconds, and without unit on the annulus, so that
+    # sums are nonzero
+    for name, pattern, argument, pool in (
+        ("disk", DISK, (V, V), (0, 1, 2)),
+        ("annulus", ANN, None, (1, 2)),
+        ("torus", TOR, None, (0, 1)),
+    ):
+        for _ in range(3):
+            s1 = random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            s2 = random_element(CL, pattern, rng, label_pool=(0, 1, 2), argument=argument)
+            labels.update((name, lab.spin) for s in (s1, s2) for lab in s.terms[0][0])
+            for diagonal in (True, False):
+                expected = _reference_slot_insertion_product(s1, s2, _end_pairs_tensor(pattern, diagonal))
+                got = fock_rosly_sigma(pattern, s1, s2, include_diagonal=diagonal).element
+                assert got.terms == expected.terms, (pattern, diagonal)
+                if expected.terms:
+                    nonzero.add((name, diagonal))
+    assert {(n, k) for n in ("annulus", "torus") for k in (0, 1, 2)} <= labels, labels
+    # with unit arguments the full annulus sum equals sigma_algebraic, which
+    # vanishes there; its part without the diagonal does not
+    assert nonzero >= {("disk", True), ("disk", False), ("annulus", False), ("torus", True), ("torus", False)}, nonzero
+
+
+def test_fock_rosly_sigma_builds_no_matrix_on_the_product_word(monkeypatch):
+    """A torus adj x adj vertex sum applies its insertions to the core.
+
+    A first run fills the backend's caches; the second may build no
+    identity of dimension 81 (one element's boundary word) or more, where
+    an insertion matrix on W_f (x) W_g would need 3^8.
+    """
+    rng = random.Random(5)
+    a = random_element(CL, TOR, rng, label_pool=(2,))
+    b = random_element(CL, TOR, rng, label_pool=(2,))
+    fock_rosly_sigma(TOR, a, b)
+    sizes = []
+    frac_ident = ribbon_backend._frac_ident
+
+    def watched(d):
+        sizes.append(d)
+        return frac_ident(d)
+
+    monkeypatch.setattr(ribbon_backend, "_frac_ident", watched)
+    assert not fock_rosly_sigma(TOR, a, b).is_zero
+    assert max(sizes, default=0) < 81, (len(sizes), max(sizes))
+
+
+def _golden_input(name):
+    path = Path(__file__).parent / "golden" / "inputs" / f"{name}.json"
+    return SkeinElement.from_json(json.loads(path.read_text()))
+
+
+def test_fock_rosly_sigma_rejects_a_pattern_other_than_the_elements():
+    torus = _golden_input("torus_a"), _golden_input("torus_b")
+    ann = _golden_input("annulus_a"), _golden_input("annulus_b")
+    for pattern, (s1, s2) in ((ANN, torus), (DISK, ann), (TOR, ann)):
+        with pytest.raises(AlgebraError, match="pattern"):
+            fock_rosly_sigma(pattern, s1, s2)
+    with pytest.raises(AlgebraError, match="pattern"):
+        fock_rosly_sigma(TOR, torus[0], ann[1])
+    assert not fock_rosly_sigma(TOR, *torus).is_zero
 
 
 def test_jacobi_on_trace_triple():

@@ -23,6 +23,7 @@ from skeinlab.ribbon_backend import (
     dual,
     flip_matrix,
     eliminate,
+    insert_legs,
     leg_insertion,
     left_nested,
     make_backend,
@@ -122,6 +123,25 @@ def test_twist_values():
 
     assert thq.entry(0, 0) == exp_param_series(q.mode, Fraction(3, 4))
     assert thq.entry(1, 1) == thq.entry(0, 0) and len(thq.entries) == 2
+
+
+@pytest.mark.parametrize(
+    "name, order", [("classical", 1), ("quantum", 2), ("quantum", 3), ("drinfeld", 2), ("drinfeld", 3)]
+)
+def test_braiding_on_v_v_satisfies_the_hecke_relation(name, order):
+    """(c - e^{h/4})(c + e^{-3h/4}) = 0 on V (x) V, truncated to the ring's order.
+
+    c acts by e^{h/4} on Sym^2 V = V_2 and by -e^{-3h/4} on Lambda^2 V = V_0;
+    the series are written out from that closed form, not computed.
+    """
+    bk = make_backend(name, order)
+    assert bk.mode.order == order
+    c = bk.braiding(V, V)
+    one = Morphism.identity(c.source, bk.mode)
+    sym = ScalarSeries.from_coeffs(bk.mode, [1, Fraction(1, 4), Fraction(1, 32)][:order])
+    alt = ScalarSeries.from_coeffs(bk.mode, [-1, Fraction(3, 4), Fraction(-9, 32)][:order])
+    assert not (c - one.scale(sym)).is_zero and not (c - one.scale(alt)).is_zero
+    assert ((c - one.scale(sym)) @ (c - one.scale(alt))).is_zero
 
 
 def test_braiding_inverse_all_backends():
@@ -599,6 +619,54 @@ def test_leg_insertion_matches_kron_chain_random():
                   for _ in range(rng.randint(1, 3))]
         expected = _kron_chain_insertion(factors, first, second, tensor)
         assert leg_insertion(factors, first, second, tensor) == expected, (factors, first, second, tensor)
+
+
+def _random_columns(rng, rows, ncols):
+    return {
+        (rng.randrange(rows), c): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        for c in range(ncols)
+        for _ in range(rng.randint(1, 4))
+    }
+
+
+def _dropping_zeros(m):
+    return {k: v for k, v in m.items() if v}
+
+
+def test_insert_legs_on_a_matrix_matches_leg_insertion_composed():
+    rng = random.Random(32)
+    pool = [UNIT, V, VS, ADJ]
+    tensors = [R_TENSOR, T_TENSOR, TSYM_TENSOR, RA_TENSOR]
+    seen = set()
+    for n in range(80):
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        k = len(factors)
+        first = rng.sample(range(k), rng.randint(1, k))
+        second = first if n // 4 % 2 else rng.sample(range(k), rng.randint(1, k))
+        tensor = tensors[n % 4]
+        m = _random_columns(rng, prod(w.dim for w in factors), rng.randint(1, 3))
+        pairs = [(i, j, tensor) for i in first for j in second]
+        expected = _dropping_zeros(_matmul(leg_insertion(factors, first, second, tensor), m))
+        assert insert_legs(factors, pairs, m) == expected, (factors, first, second, tensor)
+        seen.add((len(first) > 1 or len(second) > 1, first == second, n % 4))
+    assert len(seen) == 16, seen
+
+
+def test_insert_legs_sums_pairs_with_different_tensors():
+    """Several (i, j, tensor) triples at once, as in the Fock-Rosly vertex sum."""
+    rng = random.Random(33)
+    pool = [UNIT, V, VS, ADJ]
+    tensors = [R_TENSOR, T_TENSOR, TSYM_TENSOR, RA_TENSOR, [(Fraction(-2), "h", "e")]]
+    for _ in range(30):
+        factors = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+        k = len(factors)
+        pairs = [(rng.randrange(k), rng.randrange(k), rng.choice(tensors)) for _ in range(rng.randint(1, 6))]
+        m = _random_columns(rng, prod(w.dim for w in factors), rng.randint(1, 3))
+        expected = {}
+        for i, j, tensor in pairs:
+            for key, val in _matmul(leg_insertion(factors, [i], [j], tensor), m).items():
+                expected[key] = expected.get(key, 0) + val
+        assert insert_legs(factors, pairs, m) == _dropping_zeros(expected), (factors, pairs)
 
 
 # ---------------------------------------------------------------------------

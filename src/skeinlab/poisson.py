@@ -340,9 +340,18 @@ def fock_rosly_sigma(
 
 
 def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
-    """(-t + r_a) acting on the argument sides of the classical product."""
-    prod0 = mu(s1, s2)
+    """(-t + r_a) acting on the argument sides of the classical product.
+
+    Leg generators act by 0 on one-dimensional argument blocks, so when
+    every block has dimension 1 the correction is the empty element and
+    the product is not computed.
+    """
     factors, first, second = interleaved_argument_factors(s1, s2)
+    if all(f.dim == 1 for f in factors):
+        s1._check_compatible(s2)
+        argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
+        return SkeinElement(s1.backend, s1.pattern, argument, [])
+    prod0 = mu(s1, s2)
     minus_t = [(-c, g1, g2) for c, g1, g2 in TSYM_TENSOR]
     return argument_insertion(prod0, minus_t + list(RA_TENSOR), factors, first, second).canonical()
 

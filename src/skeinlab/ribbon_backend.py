@@ -9,19 +9,24 @@ matrices M = sum_k param^k M_k; ScalarSeries is their entry and scalar view.
   EpsilonSl2     braiding flip(1 + e*r) with r = e(x)f + h(x)h/4
   QuantumSl2     braiding from the truncated universal R-matrix, q = exp(h/2)
   DrinfeldSl2    braiding flip*exp(h*t/2), twist exp(h*C/2), associator
-                 1 +- h^2/24 [t12, t23] and its inverse (order <= 3)
+                 1 + h^2/24 [t12, t23] (order <= 3)
 
 All but the quantum backend share one formula each: the braiding is
 flip o exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip,
 and the twist exp(param*C/2), with (Omega, rate) = (r, 1) on epsilon and
 (t, 1/2) otherwise.  The truncation does the rest: the order-1 exponential
 is the identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.
-Every two-leg tensor (r, t, r_a) acts through `insert_legs`, on a given
-matrix; `leg_insertion` is `insert_legs` on the identity of a word.
+Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
+`insert_legs`, on a given matrix; `leg_insertion` is `insert_legs` on the
+identity of a word.
 
 Only Drinfeld at order 3 is non-strict.  `BackendSpec.rebracket` is the one
-place a morphism changes bracketing: there it composes the coherence
-morphisms built from the associator, on the other backends it relabels.
+place a morphism changes bracketing.  There, with h^3 = 0, the coherence
+src -> tgt is 1 + h^2/24 sum_{i<j<k} (psi_tgt - psi_src)(i, j, k) [t_ij, t_jk]
+in closed form (psi_T(i, j, k) = 1 when leaves j and k join before i in
+T), so rebracketing adds one h^2 term to the morphism and builds no comb
+of associators; `coherence` and the associators are rebrackets of the
+identity.  On the other backends it relabels.
 
 `BackendSpec.apply` is the one way a local morphism (a crossing, a coupon,
 a cup or cap) acts inside a word: it moves the sparse rows of a core by
@@ -48,6 +53,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import factorial, prod
 
 from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
@@ -766,6 +772,16 @@ TSYM_TENSOR = (
     (Fraction(1, 2), "f", "e"),
     (Fraction(1, 4), "h", "h"),
 )  # (r + r21)/2
+# [t12, t23] = sum a (x) [b, a'] (x) b' over t = sum a (x) b, as (coeff, leg1, leg2, leg3):
+# the sign-weighted sum over the orderings of (e, f, h).
+OMEGA_TENSOR = (
+    (Fraction(-1), "e", "h", "f"),
+    (Fraction(1), "e", "f", "h"),
+    (Fraction(1), "f", "h", "e"),
+    (Fraction(-1), "f", "e", "h"),
+    (Fraction(1), "h", "e", "f"),
+    (Fraction(-1), "h", "f", "e"),
+)
 
 
 def leg_insertion(factors, first, second, tensor):
@@ -780,29 +796,40 @@ def leg_insertion(factors, first, second, tensor):
     return insert_legs(factors, pairs, _frac_ident(prod(w.dim for w in factors)))
 
 
-def insert_legs(factors, pairs, m):
-    """sum over (i, j, tensor) in `pairs` of sum_k c_k a_k^(i) b_k^(j) m.
+def insert_legs(factors, terms, m):
+    """sum over (p_1, ..., p_n, tensor) in `terms` of sum_k c_k g_k1^(p_1) ... g_kn^(p_n) m.
 
-    `m` is a sparse matrix whose rows index the flat word of `factors`;
-    a^(i) is a acting on factors[i] (id (x) a (x) id, by `_frac_apply`).
-    Grouped so that each (position, generator) acts once: every second
-    leg on m, then every first leg on the coefficient-weighted sum of the
-    second-leg results it is paired with.
+    `tensor` lists (c_k, g_k1, ..., g_kn); `m` is a sparse matrix whose rows
+    index the flat word of `factors`, and g^(p) is g acting on factors[p]
+    (id (x) g (x) id, by `_frac_apply`), the last leg first.  Grouped so
+    that each distinct run of later legs acts once on m, and each first
+    leg (position, generator) once on the coefficient-weighted sum of the
+    runs it heads, each coefficient scaling once.
     """
     dims = [w.dim for w in factors]
 
-    def act(p, gen, x):
+    def act(leg, x):
+        p, gen = leg
         return _frac_apply(classical_action(gen, factors[p]), x, prod(dims[p + 1 :]), dims[p], dims[p])
 
-    seconds, firsts = {}, {}
-    for i, j, tensor in pairs:
-        for coeff, a, b in tensor:
-            if (j, b) not in seconds:
-                seconds[(j, b)] = act(j, b, m)
-            _frac_iadd(firsts.setdefault((i, a), {}), _frac_scale(seconds[(j, b)], coeff))
+    acted = {(): m}
+
+    def run(legs):
+        if legs not in acted:
+            acted[legs] = act(legs[0], run(legs[1:]))
+        return acted[legs]
+
+    sums = {}  # (first leg, coefficient) -> unscaled sum of runs
+    for *positions, tensor in terms:
+        for coeff, *gens in tensor:
+            legs = tuple(zip(positions, gens))
+            _frac_iadd(sums.setdefault((legs[0], coeff), {}), run(legs[1:]))
+    firsts = {}
+    for (leg, coeff), x in sums.items():
+        _frac_iadd(firsts.setdefault(leg, {}), x if coeff == 1 else _frac_scale(x, coeff))
     out = {}
-    for (i, a), x in firsts.items():
-        _frac_iadd(out, act(i, a, x))
+    for leg, x in firsts.items():
+        _frac_iadd(out, act(leg, x))
     return out
 
 
@@ -1011,6 +1038,45 @@ class _QuantumOps:
 
 
 # ---------------------------------------------------------------------------
+# Drinfeld coherence in closed form
+# ---------------------------------------------------------------------------
+
+
+def _leaf_paths(tree, path=()):
+    """Root-to-leaf paths (0 left, 1 right) of the tree's leaves, in order."""
+    if isinstance(tree, TensorObj):
+        return _leaf_paths(tree.left, path + (0,)) + _leaf_paths(tree.right, path + (1,))
+    return [path] * len(tree.leaves())
+
+
+def _joins(tree):
+    """psi_T: the leaf triples i < j < k of the tree where j and k join before i."""
+    paths = _leaf_paths(tree)
+
+    def meet(a, b):  # depth of the node where leaves a and b join
+        return next(d for d, (x, y) in enumerate(zip(paths[a], paths[b])) if x != y)
+
+    return {(i, j, k) for i, j, k in combinations(range(len(paths)), 3) if meet(j, k) > meet(i, j)}
+
+
+@lru_cache(maxsize=None)
+def _coherence_legs(src: ObjectExpr, tgt: ObjectExpr):
+    """(i, j, k, tensor) terms of 24 X(src -> tgt), coherence(src, tgt) = 1 + h^2 X.
+
+    With h^3 = 0 every associator step is 1 + O(h^2), so the steps of any
+    rebracketing add their h^2 parts.  A rotation (xy)z -> x(yz) adds
+    [t_ij, t_jk] for each leaf triple i in x, j in y, k in z: exactly the
+    triples whose psi turns from 0 to 1.  Hence
+    X(src -> tgt) = 1/24 sum_{i<j<k} (psi_tgt - psi_src)(i, j, k) Omega_ijk,
+    with Omega = [t12, t23] (`OMEGA_TENSOR`).  Unit factors carry no leaf
+    and give no path.
+    """
+    gained, lost = _joins(tgt), _joins(src)
+    negated = tuple((-c, *gens) for c, *gens in OMEGA_TENSOR)
+    return tuple([(*ijk, OMEGA_TENSOR) for ijk in gained - lost] + [(*ijk, negated) for ijk in lost - gained])
+
+
+# ---------------------------------------------------------------------------
 # Backend
 # ---------------------------------------------------------------------------
 
@@ -1207,47 +1273,31 @@ class BackendSpec:
     # -- associator and coherence ------------------------------------------------
 
     def associator(self, x: ObjectExpr, y: ObjectExpr, z: ObjectExpr) -> Morphism:
-        """(x(x)y)(x)z -> x(x)(y(x)z)."""
-        return self._associator(x, y, z, 1)
+        """(x(x)y)(x)z -> x(x)(y(x)z): the one-triple coherence, 1 + h^2/24 [t12, t23] on Drinfeld(3)."""
+        return self.coherence(TensorObj(TensorObj(x, y), z), TensorObj(x, TensorObj(y, z)))
 
     def associator_inv(self, x: ObjectExpr, y: ObjectExpr, z: ObjectExpr) -> Morphism:
-        """x(x)(y(x)z) -> (x(x)y)(x)z."""
-        return self._associator(x, y, z, -1)
-
-    def _associator(self, x, y, z, sign):
-        """Phi^sign = 1 + sign h^2/24 [t12, t23]; with h^3 = 0 the h^2 terms
-        of Phi and Phi^-1 multiply to zero, so the inverse only flips a sign."""
-        left = TensorObj(TensorObj(x, y), z)
-        right = TensorObj(x, TensorObj(y, z))
-        src, tgt = (left, right) if sign > 0 else (right, left)
-        if not self.nontrivial_associator:
-            return Morphism.identity(left, self.mode).retyped(src, tgt)
-
-        def build():
-            t12 = leg_insertion([x, y, z], [0], [1], T_TENSOR)
-            t23 = leg_insertion([x, y, z], [1], [2], T_TENSOR)
-            comm = _frac_add(_frac_compose(t12, t23), _frac_scale(_frac_compose(t23, t12), _MINUS_ONE))
-            return Morphism(src, tgt, self.mode, [_frac_ident(left.dim), {}, _frac_scale(comm, Fraction(sign, 24))])
-
-        return self._cached(("assoc", sign, x, y, z), build)
+        """x(x)(y(x)z) -> (x(x)y)(x)z: 1 - h^2/24 [t12, t23] on Drinfeld(3)."""
+        return self.coherence(TensorObj(x, TensorObj(y, z)), TensorObj(TensorObj(x, y), z))
 
     def coherence(self, src: ObjectExpr, tgt: ObjectExpr) -> Morphism:
-        """The canonical rebracketing morphism src -> tgt (same flat word)."""
-        if src == tgt:
-            return Morphism.identity(src, self.mode)
-        if src.leaves() != tgt.leaves():
-            raise ModeError(f"coherence needs equal flat words: {src} vs {tgt}")
-        if not self.nontrivial_associator:
-            return Morphism.identity(src, self.mode).retyped(target=tgt)
+        """The canonical rebracketing morphism src -> tgt (same flat word).
 
-        return self._cached(("coh", src, tgt), lambda: self._comb(tgt, -1) @ self._comb(src, 1))
+        It is `rebracket` of the identity: 1 + h^2 X(src -> tgt) on
+        Drinfeld(3) (see `_coherence_legs`), a relabelled identity elsewhere.
+        """
+        return self._cached(("coh", src, tgt), lambda: self.rebracket(Morphism.identity(src, self.mode), target=tgt))
 
     def rebracket(self, m: Morphism, source=None, target=None) -> Morphism:
         """`m` between other bracketings of its flat source and target words.
 
-        The one place a morphism changes bracketing: with a nontrivial
-        associator the coherence morphisms are composed on each side whose
-        bracketing changes; on strict backends only the endpoints change.
+        The one place a morphism changes bracketing.  With a nontrivial
+        associator (h^3 = 0) the coherence morphisms are 1 + h^2 X, so
+        coherence(m.target, target) @ m @ coherence(source, m.source) is m
+        plus h^2 (X m_0 + m_0 Y): X acts on the constant layer's rows by
+        `insert_legs` with the three-leg terms of `_coherence_legs`, and Y is
+        the cached h^2 layer of the source-side coherence.  On strict
+        backends only the endpoints change.
         """
         source = m.source if source is None else source
         target = m.target if target is None else target
@@ -1255,29 +1305,13 @@ class BackendSpec:
             raise ModeError(f"rebracket needs equal flat words: {m.source} -> {m.target} vs {source} -> {target}")
         if not self.nontrivial_associator:
             return m.retyped(source, target)
-        if source != m.source:
-            m = m @ self.coherence(source, m.source)
+        m0, m1, m2 = m.layers
         if target != m.target:
-            m = self.coherence(m.target, target) @ m
-        return m
-
-    def _comb(self, tree: ObjectExpr, sign: int) -> Morphism:
-        """Canonical morphism tree -> left_nested(tree) (sign 1) or back (sign -1).
-
-        The way back runs the same steps in reverse order with `associator`
-        where the way there uses `associator_inv`, so nothing is inverted.
-        """
-        ends = (tree, left_nested(tree))[::sign]
-        if not isinstance(tree, TensorObj):
-            return Morphism.identity(tree, self.mode).retyped(*ends)
-        a, b = tree.left, tree.right
-        if isinstance(b, TensorObj):
-            step = self._associator(a, b.left, b.right, -sign)
-            rest = self._comb(TensorObj(TensorObj(a, b.left), b.right), sign)
-            return rest @ step if sign > 0 else step @ rest
-        if isinstance(b, UnitObj):
-            return self._comb(a, sign).retyped(*ends)
-        return self._comb(a, sign).tensor(Morphism.identity(b, self.mode)).retyped(*ends)
+            x = insert_legs(m.target.leaves(), _coherence_legs(m.target, target), m0)
+            m2 = _frac_add(m2, _frac_scale(x, Fraction(1, 24)))
+        if source != m.source:
+            m2 = _frac_add(m2, _frac_compose(m0, self.coherence(source, m.source).layers[2]))
+        return Morphism._of(source, target, self.mode, (m0, m1, m2))
 
     def apply(self, context, placed, core: Morphism) -> Morphism:
         """flat_apply(context, placed) @ core, without building the word matrix.

@@ -262,6 +262,45 @@ def test_fock_rosly_consistency_random():
             assert fock_rosly_consistency(s1, s2)
 
 
+def _full_forgetful_correction(s1, s2):
+    """(-t + r_a) on the argument sides of the classical product, always computed."""
+    from skeinlab.poisson import argument_insertion, interleaved_argument_factors
+    from skeinlab.ribbon_backend import RA_TENSOR, TSYM_TENSOR
+
+    factors, first, second = interleaved_argument_factors(s1, s2)
+    minus_t = [(-c, g1, g2) for c, g1, g2 in TSYM_TENSOR]
+    return argument_insertion(mu(s1, s2), minus_t + list(RA_TENSOR), factors, first, second).canonical()
+
+
+def test_forgetful_correction_matches_the_full_computation():
+    rng = random.Random(49)
+    trivial = simple(0)
+    for pattern, argument in ((ANN, None), (TOR, None), (DISK, (trivial, trivial)), (DISK, (V, V))):
+        for _ in range(2):
+            s1 = random_element(CL, pattern, rng, label_pool=(0, 1, 2), argument=argument)
+            s2 = random_element(CL, pattern, rng, label_pool=(0, 1, 2), argument=argument)
+            expected = _full_forgetful_correction(s1, s2)
+            got = forgetful_correction(s1, s2)
+            assert got.argument == expected.argument and got.terms == expected.terms, pattern
+            assert got.is_zero == (argument != (V, V)), (pattern, argument)
+
+
+def test_forgetful_correction_on_one_dimensional_arguments_computes_no_product(monkeypatch):
+    import skeinlab.poisson as poisson
+
+    rng = random.Random(51)
+    s1 = random_element(CL, TOR, rng, label_pool=(0, 1))
+    s2 = random_element(CL, TOR, rng, label_pool=(0, 1))
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("mu called")
+
+    monkeypatch.setattr(poisson, "mu", no_product)
+    assert forgetful_correction(s1, s2).terms == []
+    with pytest.raises(AlgebraError):
+        forgetful_correction(s1, random_element(CL, ANN, rng, label_pool=(0, 1)))
+
+
 @lru_cache(maxsize=64)
 def _kron_chain(factors, p, gen):
     """id (x) (gen on factors[p]) (x) id as a Kronecker chain of morphisms."""

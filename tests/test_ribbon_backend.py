@@ -11,6 +11,7 @@ from skeinlab.ribbon_backend import (
     RA_TENSOR,
     BackendSpec,
     R_TENSOR,
+    OMEGA_TENSOR,
     TSYM_TENSOR,
     T_TENSOR,
     DualObj,
@@ -984,17 +985,36 @@ def test_inverse_twist_equals_inverse_of_twist(name, order):
 
 
 # ---------------------------------------------------------------------------
-# Coherence against the inverted comb
+# Coherence against the comb of commutator-built associators
 # ---------------------------------------------------------------------------
 
 
+def _t_commutator(x, y, z):
+    """[t12, t23] on the word x y z, from two-leg t insertions."""
+    t12 = leg_insertion([x, y, z], [0], [1], T_TENSOR)
+    t23 = leg_insertion([x, y, z], [1], [2], T_TENSOR)
+    comm = _matmul(t12, t23)
+    for key, val in _matmul(t23, t12).items():
+        comm[key] = comm.get(key, 0) - val
+    return _dropping_zeros(comm)
+
+
+def _reference_associator(bk, x, y, z, sign):
+    """Phi^sign = 1 + sign h^2/24 [t12, t23] on (xy)z."""
+    left, right = TensorObj(TensorObj(x, y), z), TensorObj(x, TensorObj(y, z))
+    comm = _t_commutator(x, y, z)
+    ident = {(i, i): Fraction(1) for i in range(left.dim)}
+    source, target = (left, right) if sign > 0 else (right, left)
+    return Morphism(source, target, bk.mode, [ident, {}, {k: v * Fraction(sign, 24) for k, v in comm.items()}])
+
+
 def _reference_comb(bk, tree):
-    """Canonical morphism tree -> left_nested(tree), one associator_inv at a time."""
+    """Canonical morphism tree -> left_nested(tree), one reference inverse associator at a time."""
     if not isinstance(tree, TensorObj):
         return Morphism.identity(tree, bk.mode).retyped(target=left_nested(tree))
     a, b = tree.left, tree.right
     if isinstance(b, TensorObj):
-        step = bk.associator_inv(a, b.left, b.right)
+        step = _reference_associator(bk, a, b.left, b.right, -1)
         rest = _reference_comb(bk, TensorObj(TensorObj(a, b.left), b.right))
         return rest @ step.retyped(source=tree)
     if isinstance(b, UnitObj):
@@ -1002,6 +1022,30 @@ def _reference_comb(bk, tree):
     comb_a = _reference_comb(bk, a)
     m = comb_a.tensor(Morphism.identity(b, bk.mode))
     return m.retyped(source=tree, target=left_nested(tree))
+
+
+def _reference_coherence(bk, s, t):
+    return _reference_comb(bk, t).inverse() @ _reference_comb(bk, s)
+
+
+ASSOC_WORDS = (V, VS, ADJ, TensorObj(V, V))
+
+
+def test_associator_matches_commutator_reference():
+    bk = BackendSpec("drinfeld", hbar_mode(3))  # fresh caches
+    for x in ASSOC_WORDS:
+        for y in ASSOC_WORDS:
+            for z in ASSOC_WORDS:
+                assert bk.associator(x, y, z) == _reference_associator(bk, x, y, z, 1), (x, y, z)
+                assert bk.associator_inv(x, y, z) == _reference_associator(bk, x, y, z, -1), (x, y, z)
+
+
+def test_omega_tensor_is_the_commutator_of_t12_and_t23():
+    for x in ASSOC_WORDS:
+        for y in ASSOC_WORDS:
+            for z in ASSOC_WORDS:
+                ident = {(i, i): Fraction(1) for i in range(x.dim * y.dim * z.dim)}
+                assert insert_legs([x, y, z], [(0, 1, 2, OMEGA_TENSOR)], ident) == _t_commutator(x, y, z), (x, y, z)
 
 
 def _random_tree(rng, letters):
@@ -1018,10 +1062,35 @@ def test_coherence_matches_inverted_comb():
     for _ in range(30):
         letters = [rng.choice((V, VS, ADJ)) for _ in range(rng.randint(3, 5))]
         s, t = _random_tree(rng, letters), _random_tree(rng, letters)
-        expected = _reference_comb(bk, t).inverse() @ _reference_comb(bk, s)
-        assert bk.coherence(s, t) == expected, (s, t)
+        assert bk.coherence(s, t) == _reference_coherence(bk, s, t), (s, t)
         moved += s != t
     assert moved >= 20
+
+
+def _random_letters(rng, pool, lo, hi, max_dim):
+    while True:
+        letters = [rng.choice(pool) for _ in range(rng.randint(lo, hi))]
+        if prod(w.dim for w in letters) <= max_dim:
+            return letters
+
+
+def test_rebracket_matches_reference_comb_conjugation():
+    """Both sides move, on seeded random trees of 3-6 leaves including units."""
+    bk = BackendSpec("drinfeld", hbar_mode(3))  # fresh caches
+    rng = random.Random(23)
+    pool = (UNIT, V, VS, ADJ)
+    sides = set()
+    for _ in range(24):
+        src_letters = _random_letters(rng, pool, 3, 6, 36)
+        tgt_letters = _random_letters(rng, pool, 3, 6, 36)
+        m_src, s = _random_tree(rng, src_letters), _random_tree(rng, src_letters)
+        m_tgt, t = _random_tree(rng, tgt_letters), _random_tree(rng, tgt_letters)
+        m = _random_morphism(rng, m_src, m_tgt, bk.mode, density=0.3)
+        expected = _reference_coherence(bk, m_tgt, t) @ m @ _reference_coherence(bk, s, m_src)
+        assert bk.rebracket(m, s, t) == expected, (m_src, m_tgt, s, t)
+        sides.add((bk.coherence(s, m_src) != Morphism.identity(s, bk.mode).retyped(target=m_src),
+                   bk.coherence(m_tgt, t) != Morphism.identity(m_tgt, bk.mode).retyped(target=t)))
+    assert sides == {(False, False), (False, True), (True, False), (True, True)}, sides
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from skeinlab import ribbon_backend
 from skeinlab.errors import MoveError, WordError
 from skeinlab.ribbon_backend import Morphism, TensorObj, make_backend, simple, tensor_word
 from skeinlab.scalars import ScalarSeries
@@ -175,3 +177,107 @@ def test_r2_reduce_direction():
     grown = apply_move(w, "R2", (0, 0, "insert"))
     back = apply_move(grown, "R2", (0, 0, "reduce"))
     assert back.slices == w.slices
+
+
+# ---------------------------------------------------------------------------
+# Closed diagrams: braid closures against the Jones polynomial
+# ---------------------------------------------------------------------------
+
+
+def _closure(n, braid, middle=()):
+    """Closure of an n-strand braid on V: n nested cups, the braid, n right caps.
+
+    `braid` lists generators +-i for sigma_i^{+-1} (strands i-1, i; braid+
+    is the positive crossing); `middle` is extra slices after the braid.
+    """
+    slices = [(Cell("cup", k, label=1),) for k in range(n)]
+    slices += [(Cell("braid+" if g > 0 else "braid-", abs(g) - 1),) for g in braid]
+    slices += list(middle)
+    slices += [(Cell("cap", k, label=1, flavor="r"),) for k in reversed(range(n))]
+    return TangleWord((), tuple(slices), {})
+
+
+def _exp_h(a):
+    """exp(a h) mod h^3."""
+    a = Fraction(a)
+    return (Fraction(1), a, a * a / 2)
+
+
+def _series_mul(x, y):
+    return tuple(sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(3))
+
+
+def _series_sum(terms):
+    return tuple(sum(c * t[k] for c, t in terms) for k in range(3))
+
+
+def _framed_jones(jones, writhe):
+    """theta_V^writhe [2] V_K(t) at t = q^-2, q = exp(h/2), mod h^3.
+
+    The Hecke relation (c - q^(1/2))(c + q^(-3/2)) = 0 of the braiding on
+    V (x) V and the twist theta_V = q^(3/2) (C = 3/2 on V) give the skein
+    relation q^2 J(L+) - q^-2 J(L-) = (q - q^-1) J(L0) for the writhe-
+    normalized J = theta_V^-w <L>, with J(unknot) = [2] = q + q^-1: Jones'
+    relation at t = q^-2 (t^(1/2) = -q^-1), so J(K) = [2] V_K(q^-2) for a
+    knot.  `jones` maps powers of t to coefficients; t^p = exp(-p h).
+    """
+    quantum_dim = _series_sum([(1, _exp_h(Fraction(1, 2))), (1, _exp_h(Fraction(-1, 2)))])
+    framing = _exp_h(Fraction(3, 4) * writhe)  # theta_V^w
+    v = _series_sum([(c, _exp_h(-p)) for p, c in jones.items()])
+    return _series_mul(_series_mul(quantum_dim, framing), v)
+
+
+KNOTS = [
+    # (name, strands, braid word, writhe, Jones polynomial {power of t: coefficient})
+    ("unknot", 1, [], 0, {0: 1}),
+    ("trefoil", 2, [1, 1, 1], 3, {1: 1, 3: 1, 4: -1}),  # closure of sigma_1^3
+    ("figure-eight", 3, [1, -2, 1, -2], 0, {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}),
+]
+
+
+@pytest.mark.parametrize("name,strands,braid,writhe,jones", KNOTS, ids=[k[0] for k in KNOTS])
+def test_braid_closures_match_the_framed_jones_polynomial(name, strands, braid, writhe, jones):
+    """Reshetikhin-Turaev on quantum(3) and Drinfeld(3) against the closed form,
+    and the two backends against each other mod h^3 (Drinfeld-Kohno)."""
+    expected = _framed_jones(jones, writhe)
+    values = {}
+    for backend in ("quantum", "drinfeld"):
+        m = rt_evaluate(_closure(strands, braid), make_backend(backend, 3))
+        assert m.source_dim == m.target_dim == 1
+        values[backend] = m.entry(0, 0).coeffs
+        assert values[backend] == expected, (backend, values[backend], expected)
+    assert values["quantum"] == values["drinfeld"]
+
+
+def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):
+    """The target-side rebrackets of a Drinfeld(3) evaluation act on the core.
+
+    A figure-eight closure with a coupon on a right-nested three-leaf source
+    runs over six-leaf words.  After a first evaluation fills the backend's
+    caches, the second may build no identity but the unit one it starts
+    from, and compose nothing.
+    """
+    bk = make_backend("drinfeld", 3)
+    v = simple(1)
+    coupon = bk.random_invariant(TensorObj(v, TensorObj(v, v)), tensor_word([v, v, v]), random.Random(4))
+    word = _closure(3, [1, -2, 1, -2], middle=[(Cell("coupon", 0, coupon_id="c"),)])
+    word.coupons["c"] = coupon
+    expected = rt_evaluate(word, bk)
+    sizes, composed = [], []
+    frac_ident, compose_ = ribbon_backend._frac_ident, Morphism.compose
+
+    def watched_ident(d):
+        sizes.append(d)
+        return frac_ident(d)
+
+    def watched_compose(self, other):
+        composed.append((self.target, other.source))
+        return compose_(self, other)
+
+    monkeypatch.setattr(ribbon_backend, "_frac_ident", watched_ident)
+    monkeypatch.setattr(Morphism, "compose", watched_compose)
+    value = rt_evaluate(word, bk)
+    monkeypatch.undo()
+    assert value == expected and not value.is_zero
+    assert sizes == [1], sizes
+    assert composed == [], len(composed)

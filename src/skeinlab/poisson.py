@@ -66,9 +66,9 @@ def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, sec
     explicitly (unit blocks included), so that product elements keep their
     pair structure even when one side's argument is trivial.
     """
-    entries = leg_insertion(factors, first_blocks, second_blocks, tensor)
+    layer = leg_insertion(factors, first_blocks, second_blocks, tensor)
     word = tensor_word([leaf for a in element.argument for leaf in a.leaves()])
-    m = Morphism(word, word, classical_mode(), [entries])
+    m = Morphism._of(word, word, classical_mode(), [layer])
     terms = [(labels, core @ m) for labels, core in element.terms]
     return SkeinElement(element.backend, element.pattern, element.argument, terms)
 

@@ -2,8 +2,13 @@
 
 Four backends share one interface: objects are parenthesized tensor words
 over simple labels and their duals, morphisms are matrices over the
-backend's truncated coefficient ring, stored as per-order sparse rational
-matrices M = sum_k param^k M_k; ScalarSeries is their entry and scalar view.
+backend's truncated coefficient ring, M = sum_k param^k M_k, stored as
+per-order sparse integer matrices over a common denominator: each layer M_k
+is one canonical pair (den, {(i, j): int}) with den > 0 and
+gcd(den, *entries) == 1, so equal matrices have equal layers.  The kernels
+multiply and add integers and normalise once per result; Fraction appears
+only at the boundaries (construction and JSON, the ScalarSeries entry
+view, and the exact solver).
 
   ClassicalSl2   symmetric flip braiding, trivial twist and associator
   EpsilonSl2     braiding flip(1 + e*r) with r = e(x)f + h(x)h/4
@@ -49,12 +54,13 @@ C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from .scalars import (
@@ -66,6 +72,7 @@ from .scalars import (
     epsilon_mode,
     exp_param_series,
     hbar_mode,
+    rational_from_json,
 )
 
 _ZERO = Fraction(0)
@@ -243,19 +250,22 @@ def object_from_json(data) -> ObjectExpr:
 
 
 # ---------------------------------------------------------------------------
-# Morphisms: per-order sparse rational matrices between tensor words
+# Morphisms: per-order sparse integer matrices over a common denominator
 # ---------------------------------------------------------------------------
 
 
 class Morphism:
     """A dim(target) x dim(source) exact matrix over the backend ring.
 
-    Stored as its truncation layers: the matrix is sum_k param^k layers[k],
-    with one sparse {(i, j): Fraction} dict per order (mode.order layers,
-    no zero values), so every ring operation is a truncated convolution of
-    rational sparse products.  `entry` and `entries` view the matrix as
-    positions -> ScalarSeries.  Composition requires source/target to
-    match as parenthesized words, not merely in dimension; use
+    Stored as its truncation layers: the matrix is sum_k param^k M_k, and
+    `layers[k]` holds M_k as one pair (den, {(i, j): int}) meaning
+    entries / den (mode.order layers), so every ring operation is a
+    truncated convolution of integer sparse products.  Each layer is
+    canonical: den > 0, gcd(den, *entries) == 1, int (never bool) values and
+    no zeros, so the zero layer is (1, {}) and equal matrices have equal
+    layers.  `entry` and `entries` view the matrix as positions ->
+    ScalarSeries.  Composition requires source/target to match as
+    parenthesized words, not merely in dimension; use
     `BackendSpec.rebracket` to move between bracketings.
     """
 
@@ -268,15 +278,14 @@ class Morphism:
         """
         if len(layers) > mode.order:
             raise ModeError(f"{len(layers)} layers exceed the order of {mode}")
-        layers = [{k: as_fraction(v) for k, v in layer.items() if v} for layer in layers]
         self.source = source
         self.target = target
         self.mode = mode
-        self.layers = tuple(layers) + tuple({} for _ in range(mode.order - len(layers)))
+        self.layers = tuple(as_layer(layer) for layer in layers) + _zero_layers(mode.order - len(layers))
 
     @staticmethod
     def _of(source, target, mode, layers) -> "Morphism":
-        """Trusted constructor: exactly mode.order zero-free layers."""
+        """Trusted constructor: exactly mode.order canonical layers."""
         m = object.__new__(Morphism)
         m.source, m.target, m.mode, m.layers = source, target, mode, tuple(layers)
         return m
@@ -287,7 +296,7 @@ class Morphism:
 
     @staticmethod
     def zero(source, target, mode) -> "Morphism":
-        return Morphism._of(source, target, mode, [{} for _ in range(mode.order)])
+        return Morphism._of(source, target, mode, _zero_layers(mode.order))
 
     @staticmethod
     def from_rows(source, target, mode, rows) -> "Morphism":
@@ -303,7 +312,7 @@ class Morphism:
         return self.target.dim
 
     def entry(self, i, j) -> ScalarSeries:
-        return ScalarSeries(self.mode, tuple(layer.get((i, j), _ZERO) for layer in self.layers))
+        return ScalarSeries(self.mode, tuple(Fraction(e.get((i, j), 0), den) for den, e in self.layers))
 
     @property
     def entries(self):
@@ -312,7 +321,7 @@ class Morphism:
 
     @property
     def is_zero(self):
-        return not any(self.layers)
+        return _is_zero(self.layers)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -343,7 +352,7 @@ class Morphism:
         return self + (-other)
 
     def __neg__(self):
-        return Morphism._of(self.source, self.target, self.mode, [_frac_scale(a, _MINUS_ONE) for a in self.layers])
+        return Morphism._of(self.source, self.target, self.mode, [(d, _int_scale(e, -1)) for d, e in self.layers])
 
     def scale(self, s) -> "Morphism":
         if not isinstance(s, ScalarSeries):
@@ -358,7 +367,7 @@ class Morphism:
             raise ModeError(f"mode mismatch {self.mode} vs {other.mode}")
         if self.source != other.target:
             raise ModeError(f"cannot compose: source {self.source} != target {other.target}")
-        layers = _convolve(self.layers, other.layers, _frac_compose)
+        layers = _convolve(self.layers, other.layers, _int_compose)
         return Morphism._of(other.source, self.target, self.mode, layers)
 
     def __matmul__(self, other):
@@ -385,15 +394,16 @@ class Morphism:
 
     def part1(self) -> "Morphism":
         """First-order layer; only defined on multiples of the parameter."""
-        if self.layers[0]:
-            raise Part1DomainError(f"nonzero constant term {next(iter(self.layers[0].values()))}")
-        first = self.layers[1] if self.mode.order >= 2 else {}
+        den, constant = self.layers[0]
+        if constant:
+            raise Part1DomainError(f"nonzero constant term {Fraction(next(iter(constant.values())), den)}")
+        first = self.layers[1] if self.mode.order >= 2 else (1, {})
         return Morphism._of(self.source, self.target, classical_mode(), [first])
 
     def convert(self, mode: RingMode) -> "Morphism":
         """Entrywise ring homomorphism into `mode` (see ScalarSeries.convert)."""
         kept = self.layers[: conversion_prefix(self.mode, mode)]
-        return Morphism._of(self.source, self.target, mode, list(kept) + [{} for _ in range(mode.order - len(kept))])
+        return Morphism._of(self.source, self.target, mode, kept + _zero_layers(mode.order - len(kept)))
 
     def inverse(self) -> "Morphism":
         """Order-by-order inverse; the constant part must be invertible."""
@@ -401,13 +411,17 @@ class Morphism:
         if d != self.target_dim:
             raise ModeError("only square morphisms can be inverted")
         layers = self.layers
-        inv0 = _frac_inverse(layers[0], d)
+        # (entries / den)^-1 = den entries^-1, by the exact solver
+        den, entries = layers[0]
+        kernel, columns = eliminate(entries, d, [{j: den} for j in range(d)])
+        if kernel:
+            raise ZeroDivisionError("constant part of the matrix is singular")
+        inv0 = as_layer({(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
         result = [inv0]
         for k in range(1, len(layers)):
-            acc = {}
-            for i in range(1, k + 1):
-                _frac_iadd(acc, _frac_compose(layers[i], result[k - i]))
-            result.append(_frac_scale(_frac_compose(inv0, acc), _MINUS_ONE))
+            acc = _sum([_product(layers[i], result[k - i], _int_compose) for i in range(1, k + 1)])
+            den, e = _product(inv0, acc, _int_compose)
+            result.append(_layer(den, _int_scale(e, -1)))
         return Morphism._of(self.target, self.source, self.mode, result)
 
     def to_json(self):
@@ -417,35 +431,40 @@ class Morphism:
             "mode": self.mode.kind,
             "order": self.mode.order,
             "entries": {
-                f"{i},{j}": [str(layer.get((i, j), _ZERO)) for layer in self.layers]
-                for i, j in sorted(set().union(*self.layers))
+                f"{i},{j}": [str(Fraction(e.get((i, j), 0), den)) for den, e in self.layers]
+                for i, j in sorted(_positions(self.layers))
             },
         }
 
     @staticmethod
     def from_json(data) -> "Morphism":
-        """Inverse of to_json: entries map "i,j" to at most `order` coefficients,
-        0 <= i < target dim and 0 <= j < source dim; anything else raises."""
+        """Inverse of to_json: entries map "i,j" to a list of at most `order`
+        coefficients (strings or integers), 0 <= i < target dim and
+        0 <= j < source dim; anything else raises SkeinlabError."""
         mode = RingMode(data["mode"], data["order"])
         source = object_from_json(data["source"])
         target = object_from_json(data["target"])
+        entries = data["entries"]
+        if not isinstance(entries, dict):
+            raise SkeinlabError(f"morphism entries must be an object, got {type(entries).__name__}")
         layers = [{} for _ in range(mode.order)]
-        for pos, coeffs in data["entries"].items():
-            i, _, j = pos.partition(",")
-            if not (_is_int(i) and _is_int(j) and f"{int(i)},{int(j)}" == pos):
+        for pos, coeffs in entries.items():
+            key = _ENTRY_KEY.fullmatch(pos) if isinstance(pos, str) else None
+            if key is None or f"{int(key[1])},{int(key[2])}" != pos:
                 raise SkeinlabError(f"morphism entry key {pos!r} is not of the form 'i,j'")
-            i, j = int(i), int(j)
+            i, j = int(key[1]), int(key[2])
             if not (0 <= i < target.dim and 0 <= j < source.dim):
                 raise SkeinlabError(f"morphism entry {pos!r} lies outside the {target.dim}x{source.dim} matrix")
+            if not isinstance(coeffs, list):
+                raise SkeinlabError(f"morphism entry {pos!r} must be a list of coefficients")
             if len(coeffs) > mode.order:
                 raise SkeinlabError(f"morphism entry {pos!r} has {len(coeffs)} coefficients, order is {mode.order}")
             for layer, c in zip(layers, coeffs):
-                layer[(i, j)] = Fraction(c)
+                layer[(i, j)] = rational_from_json(c)
         return Morphism(source, target, mode, layers)
 
 
-def _is_int(text):
-    return text.lstrip("-").isdigit()
+_ENTRY_KEY = re.compile(r"(-?[0-9]{1,18}),(-?[0-9]{1,18})")
 
 
 class _EntryView(Mapping):
@@ -456,29 +475,30 @@ class _EntryView(Mapping):
     def __init__(self, m: Morphism):
         self._m = m
 
-    def _positions(self):
-        return set().union(*self._m.layers)
-
     def __len__(self):
-        return len(self._positions())
+        return len(_positions(self._m.layers))
 
     def __iter__(self):
-        return iter(self._positions())
+        return iter(_positions(self._m.layers))
 
     def __getitem__(self, pos):
-        if not any(pos in layer for layer in self._m.layers):
+        if not any(pos in e for _, e in self._m.layers):
             raise KeyError(pos)
         return self._m.entry(*pos)
 
 
 # ---------------------------------------------------------------------------
-# Sparse Fraction kernels and their truncated convolutions over layers
+# Layers: sparse integer kernels, one denominator per layer
 # ---------------------------------------------------------------------------
+#
+# The `_int_*` kernels work on bare {(i, j): int} dicts and never divide.
+# A layer is a canonical pair (den, entries); `_layer` and `_sum` restore
+# that form once per result, combining denominators by product or lcm, and
+# skip the gcd when the denominator is 1.  Layers are shared between
+# morphisms, so no function mutates a layer's dict.
 
-_MINUS_ONE = Fraction(-1)
 
-
-def _frac_compose(a, b):
+def _int_compose(a, b):
     by_row = {}
     for (j, k), v in b.items():
         by_row.setdefault(j, []).append((k, v))
@@ -492,7 +512,7 @@ def _frac_compose(a, b):
     return {k: v for k, v in out.items() if v}
 
 
-def _frac_kron(a, b, bd_rows, bd_cols):
+def _int_kron(a, b, bd_rows, bd_cols):
     out = {}
     for (i, j), x in a.items():
         for (k, l), y in b.items():
@@ -500,7 +520,7 @@ def _frac_kron(a, b, bd_rows, bd_cols):
     return out
 
 
-def _frac_apply(a, b, right, src, tgt):
+def _int_apply(a, b, right, src, tgt):
     """(id (x) a (x) id_right) b by mixed-radix row arithmetic.
 
     Row (l * src + c) * right + rr of b goes to row (l * tgt + k) * right + rr
@@ -523,8 +543,10 @@ def _frac_apply(a, b, right, src, tgt):
     return {k: v for k, v in out.items() if v}
 
 
-def _frac_iadd(out, b):
-    """out += b in place, dropping cancelled entries; returns out."""
+def _int_iadd(out, b, w=1):
+    """out += w * b in place, dropping cancelled entries; returns out."""
+    if w != 1:
+        b = _int_scale(b, w)
     for k, v in b.items():
         s = out.get(k)
         if s is None:
@@ -538,60 +560,106 @@ def _frac_iadd(out, b):
     return out
 
 
-def _frac_add(a, b):
-    return _frac_iadd(dict(a), b)
+def _int_scale(a, c):
+    return {k: v * c for k, v in a.items()} if c else {}
 
 
-def _frac_ident(d):
-    return {(i, i): Fraction(1) for i in range(d)}
+def _int_ident(d):
+    return {(i, i): 1 for i in range(d)}
 
 
-def _frac_transpose(a):
+def _int_transpose(a):
     return {(j, i): v for (i, j), v in a.items()}
 
 
-def _frac_scale(a, s):
-    return {k: v * s for k, v in a.items()} if s else {}
+def _layer(den, entries):
+    """The canonical layer of entries / den (den > 0, no zero entries)."""
+    if den != 1:
+        g = gcd(den, *entries.values())
+        if g != 1:
+            return den // g, {k: v // g for k, v in entries.items()}
+    return den, entries
 
 
-def _frac_inverse(entries, d):
-    kernel, columns = eliminate(entries, d, [{j: Fraction(1)} for j in range(d)])
-    if kernel:
-        raise ZeroDivisionError("constant part of the matrix is singular")
-    return {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
+def _sum(terms):
+    """The canonical layer of a sum of (den, entries) terms, over the lcm of their denominators."""
+    terms = [t for t in terms if t[1]]
+    if len(terms) == 1:
+        return _layer(*terms[0])
+    den = lcm(*(d for d, _ in terms))
+    out = {}
+    for d, e in terms:
+        _int_iadd(out, e, den // d)
+    return _layer(den, out)
+
+
+def _add(a, b):
+    if not b[1]:
+        return a
+    return _sum((a, b)) if a[1] else b
+
+
+def _product(a, b, product):
+    """The (uncanonical) term product(a, b) of two layers."""
+    return a[0] * b[0], product(a[1], b[1])
+
+
+def as_layer(entries):
+    """The canonical layer of a sparse {(i, j): rational} matrix."""
+    values = {k: as_fraction(v) for k, v in entries.items()}
+    den = lcm(*(f.denominator for f in values.values()))
+    return den, {k: f.numerator * (den // f.denominator) for k, f in values.items() if f}
+
+
+def to_fractions(layer):
+    """A layer as a sparse {(i, j): Fraction} matrix."""
+    den, entries = layer
+    return {k: Fraction(v, den) for k, v in entries.items()}
+
+
+def _positions(layers):
+    return set().union(*(e for _, e in layers))
+
+
+def _is_zero(layers):
+    return not any(e for _, e in layers)
+
+
+def _zero_layers(n):
+    return tuple((1, {}) for _ in range(n))
 
 
 def _convolve(a, b, product):
     """Truncated convolution: layer k of the result is sum_{i+j=k} product(a[i], b[j])."""
     n = len(a)
-    out = [None] * n
+    terms = [[] for _ in range(n)]
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(n - i):
-            y = b[j]
-            if y:
-                p = product(x, y)
-                acc = out[i + j]
-                out[i + j] = p if acc is None else _frac_iadd(acc, p)
-    return [{} if layer is None else layer for layer in out]
+        if x[1]:
+            for j in range(n - i):
+                if b[j][1]:
+                    terms[i + j].append(_product(x, b[j], product))
+    return [_sum(t) for t in terms]
 
 
 def _layers_kron(a, b, bd_rows, bd_cols):
-    return _convolve(a, b, lambda x, y: _frac_kron(x, y, bd_rows, bd_cols))
+    return _convolve(a, b, lambda x, y: _int_kron(x, y, bd_rows, bd_cols))
 
 
 def _layers_add(a, b):
-    return [_frac_add(x, y) if x else y for x, y in zip(a, b)]
+    return list(map(_add, a, b))
 
 
 def _layers_scale(a, s: ScalarSeries):
     """The layers of s * M, with s a ring element."""
-    return _convolve(s.coeffs, a, lambda c, m: _frac_scale(m, c))
+    terms = [[] for _ in a]
+    for i, c in enumerate(s.coeffs):
+        for j, (den, e) in enumerate(a[: len(a) - i]):
+            terms[i + j].append((den * c.denominator, _int_scale(e, c.numerator)))
+    return [_sum(t) for t in terms]
 
 
 def _layers_ident(d, order):
-    return [_frac_ident(d)] + [{} for _ in range(order - 1)]
+    return [(1, _int_ident(d))] + list(_zero_layers(order - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +670,9 @@ def _layers_ident(d, order):
 def _factor(a0, ncols):
     """Sparse Gauss-Jordan reduction of a0 ({col: rational} rows), recorded.
 
+    Every entry of a0 and of each b is taken as a Fraction (ints and
+    Fractions in, Fractions out), so the divisions stay exact.
+
     Returns (kernel, solve): the kernel basis of `eliminate`, and solve(b),
     which replays the row operations (pivot row, pivot, [(row, factor)]) on
     a sparse vector b and returns its solution as in `eliminate`.
@@ -609,7 +680,7 @@ def _factor(a0, ncols):
     rows, cols = {}, {}
     for (r, c), v in a0.items():
         if v:
-            rows.setdefault(r, {})[c] = v
+            rows.setdefault(r, {})[c] = as_fraction(v)
             cols.setdefault(c, {})[r] = None
     ops, pivots = [], {}
     for c in range(ncols):
@@ -640,7 +711,7 @@ def _factor(a0, ncols):
     ]
 
     def solve(b):
-        b = dict(b)
+        b = {r: as_fraction(v) for r, v in b.items()}
         for p, pv, updates in ops:
             x = b.get(p)
             if x:
@@ -712,17 +783,17 @@ def _rep_matrices(spin: int):
     e, f, h = {}, {}, {}
     for j in range(n + 1):
         if n - 2 * j:
-            h[(j, j)] = Fraction(n - 2 * j)
+            h[(j, j)] = n - 2 * j
         if j + 1 <= n:
-            f[(j + 1, j)] = Fraction(1)
+            f[(j + 1, j)] = 1
         if j >= 1:
-            e[(j - 1, j)] = Fraction(j * (n + 1 - j))
+            e[(j - 1, j)] = j * (n + 1 - j)
     return {"e": e, "f": f, "h": h}
 
 
 @lru_cache(maxsize=None)
 def classical_action(gen: str, word: ObjectExpr):
-    """Matrix of the sl2 basis element `gen` on a tensor word.
+    """Integer matrix {(i, j): int} of the sl2 basis element `gen` on a tensor word.
 
     Tensor factors via the Leibniz rule, duals via minus transpose.
     """
@@ -731,13 +802,12 @@ def classical_action(gen: str, word: ObjectExpr):
     if isinstance(word, SimpleObj):
         return dict(_rep_matrices(word.spin)[gen])
     if isinstance(word, DualObj):
-        inner = classical_action(gen, word.inner)
-        return _frac_scale(_frac_transpose(inner), Fraction(-1))
+        return _int_scale(_int_transpose(classical_action(gen, word.inner)), -1)
     if isinstance(word, TensorObj):
         a = classical_action(gen, word.left)
         b = classical_action(gen, word.right)
         da, db = word.left.dim, word.right.dim
-        return _frac_add(_frac_kron(a, _frac_ident(db), db, db), _frac_kron(_frac_ident(da), b, db, db))
+        return _int_iadd(_int_kron(a, _int_ident(db), db, db), _int_kron(_int_ident(da), b, db, db))
     raise TypeError(word)
 
 
@@ -749,14 +819,11 @@ def weights_of(word: ObjectExpr):
 
 
 def casimir_action(word: ObjectExpr):
-    """Matrix of C = ef + fe + h^2/2 on the word."""
+    """Layer of C = ef + fe + h^2/2 on the word."""
     e = classical_action("e", word)
     f = classical_action("f", word)
     h = classical_action("h", word)
-    return _frac_add(
-        _frac_add(_frac_compose(e, f), _frac_compose(f, e)),
-        _frac_scale(_frac_compose(h, h), Fraction(1, 2)),
-    )
+    return _sum([(1, _int_compose(e, f)), (1, _int_compose(f, e)), (2, _int_compose(h, h))])
 
 
 # r = e(x)f + h(x)h/4 and t = r + flip(r), as (coeff, leg1, leg2).
@@ -790,29 +857,32 @@ def leg_insertion(factors, first, second, tensor):
     `tensor` lists (c_k, a_k, b_k); A_k is a_k acting on each factor listed
     in `first` in turn (id (x) a_k (x) id, summed over the list), and B_k is
     b_k acting on the factors listed in `second` likewise.  It is
-    `insert_legs` on the identity of the word.
+    `insert_legs` on the identity of the word, and returns a layer.
     """
     pairs = [(i, j, tensor) for i in first for j in second]
-    return insert_legs(factors, pairs, _frac_ident(prod(w.dim for w in factors)))
+    return insert_legs(factors, pairs, (1, _int_ident(prod(w.dim for w in factors))))
 
 
 def insert_legs(factors, terms, m):
     """sum over (p_1, ..., p_n, tensor) in `terms` of sum_k c_k g_k1^(p_1) ... g_kn^(p_n) m.
 
-    `tensor` lists (c_k, g_k1, ..., g_kn); `m` is a sparse matrix whose rows
-    index the flat word of `factors`, and g^(p) is g acting on factors[p]
-    (id (x) g (x) id, by `_frac_apply`), the last leg first.  Grouped so
-    that each distinct run of later legs acts once on m, and each first
-    leg (position, generator) once on the coefficient-weighted sum of the
-    runs it heads, each coefficient scaling once.
+    `tensor` lists (c_k, g_k1, ..., g_kn) with rational c_k; `m` is a layer
+    whose rows index the flat word of `factors`, and g^(p) is g acting on
+    factors[p] (id (x) g (x) id, by `_int_apply`), the last leg first.
+    Grouped so that each distinct run of later legs acts once on m, and
+    each first leg (position, generator) once on the coefficient-weighted
+    sum of the runs it heads.  The generators act by integer matrices, so
+    the result is an integer matrix over den(m) times the lcm of the
+    coefficients' denominators, normalised once.
     """
     dims = [w.dim for w in factors]
 
     def act(leg, x):
         p, gen = leg
-        return _frac_apply(classical_action(gen, factors[p]), x, prod(dims[p + 1 :]), dims[p], dims[p])
+        return _int_apply(classical_action(gen, factors[p]), x, prod(dims[p + 1 :]), dims[p], dims[p])
 
-    acted = {(): m}
+    den, entries = m
+    acted = {(): entries}
 
     def run(legs):
         if legs not in acted:
@@ -823,36 +893,40 @@ def insert_legs(factors, terms, m):
     for *positions, tensor in terms:
         for coeff, *gens in tensor:
             legs = tuple(zip(positions, gens))
-            _frac_iadd(sums.setdefault((legs[0], coeff), {}), run(legs[1:]))
+            _int_iadd(sums.setdefault((legs[0], coeff), {}), run(legs[1:]))
+    scale = lcm(*{coeff.denominator for _, coeff in sums})
     firsts = {}
     for (leg, coeff), x in sums.items():
-        _frac_iadd(firsts.setdefault(leg, {}), x if coeff == 1 else _frac_scale(x, coeff))
+        _int_iadd(firsts.setdefault(leg, {}), x, coeff.numerator * (scale // coeff.denominator))
     out = {}
     for leg, x in firsts.items():
-        _frac_iadd(out, act(leg, x))
-    return out
+        _int_iadd(out, act(leg, x))
+    return _layer(den * scale, out)
 
 
-def exp_nilseries(entries, d, mode: RingMode, rate=Fraction(1)):
+def exp_nilseries(m, d, mode: RingMode, rate=Fraction(1)):
     """Layers of exp(rate * param * M) over the truncated ring, exactly.
 
-    The exponent carries one power of the deformation parameter, so layer
-    k is rate^k / k! M^k and the series terminates at the truncation order.
+    `m` is the layer of M.  The exponent carries one power of the
+    deformation parameter, so layer k is rate^k / k! M^k and the series
+    terminates at the truncation order.
     """
+    den, entries = m
     layers = _layers_ident(d, mode.order)
-    power = layers[0]
+    power = layers[0][1]
     for k in range(1, mode.order):
-        power = _frac_compose(power, entries)
+        power = _int_compose(power, entries)
         if not power:
             break
-        layers[k] = _frac_scale(power, Fraction(rate) ** k / factorial(k))
+        c = Fraction(rate) ** k / factorial(k)
+        layers[k] = _layer(den**k * c.denominator, _int_scale(power, c.numerator))
     return layers
 
 
 def flip_matrix(x: ObjectExpr, y: ObjectExpr, mode: RingMode) -> Morphism:
     dx, dy = x.dim, y.dim
-    flip = {(j * dx + i, i * dy + j): Fraction(1) for i in range(dx) for j in range(dy)}
-    return Morphism(word_tensor(x, y), word_tensor(y, x), mode, [flip])
+    flip = {(j * dx + i, i * dy + j): 1 for i in range(dx) for j in range(dy)}
+    return Morphism._of(word_tensor(x, y), word_tensor(y, x), mode, [(1, flip), *_zero_layers(mode.order - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +966,7 @@ def _quantum_rep(spin: int, order: int):
             gens["F"][0][(j + 1, j)] = Fraction(1)
         if j >= 1:
             put("E", (j - 1, j), _q_int(mode, j) * _q_int(mode, n + 1 - j))
-    return gens
+    return {g: [as_layer(layer) for layer in layers] for g, layers in gens.items()}
 
 
 class _QuantumOps:
@@ -920,7 +994,7 @@ class _QuantumOps:
         if isinstance(word, UnitObj):
             if gen in ("K", "Kinv"):
                 return self._ident(1)
-            return [{} for _ in range(self.mode.order)]
+            return list(_zero_layers(self.mode.order))
         if isinstance(word, SimpleObj):
             return _quantum_rep(word.spin, self.mode.order)[gen]
         if isinstance(word, DualObj):
@@ -931,9 +1005,9 @@ class _QuantumOps:
                 m = self.action("K", inner)
             else:
                 left, right = ("E", "Kinv") if gen == "E" else ("K", "F")
-                m = _convolve(self.action(left, inner), self.action(right, inner), _frac_compose)
-                m = [_frac_scale(x, _MINUS_ONE) for x in m]
-            return [_frac_transpose(x) for x in m]
+                m = _convolve(self.action(left, inner), self.action(right, inner), _int_compose)
+                m = [(d, _int_scale(x, -1)) for d, x in m]
+            return [(d, _int_transpose(x)) for d, x in m]
         if isinstance(word, TensorObj):
             a, b = word.left, word.right
             db = b.dim
@@ -964,21 +1038,21 @@ class _QuantumOps:
         mode = self.mode
         dy = y.dim
         d = x.dim * dy
-        hh = _frac_kron(classical_action("h", x), classical_action("h", y), dy, dy)
-        cartan = exp_nilseries(hh, d, mode, rate=Fraction(1, 4))
+        hh = _int_kron(classical_action("h", x), classical_action("h", y), dy, dy)
+        cartan = exp_nilseries((1, hh), d, mode, rate=Fraction(1, 4))
         total = self._ident(d)
         Epow = self._ident(x.dim)
         Fpow = self._ident(dy)
         Ex = self.action("E", x)
         Fy = self.action("F", y)
         for n, coeff in self._ladder_coeffs():
-            Epow = _convolve(Epow, Ex, _frac_compose)
-            Fpow = _convolve(Fpow, Fy, _frac_compose)
-            if not any(Epow) or not any(Fpow):
+            Epow = _convolve(Epow, Ex, _int_compose)
+            Fpow = _convolve(Fpow, Fy, _int_compose)
+            if _is_zero(Epow) or _is_zero(Fpow):
                 break
             term = _layers_kron(Epow, Fpow, dy, dy)
             total = _layers_add(total, _layers_scale(term, coeff))
-        return _convolve(cartan, total, _frac_compose)
+        return _convolve(cartan, total, _int_compose)
 
     def r_matrix_inv(self, x: ObjectExpr, y: ObjectExpr):
         """(S (x) 1)(R) = R^{-1} acting on x(x)y.
@@ -990,26 +1064,26 @@ class _QuantumOps:
         mode = self.mode
         dy = y.dim
         d = x.dim * dy
-        hh = _frac_kron(classical_action("h", x), classical_action("h", y), dy, dy)
-        cartan = exp_nilseries(hh, d, mode, rate=Fraction(-1, 4))
+        hh = _int_kron(classical_action("h", x), classical_action("h", y), dy, dy)
+        cartan = exp_nilseries((1, hh), d, mode, rate=Fraction(-1, 4))
         total = cartan
         EKpow = self._ident(x.dim)
         Fpow = self._ident(dy)
-        EK = _convolve(self.action("E", x), self.action("Kinv", x), _frac_compose)
+        EK = _convolve(self.action("E", x), self.action("Kinv", x), _int_compose)
         Fy = self.action("F", y)
         idx = self._ident(x.dim)
         idy = self._ident(dy)
         for n, coeff in self._ladder_coeffs():
-            EKpow = _convolve(EKpow, EK, _frac_compose)
-            Fpow = _convolve(Fpow, Fy, _frac_compose)
-            if not any(EKpow) or not any(Fpow):
+            EKpow = _convolve(EKpow, EK, _int_compose)
+            Fpow = _convolve(Fpow, Fy, _int_compose)
+            if _is_zero(EKpow) or _is_zero(Fpow):
                 break
             if n % 2:
                 coeff = coeff * Fraction(-1)
             term = _convolve(
                 _layers_kron(EKpow, idy, dy, dy),
-                _convolve(cartan, _layers_kron(idx, Fpow, dy, dy), _frac_compose),
-                _frac_compose,
+                _convolve(cartan, _layers_kron(idx, Fpow, dy, dy), _int_compose),
+                _int_compose,
             )
             total = _layers_add(total, _layers_scale(term, coeff))
         return total
@@ -1019,20 +1093,20 @@ class _QuantumOps:
         mode = self.mode
         d = word.dim
         hw = classical_action("h", word)
-        mid = exp_nilseries(_frac_compose(hw, hw), d, mode, rate=Fraction(-1, 4))
+        mid = exp_nilseries((1, _int_compose(hw, hw)), d, mode, rate=Fraction(-1, 4))
         E = self.action("E", word)
-        KF = _convolve(self.action("K", word), self.action("F", word), _frac_compose)
+        KF = _convolve(self.action("K", word), self.action("F", word), _int_compose)
         total = mid
         KFpow = self._ident(d)
         Epow = self._ident(d)
         for n, coeff in self._ladder_coeffs():
-            KFpow = _convolve(KFpow, KF, _frac_compose)
-            Epow = _convolve(Epow, E, _frac_compose)
-            if not any(KFpow) or not any(Epow):
+            KFpow = _convolve(KFpow, KF, _int_compose)
+            Epow = _convolve(Epow, E, _int_compose)
+            if _is_zero(KFpow) or _is_zero(Epow):
                 break
             if n % 2:
                 coeff = coeff * Fraction(-1)
-            term = _convolve(KFpow, _convolve(mid, Epow, _frac_compose), _frac_compose)
+            term = _convolve(KFpow, _convolve(mid, Epow, _int_compose), _int_compose)
             total = _layers_add(total, _layers_scale(term, coeff))
         return total
 
@@ -1061,19 +1135,20 @@ def _joins(tree):
 
 @lru_cache(maxsize=None)
 def _coherence_legs(src: ObjectExpr, tgt: ObjectExpr):
-    """(i, j, k, tensor) terms of 24 X(src -> tgt), coherence(src, tgt) = 1 + h^2 X.
+    """(i, j, k, tensor) terms of X(src -> tgt), coherence(src, tgt) = 1 + h^2 X.
 
     With h^3 = 0 every associator step is 1 + O(h^2), so the steps of any
     rebracketing add their h^2 parts.  A rotation (xy)z -> x(yz) adds
     [t_ij, t_jk] for each leaf triple i in x, j in y, k in z: exactly the
     triples whose psi turns from 0 to 1.  Hence
     X(src -> tgt) = 1/24 sum_{i<j<k} (psi_tgt - psi_src)(i, j, k) Omega_ijk,
-    with Omega = [t12, t23] (`OMEGA_TENSOR`).  Unit factors carry no leaf
-    and give no path.
+    with Omega = [t12, t23] (`OMEGA_TENSOR`), so each term's coefficients
+    are those of Omega over 24.  Unit factors carry no leaf and give no path.
     """
     gained, lost = _joins(tgt), _joins(src)
-    negated = tuple((-c, *gens) for c, *gens in OMEGA_TENSOR)
-    return tuple([(*ijk, OMEGA_TENSOR) for ijk in gained - lost] + [(*ijk, negated) for ijk in lost - gained])
+    plus = tuple((c / 24, *gens) for c, *gens in OMEGA_TENSOR)
+    minus = tuple((-c, *gens) for c, *gens in plus)
+    return tuple([(*ijk, plus) for ijk in gained - lost] + [(*ijk, minus) for ijk in lost - gained])
 
 
 # ---------------------------------------------------------------------------
@@ -1121,7 +1196,7 @@ class BackendSpec:
     def _braiding(self, x, y):
         src = word_tensor(x, y)
         layers = self._exp_omega(x, y, self._rate) if self._qops is None else self._qops.r_matrix(x, y)
-        return flip_matrix(x, y, self.mode) @ Morphism(src, src, self.mode, layers)
+        return flip_matrix(x, y, self.mode) @ Morphism._of(src, src, self.mode, layers)
 
     def braiding_inv(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
         """Inverse of braiding(x, y): a morphism y(x)x -> x(x)y."""
@@ -1130,7 +1205,7 @@ class BackendSpec:
     def _braiding_inv(self, x, y):
         tgt = word_tensor(x, y)
         layers = self._exp_omega(x, y, -self._rate) if self._qops is None else self._qops.r_matrix_inv(x, y)
-        return Morphism(tgt, tgt, self.mode, layers) @ flip_matrix(y, x, self.mode)
+        return Morphism._of(tgt, tgt, self.mode, layers) @ flip_matrix(y, x, self.mode)
 
     def _exp_omega(self, x, y, rate):
         """Layers of exp(rate * param * Omega) on x(x)y."""
@@ -1153,13 +1228,14 @@ class BackendSpec:
 
     def _twist(self, x, sign):
         if self._qops is None:
-            return Morphism(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, rate=Fraction(sign, 2)))
+            return Morphism._of(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, Fraction(sign, 2)))
         if sign > 0:
             return self.twist_inv(x).inverse()
         # quantum: the inverse twist is exp(-h rho) u, so that V_n twists by
         # exp(h n(n+2)/4), matching the Casimir normalization of the other backends
-        u = Morphism(x, x, self.mode, self._qops.u_matrix(x))
-        g = Morphism(x, x, self.mode, exp_nilseries(classical_action("h", x), x.dim, self.mode, rate=Fraction(-1, 2)))
+        u = Morphism._of(x, x, self.mode, self._qops.u_matrix(x))
+        h = (1, classical_action("h", x))
+        g = Morphism._of(x, x, self.mode, exp_nilseries(h, x.dim, self.mode, rate=Fraction(-1, 2)))
         return g @ u
 
     # -- infinitesimal braiding -----------------------------------------------
@@ -1177,7 +1253,7 @@ class BackendSpec:
     def _inf_braiding(self, x, y):
         src = word_tensor(x, y)
         if not self.is_deformed:
-            return Morphism(src, src, classical_mode(), [leg_insertion([x, y], [0], [1], T_TENSOR)])
+            return Morphism._of(src, src, classical_mode(), [leg_insertion([x, y], [0], [1], T_TENSOR)])
         double = self.braiding(y, x) @ self.braiding(x, y)
         return (double - Morphism.identity(src, self.mode)).part1()
 
@@ -1307,17 +1383,17 @@ class BackendSpec:
             return m.retyped(source, target)
         m0, m1, m2 = m.layers
         if target != m.target:
-            x = insert_legs(m.target.leaves(), _coherence_legs(m.target, target), m0)
-            m2 = _frac_add(m2, _frac_scale(x, Fraction(1, 24)))
+            m2 = _add(m2, insert_legs(m.target.leaves(), _coherence_legs(m.target, target), m0))
         if source != m.source:
-            m2 = _frac_add(m2, _frac_compose(m0, self.coherence(source, m.source).layers[2]))
+            y = self.coherence(source, m.source).layers[2]
+            m2 = _sum([m2, _product(m0, y, _int_compose)])
         return Morphism._of(source, target, self.mode, (m0, m1, m2))
 
     def apply(self, context, placed, core: Morphism) -> Morphism:
         """flat_apply(context, placed) @ core, without building the word matrix.
 
         `core` must end on the left-nested word of `context`.  Each placed
-        morphism acts on the core's rows by index arithmetic (`_frac_apply`),
+        morphism acts on the core's rows by index arithmetic (`_int_apply`),
         one placement at a time.  With a nontrivial associator `rebracket`
         moves the core onto the raw placement word before and the result to
         the left-nested target word after, so this is exact in the Drinfeld
@@ -1348,7 +1424,7 @@ class BackendSpec:
         for f, d in zip(factors, dims):
             right //= d
             if isinstance(f, Morphism):
-                layers = _convolve(f.layers, layers, lambda a, b: _frac_apply(a, b, right, d, f.target.dim))
+                layers = _convolve(f.layers, layers, lambda a, b: _int_apply(a, b, right, d, f.target.dim))
         if not self.nontrivial_associator:
             return Morphism._of(core.source, target, self.mode, layers)
         placement = Morphism._of(core.source, reduce(word_tensor, targets, UNIT), self.mode, layers)
@@ -1386,23 +1462,23 @@ class BackendSpec:
         word = TensorObj(x, y)
         mode = self.mode
         pieces = []
-        stacked = [{} for _ in range(mode.order)]
+        stacked = [[] for _ in range(mode.order)]
         offset = 0
         for k in range(m + n, abs(m - n) - 1, -2):
             target = SimpleObj(k)
             (embed,) = self.invariant_hom_basis(target, word)
-            for layer, part in zip(stacked, embed.layers):
-                layer.update({(i, j + offset): v for (i, j), v in part.items()})
+            for terms, (den, part) in zip(stacked, embed.layers):
+                terms.append((den, {(i, j + offset): v for (i, j), v in part.items()}))
             pieces.append((target, embed))
             offset += target.dim
-        big_inv = Morphism._of(word, word, mode, stacked).inverse()
+        big_inv = Morphism._of(word, word, mode, [_sum(terms) for terms in stacked]).inverse()
         result = []
         offset = 0
         for target, embed in pieces:
             dk = target.dim
             proj = [
-                {(i - offset, j): v for (i, j), v in layer.items() if offset <= i < offset + dk}
-                for layer in big_inv.layers
+                _layer(den, {(i - offset, j): v for (i, j), v in e.items() if offset <= i < offset + dk})
+                for den, e in big_inv.layers
             ]
             result.append((target, embed, Morphism._of(word, target, mode, proj)))
             offset += dk
@@ -1412,8 +1488,8 @@ class BackendSpec:
         """Layers of the raising and lowering operators on the word."""
         if self._qops is not None:
             return self._qops.action("E", word), self._qops.action("F", word)
-        empty = [{} for _ in range(self.mode.order - 1)]
-        return [classical_action("e", word)] + empty, [classical_action("f", word)] + empty
+        empty = _zero_layers(self.mode.order - 1)
+        return [(1, classical_action("e", word)), *empty], [(1, classical_action("f", word)), *empty]
 
     # -- invariant Hom spaces -----------------------------------------------------
 
@@ -1444,15 +1520,15 @@ class BackendSpec:
 
         for g_index, (gs, gt) in enumerate(gens):
             for o in range(order):
-                for (i, k), v in gt[o].items():
+                for (i, k), v in to_fractions(gt[o]).items():
                     for j in range(source.dim):
                         add((g_index, i, j), (k, j), o, v)
-                for (k, j), v in gs[o].items():
+                for (k, j), v in to_fractions(gs[o]).items():
                     for i in range(target.dim):
                         add((g_index, i, j), (i, k), o, -v)
         lifts, _ = solve_series(layers, len(unknowns), [])
         return [
-            Morphism._of(source, target, self.mode, [{unknowns[c]: v for c, v in x.items()} for x in lift])
+            Morphism._of(source, target, self.mode, [as_layer({unknowns[c]: v for c, v in x.items()}) for x in lift])
             for lift in lifts
         ]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ModeError, Part1DomainError
+from .errors import ModeError, Part1DomainError, SkeinlabError
 
 MAX_HBAR_ORDER = 8
 
@@ -32,6 +32,8 @@ class RingMode:
     order: int
 
     def __post_init__(self):
+        if type(self.order) is not int:
+            raise ModeError(f"ring order must be an integer, got {self.order!r}")
         if self.kind not in (CLASSICAL, EPSILON, HBAR):
             raise ModeError(f"unknown ring kind {self.kind!r}")
         expected = {CLASSICAL: 1, EPSILON: 2}.get(self.kind)
@@ -86,6 +88,23 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def rational_from_json(value) -> Fraction:
+    """An exact coefficient read from JSON: a string such as "3", "-1/24" or
+    "0.1", or an integer.  Floats and booleans are not exact coefficients
+    and raise, as does any other value."""
+    if isinstance(value, str):
+        # Fraction("1e99999999") would build 10**99999999
+        if len(value.lower().partition("e")[2].strip().lstrip("+-")) > 4:
+            raise SkeinlabError(f"coefficient {value!r} has an exponent beyond 9999")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise SkeinlabError(f"coefficient {value!r} is not a rational number") from None
+    if type(value) is int:
+        return Fraction(value)
+    raise SkeinlabError(f"coefficient {value!r} must be a string or an integer, not {type(value).__name__}")
 
 
 _ZERO = Fraction(0)
@@ -250,7 +269,10 @@ class ScalarSeries:
     @staticmethod
     def from_json(data) -> "ScalarSeries":
         mode = RingMode(data["mode"], data["order"])
-        return ScalarSeries.from_coeffs(mode, [Fraction(c) for c in data["coeffs"]])
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            raise SkeinlabError(f"coefficients must be a list, got {type(coeffs).__name__}")
+        return ScalarSeries.from_coeffs(mode, [rational_from_json(c) for c in coeffs])
 
 
 def exp_param_series(mode: RingMode, rate) -> ScalarSeries:

@@ -33,6 +33,7 @@ from .ribbon_backend import (
     simple,
     solve_series,
     tensor_word,
+    to_fractions,
     word_tensor,
 )
 from .surface import SurfacePattern
@@ -406,8 +407,11 @@ def _coordinates(m: Morphism, basis):
     Returns one sparse {basis index: rational} vector per order, with
     m = sum_k sum_b param^k coords[k][b] basis[b].
     """
-    layers = [{(p, n): v for n, b in enumerate(basis) for p, v in b.layers[k].items()} for k in range(m.mode.order)]
-    _, (coords,) = solve_series(layers, len(basis), [m.layers])
+    layers = [
+        {(p, n): v for n, b in enumerate(basis) for p, v in to_fractions(b.layers[k]).items()}
+        for k in range(m.mode.order)
+    ]
+    _, (coords,) = solve_series(layers, len(basis), [[to_fractions(layer) for layer in m.layers]])
     if coords is None:
         raise AlgebraError("morphism does not lie in the invariant Hom space")
     return coords
@@ -598,7 +602,8 @@ def holonomy_evaluate(s: SkeinElement):
         for h, lab in enumerate(labels):
             if (lab.spin, h) not in rep_cache:
                 rep_cache[(lab.spin, h)] = sl2_rep_entries(lab.spin, n, h)
-        for (i, j), v in core.layers[0].items():
+        den, constant = core.layers[0]
+        for (i, j), v in constant.items():
             # decode the boundary index i into slot indices
             idx = []
             rest = i
@@ -613,7 +618,7 @@ def holonomy_evaluate(s: SkeinElement):
                     plus[h] = idx[pos]
                 else:
                     minus[h] = idx[pos]
-            poly = SL2Poly.constant(n, v)
+            poly = SL2Poly.constant(n, Fraction(v, den))
             for h, lab in enumerate(labels):
                 rep = rep_cache[(lab.spin, h)]
                 poly = poly * rep[minus[h]][plus[h]]

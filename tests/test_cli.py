@@ -177,3 +177,23 @@ def test_internal_error_exit_3(monkeypatch):
     code, out, err = run_cli(["product", str(GOLDEN_INPUTS / "annulus_a.json"), str(GOLDEN_INPUTS / "annulus_b.json")])
     assert code == 3 and out == ""
     assert "internal error" in err and "Traceback" in err and "broken_mu" in err
+
+
+def test_float_and_boolean_coefficients_exit_2(tmp_path):
+    """Only strings and integers are exact coefficients: the JSON number 0.1
+    read as Fraction(0.1) would be 3602879701896397/36028797018963968, and
+    true would be read as 1."""
+    right = str(GOLDEN_INPUTS / "annulus_b.json")
+    for value in (0.1, 2.0, True, None, ["2"]):
+        left = _edited_annulus(tmp_path, lambda term: term["core"]["entries"].update(
+            {pos: [value] for pos in term["core"]["entries"]}))
+        code, out, err = run_cli(["product", left, right])
+        assert code == 2 and out == "", value
+        assert "coefficient" in err and "internal error" not in err, err
+    # the golden input's "2" as the integer 2 or the decimal string "2.0" is the same element
+    golden = (GOLDEN_INPUTS.parent / "product_annulus.json").read_text(encoding="utf-8")
+    for value in (2, "2.0"):
+        left = _edited_annulus(tmp_path, lambda term: term["core"]["entries"].update(
+            {pos: [value] for pos in term["core"]["entries"]}))
+        code, out, _ = run_cli(["product", left, right])
+        assert code == 0 and out == golden, value

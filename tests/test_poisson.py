@@ -19,6 +19,7 @@ from skeinlab.ribbon_backend import (
     make_backend,
     simple,
     tensor_word,
+    to_fractions,
     word_tensor,
 )
 from skeinlab.scalars import classical_mode
@@ -322,7 +323,7 @@ def _kron_leg_insertion(factors, first, second, tensor):
         return reduce(Morphism.__add__, [_kron_chain(tuple(factors), p, gen) for p in positions])
 
     terms = [(spread(first, a) @ spread(second, b)).scale(c) for c, a, b in tensor]
-    return reduce(Morphism.__add__, terms).layers[0]
+    return to_fractions(reduce(Morphism.__add__, terms).layers[0])
 
 
 def _reference_slot_insertion_product(s1, s2, triples):
@@ -402,13 +403,13 @@ def test_fock_rosly_sigma_builds_no_matrix_on_the_product_word(monkeypatch):
     b = random_element(CL, TOR, rng, label_pool=(2,))
     fock_rosly_sigma(TOR, a, b)
     sizes = []
-    frac_ident = ribbon_backend._frac_ident
+    int_ident = ribbon_backend._int_ident
 
     def watched(d):
         sizes.append(d)
-        return frac_ident(d)
+        return int_ident(d)
 
-    monkeypatch.setattr(ribbon_backend, "_frac_ident", watched)
+    monkeypatch.setattr(ribbon_backend, "_int_ident", watched)
     assert not fock_rosly_sigma(TOR, a, b).is_zero
     assert max(sizes, default=0) < 81, (len(sizes), max(sizes))
 

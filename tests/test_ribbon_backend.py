@@ -20,6 +20,7 @@ from skeinlab.ribbon_backend import (
     TensorObj,
     UNIT,
     UnitObj,
+    as_layer,
     classical_action,
     dual,
     flip_matrix,
@@ -32,6 +33,7 @@ from skeinlab.ribbon_backend import (
     simple,
     solve_series,
     tensor_word,
+    to_fractions,
     word_tensor,
 )
 from skeinlab.scalars import ScalarSeries, classical_mode, epsilon_mode, hbar_mode
@@ -435,7 +437,7 @@ def _ref_inverse(a, mode):
 
 def _check(m, src, tgt, mode, ref):
     assert (m.source, m.target, m.mode) == (src, tgt, mode)
-    assert all(v for layer in m.layers for v in layer.values()), "stored zero"
+    assert all(v for _, e in m.layers for v in e.values()), "stored zero"
     assert len(m.layers) == mode.order
     assert _dense(m) == ref
     assert m == _from_dense(src, tgt, mode, ref)
@@ -604,7 +606,8 @@ LEG_CASES = [
 @pytest.mark.parametrize("tensor", [R_TENSOR, T_TENSOR, RA_TENSOR, TSYM_TENSOR])
 def test_leg_insertion_matches_kron_chain_fixed(tensor):
     for factors, first, second in LEG_CASES:
-        assert leg_insertion(factors, first, second, tensor) == _kron_chain_insertion(factors, first, second, tensor)
+        expected = _kron_chain_insertion(factors, first, second, tensor)
+        assert to_fractions(leg_insertion(factors, first, second, tensor)) == expected
 
 
 def test_leg_insertion_matches_kron_chain_random():
@@ -619,7 +622,7 @@ def test_leg_insertion_matches_kron_chain_random():
         tensor = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.choice(gens), rng.choice(gens))
                   for _ in range(rng.randint(1, 3))]
         expected = _kron_chain_insertion(factors, first, second, tensor)
-        assert leg_insertion(factors, first, second, tensor) == expected, (factors, first, second, tensor)
+        assert to_fractions(leg_insertion(factors, first, second, tensor)) == expected, (factors, first, second, tensor)
 
 
 def _random_columns(rng, rows, ncols):
@@ -647,8 +650,8 @@ def test_insert_legs_on_a_matrix_matches_leg_insertion_composed():
         tensor = tensors[n % 4]
         m = _random_columns(rng, prod(w.dim for w in factors), rng.randint(1, 3))
         pairs = [(i, j, tensor) for i in first for j in second]
-        expected = _dropping_zeros(_matmul(leg_insertion(factors, first, second, tensor), m))
-        assert insert_legs(factors, pairs, m) == expected, (factors, first, second, tensor)
+        expected = _dropping_zeros(_matmul(to_fractions(leg_insertion(factors, first, second, tensor)), m))
+        assert to_fractions(insert_legs(factors, pairs, as_layer(m))) == expected, (factors, first, second, tensor)
         seen.add((len(first) > 1 or len(second) > 1, first == second, n % 4))
     assert len(seen) == 16, seen
 
@@ -665,9 +668,9 @@ def test_insert_legs_sums_pairs_with_different_tensors():
         m = _random_columns(rng, prod(w.dim for w in factors), rng.randint(1, 3))
         expected = {}
         for i, j, tensor in pairs:
-            for key, val in _matmul(leg_insertion(factors, [i], [j], tensor), m).items():
+            for key, val in _matmul(to_fractions(leg_insertion(factors, [i], [j], tensor)), m).items():
                 expected[key] = expected.get(key, 0) + val
-        assert insert_legs(factors, pairs, m) == _dropping_zeros(expected), (factors, pairs)
+        assert to_fractions(insert_legs(factors, pairs, as_layer(m))) == _dropping_zeros(expected), (factors, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +724,7 @@ def _solvable_system(rng, mode, nrows, ncols, rank, extra):
 
 def _columns_of(m, n):
     """Per right-hand side, the list of per-order sparse column vectors."""
-    return [[{i: v for (i, j), v in layer.items() if j == col} for layer in m.layers] for col in range(n)]
+    return [[{i: v for (i, j), v in to_fractions(layer).items() if j == col} for layer in m.layers] for col in range(n)]
 
 
 def _matrix_of(src, tgt, mode, vectors):
@@ -748,7 +751,7 @@ def test_series_solver_against_morphism_arithmetic(seed):
         row, k = rng.choice(outside), rng.randrange(mode.order)
         bad[k][row] = bad[k].get(row, 0) + 1
         rhs.insert(at, bad)
-    kernel, solutions = solve_series(a.layers, ncols, rhs)
+    kernel, solutions = solve_series([to_fractions(layer) for layer in a.layers], ncols, rhs)
     if outside:
         assert solutions.pop(at) is None
     assert a @ _matrix_of(rhs_obj, src, mode, solutions) == b
@@ -770,6 +773,25 @@ def test_series_solver_without_rows_or_columns():
     # no unknowns
     assert eliminate({}, 0, [{}, {0: zero}, {2: Fraction(5)}]) == ([], [{}, {}, None])
     assert solve_series([{}, {}], 0, [[{1: zero}, {}], [{}, {1: Fraction(-1)}]]) == ([], [[{}, {}], None])
+
+
+def test_solver_takes_integers_and_returns_fractions():
+    """Integer input is taken as exact: no true division of ints, no floats out."""
+    a0, rhs = {(0, 0): 2, (0, 1): 1, (1, 1): 3}, [{0: 1, 1: 1}]
+    as_fractions = ({k: Fraction(v) for k, v in a0.items()}, [{r: Fraction(v) for r, v in b.items()} for b in rhs])
+    solved = eliminate(a0, 2, rhs)
+    assert solved == eliminate(as_fractions[0], 2, as_fractions[1]) == ([], [{0: Fraction(1, 3), 1: Fraction(1, 3)}])
+    # a kernel vector and an order-by-order lift, from integer layers
+    layers, series_rhs = [{(0, 0): 2, (0, 1): 4}, {(0, 0): 3}], [[{0: 2}, {0: 5}]]
+    lifted = solve_series(layers, 2, series_rhs)
+    fraction_layers = [{k: Fraction(v) for k, v in layer.items()} for layer in layers]
+    assert lifted == solve_series(fraction_layers, 2, [[{0: Fraction(2)}, {0: Fraction(5)}]])
+    assert lifted == ([[{1: 1, 0: -2}, {0: 3}]], [[{0: 1}, {0: 1}]])
+    unit_pivot = eliminate({(0, 0): 1}, 1, [{0: 5}])[1][0]
+    vectors = [solved[1][0], *lifted[0][0], *lifted[1][0], unit_pivot]
+    assert all(type(v) is Fraction for vec in vectors for v in vec.values())
+    with pytest.raises(TypeError):  # a float is not an exact input
+        eliminate({(0, 0): 1}, 1, [{0: 0.5}])
 
 
 # ---------------------------------------------------------------------------
@@ -991,8 +1013,8 @@ def test_inverse_twist_equals_inverse_of_twist(name, order):
 
 def _t_commutator(x, y, z):
     """[t12, t23] on the word x y z, from two-leg t insertions."""
-    t12 = leg_insertion([x, y, z], [0], [1], T_TENSOR)
-    t23 = leg_insertion([x, y, z], [1], [2], T_TENSOR)
+    t12 = to_fractions(leg_insertion([x, y, z], [0], [1], T_TENSOR))
+    t23 = to_fractions(leg_insertion([x, y, z], [1], [2], T_TENSOR))
     comm = _matmul(t12, t23)
     for key, val in _matmul(t23, t12).items():
         comm[key] = comm.get(key, 0) - val
@@ -1044,8 +1066,9 @@ def test_omega_tensor_is_the_commutator_of_t12_and_t23():
     for x in ASSOC_WORDS:
         for y in ASSOC_WORDS:
             for z in ASSOC_WORDS:
-                ident = {(i, i): Fraction(1) for i in range(x.dim * y.dim * z.dim)}
-                assert insert_legs([x, y, z], [(0, 1, 2, OMEGA_TENSOR)], ident) == _t_commutator(x, y, z), (x, y, z)
+                ident = as_layer({(i, i): Fraction(1) for i in range(x.dim * y.dim * z.dim)})
+                omega = to_fractions(insert_legs([x, y, z], [(0, 1, 2, OMEGA_TENSOR)], ident))
+                assert omega == _t_commutator(x, y, z), (x, y, z)
 
 
 def _random_tree(rng, letters):
@@ -1181,7 +1204,7 @@ def test_apply_drops_cancelled_entries(name, order):
     core = Morphism(UNIT, word, bk.mode, [{(0, 0): 1, (3, 0): -1}])  # ev(V) sums rows 0 and 3
     out = bk.apply([VS, V], [(0, 2, bk.ev(V))], core)
     assert out == _kron_flat_apply(bk, [VS, V], [(0, 2, bk.ev(V))]) @ core
-    assert out.layers == tuple({} for _ in range(order))
+    assert out.layers == tuple((1, {}) for _ in range(order))
 
 
 def test_apply_rejects_wrong_modes_and_core_targets():

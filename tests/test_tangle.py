@@ -264,17 +264,17 @@ def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):
     word.coupons["c"] = coupon
     expected = rt_evaluate(word, bk)
     sizes, composed = [], []
-    frac_ident, compose_ = ribbon_backend._frac_ident, Morphism.compose
+    int_ident, compose_ = ribbon_backend._int_ident, Morphism.compose
 
     def watched_ident(d):
         sizes.append(d)
-        return frac_ident(d)
+        return int_ident(d)
 
     def watched_compose(self, other):
         composed.append((self.target, other.source))
         return compose_(self, other)
 
-    monkeypatch.setattr(ribbon_backend, "_frac_ident", watched_ident)
+    monkeypatch.setattr(ribbon_backend, "_int_ident", watched_ident)
     monkeypatch.setattr(Morphism, "compose", watched_compose)
     value = rt_evaluate(word, bk)
     monkeypatch.undo()

@@ -16,11 +16,16 @@ view, and the exact solver).
   DrinfeldSl2    braiding flip*exp(h*t/2), twist exp(h*C/2), associator
                  1 + h^2/24 [t12, t23] (order <= 3)
 
-All but the quantum backend share one formula each: the braiding is
-flip o exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip,
-and the twist exp(param*C/2), with (Omega, rate) = (r, 1) on epsilon and
-(t, 1/2) otherwise.  The truncation does the rest: the order-1 exponential
-is the identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.
+All four backends share one twist: exp(param*C/2), the scalar
+exp(param n(n+2)/4) on V_n and its dual, and on a tensor word the
+balancing axiom theta_{a@b} = c_{b,a} c_{a,b} (theta_a (x) theta_b).  All
+but the quantum backend share one braiding formula, flip o
+exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip, with
+(Omega, rate) = (r, 1) on epsilon and (t, 1/2) otherwise.  The quantum
+braiding is flip o R for the truncated universal R-matrix R, and its
+inverse is the series inverse of that braiding.  The truncation does the
+rest: the order-1 exponential is the identity on classical, and e^2 = 0
+makes exp(e*r) = 1 + e*r.
 Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
 `insert_legs`, on a given matrix; `leg_insertion` is `insert_legs` on the
 identity of a word.
@@ -184,6 +189,8 @@ def spin_name(n: int) -> str:
 
 
 def parse_label(name: str) -> int:
+    if not isinstance(name, str):
+        raise LabelError(f"a simple label must be a string, got {name!r}")
     if name in _NAME_SPINS:
         return _NAME_SPINS[name]
     if name.startswith("V") and name[1:].isdigit():
@@ -237,6 +244,8 @@ def word_tensor(a: ObjectExpr, b: ObjectExpr) -> ObjectExpr:
 
 
 def object_from_json(data) -> ObjectExpr:
+    if not isinstance(data, list) or not data:
+        raise LabelError(f"an object must be a non-empty list such as [\"V\"], got {data!r}")
     if data[0] == "unit":
         return UNIT
     if data[0] == "tensor":
@@ -246,7 +255,7 @@ def object_from_json(data) -> ObjectExpr:
         return word
     if data[0] == "dual":
         return dual(object_from_json(data[1]))
-    return simple(data[0])
+    return simple(parse_label(data[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -818,14 +827,6 @@ def weights_of(word: ObjectExpr):
     return tuple(int(h.get((i, i), 0)) for i in range(word.dim))
 
 
-def casimir_action(word: ObjectExpr):
-    """Layer of C = ef + fe + h^2/2 on the word."""
-    e = classical_action("e", word)
-    f = classical_action("f", word)
-    h = classical_action("h", word)
-    return _sum([(1, _int_compose(e, f)), (1, _int_compose(f, e)), (2, _int_compose(h, h))])
-
-
 # r = e(x)f + h(x)h/4 and t = r + flip(r), as (coeff, leg1, leg2).
 R_TENSOR = ((Fraction(1), "e", "f"), (Fraction(1, 4), "h", "h"))
 T_TENSOR = (
@@ -966,149 +967,73 @@ def _quantum_rep(spin: int, order: int):
             gens["F"][0][(j + 1, j)] = Fraction(1)
         if j >= 1:
             put("E", (j - 1, j), _q_int(mode, j) * _q_int(mode, n + 1 - j))
-    return {g: [as_layer(layer) for layer in layers] for g, layers in gens.items()}
+    return {g: tuple(as_layer(layer) for layer in layers) for g, layers in gens.items()}
 
 
-class _QuantumOps:
-    """U_q(sl2) generator actions on tensor words, with antipode duals.
+@lru_cache(maxsize=None)
+def _quantum_action(gen: str, word: ObjectExpr, order: int):
+    """Layers of the U_q(sl2) generator `gen` (E, F, K, Kinv) on a tensor word.
 
-    Coproduct: Delta(E) = E(x)K + 1(x)E, Delta(F) = F(x)1 + Kinv(x)F,
-    antipode: S(E) = -E Kinv, S(F) = -K F, S(K) = Kinv.  Actions and the
-    R-matrix data are layer lists (see Morphism).
+    Coproduct: Delta(E) = E(x)K + 1(x)E, Delta(F) = F(x)1 + Kinv(x)F; a dual
+    acts by the transpose of the antipode, S(E) = -E Kinv, S(F) = -K F,
+    S(K) = Kinv.  The cache is shared, so the layers come as a tuple.
     """
+    if isinstance(word, UnitObj):
+        return tuple(_layers_ident(1, order)) if gen in ("K", "Kinv") else _zero_layers(order)
+    if isinstance(word, SimpleObj):
+        return _quantum_rep(word.spin, order)[gen]
+    if isinstance(word, DualObj):
+        inner = word.inner
+        if gen in ("K", "Kinv"):
+            m = _quantum_action("Kinv" if gen == "K" else "K", inner, order)
+        else:
+            left, right = ("E", "Kinv") if gen == "E" else ("K", "F")
+            m = _convolve(_quantum_action(left, inner, order), _quantum_action(right, inner, order), _int_compose)
+            m = [(d, _int_scale(x, -1)) for d, x in m]
+        return tuple((d, _int_transpose(x)) for d, x in m)
+    if isinstance(word, TensorObj):
+        a, b = word.left, word.right
+        db = b.dim
 
-    def __init__(self, order: int):
-        self.mode = hbar_mode(order)
-        self._cache = {}
+        def act(g, w):
+            return _quantum_action(g, w, order)
 
-    def action(self, gen: str, word: ObjectExpr):
-        key = (gen, word)
-        if key not in self._cache:
-            self._cache[key] = self._compute(gen, word)
-        return self._cache[key]
+        if gen in ("K", "Kinv"):
+            return tuple(_layers_kron(act(gen, a), act(gen, b), db, db))
+        if gen == "E":
+            left = _layers_kron(act("E", a), act("K", b), db, db)
+            right = _layers_kron(_layers_ident(a.dim, order), act("E", b), db, db)
+        else:
+            left = _layers_kron(act("F", a), _layers_ident(db, order), db, db)
+            right = _layers_kron(act("Kinv", a), act("F", b), db, db)
+        return tuple(_layers_add(left, right))
+    raise TypeError(word)
 
-    def _ident(self, d):
-        return _layers_ident(d, self.mode.order)
 
-    def _compute(self, gen, word):
-        if isinstance(word, UnitObj):
-            if gen in ("K", "Kinv"):
-                return self._ident(1)
-            return list(_zero_layers(self.mode.order))
-        if isinstance(word, SimpleObj):
-            return _quantum_rep(word.spin, self.mode.order)[gen]
-        if isinstance(word, DualObj):
-            inner = word.inner
-            if gen == "K":
-                m = self.action("Kinv", inner)
-            elif gen == "Kinv":
-                m = self.action("K", inner)
-            else:
-                left, right = ("E", "Kinv") if gen == "E" else ("K", "F")
-                m = _convolve(self.action(left, inner), self.action(right, inner), _int_compose)
-                m = [(d, _int_scale(x, -1)) for d, x in m]
-            return [(d, _int_transpose(x)) for d, x in m]
-        if isinstance(word, TensorObj):
-            a, b = word.left, word.right
-            db = b.dim
-            if gen in ("K", "Kinv"):
-                return _layers_kron(self.action(gen, a), self.action(gen, b), db, db)
-            if gen == "E":
-                left = _layers_kron(self.action("E", a), self.action("K", b), db, db)
-                right = _layers_kron(self._ident(a.dim), self.action("E", b), db, db)
-                return _layers_add(left, right)
-            left = _layers_kron(self.action("F", a), self._ident(b.dim), db, db)
-            right = _layers_kron(self.action("Kinv", a), self.action("F", b), db, db)
-            return _layers_add(left, right)
-        raise TypeError(word)
+def _quantum_r_matrix(x: ObjectExpr, y: ObjectExpr, order: int):
+    """Layers of the truncated universal R-matrix q^{H(x)H/2} sum_n c_n E^n (x) F^n on x(x)y.
 
-    def _ladder_coeffs(self):
-        """c_n = q^{n(n-1)/2} (q - q^{-1})^n / [n]_q! for n = 1, 2, ..."""
-        mode = self.mode
-        q_minus = _q_power(mode, 1) - _q_power(mode, -1)
-        qm = ScalarSeries.one(mode)
-        fact = ScalarSeries.one(mode)
-        for n in range(1, mode.order):
-            qm = qm * _q_power(mode, n - 1) * q_minus
-            fact = fact * _q_int(mode, n)
-            yield n, qm * fact.inverse()
-
-    def r_matrix(self, x: ObjectExpr, y: ObjectExpr):
-        """Truncated universal R-matrix q^{H(x)H/2} sum c_n E^n (x) F^n on x(x)y."""
-        mode = self.mode
-        dy = y.dim
-        d = x.dim * dy
-        hh = _int_kron(classical_action("h", x), classical_action("h", y), dy, dy)
-        cartan = exp_nilseries((1, hh), d, mode, rate=Fraction(1, 4))
-        total = self._ident(d)
-        Epow = self._ident(x.dim)
-        Fpow = self._ident(dy)
-        Ex = self.action("E", x)
-        Fy = self.action("F", y)
-        for n, coeff in self._ladder_coeffs():
-            Epow = _convolve(Epow, Ex, _int_compose)
-            Fpow = _convolve(Fpow, Fy, _int_compose)
-            if _is_zero(Epow) or _is_zero(Fpow):
-                break
-            term = _layers_kron(Epow, Fpow, dy, dy)
-            total = _layers_add(total, _layers_scale(term, coeff))
-        return _convolve(cartan, total, _int_compose)
-
-    def r_matrix_inv(self, x: ObjectExpr, y: ObjectExpr):
-        """(S (x) 1)(R) = R^{-1} acting on x(x)y.
-
-        Term n is (-1)^n c_n ((E Kinv)^n (x) 1) q^{-H(x)H/2} (1 (x) F^n); the
-        Cartan factor sits between the ladder factors and does not commute
-        with them, so the terms are assembled individually.
-        """
-        mode = self.mode
-        dy = y.dim
-        d = x.dim * dy
-        hh = _int_kron(classical_action("h", x), classical_action("h", y), dy, dy)
-        cartan = exp_nilseries((1, hh), d, mode, rate=Fraction(-1, 4))
-        total = cartan
-        EKpow = self._ident(x.dim)
-        Fpow = self._ident(dy)
-        EK = _convolve(self.action("E", x), self.action("Kinv", x), _int_compose)
-        Fy = self.action("F", y)
-        idx = self._ident(x.dim)
-        idy = self._ident(dy)
-        for n, coeff in self._ladder_coeffs():
-            EKpow = _convolve(EKpow, EK, _int_compose)
-            Fpow = _convolve(Fpow, Fy, _int_compose)
-            if _is_zero(EKpow) or _is_zero(Fpow):
-                break
-            if n % 2:
-                coeff = coeff * Fraction(-1)
-            term = _convolve(
-                _layers_kron(EKpow, idy, dy, dy),
-                _convolve(cartan, _layers_kron(idx, Fpow, dy, dy), _int_compose),
-                _int_compose,
-            )
-            total = _layers_add(total, _layers_scale(term, coeff))
-        return total
-
-    def u_matrix(self, word: ObjectExpr):
-        """u = S(R^2) R^1 = sum (-1)^n c_n (KF)^n exp(-h H^2/4) E^n on the word."""
-        mode = self.mode
-        d = word.dim
-        hw = classical_action("h", word)
-        mid = exp_nilseries((1, _int_compose(hw, hw)), d, mode, rate=Fraction(-1, 4))
-        E = self.action("E", word)
-        KF = _convolve(self.action("K", word), self.action("F", word), _int_compose)
-        total = mid
-        KFpow = self._ident(d)
-        Epow = self._ident(d)
-        for n, coeff in self._ladder_coeffs():
-            KFpow = _convolve(KFpow, KF, _int_compose)
-            Epow = _convolve(Epow, E, _int_compose)
-            if _is_zero(KFpow) or _is_zero(Epow):
-                break
-            if n % 2:
-                coeff = coeff * Fraction(-1)
-            term = _convolve(KFpow, _convolve(mid, Epow, _int_compose), _int_compose)
-            total = _layers_add(total, _layers_scale(term, coeff))
-        return total
+    c_0 = 1 and c_n = q^{n(n-1)/2} (q - q^{-1})^n / [n]_q!, so each
+    coefficient is the last times q^{n-1} (q - q^{-1}) / [n]_q.
+    """
+    mode = hbar_mode(order)
+    dy = y.dim
+    d = x.dim * dy
+    hh = _int_kron(classical_action("h", x), classical_action("h", y), dy, dy)
+    cartan = exp_nilseries((1, hh), d, mode, rate=Fraction(1, 4))
+    q_minus = _q_power(mode, 1) - _q_power(mode, -1)
+    coeff = ScalarSeries.one(mode)
+    total = _layers_ident(d, order)
+    Epow, Fpow = _layers_ident(x.dim, order), _layers_ident(dy, order)
+    Ex, Fy = _quantum_action("E", x, order), _quantum_action("F", y, order)
+    for n in range(1, order):
+        Epow = _convolve(Epow, Ex, _int_compose)
+        Fpow = _convolve(Fpow, Fy, _int_compose)
+        if _is_zero(Epow) or _is_zero(Fpow):
+            break
+        coeff = coeff * _q_power(mode, n - 1) * q_minus * _q_int(mode, n).inverse()
+        total = _layers_add(total, _layers_scale(_layers_kron(Epow, Fpow, dy, dy), coeff))
+    return _convolve(cartan, total, _int_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,7 +1094,6 @@ class BackendSpec:
         self.mode = mode
         self._cache = {}
         self._coev_scales = {}
-        self._qops = _QuantumOps(mode.order) if name == "quantum" else None
         # the exponent Omega of the non-quantum braidings and its rate
         self._omega, self._rate = (R_TENSOR, Fraction(1)) if name == "epsilon" else (T_TENSOR, Fraction(1, 2))
         self.nontrivial_associator = name == "drinfeld" and mode.order >= 3
@@ -1195,7 +1119,10 @@ class BackendSpec:
 
     def _braiding(self, x, y):
         src = word_tensor(x, y)
-        layers = self._exp_omega(x, y, self._rate) if self._qops is None else self._qops.r_matrix(x, y)
+        if self.name == "quantum":
+            layers = _quantum_r_matrix(x, y, self.mode.order)
+        else:
+            layers = self._exp_omega(x, y, self._rate)
         return flip_matrix(x, y, self.mode) @ Morphism._of(src, src, self.mode, layers)
 
     def braiding_inv(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
@@ -1203,20 +1130,15 @@ class BackendSpec:
         return self._cached(("braidinv", x, y), lambda: self._braiding_inv(x, y))
 
     def _braiding_inv(self, x, y):
+        if self.name == "quantum":
+            return self.braiding(x, y).inverse()
         tgt = word_tensor(x, y)
-        layers = self._exp_omega(x, y, -self._rate) if self._qops is None else self._qops.r_matrix_inv(x, y)
-        return Morphism._of(tgt, tgt, self.mode, layers) @ flip_matrix(y, x, self.mode)
+        return Morphism._of(tgt, tgt, self.mode, self._exp_omega(x, y, -self._rate)) @ flip_matrix(y, x, self.mode)
 
     def _exp_omega(self, x, y, rate):
         """Layers of exp(rate * param * Omega) on x(x)y."""
         omega = leg_insertion([x, y], [0], [1], self._omega)
         return exp_nilseries(omega, x.dim * y.dim, self.mode, rate)
-
-    def swap(self, x: ObjectExpr, y: ObjectExpr, left_over: bool) -> Morphism:
-        """The iso x(x)y -> y(x)x; the left strand passes over iff left_over."""
-        if left_over:
-            return self.braiding(x, y)
-        return self.braiding_inv(y, x)
 
     # -- twist ---------------------------------------------------------------
 
@@ -1227,16 +1149,23 @@ class BackendSpec:
         return self._cached(("twistinv", x), lambda: self._twist(x, -1))
 
     def _twist(self, x, sign):
-        if self._qops is None:
-            return Morphism._of(x, x, self.mode, exp_nilseries(casimir_action(x), x.dim, self.mode, Fraction(sign, 2)))
-        if sign > 0:
-            return self.twist_inv(x).inverse()
-        # quantum: the inverse twist is exp(-h rho) u, so that V_n twists by
-        # exp(h n(n+2)/4), matching the Casimir normalization of the other backends
-        u = Morphism._of(x, x, self.mode, self._qops.u_matrix(x))
-        h = (1, classical_action("h", x))
-        g = Morphism._of(x, x, self.mode, exp_nilseries(h, x.dim, self.mode, rate=Fraction(-1, 2)))
-        return g @ u
+        """theta^sign: exp(sign param C/2) on a simple or dual, the balancing axiom on a tensor word.
+
+        C acts on V_n and its dual by n(n+2)/2.  On a @ b, theta =
+        c_{b,a} c_{a,b} (theta_a (x) theta_b) and theta^-1 =
+        (theta_a^-1 (x) theta_b^-1) c_{a,b}^-1 c_{b,a}^-1; on the Drinfeld
+        backend this is exp(param C/2) again, as C_{a@b} = C_a + C_b + 2 t_ab
+        with commuting terms.  The retype keeps explicit unit factors.
+        """
+        if isinstance(x, TensorObj):
+            a, b = x.left, x.right
+            if sign > 0:
+                m = self.braiding(b, a) @ self.braiding(a, b) @ self.twist(a).tensor(self.twist(b))
+            else:
+                m = self.twist_inv(a).tensor(self.twist_inv(b)) @ self.braiding_inv(a, b) @ self.braiding_inv(b, a)
+            return m.retyped(x, x)
+        n = x.dim - 1  # the spin of a simple or dual, 0 on the unit
+        return Morphism.identity(x, self.mode).scale(exp_param_series(self.mode, Fraction(sign * n * (n + 2), 4)))
 
     # -- infinitesimal braiding -----------------------------------------------
 
@@ -1486,8 +1415,8 @@ class BackendSpec:
 
     def _raising_lowering(self, word):
         """Layers of the raising and lowering operators on the word."""
-        if self._qops is not None:
-            return self._qops.action("E", word), self._qops.action("F", word)
+        if self.name == "quantum":
+            return _quantum_action("E", word, self.mode.order), _quantum_action("F", word, self.mode.order)
         empty = _zero_layers(self.mode.order - 1)
         return [(1, classical_action("e", word)), *empty], [(1, classical_action("f", word)), *empty]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraError, ModeError
+from .errors import AlgebraError, LabelError, ModeError
 from .polynomials import SL2Poly, sl2_rep_entries
 from .ribbon_backend import (
     BackendSpec,
@@ -210,6 +210,8 @@ class SkeinElement:
         element = SkeinElement(backend, pattern, argument, [])
         source = _source_word(argument)
         for n, t in enumerate(data["terms"]):
+            if not isinstance(t["labels"], list):
+                raise LabelError(f"term {n}: labels must be a list of strings, got {t['labels']!r}")
             labels = tuple(simple(parse_label(lab)) for lab in t["labels"])
             core = Morphism.from_json(t["core"])
             where = f"term {n} (labels {', '.join(map(str, labels))})"

@@ -41,6 +41,8 @@ class Strand:
 
     @staticmethod
     def from_json(data):
+        if not isinstance(data, list) or len(data) != 2 or data[1] not in ("+", "-"):
+            raise WordError(f"a strand must be [label, \"+\" or \"-\"], got {data!r}")
         return Strand(parse_label(data[0]), 1 if data[1] == "+" else -1)
 
 
@@ -72,11 +74,16 @@ class Cell:
 
     @staticmethod
     def from_json(data):
+        at, flavor = data["at"], data.get("flavor", "l")
+        if not isinstance(at, int) or isinstance(at, bool) or at < 0:
+            raise WordError(f"a cell position must be a non-negative integer, got {at!r}")
+        if flavor not in ("l", "r"):
+            raise WordError(f"a cell flavor must be \"l\" or \"r\", got {flavor!r}")
         return Cell(
             kind=data["cell"],
-            at=data["at"],
+            at=at,
             label=parse_label(data["label"]) if "label" in data else None,
-            flavor=data.get("flavor", "l"),
+            flavor=flavor,
             coupon_id=data.get("id"),
         )
 
@@ -203,11 +210,9 @@ def _cell_morphism(cell: Cell, strands, backend: BackendSpec):
     k = cell.kind
     p = cell.at
     if k == "braid+":
-        a, b = strands[p].obj, strands[p + 1].obj
-        return 2, backend.swap(a, b, left_over=True)
+        return 2, backend.braiding(strands[p].obj, strands[p + 1].obj)
     if k == "braid-":
-        a, b = strands[p].obj, strands[p + 1].obj
-        return 2, backend.swap(a, b, left_over=False)
+        return 2, backend.braiding_inv(strands[p + 1].obj, strands[p].obj)
     if k == "twist+":
         return 1, backend.twist(strands[p].obj)
     if k == "twist-":

@@ -197,3 +197,54 @@ def test_float_and_boolean_coefficients_exit_2(tmp_path):
             {pos: [value] for pos in term["core"]["entries"]}))
         code, out, _ = run_cli(["product", left, right])
         assert code == 0 and out == golden, value
+
+
+def _edited_tangle(tmp_path, edit):
+    data = json.loads((GOLDEN_INPUTS / "tangle_adj.json").read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_non_string_labels_exit_2(tmp_path):
+    right = str(GOLDEN_INPUTS / "annulus_b.json")
+    for labels in ([5], [None], "adj"):
+        code, out, err = run_cli(["product", _edited_annulus(tmp_path, lambda term: term.update(labels=labels)), right])
+        assert code == 2 and out == "" and "internal error" not in err, err
+        assert "label must be a string" in err or "labels must be a list" in err, err
+    # the integer 7 is not the label "V7"
+    data = json.loads((GOLDEN_INPUTS / "annulus_a.json").read_text(encoding="utf-8"))
+    for argument in ([[7]], [7], [[]], ["V"]):
+        data["argument"] = argument
+        path = tmp_path / "arg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["product", str(path), right])
+        assert code == 2 and out == "" and "internal error" not in err, argument
+        assert "label must be a string" in err or "non-empty list" in err, err
+    path = _edited_tangle(tmp_path, lambda w: w["bottom"][0].__setitem__(0, 5))
+    code, out, err = run_cli(["eval-tangle", path, "--backend", "quantum", "--order", "3"])
+    assert code == 2 and out == "" and "label must be a string" in err, err
+
+
+def test_tangle_orientation_and_position_must_be_exact(tmp_path):
+    """Only "+"/"-" orient a strand, only non-negative, non-bool integers
+    place a cell and only "l"/"r" flavor a cup or cap; "up" was read as
+    down, true as position 1, and a cup of another flavor as "l" on the
+    boundary but "r" in its morphism."""
+    edits = [
+        lambda w: (w.pop("top"), w["bottom"][0].__setitem__(1, "up")),
+        lambda w: w["bottom"][0].__setitem__(1, 1),
+        lambda w: w["bottom"][0].append("+"),
+        lambda w: w["slices"][4][0].__setitem__("at", True),
+        lambda w: w["slices"][4][0].__setitem__("at", 1.0),
+        lambda w: w["slices"][4][0].__setitem__("at", "1"),
+        lambda w: w["slices"][0][0].__setitem__("at", -1),
+        lambda w: w["slices"][3][0].__setitem__("flavor", "x"),
+    ]
+    for n, edit in enumerate(edits):
+        code, out, err = run_cli(["eval-tangle", _edited_tangle(tmp_path, edit), "--backend", "quantum", "--order", "3"])
+        assert code == 2 and out == "" and "internal error" not in err, (n, err)
+        assert "strand must be" in err or "cell position" in err or "cell flavor" in err, (n, err)
+    code, out, _ = run_cli(["eval-tangle", _edited_tangle(tmp_path, lambda w: None), "--backend", "quantum", "--order", "3"])
+    assert code == 0 and out

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -197,6 +197,54 @@ def test_twist_axiom_and_transpose():
         axiom = bk.braiding(V, V) @ bk.braiding(V, V) @ bk.twist(V).tensor(bk.twist(V))
         assert bk.twist(word) == axiom, bk.name
         assert bk.transpose(bk.twist(V)) == bk.twist(VS), bk.name
+
+
+NATURALITY_BACKENDS = [("classical", 1), ("epsilon", 2)] + [("quantum", o) for o in range(2, 6)] + [
+    ("drinfeld", 2),
+    ("drinfeld", 3),
+]
+NATURALITY_WORDS = [
+    TensorObj(V, V),
+    TensorObj(V, ADJ),
+    TensorObj(ADJ, ADJ),
+    TensorObj(TensorObj(V, VS), V),
+    TensorObj(V, TensorObj(ADJ, VS)),
+]
+
+
+@pytest.mark.parametrize("name, order", NATURALITY_BACKENDS)
+def test_twist_is_natural_on_each_isotypic_part(name, order):
+    """theta_W f = f theta_{V_k} for every f in Hom(V_k, W), and the same for theta^-1.
+
+    theta_{V_k} is the scalar exp(param k(k+2)/4), written out here from the
+    Casimir value.  The embeddings of all V_k span W, so this pins theta_W,
+    which the backend builds from its braidings, with no braiding in the
+    check; through V (x) V it ties theta_{V_0} and theta_{V_2} to the
+    R-matrix.
+    """
+    bk = make_backend(name, order)
+    for word in NATURALITY_WORDS:
+        spanned = 0
+        for k in range(sum(leaf.dim for leaf in word.leaves())):
+            vk = SimpleObj(k)
+            basis = bk.invariant_hom_basis(vk, word)
+            rate = Fraction(k * (k + 2), 4)
+            theta = ScalarSeries.from_coeffs(bk.mode, [rate**j / factorial(j) for j in range(order)])
+            assert bk.twist(vk) == Morphism.identity(vk, bk.mode).scale(theta), (name, order, k)
+            for f in basis:
+                assert bk.twist(word) @ f == f @ bk.twist(vk), (name, order, str(word), k)
+                assert bk.twist_inv(word) @ f == f @ bk.twist_inv(vk), (name, order, str(word), k)
+            spanned += len(basis) * vk.dim
+        assert spanned == word.dim, (name, order, str(word))
+
+
+@pytest.mark.parametrize("order", range(2, 6))
+def test_quantum_braiding_inverse_on_both_sides(order):
+    bk = make_backend("quantum", order)
+    for a, b in ((V, V), (V, VS), (ADJ, V), (VS, ADJ)):
+        c, ci = bk.braiding(a, b), bk.braiding_inv(a, b)
+        assert c @ ci == Morphism.identity(word_tensor(b, a), bk.mode), (order, str(a), str(b))
+        assert ci @ c == Morphism.identity(word_tensor(a, b), bk.mode), (order, str(a), str(b))
 
 
 def test_transpose_contravariant():

@@ -34,6 +34,7 @@ from .skein_algebra import (
     mu,
     mu_op_minus,
     product_plan,
+    product_term_chains,
     same_pattern,
     slot_objects,
 )
@@ -68,9 +69,7 @@ def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, sec
     """
     layer = leg_insertion(factors, first_blocks, second_blocks, tensor)
     word = tensor_word([leaf for a in element.argument for leaf in a.leaves()])
-    m = Morphism._of(word, word, classical_mode(), [layer])
-    terms = [(labels, core @ m) for labels, core in element.terms]
-    return SkeinElement(element.backend, element.pattern, element.argument, terms)
+    return element.precompose(Morphism._of(word, word, classical_mode(), [layer]))
 
 
 def interleaved_argument_factors(s1: SkeinElement, s2: SkeinElement):
@@ -133,8 +132,6 @@ def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
     """
     if s1.backend.name != "classical":
         raise ModeError("the intersection rule runs over the classical backend")
-    from .skein_algebra import product_term_chains
-
     backend = s1.backend
     sites = set(goldman_sites(s1.pattern))
 
@@ -175,9 +172,7 @@ def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
         x, y = s1.argument[v], s2.argument[v]
         context.extend([x, y])
         placed.append((2 * v, 2, flip_matrix(x, y, backend.mode)))
-    perm = backend.flat_apply(context, placed)
-    pulled_terms = [(labels, core @ perm) for labels, core in sig21.terms]
-    pulled = SkeinElement(backend, sig21.pattern, sig12.argument, pulled_terms)
+    pulled = sig21.precompose(backend.flat_apply(context, placed), sig12.argument)
     lhs = (sig12 + pulled).canonical()
     prod0 = mu(s1.part0(), s2.part0())
     factors, first, second = interleaved_argument_factors(s1, s2)
@@ -198,13 +193,11 @@ def biderivation_check(s1: SkeinElement, s2: SkeinElement, s3: SkeinElement) -> 
         x, y, z = s1.argument[v], s2.argument[v], s3.argument[v]
         context.extend([x, y, z])
         placed.append((3 * v + 1, 2, flip_matrix(y, z, backend_cl.mode)))
-    perm = backend_cl.flat_apply(context, placed)
-    rearranged = [(labels, core @ perm) for labels, core in term1.terms]
     target_argument = tuple(
         word_tensor(word_tensor(x, y), z)
         for x, y, z in zip(s1.argument, s2.argument, s3.argument)
     )
-    term1 = SkeinElement(backend_cl, s1.pattern, target_argument, rearranged)
+    term1 = term1.precompose(backend_cl.flat_apply(context, placed), target_argument)
     term2 = mu(s1.part0(), sigma_algebraic(s2, s3).element)
     rhs = (term1 + term2.canonical()).canonical()
     return lhs.equal(rhs)
@@ -232,9 +225,7 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
     context = [X1, X2, Y1, Y2]
     perm = backend_cl.flat_apply(context, [(1, 2, flip_matrix(X2, Y1, backend_cl.mode))])
     target_argument = (word_tensor(word_tensor(X1, X2), word_tensor(Y1, Y2)),)
-    term1 = SkeinElement(
-        backend_cl, fused, target_argument, [(labels, core @ perm) for labels, core in sig_f.terms]
-    )
+    term1 = sig_f.precompose(perm, target_argument)
 
     # second term: classical fused product with t on the middle arguments
     prod = mu(_transplant(s1.part0(), fused), _transplant(s2.part0(), fused))
@@ -295,8 +286,6 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
     W_f (x) W_g: first legs on W_f slots, second legs on W_g slots, applied
     to the core by `insert_legs` (no matrix on the word is built).
     """
-    from .skein_algebra import product_term_chains
-
     backend = s1.backend
     pattern = s1.pattern
 

@@ -101,6 +101,18 @@ class SkeinElement:
             [(labels, core.scale(r)) for labels, core in self.terms],
         )
 
+    def precompose(self, m: Morphism, argument=None) -> "SkeinElement":
+        """Every core precomposed with `m`, a map onto the flat argument word.
+
+        `argument` (by default the element's own) is the new argument, whose
+        flat word must be the source of `m`.
+        """
+        argument = self.argument if argument is None else tuple(argument)
+        if m.target != _source_word(self.argument) or m.source != _source_word(argument):
+            raise AlgebraError(f"{m!r} does not map {_source_word(argument)} onto the argument word")
+        terms = [(labels, core @ m) for labels, core in self.terms]
+        return SkeinElement(self.backend, self.pattern, argument, terms)
+
     @property
     def is_zero(self):
         return all(core.is_zero for _, core in self.canonical().terms)
@@ -567,15 +579,8 @@ def action(x: Morphism, vertex: int, s: SkeinElement) -> SkeinElement:
         raise AlgebraError(
             f"action target {x.target} does not match argument {s.argument[vertex]}"
         )
-    backend = s.backend
-    context = list(s.argument)
-    placed = [(vertex, 1, x)]
-    m = backend.flat_apply(context, placed)
-    new_argument = tuple(
-        x.source if v == vertex else a for v, a in enumerate(s.argument)
-    )
-    terms = [(labels, core @ m) for labels, core in s.terms]
-    return SkeinElement(backend, s.pattern, new_argument, terms)
+    m = s.backend.flat_apply(list(s.argument), [(vertex, 1, x)])
+    return s.precompose(m, (x.source if v == vertex else a for v, a in enumerate(s.argument)))
 
 
 # ---------------------------------------------------------------------------

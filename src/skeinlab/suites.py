@@ -127,7 +127,7 @@ def _apply_random_move(word, kind, backend, rng):
             coupons = dict(word.coupons)
             cid = f"slide{len(coupons)}"
             coupons[cid] = m
-            gadget = tuple(tuple(s) for s in coupon_then_cross(cid, m, p))
+            gadget = coupon_then_cross(cid, m, p)
             slices = word.slices[:lvl] + gadget + word.slices[lvl:]
             before = TangleWord(word.bottom, slices, coupons)
             return before, apply_move(before, "CouponSlide", (lvl, p))

@@ -18,6 +18,12 @@ from itertools import permutations
 from .errors import FusionError
 
 
+def _index(value, what):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise FusionError(f"a {what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class HandleEnd:
     vertex: int
@@ -28,9 +34,14 @@ class HandleEnd:
         return {"v": self.vertex, "slot": self.slot, "orient": "+" if self.sign > 0 else "-"}
 
     @staticmethod
-    def from_json(data):
-        sign = 1 if data.get("orient", "+") == "+" else -1
-        return HandleEnd(data["v"], data["slot"], sign)
+    def from_json(data, default="+"):
+        """`default` orients an end whose "orient" is omitted."""
+        if not isinstance(data, dict):
+            raise FusionError(f"a handle end must be an object, got {type(data).__name__}")
+        orient = data.get("orient", default)
+        if orient not in ("+", "-"):
+            raise FusionError(f"a handle end's orient must be \"+\" or \"-\", got {orient!r}")
+        return HandleEnd(_index(data["v"], "vertex"), _index(data["slot"], "slot"), 1 if orient == "+" else -1)
 
 
 @dataclass(frozen=True)
@@ -42,10 +53,14 @@ class Handle:
 
     @staticmethod
     def from_json(data):
-        ends = tuple(HandleEnd.from_json(e) for e in data["ends"])
-        if len(ends) == 2 and ends[0].sign == ends[1].sign:
-            ends = (HandleEnd(ends[0].vertex, ends[0].slot, 1), HandleEnd(ends[1].vertex, ends[1].slot, -1))
-        return Handle(ends)
+        """An end with no orientation takes the opposite of the other end's,
+        and the first end is "+" when neither states one."""
+        ends = data["ends"]
+        if not isinstance(ends, list) or len(ends) != 2:
+            raise FusionError("a handle must have a list of two ends")
+        second = ends[1].get("orient") if isinstance(ends[1], dict) else None
+        first = HandleEnd.from_json(ends[0], "-" if second == "+" else "+")
+        return Handle((first, HandleEnd.from_json(ends[1], "-" if first.sign > 0 else "+")))
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,8 @@ class SurfacePattern:
 
     @staticmethod
     def from_json(data):
-        return SurfacePattern(data["vertices"], tuple(Handle.from_json(h) for h in data["handles"]))
+        handles = tuple(Handle.from_json(h) for h in data["handles"])
+        return SurfacePattern(_index(data["vertices"], "vertex count"), handles)
 
 
 def disk_with_two_points() -> SurfacePattern:

@@ -21,9 +21,15 @@ from .ribbon_backend import (
     Morphism,
     SimpleObj,
     parse_label,
+    simple,
     spin_name,
     tensor_word,
 )
+
+
+def _spin(label) -> int:
+    """The spin of a JSON label, within the backends' bound."""
+    return simple(parse_label(label)).spin
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class Strand:
     def from_json(data):
         if not isinstance(data, list) or len(data) != 2 or data[1] not in ("+", "-"):
             raise WordError(f"a strand must be [label, \"+\" or \"-\"], got {data!r}")
-        return Strand(parse_label(data[0]), 1 if data[1] == "+" else -1)
+        return Strand(_spin(data[0]), 1 if data[1] == "+" else -1)
 
 
 @dataclass(frozen=True)
@@ -74,18 +80,17 @@ class Cell:
 
     @staticmethod
     def from_json(data):
-        at, flavor = data["at"], data.get("flavor", "l")
+        kind, at, flavor, cid = data["cell"], data["at"], data.get("flavor", "l"), data.get("id")
+        if not isinstance(kind, str):
+            raise WordError(f"a cell kind must be a string, got {kind!r}")
         if not isinstance(at, int) or isinstance(at, bool) or at < 0:
             raise WordError(f"a cell position must be a non-negative integer, got {at!r}")
         if flavor not in ("l", "r"):
             raise WordError(f"a cell flavor must be \"l\" or \"r\", got {flavor!r}")
-        return Cell(
-            kind=data["cell"],
-            at=at,
-            label=parse_label(data["label"]) if "label" in data else None,
-            flavor=flavor,
-            coupon_id=data.get("id"),
-        )
+        if cid is not None and not isinstance(cid, str):
+            raise WordError(f"a coupon id must be a string, got {cid!r}")
+        label = _spin(data["label"]) if "label" in data else None
+        return Cell(kind=kind, at=at, label=label, flavor=flavor, coupon_id=cid)
 
 
 @dataclass
@@ -100,14 +105,28 @@ class TangleWord:
 
     # -- interfaces -----------------------------------------------------
 
+    def _walk(self):
+        """The interfaces between slices, and each slice's (cell, ins) pairs."""
+        levels, placed = [self.bottom], []
+        for index, cells in enumerate(self.slices):
+            strands, out, pos, io = levels[-1], [], 0, []
+            for cell in sorted(cells, key=lambda c: c.at):
+                if cell.at < pos:
+                    raise WordError(f"overlapping cells in slice {index}")
+                try:
+                    ins, outs = _cell_io(cell, strands, self.coupons)
+                except WordError as exc:
+                    raise WordError(f"slice {index}: {exc}") from None
+                out += strands[pos : cell.at] + outs
+                pos = cell.at + len(ins)
+                io.append((cell, ins))
+            levels.append(tuple(out) + strands[pos:])
+            placed.append(io)
+        return levels, placed
+
     def interfaces(self):
         """Strand tuples between slices: interfaces()[0] is the bottom."""
-        levels = [self.bottom]
-        current = self.bottom
-        for slice_index, cells in enumerate(self.slices):
-            current = _apply_slice_to_interface(current, cells, self.coupons, slice_index)
-            levels.append(current)
-        return levels
+        return self._walk()[0]
 
     @property
     def top(self):
@@ -123,10 +142,15 @@ class TangleWord:
 
     @staticmethod
     def from_json(data):
+        if not isinstance(data, dict):
+            raise WordError(f"a tangle word must be an object, got {type(data).__name__}")
+        coupons = data.get("coupons", {})
+        if not isinstance(coupons, dict) or not all(isinstance(k, str) for k in coupons):
+            raise WordError(f"coupons must be an object with string keys, got {type(coupons).__name__}")
         word = TangleWord(
             bottom=tuple(Strand.from_json(s) for s in data["bottom"]),
             slices=tuple(tuple(Cell.from_json(c) for c in cells) for cells in data["slices"]),
-            coupons={k: Morphism.from_json(m) for k, m in data.get("coupons", {}).items()},
+            coupons={k: Morphism.from_json(m) for k, m in coupons.items()},
         )
         if "top" in data:
             declared = tuple(Strand.from_json(s) for s in data["top"])
@@ -135,69 +159,50 @@ class TangleWord:
         return word
 
 
-def _strand_of_obj(obj):
-    if isinstance(obj, SimpleObj):
-        return Strand(obj.spin, 1)
-    if isinstance(obj, DualObj):
-        return Strand(obj.inner.spin, -1)
-    raise WordError(f"coupon boundaries must be words of simples and duals, got {obj}")
-
-
-def _apply_slice_to_interface(strands, cells, coupons, slice_index):
-    cells = sorted(cells, key=lambda c: c.at)
-    out = []
-    pos = 0
-    strands = list(strands)
-    for cell in cells:
-        if cell.at < pos:
-            raise WordError(f"overlapping cells in slice {slice_index}")
-        out.extend(strands[pos : cell.at])
-        pos = cell.at
-        k = cell.kind
-        if k in ("braid+", "braid-"):
-            if pos + 2 > len(strands):
-                raise WordError(f"braid at {pos} needs two strands (slice {slice_index})")
-            out.extend([strands[pos + 1], strands[pos]])
-            pos += 2
-        elif k in ("twist+", "twist-"):
-            if pos + 1 > len(strands):
-                raise WordError(f"twist at {pos} needs a strand (slice {slice_index})")
-            out.append(strands[pos])
-            pos += 1
-        elif k == "cup":
-            pair = [Strand(cell.label, 1), Strand(cell.label, -1)]
-            if cell.flavor == "r":
-                pair.reverse()
-            out.extend(pair)
-        elif k == "cap":
-            if pos + 2 > len(strands):
-                raise WordError(f"cap at {pos} needs two strands (slice {slice_index})")
-            a, b = strands[pos], strands[pos + 1]
-            want = (Strand(cell.label, -1), Strand(cell.label, 1))
-            if cell.flavor == "r":
-                want = (Strand(cell.label, 1), Strand(cell.label, -1))
-            if (a, b) != want:
-                raise WordError(f"cap at {pos} does not match strands {(a, b)} (slice {slice_index})")
-            pos += 2
-        elif k == "coupon":
-            m = coupons.get(cell.coupon_id)
-            if m is None:
-                raise WordError(f"unknown coupon {cell.coupon_id!r}")
-            ins = [_strand_of_obj(o) for o in m.source.leaves()]
-            outs = [_strand_of_obj(o) for o in m.target.leaves()]
-            if tuple(strands[pos : pos + len(ins)]) != tuple(ins):
-                raise WordError(f"coupon {cell.coupon_id!r} does not match strands at {pos}")
-            out.extend(outs)
-            pos += len(ins)
-        elif k in ("assoc+", "assoc-"):
-            if pos + 3 > len(strands):
-                raise WordError(f"assoc at {pos} needs three strands (slice {slice_index})")
-            out.extend(strands[pos : pos + 3])
-            pos += 3
+def _strands_of(word):
+    """The strands of a coupon boundary word."""
+    strands = []
+    for obj in word.leaves():
+        if isinstance(obj, SimpleObj):
+            strands.append(Strand(obj.spin, 1))
+        elif isinstance(obj, DualObj):
+            strands.append(Strand(obj.inner.spin, -1))
         else:
-            raise WordError(f"unknown cell kind {k!r}")
-    out.extend(strands[pos:])
-    return tuple(out)
+            raise WordError(f"coupon boundaries must be words of simples and duals, got {obj}")
+    return tuple(strands)
+
+
+_SPANS = {"braid+": 2, "braid-": 2, "twist+": 1, "twist-": 1, "assoc+": 3, "assoc-": 3}
+
+
+def _cell_io(cell: Cell, strands, coupons):
+    """(ins, outs): the strands `cell` takes from the interface `strands`
+    at its position, and the strands it puts in their place."""
+    k, p = cell.kind, cell.at
+    if p > len(strands):
+        raise WordError(f"{k} at {p} is past the {len(strands)} strands")
+    if k in ("cup", "cap"):
+        if cell.label is None:
+            raise WordError(f"{k} at {p} has no label")
+        pair = (Strand(cell.label, 1), Strand(cell.label, -1))
+        if (k == "cup") != (cell.flavor == "l"):
+            pair = pair[::-1]
+        ins, outs = ((), pair) if k == "cup" else (pair, ())
+    elif k == "coupon":
+        m = coupons.get(cell.coupon_id)
+        if m is None:
+            raise WordError(f"unknown coupon {cell.coupon_id!r}")
+        ins, outs = _strands_of(m.source), _strands_of(m.target)
+    elif k in _SPANS:
+        ins = strands[p : p + _SPANS[k]]
+        if len(ins) < _SPANS[k]:
+            raise WordError(f"{k} at {p} needs {_SPANS[k]} strands")
+        return ins, ins[::-1] if k.startswith("braid") else ins
+    else:
+        raise WordError(f"unknown cell kind {k!r}")
+    if strands[p : p + len(ins)] != ins:
+        raise WordError(f"{k} at {p} does not match strands {strands[p : p + len(ins)]}")
+    return ins, outs
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +210,26 @@ def _apply_slice_to_interface(strands, cells, coupons, slice_index):
 # ---------------------------------------------------------------------------
 
 
-def _cell_morphism(cell: Cell, strands, backend: BackendSpec):
-    """(span, Morphism) for a cell on the given interface."""
+def _cell_morphism(cell: Cell, ins, coupons, backend: BackendSpec):
+    """The backend image of a cell whose input strands are `ins`."""
     k = cell.kind
-    p = cell.at
     if k == "braid+":
-        return 2, backend.braiding(strands[p].obj, strands[p + 1].obj)
+        return backend.braiding(ins[0].obj, ins[1].obj)
     if k == "braid-":
-        return 2, backend.braiding_inv(strands[p + 1].obj, strands[p].obj)
+        return backend.braiding_inv(ins[1].obj, ins[0].obj)
     if k == "twist+":
-        return 1, backend.twist(strands[p].obj)
+        return backend.twist(ins[0].obj)
     if k == "twist-":
-        return 1, backend.twist_inv(strands[p].obj)
+        return backend.twist_inv(ins[0].obj)
     if k == "cup":
         lab = SimpleObj(cell.label)
-        return 0, backend.coev(lab) if cell.flavor == "l" else backend.coev_right(lab)
+        return backend.coev(lab) if cell.flavor == "l" else backend.coev_right(lab)
     if k == "cap":
         lab = SimpleObj(cell.label)
-        return 2, backend.ev(lab) if cell.flavor == "l" else backend.ev_right(lab)
+        return backend.ev(lab) if cell.flavor == "l" else backend.ev_right(lab)
     if k == "coupon":
-        m = cell.coupon_id
-        return None, m  # resolved by caller
-    if k in ("assoc+", "assoc-"):
-        word = tensor_word([strands[p + i].obj for i in range(3)])
-        return 3, Morphism.identity(word, backend.mode)
-    raise WordError(f"unknown cell kind {k!r}")
+        return coupons[cell.coupon_id]
+    return Morphism.identity(tensor_word([s.obj for s in ins]), backend.mode)  # assoc+-
 
 
 def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
@@ -237,20 +237,11 @@ def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
     for cid, m in word.coupons.items():
         if m.mode != backend.mode:
             raise ModeError(f"coupon {cid!r} lives in {m.mode}, backend is {backend.mode}")
-    levels = word.interfaces()
+    levels, placed = word._walk()
     total = Morphism.identity(tensor_word([s.obj for s in word.bottom]), backend.mode)
-    for index, cells in enumerate(word.slices):
-        strands = levels[index]
-        context = [s.obj for s in strands]
-        placed = []
-        for cell in sorted(cells, key=lambda c: c.at):
-            if cell.kind == "coupon":
-                m = word.coupons[cell.coupon_id]
-                placed.append((cell.at, len(m.source.leaves()), m))
-            else:
-                span, m = _cell_morphism(cell, strands, backend)
-                placed.append((cell.at, span, m))
-        total = backend.apply(context, placed, total)
+    for strands, cells in zip(levels, placed):
+        morphisms = [(c.at, len(ins), _cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells]
+        total = backend.apply([s.obj for s in strands], morphisms, total)
     return total
 
 
@@ -304,176 +295,100 @@ def identity_word(strands) -> TangleWord:
 # ---------------------------------------------------------------------------
 
 
-def _insert_slices(word: TangleWord, level: int, new_slices) -> TangleWord:
-    slices = word.slices[:level] + tuple(tuple(s) for s in new_slices) + word.slices[level:]
-    return TangleWord(word.bottom, slices, dict(word.coupons))
-
-
 def apply_move(word: TangleWord, move: str, site) -> TangleWord:
     """Apply a syntactic move; the contract is invariance of rt_evaluate.
 
     Sites:
       R2:          (level, pos, "insert"|"reduce")
       R3:          (level, "lr"|"rl") on a braid-braid-braid pattern
-      FramedR1:    (level, pos, "insert") expands a twist+ into a curl
+      FramedR1:    (level, pos) expands a lone twist+ into a curl
       SnakeLeft:   (level, pos, "insert") zigzag via the left duality pair
       SnakeRight:  (level, pos, "insert") zigzag via the right duality pair
-      CouponSlide: (level, "left"|"right") slides the slice's coupon past
-                   its neighbor strand, inserting the naturality braidings
+      CouponSlide: (level, pos) slides the lone coupon at pos past its right
+                   neighbor strand, inserting the naturality braidings
     """
-    if move == "R2":
-        return _move_r2(word, site)
+    level, lhs, rhs = _move_rule(word, move, site)
+    if word.slices[level : level + len(lhs)] != lhs:
+        raise MoveError(f"no {move} pattern at site {site!r}")
+    slices = word.slices[:level] + rhs + word.slices[level + len(lhs) :]
+    return TangleWord(word.bottom, slices, dict(word.coupons))
+
+
+def _move_rule(word: TangleWord, move: str, site):
+    """(level, lhs, rhs): the slices that `move` at `site` replaces, and their replacement."""
     if move == "R3":
-        return _move_r3(word, site)
-    if move == "FramedR1":
-        return _move_framed_r1(word, site)
-    if move == "SnakeLeft":
-        return _move_snake(word, site, "l")
-    if move == "SnakeRight":
-        return _move_snake(word, site, "r")
+        level, direction = site
+        step = {"lr": 1, "rl": -1}.get(direction)
+        if step is None:
+            raise MoveError(f"unknown R3 direction {direction!r}")
+        p = _lone_cell(word, level).at
+        return level, _braids(p, p + step, p), _braids(p + step, p, p + step)
     if move == "CouponSlide":
-        return _move_coupon_slide(word, site)
-    raise MoveError(f"unknown move {move!r}")
-
-
-def _interface_at(word, level):
-    levels = word.interfaces()
-    if not 0 <= level <= len(word.slices):
-        raise MoveError(f"no interface at level {level}")
-    return levels[level]
-
-
-def _move_r2(word, site):
-    level, pos, direction = site
-    strands = _interface_at(word, level)
-    if direction == "insert":
-        if pos + 2 > len(strands):
-            raise MoveError("R2 insertion needs two adjacent strands")
-        return _insert_slices(word, level, [[Cell("braid+", pos)], [Cell("braid-", pos)]])
-    if direction == "reduce":
-        if level + 2 > len(word.slices):
-            raise MoveError("no R2 pattern at site")
-        s1, s2 = word.slices[level], word.slices[level + 1]
-        ok = (
-            len(s1) == 1
-            and len(s2) == 1
-            and s1[0].at == pos
-            and s2[0].at == pos
-            and {s1[0].kind, s2[0].kind} == {"braid+", "braid-"}
-        )
-        if not ok:
-            raise MoveError("no R2 pattern at site")
-        slices = word.slices[:level] + word.slices[level + 2 :]
-        return TangleWord(word.bottom, slices, dict(word.coupons))
-    raise MoveError(f"unknown R2 direction {direction!r}")
-
-
-def _move_r3(word, site):
-    level, direction = site
-    if level + 3 > len(word.slices):
-        raise MoveError("R3 needs three slices")
-    trip = word.slices[level : level + 3]
-    if not all(len(s) == 1 and s[0].kind == "braid+" for s in trip):
-        raise MoveError("R3 pattern must be three positive braid slices")
-    a, b, c = (s[0].at for s in trip)
-    step = {"lr": 1, "rl": -1}.get(direction)
-    if step is None:
-        raise MoveError(f"unknown R3 direction {direction!r}")
-    if not (a == c and b == a + step):
-        raise MoveError(f"no (p, p{step:+d}, p) braid pattern at site")
-    new = ([Cell("braid+", b)], [Cell("braid+", a)], [Cell("braid+", b)])
-    slices = word.slices[:level] + new + word.slices[level + 3 :]
-    return TangleWord(word.bottom, slices, dict(word.coupons))
-
-
-def _move_framed_r1(word, site):
-    """Replace a twist+ cell by the positive curl it abbreviates."""
-    level, pos = site
-    if level >= len(word.slices):
-        raise MoveError("no slice at site")
-    cells = word.slices[level]
-    target = next((c for c in cells if c.kind == "twist+" and c.at == pos), None)
-    if target is None or len(cells) != 1:
-        raise MoveError("FramedR1 needs a lone twist+ cell at the site")
-    strands = _interface_at(word, level)
-    st = strands[pos]
-    if st.orient < 0:
-        raise MoveError("FramedR1 implemented for upward strands")
-    lab = st.spin
-    curl = (
-        [Cell("cup", pos + 1, label=lab, flavor="l")],
-        [Cell("braid+", pos)],
-        [Cell("cap", pos + 1, label=lab, flavor="r")],
-    )
-    slices = word.slices[:level] + curl + word.slices[level + 1 :]
-    return TangleWord(word.bottom, slices, dict(word.coupons))
-
-
-def _move_snake(word, site, flavor):
-    level, pos, direction = site
-    if direction != "insert":
-        raise MoveError("snake moves are insertions")
-    strands = _interface_at(word, level)
-    if pos >= len(strands):
-        raise MoveError("no strand at site")
-    st = strands[pos]
-    if st.orient < 0:
-        raise MoveError("snake insertion implemented for upward strands")
-    lab = st.spin
-    if flavor == "l":
-        gadget = [
-            [Cell("cup", pos, label=lab, flavor="l")],
-            [Cell("cap", pos + 1, label=lab, flavor="l")],
-        ]
+        level, p = site
+        cell = _lone_cell(word, level)
+        if cell.kind != "coupon" or cell.coupon_id not in word.coupons:
+            raise MoveError("CouponSlide needs a lone coupon slice at the site")
+        m = word.coupons[cell.coupon_id]
+        return level, coupon_then_cross(cell.coupon_id, m, p), cross_then_coupon(cell.coupon_id, m, p)
+    if move == "R2":
+        level, p, direction = site
+        pair = ((Cell("braid+", p),), (Cell("braid-", p),))
+        if direction == "reduce":
+            return level, pair[::-1] if word.slices[level : level + 1] == pair[1:] else pair, ()
+        if direction != "insert":
+            raise MoveError(f"unknown R2 direction {direction!r}")
+        _strands_at(word, level, p, 2)
+        return level, (), pair
+    if move not in ("FramedR1", "SnakeLeft", "SnakeRight"):
+        raise MoveError(f"unknown move {move!r}")
+    if move == "FramedR1":
+        level, p = site
     else:
-        gadget = [
-            [Cell("cup", pos + 1, label=lab, flavor="r")],
-            [Cell("cap", pos, label=lab, flavor="r")],
-        ]
-    return _insert_slices(word, level, gadget)
+        level, p, direction = site
+        if direction != "insert":
+            raise MoveError("snake moves are insertions")
+    (strand,) = _strands_at(word, level, p, 1)
+    if strand.orient < 0:
+        raise MoveError(f"{move} implemented for upward strands")
+    lab = strand.spin
+    if move == "FramedR1":
+        curl = ((Cell("cup", p + 1, lab, "l"),), (Cell("braid+", p),), (Cell("cap", p + 1, lab, "r"),))
+        return level, ((Cell("twist+", p),),), curl
+    if move == "SnakeLeft":
+        return level, (), ((Cell("cup", p, lab, "l"),), (Cell("cap", p + 1, lab, "l"),))
+    return level, (), ((Cell("cup", p + 1, lab, "r"),), (Cell("cap", p, lab, "r"),))
+
+
+def _braids(*positions):
+    return tuple((Cell("braid+", p),) for p in positions)
+
+
+def _lone_cell(word, level):
+    cells = word.slices[level] if 0 <= level < len(word.slices) else ()
+    if len(cells) != 1:
+        raise MoveError(f"no lone cell in slice {level}")
+    return cells[0]
+
+
+def _strands_at(word, level, pos, count):
+    levels = word.interfaces()
+    if not (0 <= level < len(levels) and 0 <= pos and pos + count <= len(levels[level])):
+        raise MoveError(f"no {count} strand(s) at {pos} on level {level}")
+    return levels[level][pos : pos + count]
 
 
 def coupon_then_cross(coupon_id: str, m: Morphism, p: int):
     """Slices for a lone coupon at p followed by its right neighbor strand
     crossing under the coupon outputs to position p."""
     k_out = len(m.target.leaves())
-    return [[Cell("coupon", p, coupon_id=coupon_id)]] + [
-        [Cell("braid+", p + i)] for i in reversed(range(k_out))
-    ]
+    return ((Cell("coupon", p, coupon_id=coupon_id),),) + _braids(*reversed(range(p, p + k_out)))
 
 
 def cross_then_coupon(coupon_id: str, m: Morphism, p: int):
     """Slices for the right neighbor strand crossing under the coupon inputs,
     then the coupon shifted one position right."""
     k_in = len(m.source.leaves())
-    return [[Cell("braid+", p + i)] for i in reversed(range(k_in))] + [
-        [Cell("coupon", p + 1, coupon_id=coupon_id)]
-    ]
-
-
-def _move_coupon_slide(word, site):
-    """Rewrite coupon-then-cross into cross-then-coupon (naturality).
-
-    Site is (level, pos): the slice at `level` must be a lone coupon at
-    `pos` followed by the braid slices that carry its right neighbor strand
-    to position `pos`.
-    """
-    level, p = site
-    if level >= len(word.slices):
-        raise MoveError("no slice at site")
-    cells = word.slices[level]
-    if len(cells) != 1 or cells[0].kind != "coupon" or cells[0].at != p:
-        raise MoveError("CouponSlide needs a lone coupon slice at the site")
-    cell = cells[0]
-    m = word.coupons[cell.coupon_id]
-    k_out = len(m.target.leaves())
-    expected = tuple(tuple(s) for s in coupon_then_cross(cell.coupon_id, m, p))
-    got = tuple(tuple(s) for s in word.slices[level : level + len(expected)])
-    if got != expected:
-        raise MoveError("no coupon-then-cross pattern at site")
-    new = cross_then_coupon(cell.coupon_id, m, p)
-    slices = word.slices[:level] + tuple(tuple(s) for s in new) + word.slices[level + 1 + k_out :]
-    return TangleWord(word.bottom, slices, dict(word.coupons))
+    return _braids(*reversed(range(p, p + k_in))) + ((Cell("coupon", p + 1, coupon_id=coupon_id),),)
 
 
 def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4, max_width: int = 5) -> TangleWord:

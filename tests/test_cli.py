@@ -248,3 +248,55 @@ def test_tangle_orientation_and_position_must_be_exact(tmp_path):
         assert "strand must be" in err or "cell position" in err or "cell flavor" in err, (n, err)
     code, out, _ = run_cli(["eval-tangle", _edited_tangle(tmp_path, lambda w: None), "--backend", "quantum", "--order", "3"])
     assert code == 0 and out
+
+
+def test_tangle_coupon_table_ids_and_cup_labels_exit_2(tmp_path):
+    """A coupon table that is not an object, a coupon id that is not a
+    string and a cup with no label were internal errors (exit 3); a cup
+    past the last strand was placed after it."""
+    edits = [
+        (lambda w: w.update(coupons=[]), "coupons must be an object"),
+        (lambda w: w["slices"].append([{"cell": "coupon", "at": 0, "id": ["x"]}]), "coupon id must be a string"),
+        (lambda w: w["slices"][3][0].pop("label"), "cup at 2 has no label"),
+        (lambda w: w["slices"][3][0].update(at=3), "cup at 3 is past the 2 strands"),
+    ]
+    for edit, message in edits:
+        code, out, err = run_cli(["eval-tangle", _edited_tangle(tmp_path, edit), "--backend", "classical"])
+        assert code == 2 and out == "" and "internal error" not in err, err
+        assert message in err, err
+
+
+def test_tangle_spins_are_bounded(tmp_path):
+    """Strand and cup labels obey the same spin bound as coupon boundaries."""
+    edits = [
+        lambda w: (w.pop("top"), w["bottom"][0].__setitem__(0, "V9")),
+        lambda w: w["slices"][3][0].__setitem__("label", "V99999999"),
+    ]
+    for edit in edits:
+        code, out, err = run_cli(["eval-tangle", _edited_tangle(tmp_path, edit), "--backend", "classical"])
+        assert code == 2 and out == "" and "out of range 0..8" in err, err
+
+
+def _two_vertex_pattern(tmp_path, first, second):
+    ends = [{"v": 0, "slot": 0}, {"v": 1, "slot": 0}]
+    for end, orient in zip(ends, (first, second)):
+        if orient is not None:
+            end["orient"] = orient
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps({"vertices": 2, "handles": [{"ends": ends}]}))
+    return str(path)
+
+
+def test_handle_orientations_must_be_exact(tmp_path):
+    """Only "+" and "-" orient a handle end, and two stated orientations
+    must differ; "x" was read as "-", and (-, -) was rewritten to (+, -)."""
+    for first, second in (("x", "-"), ("+", 1), ("-", "-"), ("+", "+"), (None, "x")):
+        code, out, err = run_cli(["fuse", _two_vertex_pattern(tmp_path, first, second), "0", "1"])
+        assert code == 2 and out == "" and "internal error" not in err, (first, second, err)
+        assert "orient" in err or "opposite orientation" in err, err
+    # an omitted orientation is the opposite of the other end's, and "+" first when both are omitted
+    for first, second, signs in ((None, None, "+-"), (None, "+", "-+"), ("-", None, "-+"), ("+", "-", "+-")):
+        code, out, _ = run_cli(["fuse", _two_vertex_pattern(tmp_path, first, second), "0", "1"])
+        assert code == 0, (first, second)
+        (handle,) = json.loads(out)["handles"]
+        assert "".join(end["orient"] for end in handle["ends"]) == signs, (first, second)

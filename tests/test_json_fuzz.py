@@ -1,16 +1,24 @@
-"""Hypothesis fuzz of the JSON front door of morphisms and scalar series.
+"""Hypothesis fuzz of the JSON front door.
 
 Arbitrary JSON in entry keys, entry positions and coefficient lists must
 either raise SkeinlabError (exit 2 on the command line) or give a value
 whose to_json reads back to the same JSON, with every coefficient the
 exact value of the string or integer it was given: never a TypeError, an
-IndexError, or a rational made from a float.
+IndexError, or a rational made from a float.  Tangle words and surface
+patterns, well formed or not, go through the command line, which must
+exit 0 or 2 and never report an internal error (exit 3).
 """
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from skeinlab.cli import main
 from skeinlab.errors import SkeinlabError
 from skeinlab.ribbon_backend import Morphism
 from skeinlab.scalars import ScalarSeries
@@ -103,3 +111,73 @@ def test_exponents_are_bounded():
             assert "exponent" in str(exc)
         else:
             raise AssertionError(f"{text!r} was read")
+
+
+def _exit_code(args, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([args[0], str(path), *args[1:]])
+    assert code in (0, 2) and "internal error" not in err.getvalue(), (code, err.getvalue())
+    return code, out.getvalue()
+
+
+def mostly(good, bad):
+    """`good` nine times in ten, else `bad`: most inputs get past the first check."""
+    return st.integers(0, 9).flatmap(lambda n: bad if n == 0 else good)
+
+
+# spins of at most 2 keep every word small: 4 strands and 4 slices of cups stay below 3^12
+junk_labels = st.sampled_from(["V9", "V99999999", "W", ""]) | json_scalars
+labels = mostly(st.sampled_from(["V", "adj", "unit", "V0"]), junk_labels)
+strands = mostly(st.tuples(labels, st.sampled_from(["+", "-"])).map(list), json_values)
+kinds = mostly(st.sampled_from(["braid+", "braid-", "cup", "cap", "twist+", "twist-", "coupon", "assoc+", "assoc-"]),
+               json_scalars)
+cells = mostly(st.fixed_dictionaries(
+    {"cell": kinds, "at": mostly(st.integers(0, 3), json_scalars)},
+    optional={"label": labels, "flavor": mostly(st.sampled_from(["l", "r"]), json_scalars),
+              "id": mostly(st.sampled_from(["c", "d"]), json_values)},
+), json_values)
+identity_on = [
+    {"source": source, "target": source, "mode": "classical", "order": 1,
+     "entries": {f"{i},{i}": ["1"] for i in range(dim)}}
+    for source, dim in ((["V"], 2), (["tensor", ["V"], ["dual", ["V"]]], 4), (["unit"], 1))
+]
+coupons = mostly(st.sampled_from(identity_on), json_values)
+coupon_tables = mostly(st.dictionaries(st.sampled_from(["c", "d"]), coupons, max_size=2), json_values)
+tangle_words = mostly(st.fixed_dictionaries(
+    {"bottom": mostly(st.lists(strands, max_size=4), json_values),
+     "slices": st.lists(st.lists(cells, max_size=2), max_size=4)},
+    optional={"coupons": coupon_tables, "top": st.lists(strands, max_size=4)},
+), json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tangle_words)
+def test_tangle_words_evaluate_or_exit_2(word):
+    _exit_code(["eval-tangle", "--backend", "classical"], word)
+
+
+ends = mostly(st.fixed_dictionaries(
+    {"v": mostly(st.integers(0, 2), json_scalars), "slot": mostly(st.integers(0, 1), json_scalars)},
+    optional={"orient": mostly(st.sampled_from(["+", "-"]), json_scalars)},
+), json_values)
+handles = mostly(st.fixed_dictionaries({"ends": mostly(st.lists(ends, min_size=2, max_size=2), json_values)}),
+                 json_values)
+patterns = mostly(st.fixed_dictionaries(
+    {"vertices": mostly(st.integers(1, 3), json_scalars.filter(lambda v: type(v) is not int)),
+     "handles": st.lists(handles, max_size=3)},
+), json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns, st.sampled_from([(0, 1), (1, 0), (1, 2), (0, 0), (0, 3)]))
+def test_surface_patterns_fuse_or_exit_2(pattern, site):
+    code, out = _exit_code(["fuse", *map(str, site)], pattern)
+    if code == 0:
+        fused = json.loads(out)
+        assert fused["vertices"] == pattern["vertices"] - 1
+        for handle in fused["handles"]:
+            assert sorted(end["orient"] for end in handle["ends"]) == ["+", "-"]

@@ -128,6 +128,11 @@ def test_action_contravariant():
     assert action(ident, 0, s).equal(s)
     zero = Morphism.zero(target, target, CL.mode)
     assert action(zero, 0, s).is_zero
+    # precomposition needs a map onto the argument word, from the new argument's word
+    assert s.precompose(ident, (target,)).equal(s)
+    for m, argument in ((Morphism.identity(V, CL.mode), (V,)), (ident, (V,))):
+        with pytest.raises(AlgebraError):
+            s.precompose(m, argument)
 
 
 def test_freeness_part0_rank():

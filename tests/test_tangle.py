@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from skeinlab import ribbon_backend
+from skeinlab import ribbon_backend, suites, tangle
 from skeinlab.errors import MoveError, WordError
 from skeinlab.ribbon_backend import Morphism, TensorObj, make_backend, simple, tensor_word
 from skeinlab.scalars import ScalarSeries
@@ -177,6 +179,83 @@ def test_r2_reduce_direction():
     grown = apply_move(w, "R2", (0, 0, "insert"))
     back = apply_move(grown, "R2", (0, 0, "reduce"))
     assert back.slices == w.slices
+    # the inverse crossing first cancels as well
+    undone = TangleWord((V1, V1), ((Cell("braid-", 0),), (Cell("braid+", 0),)), {})
+    assert apply_move(undone, "R2", (0, 0, "reduce")).slices == ()
+
+
+def test_moves_corpus_is_pinned(monkeypatch):
+    """The (before, after) words of the moves suite, pinned by a digest of their JSON.
+
+    The suite's random calls and every move rule decide these words, so a
+    rewrite of either that changes them changes the digest.
+    """
+    pairs = []
+    apply = suites._apply_random_move
+
+    def recorded(word, kind, backend, rng):
+        pair = apply(word, kind, backend, rng)
+        if pair is not None:
+            pairs.append([w.to_json() for w in pair])
+        return pair
+
+    monkeypatch.setattr(suites, "_apply_random_move", recorded)
+    for backend in ("quantum", "drinfeld"):
+        for seed in range(5):
+            assert all(case["ok"] for case in suites.moves_suite(backend, 3, seed, words_per_kind=1))
+    assert len(pairs) == 60
+    digest = hashlib.sha256(json.dumps(pairs, sort_keys=True).encode()).hexdigest()
+    assert digest == "c7cb7323d2191f3d208e4fa34aeab8d8a28dce268d569de24de53dd1deaeec10"
+
+
+def _braid_slices(kind, *positions):
+    return tuple((Cell(kind, p),) for p in positions)
+
+
+def test_move_rules_keep_the_boundary():
+    """Wherever a move matches, its two sides run between the same interfaces.
+
+    Each move's left side is planted at a random level and position of a
+    random word; where the planted word is well formed and the move applies,
+    the rule's lhs must be what was planted, and lhs and rhs must carry the
+    interface below them to the same interface above.
+    """
+    rng = random.Random(31)
+    bk = make_backend("classical")
+    applied = set()
+    for _ in range(80):
+        word = random_word(rng, bk, n_strands=rng.choice((1, 2, 3)), n_slices=rng.choice((1, 2, 3)))
+        levels = word.interfaces()
+        level = rng.randrange(len(levels))
+        strands = levels[level]
+        p = rng.randrange(max(1, len(strands)))
+        coupons = dict(word.coupons)
+        if strands:
+            coupons["s"] = bk.random_invariant(strands[p].obj, strands[p].obj, rng)
+        plants = [
+            ("R2", (level, p, "insert"), ()),
+            ("R2", (level, p, "reduce"), _braid_slices("braid+", p) + _braid_slices("braid-", p)),
+            ("R2", (level, p, "reduce"), _braid_slices("braid-", p) + _braid_slices("braid+", p)),
+            ("R3", (level, "lr"), _braid_slices("braid+", p, p + 1, p)),
+            ("R3", (level, "rl"), _braid_slices("braid+", p, p - 1, p)),
+            ("FramedR1", (level, p), _braid_slices("twist+", p)),
+            ("SnakeLeft", (level, p, "insert"), ()),
+            ("SnakeRight", (level, p, "insert"), ()),
+        ]
+        if strands:
+            plants.append(("CouponSlide", (level, p), coupon_then_cross("s", coupons["s"], p)))
+        for move, site, planted in plants:
+            planted_word = TangleWord(word.bottom, word.slices[:level] + planted, coupons)
+            try:
+                planted_word.interfaces()
+                apply_move(planted_word, move, site)
+            except (MoveError, WordError):
+                continue
+            at, lhs, rhs = tangle._move_rule(planted_word, move, site)
+            assert (at, lhs) == (level, planted), (move, site)
+            assert TangleWord(strands, lhs, coupons).top == TangleWord(strands, rhs, coupons).top, (move, site)
+            applied.add(move)
+    assert applied == {"R2", "R3", "FramedR1", "SnakeLeft", "SnakeRight", "CouponSlide"}
 
 
 # ---------------------------------------------------------------------------

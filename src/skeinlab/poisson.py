@@ -3,7 +3,7 @@
 sigma is the first-order difference between the product and its globally
 undercrossed opposite.  It can be computed three ways: algebraically from
 a deformed backend, diagrammatically by summing infinitesimal-braiding
-insertions over the interior crossings of the product plan, and in the
+insertions over the interior crossings of the product walk, and in the
 classical holonomy model by the ciliated vertex sum built from the
 classical r-matrix.  The acceptance identities (disk formula, oracle
 equivalence, symmetrization, Leibniz, fusion, Fock-Rosly consistency)
@@ -33,7 +33,7 @@ from .skein_algebra import (
     lift_element,
     mu,
     mu_op_minus,
-    product_plan,
+    product_argument,
     product_term_chains,
     same_pattern,
     slot_objects,
@@ -100,58 +100,34 @@ def sigma_algebraic(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
     return SigmaResult(diff.part1().canonical(), "algebraic")
 
 
-def goldman_sites(pattern: SurfacePattern):
-    """Interior crossing sites of the product plan: the intra-vertex ones.
-
-    Sites are numbered as in the product plan (argument swaps first); the
-    crossings between slot strands of different vertices and the argument
-    rearrangements cancel pairwise in the first-order difference and carry
-    no interior intersection.
-    """
-    plan_a, plan_b = product_plan(pattern)
-    slots = pattern.all_slots()
-    vertex_of = [end.vertex for _, end in slots]
-    sites = []
-    for idx, (_, tl, tr) in enumerate(plan_b):
-        side_l, a = tl
-        side_r, b = tr
-        if vertex_of[a] == vertex_of[b]:
-            sites.append(len(plan_a) + idx)
-    return sites
-
-
 def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
     """Sum over interior intersection sites of t-coupon insertions.
 
-    For each interior crossing of the product plan, the crossing is
-    replaced by flip o t (the first-order difference of an overcrossing
-    and an undercrossing); everything else is evaluated classically.
-    Orientation signs arise from the dual-representation legs of t.
-    One forward pass over the step chain carries the plain core and the sum
-    of the insertions made so far.
+    Each "interior" crossing of the product walk, two strands at one
+    vertex, is replaced by flip o t (the first-order difference of an
+    overcrossing and an undercrossing); everything else is evaluated
+    classically.  The crossings between strands at different vertices and
+    the argument rearrangements cancel pairwise in the first-order
+    difference and carry no interior intersection.  Orientation signs arise
+    from the dual-representation legs of t.  One forward pass over the step
+    chain carries the plain core and the sum of the insertions made so far.
     """
     if s1.backend.name != "classical":
         raise ModeError("the intersection rule runs over the classical backend")
     backend = s1.backend
-    sites = set(goldman_sites(s1.pattern))
-
-    def plain(n, L, R):
-        return backend.braiding(L, R)
-
     out_terms = []
-    for labels, acc, chain in product_term_chains(s1, s2, plain):
+    for labels, acc, chain in product_term_chains(s1, s2, lambda kind, left, right: backend.braiding(left, right)):
         total_core = None
-        for sid, context, placed, info in chain:
-            if sid in sites:
-                t_ins = backend.apply(context, [(placed[0][0], 2, backend.inf_braiding(*info))], acc)
+        for kind, context, placed, pair in chain:
+            if kind == "interior":
+                t_ins = backend.apply(context, [(placed[0][0], 2, backend.inf_braiding(*pair))], acc)
                 total_core = t_ins if total_core is None else total_core + t_ins
             if total_core is not None:
                 total_core = backend.apply(context, placed, total_core)
             acc = backend.apply(context, placed, acc)
         if total_core is not None and not total_core.is_zero:
             out_terms.append((labels, total_core))
-    new_argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
-    total = SkeinElement(backend, s1.pattern, new_argument, out_terms)
+    total = SkeinElement(backend, s1.pattern, product_argument(s1, s2), out_terms)
     return SigmaResult(total.canonical(), "goldman")
 
 
@@ -288,25 +264,19 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
     """
     backend = s1.backend
     pattern = s1.pattern
-
-    def plain(n, objL, objR):
-        return backend.braiding(objL, objR)
-
-    new_argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
     nslots = len(pattern.all_slots())
     pairs = [(i, nslots + j, tensor) for i, j, tensor in triples]
     out_terms = []
-    for new_labels, core, chain in product_term_chains(s1, s2, plain):
+    for new_labels, core, chain in product_term_chains(s1, s2, lambda kind, left, right: backend.braiding(left, right)):
         objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
         objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
-        for sid, context, placed, _info in chain:
+        for kind, context, placed, _ in chain:
             core = backend.apply(context, placed, core)
-            if sid is None:
+            if kind == "tensor":
                 layers = [insert_legs(objs1 + objs2, pairs, layer) for layer in core.layers]
                 core = Morphism._of(core.source, core.target, backend.mode, layers)
         out_terms.append((new_labels, core))
-    out = SkeinElement(backend, pattern, new_argument, out_terms)
-    return out.canonical()
+    return SkeinElement(backend, pattern, product_argument(s1, s2), out_terms).canonical()
 
 
 def fock_rosly_sigma(
@@ -338,8 +308,7 @@ def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
     factors, first, second = interleaved_argument_factors(s1, s2)
     if all(f.dim == 1 for f in factors):
         s1._check_compatible(s2)
-        argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
-        return SkeinElement(s1.backend, s1.pattern, argument, [])
+        return SkeinElement(s1.backend, s1.pattern, product_argument(s1, s2), [])
     prod0 = mu(s1, s2)
     minus_t = [(-c, g1, g2) for c, g1, g2 in TSYM_TENSOR]
     return argument_insertion(prod0, minus_t + list(RA_TENSOR), factors, first, second).canonical()

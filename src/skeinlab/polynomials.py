@@ -10,6 +10,7 @@ this rewriting is confluent, so the result is a normal form.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 # a monomial over n copies is a tuple of 4n exponents (a_i, b_i, c_i, d_i)
 
@@ -151,8 +152,6 @@ def sl2_rep_entries(spin: int, ncopies: int, copy: int):
     [c, d]]; V_spin is its spin-th symmetric power in the basis matching
     the backend's rep matrices (highest weight first, f-lowering by 1).
     """
-    from math import comb, factorial
-
     a = SL2Poly.variable(ncopies, copy, "a")
     b = SL2Poly.variable(ncopies, copy, "b")
     c = SL2Poly.variable(ncopies, copy, "c")

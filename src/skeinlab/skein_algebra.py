@@ -10,14 +10,15 @@ The product of two elements places the second element's strands beside the
 first's at every slot (second to the right at +-ends, mirrored at --ends)
 and realizes the interleaving by backend braidings; composite handle
 labels are immediately reduced to simples by Clebsch-Gordan insertion.
-All crossings of the product are enumerated in a deterministic plan, which
-the diagrammatic first-order machinery reuses.
+The product is one walk over its crossings, each step tagged with its kind,
+which the diagrammatic first-order machinery reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 
 from .errors import AlgebraError, LabelError, ModeError
 from .polynomials import SL2Poly, sl2_rep_entries
@@ -30,6 +31,8 @@ from .ribbon_backend import (
     dual,
     left_nested,
     make_backend,
+    object_from_json,
+    parse_label,
     simple,
     solve_series,
     tensor_word,
@@ -214,8 +217,6 @@ class SkeinElement:
         """Inverse of to_json.  Each core must be over the backend's ring, map
         the argument word to the boundary word of its labels and lie in the
         span of `element_hom_basis`; anything else raises."""
-        from .ribbon_backend import object_from_json, parse_label
-
         backend = make_backend(data["backend"], data.get("order", 3))
         pattern = SurfacePattern.from_json(data["pattern"])
         argument = tuple(object_from_json(a) for a in data["argument"])
@@ -287,43 +288,23 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
         for h in loop:
             labels[h] = simple(spin)
     labels = tuple(labels)
-    slots = pattern.all_slots()
     objs = slot_objects(pattern, labels)
-    dims = [o.dim for o in objs]
-    d = simple(spin).dim
-    # index of each handle's +/- slot
-    # enumerate index tuples loop by loop: the + slot of handle m carries
-    # the next handle's running index, the - slot its own, so the holonomy
-    # pairing contracts to tr(rho(g_{h1}) rho(g_{h2}) ...)
-    from itertools import product as iproduct
-
-    all_assignments = [{}]
-    for loop in loops:
-        r = len(loop)
-        new = []
-        for base in all_assignments:
-            for tup in iproduct(range(d), repeat=r):
-                ass = dict(base)
-                for m, h in enumerate(loop):
-                    i_own = tup[m]
-                    i_next = tup[(m + 1) % r]
-                    ass[h] = (i_next, i_own)
-                new.append(ass)
-        all_assignments = new
-    one = Fraction(1)
+    # one index per used handle: its --end slot carries its own index and
+    # its +-end slot the next handle's in the loop, so the holonomy pairing
+    # contracts to tr(rho(g_{h1}) rho(g_{h2}) ...); trivial slots read none
+    own = {h: n for n, h in enumerate(used)}
+    carried = {h: own[loop[(m + 1) % len(loop)]] for loop in loops for m, h in enumerate(loop)}
+    reads = [
+        (o.dim, None if labels[h].spin == 0 else own[h] if e.sign < 0 else carried[h])
+        for o, (h, e) in zip(objs, pattern.all_slots())
+    ]
     raw = {}
-    for ass in all_assignments:
+    for index in iproduct(range(simple(spin).dim), repeat=len(used)):
         idx = 0
-        for pos in range(len(objs)):
-            h, e = slots[pos]
-            if labels[h].spin == 0:
-                k = 0
-            else:
-                k = ass[h][0] if e.sign > 0 else ass[h][1]
-            idx = idx * dims[pos] + k
-        raw[(idx, 0)] = raw.get((idx, 0), Fraction(0)) + one
-    target = tensor_word(objs)
-    core = Morphism(UNIT, target, backend.mode, [raw])
+        for dim, r in reads:
+            idx = idx * dim + (0 if r is None else index[r])
+        raw[(idx, 0)] = 1
+    core = Morphism(UNIT, tensor_word(objs), backend.mode, [raw])
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
 
@@ -335,8 +316,6 @@ def element_hom_basis(backend: BackendSpec, pattern: SurfacePattern, argument, l
     so the module is the tensor product over vertices of the per-vertex
     invariant Hom spaces Hom(X_v, W_v).
     """
-    from itertools import product as iproduct
-
     objs = slot_objects(pattern, labels)
     per_vertex = []
     pos = 0
@@ -436,95 +415,69 @@ def _coordinates(m: Morphism, basis):
 # ---------------------------------------------------------------------------
 
 
-def _plan_swaps(tags, key):
-    """Adjacent-transposition plan bubble-sorting `tags` by `key`.
+def _crossings(blocks, kind):
+    """The crossings that bubble-sort (tag, object) blocks by their tags.
 
-    Returns (plan, sorted_tags) where plan lists (position, left_tag,
-    right_tag) in execution order; each pair of blocks crosses at most once.
+    Before each swap of adjacent blocks yields (kind(left tag, right tag),
+    context, position, (left object, right object)), the context being the
+    objects in their current order; each pair of blocks crosses at most once.
     """
-    work = list(tags)
-    plan = []
+    work = list(blocks)
     changed = True
     while changed:
         changed = False
         for i in range(len(work) - 1):
-            if key(work[i]) > key(work[i + 1]):
-                plan.append((i, work[i], work[i + 1]))
+            (tag_l, left), (tag_r, right) = work[i], work[i + 1]
+            if tag_l > tag_r:
+                yield kind(tag_l, tag_r), [o for _, o in work], i, (left, right)
                 work[i], work[i + 1] = work[i + 1], work[i]
                 changed = True
-    return plan, work
 
 
-def product_plan(pattern: SurfacePattern):
-    """The deterministic crossing plan of the product on this pattern.
-
-    Stage A reorders argument blocks from (X_1, Y_1, ..., X_k, Y_k) to
-    (X_1..X_k, Y_1..Y_k); stage B reorders boundary slot blocks from
-    (all of s1's, all of s2's) to the per-slot interleaving, second
-    element's strand right of the first's at +-ends and mirrored at --ends.
-    """
-    k = pattern.n_vertices
-    arg_tags = []
-    for v in range(k):
-        arg_tags.extend([("x", v), ("y", v)])
-    plan_a, _ = _plan_swaps(arg_tags, key=lambda t: (0 if t[0] == "x" else 1, t[1]))
-    slots = pattern.all_slots()
-    n = len(slots)
-    slot_tags = [("f", i) for i in range(n)] + [("g", i) for i in range(n)]
-
-    def slot_key(tag):
-        side, i = tag
-        _, end = slots[i]
-        if end.sign > 0:
-            return (i, 0 if side == "f" else 1)
-        return (i, 0 if side == "g" else 1)
-
-    plan_b, _ = _plan_swaps(slot_tags, key=slot_key)
-    return plan_a, plan_b
+def product_argument(s1: SkeinElement, s2: SkeinElement):
+    """The argument of the product: X_v (x) Y_v at every marked point."""
+    return tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
 
 
-def _replay_steps(blocks, plan, swap_for_site, site_offset):
-    """Yield (site_id, context, placed, (objL, objR)) per swap."""
-    work = list(blocks)
-    for n, (i, tl, tr) in enumerate(plan):
-        if work[i][0] != tl or work[i + 1][0] != tr:
-            raise AlgebraError("product plan out of sync")
-        objL, objR = work[i][1], work[i + 1][1]
-        m = swap_for_site(site_offset + n, objL, objR)
-        yield site_offset + n, [o for _, o in work], [(i, 2, m)], (objL, objR)
-        work[i], work[i + 1] = work[i + 1], work[i]
-
-
-def product_term_chains(s1: SkeinElement, s2: SkeinElement, swap_for_site):
+def product_term_chains(s1: SkeinElement, s2: SkeinElement, crossing):
     """Per term pair: the composite labels, the start core and the step chain.
 
-    The chain lists (site_id, context, placed, info) in application order;
-    site_id and info are None for the tensor-of-cores step.  Applying the
-    steps in turn to the start core, the identity of the interleaved
+    The chain lists steps (kind, context, placed, pair) in application order;
+    applying them in turn to the start core, the identity of the interleaved
     argument word, with `BackendSpec.apply` gives the term core of the
-    product.
+    product.  Stage A reorders the argument blocks from (X_1, Y_1, ..., X_k,
+    Y_k) to (X_1..X_k, Y_1..Y_k) by "argument" crossings.  The "tensor" step,
+    whose pair is None, tensors the two cores.  Stage B reorders the boundary
+    strands from (all of s1's, all of s2's) to the per-slot interleaving,
+    second element's strand right of the first's at +-ends and mirrored at
+    --ends; a crossing of two strands at one vertex is "interior", any other
+    "boundary".  `crossing(kind, left, right)` gives each crossing's morphism.
     """
     backend = s1.backend
     pattern = s1.pattern
-    arguments = [a for pair in zip(s1.argument, s2.argument) for a in pair]
-    start = Morphism.identity(_source_word(arguments), backend.mode)
-    plan_a, plan_b = product_plan(pattern)
     slots = pattern.all_slots()
+    vertex = [end.vertex for _, end in slots]
+    # a strand's tag is (slot, side rank): s1's strand first at +-ends, s2's at --ends
+    rank = [(0, 1) if end.sign > 0 else (1, 0) for _, end in slots]
+
+    def steps(crossings):
+        for kind, context, i, pair in crossings:
+            yield kind, context, [(i, 2, crossing(kind, *pair))], pair
+
+    pairs = zip(s1.argument, s2.argument)
+    arg_blocks = [((side, v), a) for v, pair in enumerate(pairs) for side, a in enumerate(pair)]
+    start = Morphism.identity(_source_word([a for _, a in arg_blocks]), backend.mode)
+    arg_steps = list(steps(_crossings(arg_blocks, lambda tag_l, tag_r: "argument")))
+
+    def slot_kind(tag_l, tag_r):
+        return "interior" if vertex[tag_l[0]] == vertex[tag_r[0]] else "boundary"
+
     for labels1, f in s1.terms:
         for labels2, g in s2.terms:
-            chain = []
-            arg_blocks = []
-            for v in range(pattern.n_vertices):
-                arg_blocks.append((("x", v), s1.argument[v]))
-                arg_blocks.append((("y", v), s2.argument[v]))
-            chain.extend(_replay_steps(arg_blocks, plan_a, swap_for_site, 0))
-            chain.append((None, [f.source, g.source], [(0, 1, f), (1, 1, g)], None))
-            objs1 = slot_objects(pattern, labels1)
-            objs2 = slot_objects(pattern, labels2)
-            slot_blocks = [(("f", i), objs1[i]) for i in range(len(slots))] + [
-                (("g", i), objs2[i]) for i in range(len(slots))
-            ]
-            chain.extend(_replay_steps(slot_blocks, plan_b, swap_for_site, len(plan_a)))
+            slot_blocks = [((i, rank[i][0]), o) for i, o in enumerate(slot_objects(pattern, labels1))]
+            slot_blocks += [((i, rank[i][1]), o) for i, o in enumerate(slot_objects(pattern, labels2))]
+            chain = arg_steps + [("tensor", [f.source, g.source], [(0, 1, f), (1, 1, g)], None)]
+            chain.extend(steps(_crossings(slot_blocks, slot_kind)))
             new_labels = tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2))
             yield new_labels, start, chain
 
@@ -540,25 +493,18 @@ def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElemen
     """
     s1._check_compatible(s2)
     backend = s1.backend
-    pattern = s1.pattern
-    n_arg_sites = len(product_plan(pattern)[0])
 
-    def swap_for_site(n, objL, objR):
-        pos = positive if n >= n_arg_sites else not positive
-        if pos:
-            return backend.braiding(objL, objR)
-        return backend.braiding_inv(objR, objL)
+    def crossing(kind, left, right):
+        if positive != (kind == "argument"):
+            return backend.braiding(left, right)
+        return backend.braiding_inv(right, left)
 
-    new_argument = tuple(
-        word_tensor(a, b) for a, b in zip(s1.argument, s2.argument)
-    )
     out_terms = []
-    for new_labels, core, chain in product_term_chains(s1, s2, swap_for_site):
-        for _, context, placed, _info in chain:
+    for new_labels, core, chain in product_term_chains(s1, s2, crossing):
+        for _, context, placed, _ in chain:
             core = backend.apply(context, placed, core)
         out_terms.append((new_labels, core))
-    out = SkeinElement(backend, pattern, new_argument, out_terms)
-    return out.canonical()
+    return SkeinElement(backend, s1.pattern, product_argument(s1, s2), out_terms).canonical()
 
 
 def mu_op_minus(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:

@@ -14,6 +14,7 @@ from .ribbon_backend import (
     DualObj,
     Morphism,
     SimpleObj,
+    T_TENSOR,
     TensorObj,
     UNIT,
     make_backend,
@@ -30,9 +31,11 @@ from .skein_algebra import (
     random_element,
 )
 from .poisson import (
+    argument_insertion,
     check_fusion,
     fock_rosly_consistency,
     fock_rosly_sigma,
+    interleaved_argument_factors,
     sigma_algebraic,
     sigma_goldman,
     symmetrization_check,
@@ -273,9 +276,6 @@ def sigma_suite(seed: int, pairs: int = 5):
     cl = make_backend("classical")
     disk = disk_with_two_points()
     cases = []
-    from .poisson import argument_insertion, interleaved_argument_factors
-    from .ribbon_backend import T_TENSOR
-
     for i in range(pairs):
         arg = rng.choice((UNIT, V, simple(2)))
         s1 = random_element(ep, disk, rng, label_pool=(0, 1, 2), argument=(arg, arg))

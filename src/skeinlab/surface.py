@@ -123,8 +123,13 @@ class SurfacePattern:
 
     @staticmethod
     def from_json(data):
+        """Every vertex but one must hold a handle end, so that work and
+        output stay linear in the size of the input."""
         handles = tuple(Handle.from_json(h) for h in data["handles"])
-        return SurfacePattern(_index(data["vertices"], "vertex count"), handles)
+        n_vertices = _index(data["vertices"], "vertex count")
+        if n_vertices > 2 * len(handles) + 1:
+            raise FusionError(f"vertex count {n_vertices} exceeds the {2 * len(handles)} handle ends plus one")
+        return SurfacePattern(n_vertices, handles)
 
 
 def disk_with_two_points() -> SurfacePattern:

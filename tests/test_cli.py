@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from skeinlab import cli
@@ -300,3 +301,20 @@ def test_handle_orientations_must_be_exact(tmp_path):
         assert code == 0, (first, second)
         (handle,) = json.loads(out)["handles"]
         assert "".join(end["orient"] for end in handle["ends"]) == signs, (first, second)
+
+
+def test_vertex_count_is_bounded_by_the_handle_ends(tmp_path):
+    """Every vertex but one must hold a handle end.  Nothing bounded the
+    count before: a million vertices with no handles took seconds to fuse
+    and printed megabytes."""
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps({"vertices": 1_000_000, "handles": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["fuse", str(path), "0", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == "" and "exceeds the 0 handle ends plus one" in err, err
+    handle = {"ends": [{"v": 0, "slot": 0}, {"v": 1, "slot": 0}]}
+    for vertices, code_wanted in ((3, 0), (4, 2)):
+        path.write_text(json.dumps({"vertices": vertices, "handles": [handle]}))
+        code, out, err = run_cli(["fuse", str(path), "0", "1"])
+        assert code == code_wanted, (vertices, err)

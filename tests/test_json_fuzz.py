@@ -5,10 +5,12 @@ either raise SkeinlabError (exit 2 on the command line) or give a value
 whose to_json reads back to the same JSON, with every coefficient the
 exact value of the string or integer it was given: never a TypeError, an
 IndexError, or a rational made from a float.  Tangle words and surface
-patterns, well formed or not, go through the command line, which must
-exit 0 or 2 and never report an internal error (exit 3).
+patterns, well formed or not, and skein elements with mutated fields go
+through the command line, which must exit 0 or 2 and never report an
+internal error (exit 3).
 """
 
+import copy
 import io
 import json
 import tempfile
@@ -181,3 +183,42 @@ def test_surface_patterns_fuse_or_exit_2(pattern, site):
         assert fused["vertices"] == pattern["vertices"] - 1
         for handle in fused["handles"]:
             assert sorted(end["orient"] for end in handle["ends"]) == ["+", "-"]
+
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+ELEMENT = json.loads((INPUTS / "annulus_a.json").read_text(encoding="utf-8"))
+# key paths into ELEMENT that a mutation replaces or removes
+element_fields = st.sampled_from([
+    ("argument",), ("argument", 0), ("backend",), ("order",), ("pattern",), ("pattern", "vertices"),
+    ("pattern", "handles"), ("pattern", "handles", 0, "ends", 1), ("terms",), ("terms", 0), ("terms", 0, "labels"),
+    ("terms", 0, "labels", 0), ("terms", 0, "core"), ("terms", 0, "core", "source"), ("terms", 0, "core", "target"),
+    ("terms", 0, "core", "entries"), ("terms", 0, "core", "mode"), ("terms", 0, "core", "order"),
+])
+REMOVED = "<removed>"
+element_values = st.sampled_from([
+    REMOVED, "classical", "epsilon", "quantum", "drinfeld", "hbar", "V", "adj", "V8", "V9", ["V"], ["unit"], ["adj"],
+    ["tensor", ["adj"], ["dual", ["adj"]]], [["V"]], [["unit"], ["unit"]], 0, 1, 2, 3, 99, {"0,0": ["1"]},
+]) | json_values
+element_mutations = st.lists(st.tuples(element_fields, element_values), min_size=1, max_size=3)
+
+
+def _mutated_element(mutations):
+    data = copy.deepcopy(ELEMENT)
+    for path, value in mutations:
+        try:  # an earlier mutation may have removed or replaced the path
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == REMOVED:
+                parent.pop(path[-1])
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError, AttributeError):
+            pass
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_mutations)
+def test_skein_elements_multiply_or_exit_2(mutations):
+    _exit_code(["product", str(INPUTS / "annulus_b.json")], _mutated_element(mutations))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -20,7 +21,6 @@ from skeinlab.ribbon_backend import (
     simple,
     tensor_word,
     to_fractions,
-    word_tensor,
 )
 from skeinlab.scalars import classical_mode
 from skeinlab.skein_algebra import (
@@ -29,6 +29,8 @@ from skeinlab.skein_algebra import (
     lift_element,
     loop_element,
     mu,
+    mu_op_minus,
+    product_argument,
     product_term_chains,
     random_element,
     slot_objects,
@@ -41,13 +43,18 @@ from skeinlab.poisson import (
     fock_rosly_consistency,
     fock_rosly_sigma,
     forgetful_correction,
-    goldman_sites,
     sigma_algebraic,
     sigma_goldman,
     symmetrization_check,
     biderivation_check,
 )
-from skeinlab.surface import annulus, disk_with_two_points, once_punctured_torus, two_strand_chaps
+from skeinlab.surface import (
+    annulus,
+    disk_with_two_points,
+    genus_two_one_boundary,
+    once_punctured_torus,
+    two_strand_chaps,
+)
 
 CL = make_backend("classical")
 EP = make_backend("epsilon")
@@ -124,11 +131,53 @@ def test_disk_formula():
         assert sig.equal(t13)  # the two disk forms agree
 
 
+def test_products_are_pinned():
+    """mu, mu^op-, both diagrammatic sigmas and the quantum-lifted mu, pinned by a digest of their JSON.
+
+    Each element is a sum of two random elements, so products run over
+    several term pairs; the disk pairs carry different arguments on the two
+    sides.  Genus two is pinned through mu and mu^op- only.
+    """
+    adj = simple(2)
+    q2 = make_backend("quantum", 2)
+    cases = (
+        (DISK, ((V, V), (V, V)), (1, 2), True),
+        (DISK, ((adj, adj), (V, V)), (0, 1, 2), False),
+        (two_strand_chaps(), (None, None), (1, 2), True),
+        (ANN, (None, None), (1, 2), True),
+        (TOR, (None, None), (0, 1, 2), True),
+        (genus_two_one_boundary(), (None, None), (0, 1), None),
+    )
+    outputs = []
+    for pattern, arguments, pool, lift in cases:
+        rng = random.Random(7)
+        for _ in range(3):
+            s1, s2 = (
+                random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+                + random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+                for argument in arguments
+            )
+            outputs += [mu(s1, s2).to_json(), mu_op_minus(s1, s2).to_json()]
+            if lift is None:
+                continue
+            outputs += [
+                sigma_goldman(s1, s2).element.to_json(),
+                fock_rosly_sigma(pattern, s1, s2).element.to_json(),
+                fock_rosly_sigma(pattern, s1, s2, include_diagonal=False).element.to_json(),
+            ]
+            if lift:
+                outputs.append(mu(lift_element(s1, q2), lift_element(s2, q2)).to_json())
+    assert len(outputs) == 18 * 2 + 15 * 3 + 12
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "4437d341d69b594fc76c7746a9779295ac4b0470a2d42d995b35c0430a7f8690"
+
+
 def test_goldman_sites_counts():
     # annulus: two interior sites; torus: eight; disk: one
-    assert len(goldman_sites(DISK)) == 1
-    assert len(goldman_sites(ANN)) == 2
-    assert len(goldman_sites(TOR)) == 8
+    for pattern, count in ((DISK, 1), (ANN, 2), (TOR, 8)):
+        unit = unit_element(CL, pattern)
+        ((_, _, chain),) = product_term_chains(unit, unit, lambda kind, left, right: CL.braiding(left, right))
+        assert [kind for kind, *_ in chain].count("interior") == count
 
 
 def test_goldman_torus_generators():
@@ -334,15 +383,10 @@ def _reference_slot_insertion_product(s1, s2, triples):
     """
     backend = s1.backend
     pattern = s1.pattern
-
-    def plain(n, objL, objR):
-        return backend.braiding(objL, objR)
-
-    new_argument = tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
     nslots = len(pattern.all_slots())
     slot_cache = {}
     out_terms = []
-    for new_labels, core, chain in product_term_chains(s1, s2, plain):
+    for new_labels, core, chain in product_term_chains(s1, s2, lambda kind, left, right: backend.braiding(left, right)):
         objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
         objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
         factors = tuple(objs1 + objs2)
@@ -354,12 +398,12 @@ def _reference_slot_insertion_product(s1, s2, triples):
             word = tensor_word(list(factors))
             slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
         mid = slot_cache[factors]
-        for sid, context, placed, _info in chain:
+        for kind, context, placed, _ in chain:
             core = backend.apply(context, placed, core)
-            if sid is None:
+            if kind == "tensor":
                 core = mid @ core
         out_terms.append((new_labels, core))
-    out = SkeinElement(backend, pattern, new_argument, out_terms)
+    out = SkeinElement(backend, pattern, product_argument(s1, s2), out_terms)
     return out.canonical()
 
 

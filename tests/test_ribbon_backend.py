@@ -1054,6 +1054,40 @@ def test_inverse_twist_equals_inverse_of_twist(name, order):
         assert bk.twist(x) @ bk.twist_inv(x) == Morphism.identity(x, bk.mode)
 
 
+def _hom_spaces():
+    """50 Hom spaces: End of 3-letter words over {V, V*}, End of 2-letter
+    words over {V, V*, adj}, Hom(1, 4-letter words over {V, V*} and over
+    {V, adj}), End(V V adj) and End(V* V adj)."""
+    from itertools import product
+
+    ends = [*product((V, VS), repeat=3), *product((V, VS, ADJ), repeat=2), (V, V, ADJ), (VS, V, ADJ)]
+    words = [*product((V, VS), repeat=4), *product((V, ADJ), repeat=4)]
+    spaces = [(tensor_word(w), tensor_word(w)) for w in ends] + [(UNIT, tensor_word(w)) for w in words]
+    return list(dict.fromkeys(spaces))
+
+
+def test_solver_outputs_are_pinned():
+    """Hom bases, Clebsch-Gordan maps and inverses, byte for byte as the
+    sparse Fraction solver gave them."""
+    import hashlib
+    import json
+
+    spaces = _hom_spaces()
+    assert len(spaces) == 50
+    outputs = []
+    for bk in backends():
+        outputs += [b.to_json() for src, tgt in spaces for b in bk.invariant_hom_basis(src, tgt)]
+        for m in range(4):
+            for n in range(4):
+                for _, embed, project in bk.cg_decompose(m, n):
+                    outputs += [embed.to_json(), project.to_json()]
+        for x, y in [(V, V), (V, ADJ), (ADJ, ADJ)]:
+            outputs += [bk.braiding(x, y).inverse().to_json(), bk.twist(TensorObj(x, y)).inverse().to_json()]
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert len(outputs) == 736
+    assert digest == "0d91a1e84ac0ccfadb99c253e6776fcf0694bb4eb2a75e0f69390256635d7fdf"
+
+
 # ---------------------------------------------------------------------------
 # Coherence against the comb of commutator-built associators
 # ---------------------------------------------------------------------------

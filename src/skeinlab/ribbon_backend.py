@@ -7,8 +7,8 @@ per-order sparse integer matrices over a common denominator: each layer M_k
 is one canonical pair (den, {(i, j): int}) with den > 0 and
 gcd(den, *entries) == 1, so equal matrices have equal layers.  The kernels
 multiply and add integers and normalise once per result; Fraction appears
-only at the boundaries (construction and JSON, the ScalarSeries entry
-view, and the exact solver).
+only at the boundaries (construction and JSON, and the ScalarSeries entry
+view).
 
   ClassicalSl2   symmetric flip braiding, trivial twist and associator
   EpsilonSl2     braiding flip(1 + e*r) with r = e(x)f + h(x)h/4
@@ -44,13 +44,14 @@ mixed-radix index arithmetic and never builds id (x) m (x) id on the word.
 `flat_apply` is `apply` on the identity, for callers whose answer is that
 matrix.
 
-All exact linear solving goes through one solver: one sparse reduction of
-A0, replayed on every order's residuals.  `eliminate` reduces the constant
-layer once and replays its recorded row operations on each right-hand
-side, and `solve_series` lifts the solutions order by order with the same
-reduction.  Invariant Hom bases, the inverse of a constant layer and the
-coordinates of a skein core use it, and each Clebsch-Gordan embedding is
-the basis of the one-dimensional Hom space Hom(V_k, x (x) y).
+All exact linear solving goes through one solver on integer layers:
+`_factor` reduces the constant layer once, fraction-free (rows stay
+primitive integer vectors, one gcd per row update), and `solve_series`
+replays its recorded row operations once per order on the residuals of
+every right-hand side at once.  Invariant Hom bases, the inverse of a
+morphism and the coordinates of a skein core use it, and each
+Clebsch-Gordan embedding is the basis of the one-dimensional Hom space
+Hom(V_k, x (x) y).
 
 Normalization: the invariant form is the trace form on the fundamental
 representation, so t = e(x)f + f(x)e + h(x)h/2, C = ef + fe + h^2/2, and
@@ -80,7 +81,6 @@ from .scalars import (
     rational_from_json,
 )
 
-_ZERO = Fraction(0)
 
 MAX_SPIN = 8
 
@@ -419,18 +419,12 @@ class Morphism:
         d = self.source_dim
         if d != self.target_dim:
             raise ModeError("only square morphisms can be inverted")
-        layers = self.layers
-        # (entries / den)^-1 = den entries^-1, by the exact solver
-        den, entries = layers[0]
-        kernel, columns = eliminate(entries, d, [{j: den} for j in range(d)])
-        if kernel:
+        try:
+            kernel, result, _ = solve_series(self.layers, d, [(1, _int_ident(d))])
+        except CgError:  # a kernel vector of the constant part that does not lift
+            kernel = None
+        if kernel is None or kernel[0][1]:
             raise ZeroDivisionError("constant part of the matrix is singular")
-        inv0 = as_layer({(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
-        result = [inv0]
-        for k in range(1, len(layers)):
-            acc = _sum([_product(layers[i], result[k - i], _int_compose) for i in range(1, k + 1)])
-            den, e = _product(inv0, acc, _int_compose)
-            result.append(_layer(den, _int_scale(e, -1)))
         return Morphism._of(self.target, self.source, self.mode, result)
 
     def to_json(self):
@@ -620,12 +614,6 @@ def as_layer(entries):
     return den, {k: f.numerator * (den // f.denominator) for k, f in values.items() if f}
 
 
-def to_fractions(layer):
-    """A layer as a sparse {(i, j): Fraction} matrix."""
-    den, entries = layer
-    return {k: Fraction(v, den) for k, v in entries.items()}
-
-
 def _positions(layers):
     return set().union(*(e for _, e in layers))
 
@@ -672,24 +660,33 @@ def _layers_ident(d, order):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving: one sparse reduction, replayed on every right-hand side
+# Exact linear solving: one fraction-free reduction, replayed on every right-hand side
 # ---------------------------------------------------------------------------
 
 
 def _factor(a0, ncols):
-    """Sparse Gauss-Jordan reduction of a0 ({col: rational} rows), recorded.
+    """Fraction-free sparse Gauss-Jordan reduction of an integer matrix, recorded.
 
-    Every entry of a0 and of each b is taken as a Fraction (ints and
-    Fractions in, Fractions out), so the divisions stay exact.
+    `a0` is {(row, col): int} with `ncols` columns; rows are any hashable
+    keys.  Columns are taken in order, and a column's pivot is its candidate
+    row with the fewest nonzeros.  Every other row with a nonzero f in the
+    pivot column, above or below the pivot, becomes (pv * row - f * pivot
+    row) / g, with g its content, so rows stay primitive; the pivot row is
+    never divided.  Each step is recorded as (pivot row, pv, [(row, f, g)]);
+    rows stay keyed, so no swap needs recording.
 
-    Returns (kernel, solve): the kernel basis of `eliminate`, and solve(b),
-    which replays the row operations (pivot row, pivot, [(row, factor)]) on
-    a sparse vector b and returns its solution as in `eliminate`.
+    Returns (kernel, solve).  `kernel` is one layer whose column n is the
+    kernel vector of the n-th free column, 1 there.  solve(b) replays the
+    steps on the rows of a layer b, whose columns are right-hand sides, and
+    returns (x, bad): the layer of the solutions of a0 x = b with the free
+    variables 0, and the set of columns of b that have none (left out of x).
+    The reduced row echelon form is unique, so neither depends on which row
+    serves as a column's pivot.
     """
     rows, cols = {}, {}
     for (r, c), v in a0.items():
         if v:
-            rows.setdefault(r, {})[c] = as_fraction(v)
+            rows.setdefault(r, {})[c] = v
             cols.setdefault(c, {})[r] = None
     ops, pivots = [], {}
     for c in range(ncols):
@@ -699,85 +696,112 @@ def _factor(a0, ncols):
         p = min(candidates, key=lambda r: len(rows[r]))
         prow = rows[p]
         pv = prow[c]
-        if pv != 1:
-            for k in prow:
-                prow[k] /= pv
-        updates = [(r, rows[r][c]) for r in cols[c] if r != p]
-        for r, f in updates:
+        updates = []
+        for r in [r for r in cols[c] if r != p]:
             row = rows[r]
+            f = row[c]
+            if pv != 1:
+                for k in row:
+                    row[k] *= pv
             for k, y in prow.items():
-                x = row.get(k, _ZERO) - f * y
+                x = row.get(k, 0) - f * y
                 if x:
                     row[k] = x
                     cols[k][r] = None
                 else:
                     del row[k], cols[k][r]
+            g = gcd(*row.values()) or 1
+            if g != 1:
+                for k in row:
+                    row[k] //= g
+            updates.append((r, f, g))
         ops.append((p, pv, updates))
         pivots[p] = c
-    kernel = [
-        {fc: Fraction(1)} | {c: -rows[p][fc] for p, c in pivots.items() if fc in rows[p]}
-        for fc in sorted(set(range(ncols)) - set(pivots.values()))
-    ]
+    # x_c = -R[p][fc] / R[p][c] on the pivot row p of column c, over the lcm
+    # of the final pivots; only pivot rows are nonzero in a free column
+    final = {p: rows[p][c] for p, c in pivots.items()}
+    scale = lcm(*final.values())
+    pivot_cols = set(pivots.values())
+    kernel = {}
+    for n, fc in enumerate(c for c in range(ncols) if c not in pivot_cols):
+        kernel[fc, n] = scale
+        for p in cols.get(fc, ()):
+            kernel[pivots[p], n] = -rows[p][fc] * (scale // final[p])
 
     def solve(b):
-        b = {r: as_fraction(v) for r, v in b.items()}
-        for p, pv, updates in ops:
-            x = b.get(p)
-            if x:
+        den, entries = b
+        brows = {}
+        for (r, j), v in entries.items():
+            brows.setdefault(r, {})[j] = v
+        for p, pv, updates in ops if brows else ():
+            bp = brows.get(p, {})
+            for r, f, g in updates:
+                if not (bp or brows.get(r)):
+                    continue
+                br = brows.setdefault(r, {})
                 if pv != 1:
-                    x = b[p] = x / pv
-                for r, f in updates:
-                    b[r] = b.get(r, _ZERO) - f * x
-        if any(v for r, v in b.items() if r not in pivots):
-            return None
-        return {c: b[p] for p, c in pivots.items() if b.get(p)}
+                    for j in br:
+                        br[j] *= pv
+                for j, y in bp.items():
+                    x = br.get(j, 0) - f * y
+                    if x:
+                        br[j] = x
+                    else:
+                        del br[j]
+                if g != 1:
+                    s = g // gcd(g, *br.values())
+                    if s != 1:  # g does not divide the row: rescale all of b, so the division is exact
+                        den *= s
+                        for row in brows.values():
+                            for j in row:
+                                row[j] *= s
+                    for j in br:
+                        br[j] //= g
+        bad = {j for r, row in brows.items() if r not in pivots for j in row}
+        x = {
+            (c, j): v * (scale // final[p]) for p, c in pivots.items() for j, v in brows.get(p, {}).items() if j not in bad
+        }
+        return _layer(den * scale, x), bad
 
-    return kernel, solve
+    return _layer(scale, kernel), solve
 
 
-def eliminate(a0, ncols, rhs):
-    """Solve a0 x = b for every b in `rhs`: one sparse reduction of a0, replayed on each b.
+def solve_series(a, ncols, b):
+    """Solve A X = B over the truncated ring, A = sum_k param^k a[k], B = sum_k param^k b[k].
 
-    `a0` is a sparse {(row, col): rational} matrix with `ncols` columns (rows
-    are any hashable keys) and each b a sparse {row: rational} vector.
-    Returns (kernel, solutions): a kernel basis of a0, one vector per free
-    column with that column set to 1, and per b the solution with the free
-    variables set to 0, or None if b is inconsistent.  Vectors are sparse
-    {col: rational}.  The reduced row echelon form is unique, so neither
-    depends on which row serves as a column's pivot.
+    `a` and `b` are lists of layers (missing layers of b are 0): A has
+    `ncols` columns, rows are any hashable keys, and each column of B is a
+    right-hand side.  One reduction of A_0 is replayed once per order on the
+    residuals B_k - sum_{i>=1} A_i X_{k-i} of all columns.  Returns
+    (kernel, x, bad): the layers of the lift of every classical kernel
+    vector (column n lifts the n-th, which is 1 on the n-th free column),
+    the layers of X with the free variables 0, and the set of columns of B
+    with no solution, which are left out of X.  A kernel vector that does
+    not lift means the module is not free and raises CgError.
     """
+    den0, a0 = a[0]
     kernel, solve = _factor(a0, ncols)
-    return kernel, [solve(b) for b in rhs]
 
+    def lift(xs, bk):
+        """X_k from a0 X_k = den0 (B_k - sum_{i>=1} A_i X_{k-i}), with k = len(xs)."""
+        k = len(xs)
+        terms = (_product(a[i], xs[k - i], _int_compose) for i in range(1, k + 1))
+        den, e = _sum([bk, *((d, _int_scale(t, -1)) for d, t in terms)])
+        return solve((den, _int_scale(e, den0)))
 
-def solve_series(layers, ncols, rhs):
-    """Solve A x = b over the truncated ring, A = sum_k param^k layers[k].
-
-    `layers` are sparse matrices as in `eliminate`, and each b in `rhs` is
-    the list of its per-order vectors.  One sparse reduction of A_0 is
-    replayed on every order's residuals: order k solves A_0 x_k = b_k -
-    sum_{i>=1} A_i x_{k-i} for all vectors.  Returns (kernel, solutions):
-    the lift of every classical kernel vector (A v = 0) and per b one
-    solution or None, each as its list of per-order vectors.  A kernel
-    vector that does not lift means the module is not free and raises.
-    """
-    kernel, solve = _factor(layers[0], ncols)
-    lifts = [[v] for v in kernel]
-    solutions = [None if x is None else [x] for x in (solve(b[0]) for b in rhs)]
-    zero = [{} for _ in layers]
-    for k in range(1, len(layers)):
-        for x, b in [(x, zero) for x in lifts] + [(x, b) for x, b in zip(solutions, rhs) if x is not None]:
-            res = dict(b[k])
-            for i in range(1, k + 1):
-                prev = x[k - i]
-                for (r, c), v in layers[i].items():
-                    if c in prev:
-                        res[r] = res.get(r, _ZERO) - v * prev[c]
-            x.append(solve(res))
-        if any(v[-1] is None for v in lifts):
-            raise CgError("kernel does not lift: module is not free")
-        solutions = [None if x is None or x[-1] is None else x for x in solutions]
-    return lifts, solutions
+    lifts, xs, bad = [kernel], [], set()
+    for k in range(len(a)):
+        x, missing = lift(xs, b[k] if k < len(b) else (1, {}))
+        xs.append(x)
+        bad |= missing
+        if k:
+            v, missing = lift(lifts, (1, {}))
+            if missing:
+                raise CgError("kernel does not lift: module is not free")
+            lifts.append(v)
+    if bad:
+        xs = [_layer(d, {key: v for key, v in e.items() if key[1] not in bad}) for d, e in xs]
+    return lifts, xs, bad
 
 
 # ---------------------------------------------------------------------------
@@ -1438,27 +1462,24 @@ class BackendSpec:
         unknowns = [(i, j) for i in range(target.dim) for j in range(source.dim) if wt[i] == ws[j]]
         upos = {u: a for a, u in enumerate(unknowns)}
         gens = zip(self._raising_lowering(source), self._raising_lowering(target))
-        # one constraint row per (g, i, j): (gt M - M gs)_{ij} = 0, as a
-        # sparse {(row, unknown): coefficient} matrix per order
-        layers = [{} for _ in range(order)]
-
-        def add(row, upair, o, v):
-            col = upos.get(upair)
-            if col is not None:
-                layers[o][(row, col)] = layers[o].get((row, col), _ZERO) + v
-
-        for g_index, (gs, gt) in enumerate(gens):
-            for o in range(order):
-                for (i, k), v in to_fractions(gt[o]).items():
-                    for j in range(source.dim):
-                        add((g_index, i, j), (k, j), o, v)
-                for (k, j), v in to_fractions(gs[o]).items():
-                    for i in range(target.dim):
-                        add((g_index, i, j), (i, k), o, -v)
-        lifts, _ = solve_series(layers, len(unknowns), [])
+        # one constraint row per (g, i, j): (gt M - M gs)_{ij} = 0, as one
+        # integer {(row, unknown): coefficient} layer per order
+        terms = [[] for _ in range(order)]
+        ns, nt = source.dim, target.dim
+        for g, (gs, gt) in enumerate(gens):
+            for o, ((dt, et), (ds, es)) in enumerate(zip(gt, gs)):
+                terms[o] += [
+                    (dt, {((g, i, j), upos[k, j]): v for (i, k), v in et.items() for j in range(ns) if (k, j) in upos}),
+                    (ds, {((g, i, j), upos[i, k]): -v for (k, j), v in es.items() for i in range(nt) if (i, k) in upos}),
+                ]
+        lifts, _, _ = solve_series([_sum(t) for t in terms], len(unknowns), [])
+        columns = {}
+        for o, (_, e) in enumerate(lifts):
+            for (c, n), v in e.items():
+                columns.setdefault(n, [{} for _ in lifts])[o][unknowns[c]] = v
         return [
-            Morphism._of(source, target, self.mode, [as_layer({unknowns[c]: v for c, v in x.items()}) for x in lift])
-            for lift in lifts
+            Morphism._of(source, target, self.mode, [_layer(den, part) for (den, _), part in zip(lifts, parts)])
+            for _, parts in sorted(columns.items())
         ]
 
     def random_invariant(self, source, target, rng) -> Morphism:

@@ -34,9 +34,9 @@ from .ribbon_backend import (
     object_from_json,
     parse_label,
     simple,
+    _sum,
     solve_series,
     tensor_word,
-    to_fractions,
     word_tensor,
 )
 from .surface import SurfacePattern
@@ -238,11 +238,12 @@ class SkeinElement:
                     f"{where}: core {core.source} -> {core.target} does not map the argument "
                     f"{source} to the boundary word {target}"
                 )
-            basis = element_hom_basis(backend, pattern, argument, labels)
             try:
-                _coordinates(core, basis)
+                _coordinates(core, element_hom_basis(backend, pattern, argument, labels))
             except AlgebraError:
                 raise AlgebraError(f"{where}: core does not lie in the invariant Hom space") from None
+            except (KeyError, ValueError, TypeError, IndexError) as exc:  # an engine fault, not bad input
+                raise RuntimeError(f"{where}: the span check failed") from exc
             element.terms.append((labels, core))
         return element
 
@@ -388,8 +389,9 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
         cl_basis = element_hom_basis(cl, element.pattern, element.argument, labels)
         q_basis = element_hom_basis(backend, element.pattern, element.argument, labels)
         lifted = Morphism.zero(core.source, core.target, backend.mode)
-        for n, x in _coordinates(core, cl_basis)[0].items():
-            lifted = lifted + q_basis[n].scale(x)
+        den, coords = _coordinates(core, cl_basis)[0]
+        for (n, _), v in coords.items():
+            lifted = lifted + q_basis[n].scale(Fraction(v, den))
         terms.append((labels, lifted))
     return SkeinElement(backend, element.pattern, element.argument, terms)
 
@@ -397,15 +399,19 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
 def _coordinates(m: Morphism, basis):
     """Exact coordinates of m in a Hom basis over the backend ring.
 
-    Returns one sparse {basis index: rational} vector per order, with
-    m = sum_k sum_b param^k coords[k][b] basis[b].
+    Returns the layers of the coordinate column: entry (b, 0) of layer k is
+    the coefficient of param^k basis[b] in m.
     """
-    layers = [
-        {(p, n): v for n, b in enumerate(basis) for p, v in to_fractions(b.layers[k]).items()}
-        for k in range(m.mode.order)
-    ]
-    _, (coords,) = solve_series(layers, len(basis), [[to_fractions(layer) for layer in m.layers]])
-    if coords is None:
+
+    def stacked(morphisms):
+        """Per order, the layer whose column n holds the entries of morphisms[n]."""
+        return [
+            _sum([(d, {(p, n): v for p, v in e.items()}) for n, (d, e) in enumerate(f.layers[k] for f in morphisms)])
+            for k in range(m.mode.order)
+        ]
+
+    _, coords, bad = solve_series(stacked(basis), len(basis), stacked([m]))
+    if bad:
         raise AlgebraError("morphism does not lie in the invariant Hom space")
     return coords
 

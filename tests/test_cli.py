@@ -180,6 +180,19 @@ def test_internal_error_exit_3(monkeypatch):
     assert "internal error" in err and "Traceback" in err and "broken_mu" in err
 
 
+def test_engine_fault_in_the_span_check_exit_3(monkeypatch):
+    """A fault inside an element's span check is a bug, not malformed input."""
+    from skeinlab import skein_algebra
+
+    def broken_coordinates(m, basis):
+        raise IndexError("bug")
+
+    monkeypatch.setattr(skein_algebra, "_coordinates", broken_coordinates)
+    code, out, err = run_cli(["product", str(GOLDEN_INPUTS / "annulus_a.json"), str(GOLDEN_INPUTS / "annulus_b.json")])
+    assert code == 3 and out == ""
+    assert "internal error" in err and "broken_coordinates" in err and "malformed" not in err
+
+
 def test_float_and_boolean_coefficients_exit_2(tmp_path):
     """Only strings and integers are exact coefficients: the JSON number 0.1
     read as Fraction(0.1) would be 3602879701896397/36028797018963968, and

@@ -212,7 +212,7 @@ def _mutated_element(mutations):
             if value == REMOVED:
                 parent.pop(path[-1])
             else:
-                parent[path[-1]] = value
+                parent[path[-1]] = copy.deepcopy(value)  # Hypothesis shares its values between examples
         except (KeyError, IndexError, TypeError, AttributeError):
             pass
     return data

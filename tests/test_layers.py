@@ -37,7 +37,6 @@ from skeinlab.ribbon_backend import (
     insert_legs,
     make_backend,
     simple,
-    to_fractions,
 )
 from skeinlab.scalars import ScalarSeries, epsilon_mode, hbar_mode
 from skeinlab.skein_algebra import lift_element, mu, random_element
@@ -46,6 +45,12 @@ from skeinlab.surface import once_punctured_torus
 # ---------------------------------------------------------------------------
 # The reference: sparse Fraction kernels
 # ---------------------------------------------------------------------------
+
+
+def to_fractions(layer):
+    """A layer as a sparse {(i, j): Fraction} matrix."""
+    den, entries = layer
+    return {k: Fraction(v, den) for k, v in entries.items()}
 
 
 def _frac_compose(a, b):

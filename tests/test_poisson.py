@@ -20,7 +20,6 @@ from skeinlab.ribbon_backend import (
     make_backend,
     simple,
     tensor_word,
-    to_fractions,
 )
 from skeinlab.scalars import classical_mode
 from skeinlab.skein_algebra import (
@@ -372,7 +371,8 @@ def _kron_leg_insertion(factors, first, second, tensor):
         return reduce(Morphism.__add__, [_kron_chain(tuple(factors), p, gen) for p in positions])
 
     terms = [(spread(first, a) @ spread(second, b)).scale(c) for c, a, b in tensor]
-    return to_fractions(reduce(Morphism.__add__, terms).layers[0])
+    den, entries = reduce(Morphism.__add__, terms).layers[0]
+    return {k: F(v, den) for k, v in entries.items()}
 
 
 def _reference_slot_insertion_product(s1, s2, triples):

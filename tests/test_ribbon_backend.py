@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
@@ -24,7 +24,6 @@ from skeinlab.ribbon_backend import (
     classical_action,
     dual,
     flip_matrix,
-    eliminate,
     insert_legs,
     leg_insertion,
     left_nested,
@@ -33,7 +32,6 @@ from skeinlab.ribbon_backend import (
     simple,
     solve_series,
     tensor_word,
-    to_fractions,
     word_tensor,
 )
 from skeinlab.scalars import ScalarSeries, classical_mode, epsilon_mode, hbar_mode
@@ -46,6 +44,12 @@ ALL_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 3
 
 def backends():
     return [make_backend(name, order) for name, order in ALL_BACKENDS]
+
+
+def to_fractions(layer):
+    """A layer as a sparse {(i, j): Fraction} matrix."""
+    den, entries = layer
+    return {k: Fraction(v, den) for k, v in entries.items()}
 
 
 def test_object_dims_and_duals():
@@ -770,15 +774,21 @@ def _solvable_system(rng, mode, nrows, ncols, rank, extra):
     return a, wcols, outside
 
 
-def _columns_of(m, n):
-    """Per right-hand side, the list of per-order sparse column vectors."""
-    return [[{i: v for (i, j), v in to_fractions(layer).items() if j == col} for layer in m.layers] for col in range(n)]
+def _canonical(layer):
+    den, entries = layer
+    return type(den) is int and den > 0 and gcd(den, *entries.values()) == 1 and all(
+        type(v) is int and v for v in entries.values()
+    )
 
 
-def _matrix_of(src, tgt, mode, vectors):
-    """The morphism whose columns are the given per-order vectors."""
-    layers = [{(i, col): v for col, vec in enumerate(vectors) for i, v in vec[k].items()} for k in range(mode.order)]
-    return Morphism(src, tgt, mode, layers)
+def _column(layers, n):
+    """Column n of each layer as a sparse {row: Fraction} vector."""
+    return [{i: Fraction(v, den) for (i, j), v in e.items() if j == n} for den, e in layers]
+
+
+def _width(layers):
+    """The number of columns the layers use."""
+    return len({j for _, e in layers for _, j in e})
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -788,62 +798,84 @@ def test_series_solver_against_morphism_arithmetic(seed):
     nrows, ncols, extra, nrhs = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 2), rng.randint(1, 3)
     rank = max(0, min(nrows, ncols) - rng.randint(0, 2))
     a, wcols, outside = _solvable_system(rng, mode, nrows, ncols, rank, extra)
-    src, tgt, rhs_obj = a.source, a.target, _obj(nrhs)
+    src, rhs_obj = a.source, _obj(nrhs)
     x_star = Morphism(rhs_obj, src, mode, [_random_layer(rng, ncols, nrhs) for _ in range(mode.order)])
     b = a @ x_star
-    rhs = _columns_of(b, nrhs)
-    at = rng.randint(0, nrhs)
+    columns = [dict(to_fractions(layer)) for layer in b.layers]
     if outside:
-        # b_0 plus param^k e_row, with e_row outside the column space of A_0
-        bad = [dict(layer) for layer in rhs[0]]
+        # b_0 plus param^k e_row, with e_row outside the column space of A_0, as column nrhs
         row, k = rng.choice(outside), rng.randrange(mode.order)
-        bad[k][row] = bad[k].get(row, 0) + 1
-        rhs.insert(at, bad)
-    kernel, solutions = solve_series([to_fractions(layer) for layer in a.layers], ncols, rhs)
-    if outside:
-        assert solutions.pop(at) is None
-    assert a @ _matrix_of(rhs_obj, src, mode, solutions) == b
+        for layer, vec in zip(columns, _column(b.layers, 0)):
+            layer.update({(i, nrhs): v for i, v in vec.items()})
+        columns[k][row, nrhs] = columns[k].get((row, nrhs), 0) + 1
+    kernel, x, bad = solve_series(a.layers, ncols, [as_layer(layer) for layer in columns])
+    assert bad == ({nrhs} if outside else set())
+    assert a @ Morphism._of(rhs_obj, src, mode, x) == b
     # the lifts: as many as ker A_0 has dimensions, killed by A, and
     # independent already classically (W is the identity on wcols)
-    assert len(kernel) == ncols - rank
-    for v in kernel:
-        assert (a @ _matrix_of(_obj(1), src, mode, [v])).is_zero
+    assert _width(kernel) == ncols - rank
+    assert all(_canonical(layer) for layer in kernel + x)
+    if ncols > rank:
+        assert (a @ Morphism._of(_obj(ncols - rank), src, mode, kernel)).is_zero
     free = [c for c in range(ncols) if c not in wcols]
-    assert _det([[v[0].get(c, 0) for c in free] for v in kernel]) != 0
+    assert _det([[v.get(c, 0) for c in free] for v in (_column(kernel, n)[0] for n in range(ncols - rank))]) != 0
 
 
 def test_series_solver_without_rows_or_columns():
-    zero = Fraction(0)
+    zero = [(1, {}), (1, {})]
     # no constraint rows: every unknown is free, and only b = 0 is solvable
-    kernel, solutions = solve_series([{}, {}], 3, [[{}, {}], [{}, {7: Fraction(1)}]])
-    assert kernel == [[{c: 1}, {}] for c in range(3)]
-    assert solutions == [[{}, {}], None]
+    kernel, x, bad = solve_series(zero, 3, [(1, {}), (1, {(7, 1): 1})])
+    assert kernel == [(1, {(c, c): 1 for c in range(3)}), (1, {})]
+    assert (x, bad) == (zero, {1})
     # no unknowns
-    assert eliminate({}, 0, [{}, {0: zero}, {2: Fraction(5)}]) == ([], [{}, {}, None])
-    assert solve_series([{}, {}], 0, [[{1: zero}, {}], [{}, {1: Fraction(-1)}]]) == ([], [[{}, {}], None])
+    assert solve_series(zero[:1], 0, [(1, {(2, 2): 5})]) == ([(1, {})], [(1, {})], {2})
+    assert solve_series(zero, 0, [(1, {}), (1, {(1, 1): -1})]) == (zero, zero, {1})
+    # nothing at all
+    assert solve_series(zero[:1], 0, []) == ([(1, {})], [(1, {})], set())
 
 
-def test_solver_takes_integers_and_returns_fractions():
-    """Integer input is taken as exact: no true division of ints, no floats out."""
-    a0, rhs = {(0, 0): 2, (0, 1): 1, (1, 1): 3}, [{0: 1, 1: 1}]
-    as_fractions = ({k: Fraction(v) for k, v in a0.items()}, [{r: Fraction(v) for r, v in b.items()} for b in rhs])
-    solved = eliminate(a0, 2, rhs)
-    assert solved == eliminate(as_fractions[0], 2, as_fractions[1]) == ([], [{0: Fraction(1, 3), 1: Fraction(1, 3)}])
-    # a kernel vector and an order-by-order lift, from integer layers
-    layers, series_rhs = [{(0, 0): 2, (0, 1): 4}, {(0, 0): 3}], [[{0: 2}, {0: 5}]]
-    lifted = solve_series(layers, 2, series_rhs)
-    fraction_layers = [{k: Fraction(v) for k, v in layer.items()} for layer in layers]
-    assert lifted == solve_series(fraction_layers, 2, [[{0: Fraction(2)}, {0: Fraction(5)}]])
-    assert lifted == ([[{1: 1, 0: -2}, {0: 3}]], [[{0: 1}, {0: 1}]])
-    unit_pivot = eliminate({(0, 0): 1}, 1, [{0: 5}])[1][0]
-    vectors = [solved[1][0], *lifted[0][0], *lifted[1][0], unit_pivot]
-    assert all(type(v) is Fraction for vec in vectors for v in vec.values())
-    with pytest.raises(TypeError):  # a float is not an exact input
-        eliminate({(0, 0): 1}, 1, [{0: 0.5}])
+def test_solver_returns_canonical_layers():
+    """Integer layers in, canonical layers out: den > 0, gcd 1, int (never bool) entries."""
+    # 2x + y = 1, 3y = 1, and the same with A over the denominator 6
+    a, b = {(0, 0): 2, (0, 1): 1, (1, 1): 3}, [(1, {(0, 0): 1, (1, 0): 1})]
+    assert solve_series([(1, a)], 2, b) == ([(1, {})], [(3, {(0, 0): 1, (1, 0): 1})], set())
+    assert solve_series([(6, a)], 2, b) == ([(1, {})], [(1, {(0, 0): 2, (1, 0): 2})], set())
+    # a kernel vector and an order-by-order lift
+    a, b = [(1, {(0, 0): 2, (0, 1): 4}), (1, {(0, 0): 3})], [(1, {(0, 0): 2}), (1, {(0, 0): 5})]
+    kernel, x, bad = solve_series(a, 2, b)
+    assert kernel == [(1, {(1, 0): 1, (0, 0): -2}), (1, {(0, 0): 3})]
+    assert (x, bad) == ([(1, {(0, 0): 1}), (1, {(0, 0): 1})], set())
+    for seed in range(60):
+        a, ncols, b = _integer_system(*_sparse_system(seed))
+        try:
+            kernel, x, _ = solve_series(a, ncols, b)
+        except CgError:
+            continue
+        assert all(_canonical(layer) for layer in kernel + x), seed
+
+
+def test_solver_rescales_the_right_hand_side_when_the_content_does_not_divide_it():
+    # x + y = 0, x + 3y = 1: row 1 becomes (row 1 - row 0) / 2 = (0, 1), while
+    # its right-hand side 1 - 0 is odd, so b is doubled before the division
+    assert solve_series([(1, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 3})], 2, [(1, {(1, 0): 1})]) == (
+        [(1, {})],
+        [(2, {(0, 0): -1, (1, 0): 1})],
+        set(),
+    )
+
+
+def test_solver_with_negative_pivots():
+    # -3x + y = 1, 2x - 5y = -1
+    a, b = {(0, 0): -3, (0, 1): 1, (1, 0): 2, (1, 1): -5}, {(0, 0): 1, (1, 0): -1}
+    kernel, x, bad = solve_series([(1, a)], 2, [(1, b)])
+    assert (kernel, x, bad) == ([(1, {})], [(13, {(0, 0): -4, (1, 0): 1})], set())
+    # -2x - 4y = 0, 3z = 0: the kernel is (-2, 1, 0)
+    kernel, _, _ = solve_series([(1, {(0, 0): -2, (0, 1): -4, (1, 2): 3})], 3, [])
+    assert kernel == [(1, {(1, 0): 1, (0, 0): -2})]
 
 
 # ---------------------------------------------------------------------------
-# The sparse eliminator against the dense row reduction it replaced
+# The integer solver against the dense Fraction row reduction it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -925,15 +957,6 @@ def _ref_solve_series(layers, ncols, rhs):
     return lifts, solutions
 
 
-def _items(vectors):
-    """Vectors (or per-order vector lists, or None) with their key order."""
-    if vectors is None:
-        return None
-    if isinstance(vectors, dict):
-        return list(vectors.items())
-    return [_items(v) for v in vectors]
-
-
 def _sparse_system(seed):
     """A sparse random system with tuple row keys, non-unit pivots, explicit
     zeros, rank deficiency (rows that combine others, empty columns) and
@@ -1001,30 +1024,59 @@ def _frac_product(a, r):
     return out
 
 
+def _integer_system(layers, ncols, rhs):
+    """A Fraction system as integer layers: each row of A cleared of its
+    denominators in every order, its right-hand sides scaled to match, and
+    the right-hand sides stacked as the columns of one layer per order."""
+    scale = {}
+    for layer in layers:
+        for (r, _), v in layer.items():
+            scale[r] = lcm(scale.get(r, 1), Fraction(v).denominator)
+    a = [(1, {(r, c): int(v * scale[r]) for (r, c), v in layer.items() if v}) for layer in layers]
+    b = [
+        as_layer({(r, j): v * scale.get(r, 1) for j, vec in enumerate(rhs) for r, v in vec[k].items()})
+        for k in range(len(layers))
+    ]
+    return a, ncols, b
+
+
+def _matches_reference(solved, expected):
+    """The integer solver's (kernel, x, bad) against the reference's
+    (kernel, solutions), column by column."""
+    (kernel, x, bad), (ref_kernel, ref_solutions) = solved, expected
+    assert _width(kernel) == len(ref_kernel)
+    assert [_column(kernel, n) for n in range(len(ref_kernel))] == ref_kernel
+    assert bad == {j for j, ref in enumerate(ref_solutions) if ref is None}
+    for j, ref in enumerate(ref_solutions):
+        assert _column(x, j) == (ref or [{} for _ in x]), j
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_sparse_eliminator_matches_dense_reference(seed):
     layers, ncols, rhs = _sparse_system(seed)
-    firsts = [b[0] for b in rhs]
-    assert _items(eliminate(layers[0], ncols, firsts)) == _items(_ref_eliminate(layers[0], ncols, firsts))
+    a, _, b = _integer_system(layers, ncols, rhs)
+    kernel, solutions = _ref_eliminate(layers[0], ncols, [vec[0] for vec in rhs])
+    expected = [[v] for v in kernel], [None if x is None else [x] for x in solutions]
+    _matches_reference(solve_series(a[:1], ncols, b[:1]), expected)
     try:
         expected = _ref_solve_series(layers, ncols, rhs)
     except CgError:
         with pytest.raises(CgError):
-            solve_series(layers, ncols, rhs)
+            solve_series(a, ncols, b)
         return
-    assert _items(solve_series(layers, ncols, rhs)) == _items(expected)
+    _matches_reference(solve_series(a, ncols, b), expected)
 
 
 def test_sparse_eliminator_cases_are_not_vacuous():
     kernels = nones = solved = lifted = raised = 0
     for seed in range(60):
-        layers, ncols, rhs = _sparse_system(seed)
-        kernel, solutions = eliminate(layers[0], ncols, [b[0] for b in rhs])
-        kernels += bool(kernel)
-        nones += solutions.count(None)
-        solved += sum(x is not None and bool(x) for x in solutions)
+        a, ncols, b = _integer_system(*_sparse_system(seed))
+        kernel, x, bad = solve_series(a[:1], ncols, b[:1])
+        kernels += bool(kernel[0][1])
+        nones += len(bad)
+        solved += _width(x)
         try:
-            lifted += len(layers) > 1 and bool(solve_series(layers, ncols, rhs)[0])
+            lifted += len(a) > 1 and bool(solve_series(a, ncols, b)[0][0][1])
         except CgError:
             raised += 1
     assert min(kernels, nones, solved, lifted, raised) >= 5, (kernels, nones, solved, lifted, raised)
@@ -1039,7 +1091,30 @@ def test_singular_constant_layer_and_unliftable_kernel_raise():
         m.inverse()
     # A = param: the constant layer is 0, its kernel vector e_0 does not lift
     with pytest.raises(CgError):
-        solve_series([{}, {(0, 0): Fraction(1)}], 1, [])
+        solve_series([(1, {}), (1, {(0, 0): 1})], 1, [])
+
+
+def test_reduction_keeps_rows_primitive(monkeypatch):
+    """Every integer the solver hands to gcd stays below the square of
+    A_0's Hadamard bound: dividing each updated row by its content keeps it
+    a primitive vector of minors, where without the division the entries
+    would double in length at every step."""
+    import skeinlab.ribbon_backend as rb
+
+    seen = []
+
+    def recording_gcd(*args):
+        seen.extend(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(rb, "gcd", recording_gcd)
+    rng = random.Random(3)
+    n = 12
+    a0 = {(i, j): rng.randint(-7, 7) for i in range(n) for j in range(n)}
+    a0.update({(n - 1, j): a0[0, j] + a0[1, j] for j in range(n)})  # rank n - 1: a kernel
+    solve_series([(1, a0)], n, [(1, {(i, 0): rng.randint(-7, 7) for i in range(n)})])
+    hadamard_squared = prod(sum(a0[i, j] ** 2 for j in range(n)) for i in range(n))
+    assert seen and max(abs(v) for v in seen) < hadamard_squared
 
 
 TWIST_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 2), ("quantum", 3), ("drinfeld", 3)]

@@ -725,6 +725,50 @@ def test_insert_legs_sums_pairs_with_different_tensors():
         assert to_fractions(insert_legs(factors, pairs, as_layer(m))) == _dropping_zeros(expected), (factors, pairs)
 
 
+def test_leg_insertion_outputs_are_pinned(monkeypatch):
+    """Coherences, two-leg insertions and tangle evaluations, byte for byte as
+    the run-grouped `insert_legs` gave them.
+
+    Drinfeld(3) coherence between every two bracketings of each 3- and
+    4-leaf word over {V, V*, adj}; `leg_insertion` of r, t, r_a and t_sym on
+    `LEG_CASES`; and `rt_evaluate` of both sides of every moves-suite case
+    on quantum(3) and Drinfeld(3), seeds 0-4.
+    """
+    import hashlib
+    import json
+    from itertools import product
+
+    from skeinlab import suites
+    from skeinlab.tangle import rt_evaluate
+
+    dr = make_backend("drinfeld", 3)
+    outputs = []
+    for n in (3, 4):
+        for letters in product((V, VS, ADJ), repeat=n):
+            for src, tgt in permutations(bracketings(list(letters)), 2):
+                outputs.append(dr.coherence(src, tgt).to_json())
+    for tensor in (R_TENSOR, T_TENSOR, RA_TENSOR, TSYM_TENSOR):
+        for factors, first, second in LEG_CASES:
+            word = tensor_word(factors)
+            layer = leg_insertion(factors, first, second, tensor)
+            outputs.append(Morphism._of(word, word, classical_mode(), [layer]).to_json())
+    apply = suites._apply_random_move
+
+    def recorded(word, kind, backend, rng):
+        pair = apply(word, kind, backend, rng)
+        if pair is not None:
+            outputs.extend(rt_evaluate(w, backend).to_json() for w in pair)
+        return pair
+
+    monkeypatch.setattr(suites, "_apply_random_move", recorded)
+    for backend in ("quantum", "drinfeld"):
+        for seed in range(5):
+            suites.moves_suite(backend, 3, seed, words_per_kind=1)
+    assert len(outputs) == 27 * 2 + 81 * 20 + 4 * len(LEG_CASES) + 120
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "6b794357dda1eb1e7fed36d4099813c3ece0684a6e550fa2ccbcc268881c9626"
+
+
 # ---------------------------------------------------------------------------
 # The exact series solver against Morphism arithmetic
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ this rewriting is confluent, so the result is a normal form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 # a monomial over n copies is a tuple of 4n exponents (a_i, b_i, c_i, d_i)
@@ -145,12 +146,15 @@ def _reduce(terms, ncopies):
     return done
 
 
+@lru_cache(maxsize=None)
 def sl2_rep_entries(spin: int, ncopies: int, copy: int):
-    """Matrix of rho_{V_spin}(g_copy) with SL2Poly entries.
+    """Matrix of rho_{V_spin}(g_copy) with SL2Poly entries, as a tuple of rows.
 
     The fundamental representation acts on column vectors by g = [[a, b],
     [c, d]]; V_spin is its spin-th symmetric power in the basis matching
     the backend's rep matrices (highest weight first, f-lowering by 1).
+    Cached and shared by every caller: no SL2Poly operation mutates its
+    operands.
     """
     a = SL2Poly.variable(ncopies, copy, "a")
     b = SL2Poly.variable(ncopies, copy, "b")
@@ -158,7 +162,7 @@ def sl2_rep_entries(spin: int, ncopies: int, copy: int):
     d = SL2Poly.variable(ncopies, copy, "d")
     n = spin
     if n == 0:
-        return [[SL2Poly.constant(ncopies, 1)]]
+        return ((SL2Poly.constant(ncopies, 1),),)
     # Sym^n(V) in the monomial basis x^(n-j) y^j with x = e_1, y = e_2;
     # g sends x -> a x + c y, y -> b x + d y, so
     # g(x^(n-j) y^j) = (a x + c y)^(n-j) (b x + d y)^j.
@@ -174,4 +178,4 @@ def sl2_rep_entries(spin: int, ncopies: int, copy: int):
     # the backend basis is u_j = f^j u_0 = (n!/(n-j)!) x^(n-j) y^j, so the
     # u-basis entry is rows[k][j] * mu_j / mu_k with mu_j = n!/(n-j)!
     mu = [Fraction(factorial(n), factorial(n - j)) for j in range(n + 1)]
-    return [[rows[k][j] * (mu[j] / mu[k]) for j in range(n + 1)] for k in range(n + 1)]
+    return tuple(tuple(rows[k][j] * (mu[j] / mu[k]) for j in range(n + 1)) for k in range(n + 1))

@@ -27,8 +27,10 @@ inverse is the series inverse of that braiding.  The truncation does the
 rest: the order-1 exponential is the identity on classical, and e^2 = 0
 makes exp(e*r) = 1 + e*r.
 Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
-`insert_legs`, on a given matrix; `leg_insertion` is `insert_legs` on the
-identity of a word.
+`insert_legs`, on a given matrix: each term is one small integer operator
+on the factors its legs touch, cached, and acts in one pass over the
+matrix by moving rows by fixed offsets.  `leg_insertion` is `insert_legs`
+on the identity of a word.
 
 Only Drinfeld at order 3 is non-strict.  `BackendSpec.rebracket` is the one
 place a morphism changes bracketing.  There, with h^3 = 0, the coherence
@@ -893,40 +895,88 @@ def insert_legs(factors, terms, m):
 
     `tensor` lists (c_k, g_k1, ..., g_kn) with rational c_k; `m` is a layer
     whose rows index the flat word of `factors`, and g^(p) is g acting on
-    factors[p] (id (x) g (x) id, by `_int_apply`), the last leg first.
-    Grouped so that each distinct run of later legs acts once on m, and
-    each first leg (position, generator) once on the coefficient-weighted
-    sum of the runs it heads.  The generators act by integer matrices, so
-    the result is an integer matrix over den(m) times the lcm of the
-    coefficients' denominators, normalised once.
+    factors[p] (id (x) g (x) id).  Each term acts as one small integer
+    operator on the factors its legs touch (`_leg_operator`), in one pass
+    over m: an entry of the operator moves a row of m by a fixed offset
+    (`_leg_offsets`).  The result is the canonical sum of the terms.
     """
-    dims = [w.dim for w in factors]
-
-    def act(leg, x):
-        p, gen = leg
-        return _int_apply(classical_action(gen, factors[p]), x, prod(dims[p + 1 :]), dims[p], dims[p])
-
     den, entries = m
-    acted = {(): entries}
-
-    def run(legs):
-        if legs not in acted:
-            acted[legs] = act(legs[0], run(legs[1:]))
-        return acted[legs]
-
-    sums = {}  # (first leg, coefficient) -> unscaled sum of runs
+    strides = [1] * len(factors)  # strides[p]: the row step of factors[p] in the flat word
+    for p in range(len(factors) - 1, 0, -1):
+        strides[p - 1] = strides[p] * factors[p].dim
+    tensors = {}  # id -> integer form, so no term hashes a tensor's Fractions
+    out = []
     for *positions, tensor in terms:
-        for coeff, *gens in tensor:
-            legs = tuple(zip(positions, gens))
-            _int_iadd(sums.setdefault((legs[0], coeff), {}), run(legs[1:]))
-    scale = lcm(*{coeff.denominator for _, coeff in sums})
-    firsts = {}
-    for (leg, coeff), x in sums.items():
-        _int_iadd(firsts.setdefault(leg, {}), x, coeff.numerator * (scale // coeff.denominator))
-    out = {}
-    for leg, x in firsts.items():
-        _int_iadd(out, act(leg, x))
-    return _layer(den * scale, out)
+        t = tensors.get(id(tensor))
+        if t is None:
+            t = tensors[id(tensor)] = _int_tensor(tensor)
+        slots = sorted(set(positions))
+        digits, by_col = _leg_offsets(
+            tuple(factors[p] for p in slots), tuple(map(slots.index, positions)), t, tuple(strides[p] for p in slots)
+        )
+        acc = {}
+        for (r, j), y in entries.items():
+            c = 0
+            for stride, d in digits:
+                c = c * d + r // stride % d
+            for offset, x in by_col.get(c, ()):
+                key = (r + offset, j)
+                s = acc.get(key)
+                acc[key] = x * y if s is None else s + x * y
+        out.append((den * t[0], {k: v for k, v in acc.items() if v}))
+    return _sum(out)
+
+
+def _int_tensor(tensor):
+    """(den, ((n_k, g_k1, ...), ...)): a tensor's coefficients over their common denominator."""
+    den = lcm(*(c.denominator for c, *_ in tensor))
+    return den, tuple((c.numerator * (den // c.denominator), *gens) for c, *gens in tensor if c)
+
+
+@lru_cache(maxsize=None)
+def _leg_operator(objs, slots, tensor):
+    """The integer matrix of sum_k n_k G_k1 (x) ... (x) G_km on the word of `objs`.
+
+    `tensor` is an `_int_tensor`, leg i acts on objs[slots[i]], and G_ks is
+    the product of the generators of the legs on objs[s], the first leg on
+    the left.  A unit factor makes the operator zero.
+    """
+    total = {}
+    for n, *gens in tensor[1]:
+        op = {(0, 0): n}
+        for s, obj in enumerate(objs):
+            g = _int_ident(obj.dim)
+            for slot, gen in zip(slots, gens):
+                if slot == s:
+                    g = _int_compose(g, classical_action(gen, obj))
+            op = _int_kron(op, g, obj.dim, obj.dim)
+        _int_iadd(total, op)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _leg_offsets(objs, slots, tensor, strides):
+    """`_leg_operator` compiled for factors at the given row strides of a flat word.
+
+    Returns (digits, by_col): a row r of the word has the operator
+    column c = sum_s digit_s(r) prod_{t > s} dim_t with digit_s(r) =
+    r // stride_s % dim_s, read by the (stride, dim) pairs `digits`, and
+    by_col[c] lists (offset, n) for the operator's entries n in column c:
+    each moves row r to r + offset, offset = sum_s (k_s - c_s) stride_s.
+    """
+    dims = [obj.dim for obj in objs]
+
+    def place(code):  # an operator index as a row offset in the flat word
+        total = 0
+        for stride, d in reversed(list(zip(strides, dims))):
+            code, digit = divmod(code, d)
+            total += digit * stride
+        return total
+
+    by_col = {}
+    for (k, c), n in _leg_operator(objs, slots, tensor).items():
+        by_col.setdefault(c, []).append((place(k) - place(c), n))
+    return tuple(zip(strides, dims)), {c: tuple(v) for c, v in by_col.items()}
 
 
 def exp_nilseries(m, d, mode: RingMode, rate=Fraction(1)):

@@ -554,13 +554,9 @@ def holonomy_evaluate(s: SkeinElement):
     slots = s.pattern.all_slots()
     src_dim = _source_word(s.argument).dim
     out = [SL2Poly.constant(n, 0) for _ in range(src_dim)]
-    rep_cache = {}
     for labels, core in s.terms:
         objs = slot_objects(s.pattern, labels)
         dims = [o.dim for o in objs]
-        for h, lab in enumerate(labels):
-            if (lab.spin, h) not in rep_cache:
-                rep_cache[(lab.spin, h)] = sl2_rep_entries(lab.spin, n, h)
         den, constant = core.layers[0]
         for (i, j), v in constant.items():
             # decode the boundary index i into slot indices
@@ -579,7 +575,7 @@ def holonomy_evaluate(s: SkeinElement):
                     minus[h] = idx[pos]
             poly = SL2Poly.constant(n, Fraction(v, den))
             for h, lab in enumerate(labels):
-                rep = rep_cache[(lab.spin, h)]
+                rep = sl2_rep_entries(lab.spin, n, h)
                 poly = poly * rep[minus[h]][plus[h]]
             out[j] = out[j] + poly
     return out

@@ -20,7 +20,10 @@ from skeinlab import ribbon_backend, suites
 from skeinlab.ribbon_backend import (
     OMEGA_TENSOR,
     T_TENSOR,
+    UNIT,
+    DualObj,
     Morphism,
+    TensorObj,
     _convolve,
     _int_apply,
     _int_compose,
@@ -248,29 +251,53 @@ def test_exp_nilseries_matches_the_fraction_reference(seed):
         assert _equal(got, want)
 
 
+def _frac_leg_products(factors, terms, m):
+    """sum over terms of sum_k c_k g_k1^(p_1) ... g_kn^(p_n) m, one leg at a time, the last leg first."""
+    dims = [w.dim for w in factors]
+    expected = {}
+    for *positions, tensor in terms:
+        for coeff, *gens in tensor:
+            x = m
+            for p, g in reversed(list(zip(positions, gens))):
+                action = {k: Fraction(v) for k, v in classical_action(g, factors[p]).items()}
+                x = _frac_apply(action, x, prod(dims[p + 1 :]), dims[p], dims[p])
+            _frac_iadd(expected, _frac_scale(x, coeff))
+    return expected
+
+
 def test_insert_legs_matches_fraction_leg_products():
     """insert_legs against each term built from the reference kernels, with
-    coefficients over 24 as rebracket uses them."""
+    coefficients over 24 as rebracket uses them; then three-leg terms that
+    repeat a position (legs on one factor compose, the first on the left)
+    or list positions out of order, on dual, unit and tensor factors."""
     rng = random.Random(400)
     pool = [simple(0), simple(1), simple(2)]
-    tensors = [T_TENSOR, tuple((c / 24, *g) for c, *g in OMEGA_TENSOR)]
+    omega = tuple((c / 24, *g) for c, *g in OMEGA_TENSOR)
     for _ in range(20):
         factors = [rng.choice(pool) for _ in range(rng.randint(3, 4))]
-        dims = [w.dim for w in factors]
-        m = _fractions(rng, prod(dims), rng.randint(1, 3))
+        m = _fractions(rng, prod(w.dim for w in factors), rng.randint(1, 3))
+        terms = [(*rng.sample(range(len(factors)), len(t[0]) - 1), t) for t in (T_TENSOR, omega)]
+        assert _equal(insert_legs(factors, terms, as_layer(m)), _frac_leg_products(factors, terms, m))
+    v, adj = simple(1), simple(2)
+    pool = [v, adj, DualObj(v), DualObj(adj), TensorObj(v, adj), TensorObj(DualObj(v), v), UNIT]
+    gens = ("e", "f", "h")
+    seen = set()
+    for n in range(60):
+        factors = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+        m = _fractions(rng, prod(w.dim for w in factors), rng.randint(1, 3))
         terms = []
-        for tensor in tensors:
-            legs = len(tensor[0]) - 1
-            terms.append((*rng.sample(range(len(factors)), legs), tensor))
-        expected = {}
-        for *positions, tensor in terms:
-            for coeff, *gens in tensor:
-                x = m
-                for p, g in reversed(list(zip(positions, gens))):
-                    action = {k: Fraction(v) for k, v in classical_action(g, factors[p]).items()}
-                    x = _frac_apply(action, x, prod(dims[p + 1 :]), dims[p], dims[p])
-                _frac_iadd(expected, _frac_scale(x, coeff))
-        assert _equal(insert_legs(factors, terms, as_layer(m)), expected)
+        for _ in range(rng.randint(1, 3)):
+            if n % 2:
+                positions = [rng.randrange(len(factors)) for _ in range(3)]
+            else:
+                p, q = rng.sample(range(len(factors)), 2)
+                positions = rng.choice([[p, p, q], [q, p, p], [p, q, p], [p, p, p]])
+            tensor = rng.choice([omega, [(_value(rng), *rng.choices(gens, k=3)) for _ in range(rng.randint(1, 3))]])
+            terms.append((*positions, tensor))
+            seen.add((len(set(positions)) < 3, positions != sorted(positions)))
+        expected = _frac_leg_products(factors, terms, m)
+        assert _equal(insert_legs(factors, terms, as_layer(m)), expected), (factors, terms)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_layer_round_trips():

@@ -263,16 +263,16 @@ def test_move_rules_keep_the_boundary():
 # ---------------------------------------------------------------------------
 
 
-def _closure(n, braid, middle=()):
-    """Closure of an n-strand braid on V: n nested cups, the braid, n right caps.
+def _closure(n, braid, middle=(), label=1):
+    """Closure of an n-strand braid on V_label: n nested cups, the braid, n right caps.
 
     `braid` lists generators +-i for sigma_i^{+-1} (strands i-1, i; braid+
     is the positive crossing); `middle` is extra slices after the braid.
     """
-    slices = [(Cell("cup", k, label=1),) for k in range(n)]
+    slices = [(Cell("cup", k, label=label),) for k in range(n)]
     slices += [(Cell("braid+" if g > 0 else "braid-", abs(g) - 1),) for g in braid]
     slices += list(middle)
-    slices += [(Cell("cap", k, label=1, flavor="r"),) for k in reversed(range(n))]
+    slices += [(Cell("cap", k, label=label, flavor="r"),) for k in reversed(range(n))]
     return TangleWord((), tuple(slices), {})
 
 
@@ -326,6 +326,68 @@ def test_braid_closures_match_the_framed_jones_polynomial(name, strands, braid, 
         values[backend] = m.entry(0, 0).coeffs
         assert values[backend] == expected, (backend, values[backend], expected)
     assert values["quantum"] == values["drinfeld"]
+
+
+def _q_power(x):
+    """q^x = exp(x h / 2) mod h^3."""
+    return _exp_h(Fraction(x, 2))
+
+
+def _torus_link(n, m):
+    """Closure of sigma_1^m on two strands V_n: sum_k lambda_k^m [k+1] mod h^3.
+
+    V_n (x) V_n = sum_k V_k over k = 2n, 2n-2, ..., 0, and the braiding acts
+    on V_k by lambda_k = (-1)^((2n-k)/2) q^((k(k+2)/2 - n(n+2))/2): the sign
+    of V_k in the symmetric or exterior square, times theta_k^(1/2)
+    theta_n^-1 with theta_k = q^(k(k+2)/2), since c^2 = theta_(n(x)n)
+    (theta_n (x) theta_n)^-1 there.  The closure is the quantum trace, with
+    [k+1] = sum_(j = -k, -k+2, ..., k) q^j.
+    """
+    terms = []
+    for k in range(2 * n, -1, -2):
+        sign = -1 if m * (2 * n - k) // 2 % 2 else 1
+        power = _q_power(Fraction(m * (k * (k + 2) - 2 * n * (n + 2)), 4))
+        dim = _series_sum([(1, _q_power(j)) for j in range(-k, k + 1, 2)])
+        terms.append((sign, _series_mul(power, dim)))
+    return _series_sum(terms)
+
+
+def test_torus_link_closed_form_examples():
+    """The closed form on known values: the Hopf link (n = 1, m = 2) is
+    theta_V^2 [2] (q^-1 + q^-5), and the two unlinked strands (m = 0) give [n+1]^2."""
+    quantum_dim = _framed_jones({0: 1}, 0)
+    hopf = _series_mul(_series_mul(_q_power(3), quantum_dim), _series_sum([(1, _q_power(-1)), (1, _q_power(-5))]))
+    assert _torus_link(1, 2) == hopf == (4, 0, Fraction(5, 2))
+    assert _torus_link(2, 3) == (3, 18, 31)
+    for n in (1, 2):
+        dim = _series_sum([(1, _q_power(j)) for j in range(-n, n + 1, 2)])
+        assert _torus_link(n, 0) == _series_mul(dim, dim)
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["V", "adj"])
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_two_strand_torus_links_match_the_closed_form(n, m):
+    """Closures of sigma_1^m on V_n (x) V_n on quantum(3) and Drinfeld(3)
+    against `_torus_link`, and the two backends against each other."""
+    braid = [1 if m > 0 else -1] * abs(m)
+    values = {}
+    for backend in ("quantum", "drinfeld"):
+        m_out = rt_evaluate(_closure(2, braid, label=n), make_backend(backend, 3))
+        assert m_out.source_dim == m_out.target_dim == 1
+        values[backend] = m_out.entry(0, 0).coeffs
+    assert values["quantum"] == values["drinfeld"] == _torus_link(n, m)
+
+
+@pytest.mark.parametrize("backend", ["quantum", "drinfeld"])
+@pytest.mark.parametrize("writhe", [-1, 0, 1])
+def test_framed_adj_unknot_is_the_quantum_dimension(backend, writhe):
+    """The one-strand closure on adj with `writhe` twists is theta_adj^writhe [3]:
+    [3] = q^-2 + 1 + q^2 = (3, 0, 1) mod h^3 and theta_adj = q^4 (C = 4 on adj)."""
+    twists = [(Cell("twist+" if writhe > 0 else "twist-", 0),)] * abs(writhe)
+    m = rt_evaluate(_closure(1, [], middle=twists, label=2), make_backend(backend, 3))
+    quantum_dim = _series_sum([(1, _q_power(-2)), (1, _q_power(0)), (1, _q_power(2))])
+    assert quantum_dim == (3, 0, 1)
+    assert m.entry(0, 0).coeffs == _series_mul(_q_power(4 * writhe), quantum_dim)
 
 
 def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):

@@ -35,7 +35,6 @@ from .skein_algebra import (
     mu_op_minus,
     product_argument,
     product_term_chains,
-    same_pattern,
     slot_objects,
 )
 from .surface import SurfacePattern, fuse
@@ -291,7 +290,7 @@ def fock_rosly_sigma(
     """
     if s1.backend.name != "classical":
         raise ModeError("the vertex sum runs over the classical backend")
-    if not (same_pattern(pattern, s1.pattern) and same_pattern(pattern, s2.pattern)):
+    if not pattern == s1.pattern == s2.pattern:
         raise AlgebraError("the elements do not live on the given pattern")
     triples = _end_pairs_tensor(pattern, include_diagonal)
     total = _slot_insertion_product(s1, s2, triples)

@@ -63,7 +63,6 @@ C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -327,8 +326,8 @@ class Morphism:
 
     @property
     def entries(self):
-        """Read-only view: position -> ScalarSeries, for every nonzero position."""
-        return _EntryView(self)
+        """position -> ScalarSeries, for every nonzero position."""
+        return {pos: self.entry(*pos) for pos in _positions(self.layers)}
 
     @property
     def is_zero(self):
@@ -347,7 +346,7 @@ class Morphism:
     __hash__ = None
 
     def __repr__(self):
-        return f"Morphism({self.source} -> {self.target}, {len(self.entries)} entries, {self.mode})"
+        return f"Morphism({self.source} -> {self.target}, {len(_positions(self.layers))} entries, {self.mode})"
 
     def _check_parallel(self, other):
         if self.mode != other.mode:
@@ -470,26 +469,6 @@ class Morphism:
 
 
 _ENTRY_KEY = re.compile(r"(-?[0-9]{1,18}),(-?[0-9]{1,18})")
-
-
-class _EntryView(Mapping):
-    """Read-only view of a morphism as position -> ScalarSeries."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, m: Morphism):
-        self._m = m
-
-    def __len__(self):
-        return len(_positions(self._m.layers))
-
-    def __iter__(self):
-        return iter(_positions(self._m.layers))
-
-    def __getitem__(self, pos):
-        if not any(pos in e for _, e in self._m.layers):
-            raise KeyError(pos)
-        return self._m.entry(*pos)
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1146,6 @@ class BackendSpec:
         self.name = name
         self.mode = mode
         self._cache = {}
-        self._coev_scales = {}
         # the exponent Omega of the non-quantum braidings and its rate
         self._omega, self._rate = (R_TENSOR, Fraction(1)) if name == "epsilon" else (T_TENSOR, Fraction(1, 2))
         self.nontrivial_associator = name == "drinfeld" and mode.order >= 3
@@ -1266,16 +1244,14 @@ class BackendSpec:
         """Correction making the snake identities exact (Drinfeld only)."""
         if not self.nontrivial_associator:
             return ScalarSeries.one(self.mode)
-        if spin not in self._coev_scales:
-            x = SimpleObj(spin)
-            dx = DualObj(x)
-            naive = self._naive_copairing(x)
-            idx = Morphism.identity(x, self.mode)
-            phi = self.associator(x, dx, x)
-            snake = idx.tensor(self._pairing(x)) @ phi @ naive.tensor(idx)
-            scalar = snake.entry(0, 0)
-            self._coev_scales[spin] = scalar.inverse()
-        return self._coev_scales[spin]
+        return self._cached(("coevscale", spin), lambda: self._snake_scalar(SimpleObj(spin)).inverse())
+
+    def _snake_scalar(self, x: SimpleObj) -> ScalarSeries:
+        """The scalar by which the snake through the naive copairing scales x."""
+        idx = Morphism.identity(x, self.mode)
+        phi = self.associator(x, DualObj(x), x)
+        snake = idx.tensor(self._pairing(x)) @ phi @ self._naive_copairing(x).tensor(idx)
+        return snake.entry(0, 0)
 
     def _pairing(self, x: SimpleObj) -> Morphism:
         d = x.dim

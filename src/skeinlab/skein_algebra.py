@@ -51,11 +51,6 @@ def slot_objects(pattern: SurfacePattern, labels):
     return objs
 
 
-def same_pattern(p: SurfacePattern, q: SurfacePattern) -> bool:
-    """Whether two patterns have the same vertices and handles; fusion history aside."""
-    return (p.n_vertices, p.handles) == (q.n_vertices, q.handles)
-
-
 def _source_word(argument):
     return tensor_word([leaf for arg in argument for leaf in arg.leaves()])
 
@@ -79,7 +74,7 @@ class SkeinElement:
             self.backend.name != other.backend.name or self.backend.mode != other.backend.mode
         ):
             raise AlgebraError("elements live over different backends")
-        if not same_pattern(self.pattern, other.pattern):
+        if self.pattern != other.pattern:
             raise AlgebraError("elements live on different patterns")
 
     def _flat_argument(self):

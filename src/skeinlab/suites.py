@@ -70,89 +70,60 @@ def _case(case_id, ok, defect=None):
 MOVE_KINDS = ("R2", "R3", "FramedR1", "Snake", "CouponSlide", "Reparenthesize")
 
 
+def _splice(word, lvl, gadget, coupons=()):
+    """`word` with the slices `gadget` inserted at level `lvl` and the (id, morphism) `coupons` added."""
+    return TangleWord(word.bottom, word.slices[:lvl] + gadget + word.slices[lvl:], {**word.coupons, **dict(coupons)})
+
+
 def _apply_random_move(word, kind, backend, rng):
     """Return (before, after) words for the move, or None if no site fits."""
     levels = word.interfaces()
     if kind == "R2":
-        sites = [(l, p) for l, s in enumerate(levels[:-1]) for p in range(max(0, len(s) - 1))]
+        sites = [(l, p) for l, s in enumerate(levels[:-1]) for p in range(len(s) - 1)]
         if not sites:
             return None
         lvl, p = rng.choice(sites)
         return word, apply_move(word, "R2", (lvl, p, "insert"))
-    if kind == "R3":
-        # the braid gadget permutes the interface, so insert at the top
-        lvl = len(word.slices)
-        top = levels[lvl]
-        if len(top) < 3:
-            return None
-        p = rng.randrange(len(top) - 2)
-        gadget = ((Cell("braid+", p),), (Cell("braid+", p + 1),), (Cell("braid+", p),))
-        slices = word.slices[:lvl] + gadget + word.slices[lvl:]
-        before = TangleWord(word.bottom, slices, dict(word.coupons))
-        return before, apply_move(before, "R3", (lvl, "lr"))
-    if kind == "FramedR1":
-        sites = [
-            (l, p)
-            for l, s in enumerate(levels)
-            for p in range(len(s))
-            if s[p].orient > 0
-        ]
+    if kind in ("FramedR1", "Snake"):
+        sites = [(l, p) for l, s in enumerate(levels) for p in range(len(s)) if s[p].orient > 0]
         if not sites:
             return None
         lvl, p = rng.choice(sites)
-        slices = word.slices[:lvl] + ((Cell("twist+", p),),) + word.slices[lvl:]
-        before = TangleWord(word.bottom, slices, dict(word.coupons))
+        if kind == "Snake":
+            return word, apply_move(word, rng.choice(("SnakeLeft", "SnakeRight")), (lvl, p, "insert"))
+        before = _splice(word, lvl, ((Cell("twist+", p),),))
         return before, apply_move(before, "FramedR1", (lvl, p))
-    if kind == "Snake":
-        sites = [
-            (l, p)
-            for l, s in enumerate(levels)
-            for p in range(len(s))
-            if s[p].orient > 0
-        ]
-        if not sites:
-            return None
-        lvl, p = rng.choice(sites)
-        flavor = rng.choice(("SnakeLeft", "SnakeRight"))
-        return word, apply_move(word, flavor, (lvl, p, "insert"))
-    if kind == "CouponSlide":
-        for _ in range(8):
-            # the slide gadget permutes the interface, so insert at the top
-            lvl = len(word.slices)
-            strands = word.interfaces()[lvl]
-            if len(strands) < 2:
-                return None
-            p = rng.randrange(len(strands) - 1)
-            source = strands[p].obj
-            m = backend.random_invariant(source, source, rng)
-            if m.is_zero:
-                continue
-            coupons = dict(word.coupons)
-            cid = f"slide{len(coupons)}"
-            coupons[cid] = m
-            gadget = coupon_then_cross(cid, m, p)
-            slices = word.slices[:lvl] + gadget + word.slices[lvl:]
-            before = TangleWord(word.bottom, slices, coupons)
-            return before, apply_move(before, "CouponSlide", (lvl, p))
-        return None
     if kind == "Reparenthesize":
-        levels = word.interfaces()
-        sites = [(l, p) for l, s in enumerate(levels) for p in range(max(0, len(s) - 2))]
+        sites = [(l, p) for l, s in enumerate(levels) for p in range(len(s) - 2)]
         if not sites:
             return None
         lvl, p = rng.choice(sites)
-        strands = levels[lvl]
-        objs = [strands[p + i].obj for i in range(3)]
-        src = TensorObj(TensorObj(objs[0], objs[1]), objs[2])
+        a, b, c = (strand.obj for strand in levels[lvl][p : p + 3])
+        src = TensorObj(TensorObj(a, b), c)
         m = backend.random_invariant(src, src, rng)
-        coupons = dict(word.coupons)
-        cid = f"rp{len(coupons)}"
-        coupons[cid] = m
-        slices = word.slices[:lvl] + ((Cell("coupon", p, coupon_id=cid),),) + word.slices[lvl:]
-        before = TangleWord(word.bottom, slices, coupons)
-        new_src = TensorObj(objs[0], TensorObj(objs[1], objs[2]))
-        after = reparenthesize_coupon(before, cid, new_src, m.target, backend)
-        return before, after
+        cid = f"rp{len(word.coupons)}"
+        before = _splice(word, lvl, ((Cell("coupon", p, coupon_id=cid),),), [(cid, m)])
+        return before, reparenthesize_coupon(before, cid, TensorObj(a, TensorObj(b, c)), m.target, backend)
+    # the braid and slide gadgets permute the interface, so they go in at the top
+    top = len(word.slices)
+    strands = levels[top]
+    if kind == "R3":
+        if len(strands) < 3:
+            return None
+        p = rng.randrange(len(strands) - 2)
+        before = _splice(word, top, ((Cell("braid+", p),), (Cell("braid+", p + 1),), (Cell("braid+", p),)))
+        return before, apply_move(before, "R3", (top, "lr"))
+    if kind == "CouponSlide":
+        if len(strands) < 2:
+            return None
+        for _ in range(8):
+            p = rng.randrange(len(strands) - 1)
+            m = backend.random_invariant(strands[p].obj, strands[p].obj, rng)
+            if not m.is_zero:
+                cid = f"slide{len(word.coupons)}"
+                before = _splice(word, top, coupon_then_cross(cid, m, p), [(cid, m)])
+                return before, apply_move(before, "CouponSlide", (top, p))
+        return None
     raise ValueError(kind)
 
 
@@ -364,11 +335,12 @@ def torsion_suite():
 # the suites that run the configured backend and order; the others fix their own
 BACKEND_SUITES = ("moves", "ribbon")
 
+# each runner takes the parsed arguments of `skeinlab verify`
 SUITES = {
-    "moves": lambda cfg: moves_suite(cfg["backend"], cfg["order"], cfg["seed"], cfg.get("cases", 5)),
-    "ribbon": lambda cfg: ribbon_suite(cfg["backend"], cfg["order"], cfg["seed"]),
-    "sigma": lambda cfg: sigma_suite(cfg["seed"], cfg.get("cases", 5)),
-    "fusion": lambda cfg: fusion_suite(cfg["seed"], cfg.get("cases", 5), cfg.get("fusion_order", "v1v2")),
-    "jacobi": lambda cfg: jacobi_suite(cfg["seed"], cfg.get("cases", 3), cfg.get("fr_diagonal", True)),
-    "torsion": lambda cfg: torsion_suite(),
+    "moves": lambda args: moves_suite(args.backend, args.order, args.seed, args.cases),
+    "ribbon": lambda args: ribbon_suite(args.backend, args.order, args.seed),
+    "sigma": lambda args: sigma_suite(args.seed, args.cases),
+    "fusion": lambda args: fusion_suite(args.seed, args.cases, args.fusion_order),
+    "jacobi": lambda args: jacobi_suite(args.seed, args.cases, args.fr_diagonal != "exclude"),
+    "torsion": lambda args: torsion_suite(),
 }

@@ -67,7 +67,6 @@ class Handle:
 class SurfacePattern:
     n_vertices: int
     handles: tuple  # tuple of Handle
-    fusion_history: tuple = ()
 
     def __post_init__(self):
         slots = {}
@@ -135,7 +134,7 @@ class SurfacePattern:
 def disk_with_two_points() -> SurfacePattern:
     """Disk with two marked boundary points; one holonomy copy of G."""
     h = Handle((HandleEnd(0, 0, 1), HandleEnd(1, 0, -1)))
-    return SurfacePattern(2, (h,), fusion_history=("disk2",))
+    return SurfacePattern(2, (h,))
 
 
 def disjoint_union(p: SurfacePattern, q: SurfacePattern) -> SurfacePattern:
@@ -143,11 +142,7 @@ def disjoint_union(p: SurfacePattern, q: SurfacePattern) -> SurfacePattern:
     handles = list(p.handles)
     for h in q.handles:
         handles.append(Handle(tuple(HandleEnd(e.vertex + shift, e.slot, e.sign) for e in h.ends)))
-    return SurfacePattern(
-        p.n_vertices + q.n_vertices,
-        tuple(handles),
-        fusion_history=("union", p.fusion_history, q.fusion_history),
-    )
+    return SurfacePattern(p.n_vertices + q.n_vertices, tuple(handles))
 
 
 def fuse(p: SurfacePattern, v1: int, v2: int, order: str = "v1v2") -> SurfacePattern:
@@ -178,11 +173,7 @@ def fuse(p: SurfacePattern, v1: int, v2: int, order: str = "v1v2") -> SurfacePat
             else:
                 ends.append(HandleEnd(position[e.vertex], e.slot, e.sign))
         handles.append(Handle(tuple(ends)))
-    return SurfacePattern(
-        p.n_vertices - 1,
-        tuple(handles),
-        fusion_history=("fuse", p.fusion_history, v1, v2, order),
-    )
+    return SurfacePattern(p.n_vertices - 1, tuple(handles))
 
 
 def annulus() -> SurfacePattern:

@@ -1,9 +1,13 @@
+import argparse
 import json
 import random
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from skeinlab import cli
 from skeinlab.cli import main
@@ -331,3 +335,68 @@ def test_vertex_count_is_bounded_by_the_handle_ends(tmp_path):
         path.write_text(json.dumps({"vertices": vertices, "handles": [handle]}))
         code, out, err = run_cli(["fuse", str(path), "0", "1"])
         assert code == code_wanted, (vertices, err)
+
+
+TANGLE = ["eval-tangle", "tangle_adj.json"]
+ANNULI = ["product", "annulus_a.json", "annulus_b.json"]
+TORI = ["sigma", "torus_a.json", "torus_b.json"]
+DISK = ["fuse", "disk.json", "0", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (TANGLE, ["--fr-diagonal", "exclude"]),
+        (TANGLE, ["--seed", "3"]),
+        (TANGLE, ["--convention", "fusion=v2v1"]),
+        (ANNULI, ["--backend", "quantum"]),
+        (ANNULI, ["--order", "5"]),
+        (ANNULI, ["--seed", "9"]),
+        (ANNULI, ["--convention", "fusion=v2v1"]),
+        (ANNULI, ["--fr-diagonal", "exclude"]),
+        (ANNULI, ["--backend", "drinfeld", "--order", "4"]),
+        (TORI + ["--method", "goldman"], ["--fr-diagonal", "exclude"]),
+        (TORI + ["--method", "algebraic"], ["--fr-diagonal", "include"]),
+        (TORI, ["--fr-diagonal", "exclude"]),
+        (TORI, ["--backend", "quantum"]),
+        (TORI, ["--seed", "3"]),
+        (TORI, ["--convention", "fusion=v1v2"]),
+        (DISK, ["--seed", "3"]),
+        (DISK, ["--backend", "quantum"]),
+        (DISK, ["--order", "3"]),
+        (DISK, ["--fr-diagonal", "exclude"]),
+    ],
+    ids=lambda words: " ".join(w for w in words if not w.endswith(".json") and not w.isdigit()),
+)
+def test_an_option_the_command_does_not_read_exit_2(command, option, tmp_path):
+    """Every command accepted every option, so one that it does not read was
+    silently ignored: the command printed the answer it gives without it."""
+    (tmp_path / "disk.json").write_text(json.dumps(disk_with_two_points().to_json()))
+    argv = [str((tmp_path if w == "disk.json" else GOLDEN_INPUTS) / w) if w.endswith(".json") else w for w in command]
+    assert run_cli(argv)[0] == 0
+    code, out, _ = run_cli(argv + option)
+    assert code == 2 and out == ""
+
+
+def test_verify_drinfeld_order_above_3_exit_2():
+    code, out, err = run_cli(["verify", "--suite", "sigma", "--backend", "drinfeld", "--order", "4"])
+    assert code == 2 and out == ""
+    assert "orders <= 3" in err
+
+
+def test_readme_cli_block_parses_and_shows_every_option():
+    """Each `skeinlab ...` line of the README's CLI block parses, and the
+    block shows each command with exactly the options its parser declares."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    parser = cli.build_parser()
+    shown = {}
+    for words in (shlex.split(line) for line in block.splitlines() if line.startswith("skeinlab ")):
+        args = parser.parse_args(words[1:])
+        shown.setdefault(args.command, set()).update(w for w in words if w.startswith("--"))
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        for name, p in commands.items()
+    }
+    assert shown == declared

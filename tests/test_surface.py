@@ -90,3 +90,10 @@ def test_json_roundtrip():
     t = once_punctured_torus()
     t2 = SurfacePattern.from_json(t.to_json())
     assert t2.n_vertices == t.n_vertices and t2.handles == t.handles
+
+
+def test_patterns_compare_by_vertices_and_handles():
+    """How a pattern was built (fused, united, read from JSON) does not enter its equality."""
+    for p in (annulus(), once_punctured_torus(), two_strand_chaps()):
+        for q in (SurfacePattern(p.n_vertices, p.handles), SurfacePattern.from_json(p.to_json())):
+            assert p == q and hash(p) == hash(q)

@@ -55,6 +55,14 @@ morphism and the coordinates of a skein core use it, and each
 Clebsch-Gordan embedding is the basis of the one-dimensional Hom space
 Hom(V_k, x (x) y).
 
+The sl2 data is one table, `_quantum_action`: E and F on V_n, the
+coproduct on a tensor word, the antipode on a dual, and
+K^(+-1) = exp(+-h H/2) on the weights (`weights_of`).  The classical e and
+f are its order-1 truncation, where K = 1, and h is the diagonal of the
+weights.  The epsilon and Drinfeld categories keep the classical
+generators, so their Hom spaces are the classical ones taken into their
+ring; only the classical and quantum backends solve for a Hom basis.
+
 Normalization: the invariant form is the trace form on the fundamental
 representation, so t = e(x)f + f(x)e + h(x)h/2, C = ef + fe + h^2/2, and
 C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
@@ -791,45 +799,27 @@ def solve_series(a, ncols, b):
 
 
 @lru_cache(maxsize=None)
-def _rep_matrices(spin: int):
-    """Classical matrices (e, f, h) on V_spin: f u_j = u_{j+1}, h u_j = (n-2j) u_j."""
-    n = spin
-    e, f, h = {}, {}, {}
-    for j in range(n + 1):
-        if n - 2 * j:
-            h[(j, j)] = n - 2 * j
-        if j + 1 <= n:
-            f[(j + 1, j)] = 1
-        if j >= 1:
-            e[(j - 1, j)] = j * (n + 1 - j)
-    return {"e": e, "f": f, "h": h}
-
-
-@lru_cache(maxsize=None)
 def classical_action(gen: str, word: ObjectExpr):
-    """Integer matrix {(i, j): int} of the sl2 basis element `gen` on a tensor word.
+    """Integer matrix {(i, j): int} of the sl2 basis element `gen` (e, f or h) on a tensor word.
 
-    Tensor factors via the Leibniz rule, duals via minus transpose.
+    e and f are E and F truncated at order 1, where K = 1 makes the
+    coproduct the Leibniz rule and the antipode minus the transpose; h is
+    the diagonal of the weights.
     """
-    if isinstance(word, UnitObj):
-        return {}
-    if isinstance(word, SimpleObj):
-        return dict(_rep_matrices(word.spin)[gen])
-    if isinstance(word, DualObj):
-        return _int_scale(_int_transpose(classical_action(gen, word.inner)), -1)
-    if isinstance(word, TensorObj):
-        a = classical_action(gen, word.left)
-        b = classical_action(gen, word.right)
-        da, db = word.left.dim, word.right.dim
-        return _int_iadd(_int_kron(a, _int_ident(db), db, db), _int_kron(_int_ident(da), b, db, db))
-    raise TypeError(word)
+    if gen == "h":
+        return {(i, i): w for i, w in enumerate(weights_of(word)) if w}
+    ((_, m),) = _quantum_action(gen.upper(), word, 1)
+    return m
 
 
 @lru_cache(maxsize=None)
 def weights_of(word: ObjectExpr):
-    """Weight of each basis index (diagonal of the h-action)."""
-    h = classical_action("h", word)
-    return tuple(int(h.get((i, i), 0)) for i in range(word.dim))
+    """Weight of each basis index: n - 2j on u_j of V_n, negated on a dual, added over a tensor."""
+    weights = (0,)
+    for leaf in word.leaves():
+        n, sign = leaf.dim - 1, -1 if isinstance(leaf, DualObj) else 1
+        weights = tuple(w + sign * (n - 2 * j) for w in weights for j in range(n + 1))
+    return weights
 
 
 # r = e(x)f + h(x)h/4 and t = r + flip(r), as (coeff, leg1, leg2).
@@ -1002,57 +992,38 @@ def _q_int(mode: RingMode, k: int) -> ScalarSeries:
 
 
 @lru_cache(maxsize=None)
-def _quantum_rep(spin: int, order: int):
-    """Layers of E, F, K, Kinv on V_spin over the hbar ring."""
-    mode = hbar_mode(order)
-    n = spin
-    gens = {g: [{} for _ in range(order)] for g in ("E", "F", "K", "Kinv")}
-
-    def put(gen, key, s: ScalarSeries):
-        for layer, c in zip(gens[gen], s.coeffs):
-            if c:
-                layer[key] = c
-
-    for j in range(n + 1):
-        put("K", (j, j), _q_power(mode, n - 2 * j))
-        put("Kinv", (j, j), _q_power(mode, 2 * j - n))
-        if j + 1 <= n:
-            gens["F"][0][(j + 1, j)] = Fraction(1)
-        if j >= 1:
-            put("E", (j - 1, j), _q_int(mode, j) * _q_int(mode, n + 1 - j))
-    return {g: tuple(as_layer(layer) for layer in layers) for g, layers in gens.items()}
-
-
-@lru_cache(maxsize=None)
 def _quantum_action(gen: str, word: ObjectExpr, order: int):
     """Layers of the U_q(sl2) generator `gen` (E, F, K, Kinv) on a tensor word.
 
-    Coproduct: Delta(E) = E(x)K + 1(x)E, Delta(F) = F(x)1 + Kinv(x)F; a dual
-    acts by the transpose of the antipode, S(E) = -E Kinv, S(F) = -K F,
-    S(K) = Kinv.  The cache is shared, so the layers come as a tuple.
+    K^(+-1) = exp(+-h H/2) on the weights.  On V_n, F u_j = u_{j+1} and
+    E u_j = [j]_q [n+1-j]_q u_{j-1}.  Coproduct: Delta(E) = E(x)K + 1(x)E,
+    Delta(F) = F(x)1 + Kinv(x)F; a dual acts by the transpose of the
+    antipode, S(E) = -E Kinv, S(F) = -K F.  The cache is shared, so the
+    layers come as a tuple.
     """
+
+    def act(g, w):
+        return _quantum_action(g, w, order)
+
+    if gen in ("K", "Kinv"):
+        rate = Fraction(1 if gen == "K" else -1, 2)
+        return tuple(exp_nilseries((1, classical_action("h", word)), word.dim, hbar_mode(order), rate))
     if isinstance(word, UnitObj):
-        return tuple(_layers_ident(1, order)) if gen in ("K", "Kinv") else _zero_layers(order)
+        return _zero_layers(order)
     if isinstance(word, SimpleObj):
-        return _quantum_rep(word.spin, order)[gen]
+        n = word.spin
+        if gen == "F":
+            return ((1, {(j + 1, j): 1 for j in range(n)}), *_zero_layers(order - 1))
+        mode = hbar_mode(order)
+        coeffs = {(j - 1, j): (_q_int(mode, j) * _q_int(mode, n + 1 - j)).coeffs for j in range(1, n + 1)}
+        return tuple(as_layer({k: c[o] for k, c in coeffs.items()}) for o in range(order))
     if isinstance(word, DualObj):
-        inner = word.inner
-        if gen in ("K", "Kinv"):
-            m = _quantum_action("Kinv" if gen == "K" else "K", inner, order)
-        else:
-            left, right = ("E", "Kinv") if gen == "E" else ("K", "F")
-            m = _convolve(_quantum_action(left, inner, order), _quantum_action(right, inner, order), _int_compose)
-            m = [(d, _int_scale(x, -1)) for d, x in m]
-        return tuple((d, _int_transpose(x)) for d, x in m)
+        left, right = ("E", "Kinv") if gen == "E" else ("K", "F")
+        m = _convolve(act(left, word.inner), act(right, word.inner), _int_compose)
+        return tuple((d, _int_scale(_int_transpose(x), -1)) for d, x in m)
     if isinstance(word, TensorObj):
         a, b = word.left, word.right
         db = b.dim
-
-        def act(g, w):
-            return _quantum_action(g, w, order)
-
-        if gen in ("K", "Kinv"):
-            return tuple(_layers_kron(act(gen, a), act(gen, b), db, db))
         if gen == "E":
             left = _layers_kron(act("E", a), act("K", b), db, db)
             right = _layers_kron(_layers_ident(a.dim, order), act("E", b), db, db)
@@ -1463,13 +1434,6 @@ class BackendSpec:
             offset += dk
         return result
 
-    def _raising_lowering(self, word):
-        """Layers of the raising and lowering operators on the word."""
-        if self.name == "quantum":
-            return _quantum_action("E", word, self.mode.order), _quantum_action("F", word, self.mode.order)
-        empty = _zero_layers(self.mode.order - 1)
-        return [(1, classical_action("e", word)), *empty], [(1, classical_action("f", word)), *empty]
-
     # -- invariant Hom spaces -----------------------------------------------------
 
     def invariant_hom_basis(self, source: ObjectExpr, target: ObjectExpr):
@@ -1477,17 +1441,21 @@ class BackendSpec:
 
         Computed weight-graded: an intertwiner only connects equal weights,
         so the unknowns are the weight-matched matrix positions and the
-        constraints are the raising/lowering intertwining relations.  For
-        the quantum backend the basis is the lift of the classical one.
+        constraints are the E and F intertwining relations.  For the
+        quantum backend the basis is the lift of the classical one.  The
+        epsilon and Drinfeld categories keep the classical E and F, so
+        their basis is the classical one, taken into their ring.
         """
         return self._cached(("hom", source, target), lambda: self._hom_basis(source, target))
 
     def _hom_basis(self, source, target):
+        if self.name in ("epsilon", "drinfeld"):
+            return [b.convert(self.mode) for b in make_backend("classical").invariant_hom_basis(source, target)]
         order = self.mode.order
         ws, wt = weights_of(source), weights_of(target)
         unknowns = [(i, j) for i in range(target.dim) for j in range(source.dim) if wt[i] == ws[j]]
         upos = {u: a for a, u in enumerate(unknowns)}
-        gens = zip(self._raising_lowering(source), self._raising_lowering(target))
+        gens = [(_quantum_action(g, source, order), _quantum_action(g, target, order)) for g in ("E", "F")]
         # one constraint row per (g, i, j): (gt M - M gs)_{ij} = 0, as one
         # integer {(row, unknown): coefficient} layer per order
         terms = [[] for _ in range(order)]

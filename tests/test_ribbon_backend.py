@@ -1185,6 +1185,36 @@ def _hom_spaces():
     return list(dict.fromkeys(spaces))
 
 
+def _multiplicities(word):
+    """{k: multiplicity of V_k in word}, from the spins of its leaves alone.
+
+    V_n and its dual have the weights n, n-2, ..., -n; the tensor product
+    convolves them, and V_k occurs as often as weight k exceeds weight k + 2.
+    """
+    weights = {0: 1}
+    for leaf in word.leaves():
+        n = leaf.dim - 1
+        step = {}
+        for w, c in weights.items():
+            for x in range(-n, n + 1, 2):
+                step[w + x] = step.get(w + x, 0) + c
+        weights = step
+    return {k: weights[k] - weights.get(k + 2, 0) for k in weights if k >= 0}
+
+
+@pytest.mark.parametrize("name,order", ALL_BACKENDS)
+def test_hom_dimensions_match_spin_multiplicities(name, order):
+    """dim Hom(X, W) = sum_k m_X(k) m_W(k) (Schur's lemma), and each deformed
+    basis lifts the classical one."""
+    bk, cl = make_backend(name, order), make_backend("classical")
+    spaces = _hom_spaces() + [(UNIT, tensor_word([ADJ] * 5)), (TensorObj(V, ADJ), TensorObj(ADJ, V))]
+    for source, target in spaces:
+        mx, mw = _multiplicities(source), _multiplicities(target)
+        basis = bk.invariant_hom_basis(source, target)
+        assert len(basis) == sum(m * mw.get(k, 0) for k, m in mx.items()), (source, target)
+        assert [b.part0() for b in basis] == cl.invariant_hom_basis(source, target), (source, target)
+
+
 def test_solver_outputs_are_pinned():
     """Hom bases, Clebsch-Gordan maps and inverses, byte for byte as the
     sparse Fraction solver gave them."""

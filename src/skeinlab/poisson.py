@@ -227,6 +227,11 @@ def _transplant(element: SkeinElement, fused: SurfacePattern) -> SkeinElement:
 # ---------------------------------------------------------------------------
 
 
+# -t + r_a with t = (r + r21)/2 and r_a = (r - r21)/2 (that is, -r21): the
+# ordered end pairs of a vertex, and the argument sides in `forgetful_correction`
+MINUS_T_PLUS_RA = tuple((-c, g1, g2) for c, g1, g2 in TSYM_TENSOR) + RA_TENSOR
+
+
 def _end_pairs_tensor(pattern: SurfacePattern, include_diagonal: bool):
     """(i, j, tensor) triples of the ciliated vertex sum.
 
@@ -240,16 +245,15 @@ def _end_pairs_tensor(pattern: SurfacePattern, include_diagonal: bool):
     for v in range(pattern.n_vertices):
         ends = [i for i, (_, e) in enumerate(slots) if e.vertex == v]
         for i in ends:
-            triples.append((i, i, [(c, g1, g2) for c, g1, g2 in TSYM_TENSOR]))
+            triples.append((i, i, TSYM_TENSOR))
         for a, i in enumerate(ends):
             for j in ends[a + 1 :]:
-                triples.append((j, i, [(2 * c, g1, g2) for c, g1, g2 in TSYM_TENSOR]))
+                triples.append((j, i, T_TENSOR))  # 2 t_sym
         for i in ends:
             for j in ends:
                 if i == j and not include_diagonal:
                     continue
-                minus_t = [(-c, g1, g2) for c, g1, g2 in TSYM_TENSOR]
-                triples.append((i, j, minus_t + list(RA_TENSOR)))
+                triples.append((i, j, MINUS_T_PLUS_RA))
     return triples
 
 
@@ -309,8 +313,7 @@ def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
         s1._check_compatible(s2)
         return SkeinElement(s1.backend, s1.pattern, product_argument(s1, s2), [])
     prod0 = mu(s1, s2)
-    minus_t = [(-c, g1, g2) for c, g1, g2 in TSYM_TENSOR]
-    return argument_insertion(prod0, minus_t + list(RA_TENSOR), factors, first, second).canonical()
+    return argument_insertion(prod0, MINUS_T_PLUS_RA, factors, first, second).canonical()
 
 
 def fock_rosly_consistency(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> bool:

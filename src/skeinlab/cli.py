@@ -19,7 +19,7 @@ from .ribbon_backend import BACKEND_NAMES, make_backend
 from .skein_algebra import SkeinElement, lift_element, mu
 from .poisson import fock_rosly_sigma, sigma_algebraic, sigma_goldman
 from .surface import SurfacePattern, fuse
-from .suites import BACKEND_SUITES, SUITES
+from .suites import SUITE_OPTIONS, SUITES
 from .tangle import TangleWord, rt_evaluate
 
 
@@ -105,7 +105,22 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+# verify's options that only some suites read: dest -> (flag, default)
+VERIFY_SUITE_OPTIONS = {
+    "backend": ("--backend", "classical"),
+    "order": ("--order", 3),
+    "fusion_order": ("--convention", "v1v2"),
+    "fr_diagonal": ("--fr-diagonal", "include"),
+}
+
+
 def cmd_verify(args) -> int:
+    reads = SUITE_OPTIONS.get(args.suite, ())
+    for dest, (flag, default) in VERIFY_SUITE_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise SkeinlabError(f"--suite {args.suite} does not read {flag}")
     backend = make_backend(args.backend, args.order)
     if args.cases < 1:
         raise SkeinlabError(f"--cases must be at least 1, got {args.cases}")
@@ -122,7 +137,7 @@ def cmd_verify(args) -> int:
         "defects": defects,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
-    if args.suite in BACKEND_SUITES:
+    if "backend" in reads:
         report.update(backend=args.backend, order=backend.mode.order)
     _emit(report, args.out)
     return 1 if defects else 0
@@ -133,12 +148,12 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="skeinlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def backend_options(p):
-        p.add_argument("--backend", default="classical", choices=BACKEND_NAMES)
-        p.add_argument("--order", type=int, default=3)
+    def backend_options(p, backend="classical", order=3):
+        p.add_argument("--backend", default=backend, choices=BACKEND_NAMES)
+        p.add_argument("--order", type=int, default=order)
 
-    def convention_option(p):
-        p.add_argument("--convention", dest="fusion_order", type=_fusion_order, default="fusion=v1v2",
+    def convention_option(p, default="fusion=v1v2"):
+        p.add_argument("--convention", dest="fusion_order", type=_fusion_order, default=default,
                        metavar="fusion=v1v2|v2v1")
 
     p = sub.add_parser("eval-tangle", help="evaluate a tangle word JSON file")
@@ -169,8 +184,9 @@ def build_parser():
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=5)
     p.add_argument("--seed", type=int, default=None, help="default: $SKEINLAB_SEED, else 0")
-    backend_options(p)
-    convention_option(p)
+    # None: not given; cmd_verify refuses it where the suite does not read it
+    backend_options(p, None, None)
+    convention_option(p, None)
     p.add_argument("--fr-diagonal", choices=("include", "exclude"), default=None)
     p.set_defaults(func=cmd_verify)
 

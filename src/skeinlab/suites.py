@@ -332,8 +332,15 @@ def torsion_suite():
     return cases
 
 
-# the suites that run the configured backend and order; the others fix their own
-BACKEND_SUITES = ("moves", "ribbon")
+# the options of `skeinlab verify`, besides --seed and --cases, that each
+# suite reads; moves and ribbon run the configured backend and order, the
+# others fix their own
+SUITE_OPTIONS = {
+    "moves": ("backend", "order"),
+    "ribbon": ("backend", "order"),
+    "fusion": ("fusion_order",),
+    "jacobi": ("fr_diagonal",),
+}
 
 # each runner takes the parsed arguments of `skeinlab verify`
 SUITES = {

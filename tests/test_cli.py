@@ -68,7 +68,7 @@ def test_fuse_command(tmp_path):
 
 
 def test_verify_exit_codes_and_determinism(tmp_path):
-    args = ["verify", "--suite", "torsion", "--backend", "quantum", "--order", "2", "--seed", "3"]
+    args = ["verify", "--suite", "torsion", "--seed", "3"]
     code1, out1, _ = run_cli(args)
     code2, out2, _ = run_cli(args)
     assert code1 == code2 == 0
@@ -341,6 +341,11 @@ TANGLE = ["eval-tangle", "tangle_adj.json"]
 ANNULI = ["product", "annulus_a.json", "annulus_b.json"]
 TORI = ["sigma", "torus_a.json", "torus_b.json"]
 DISK = ["fuse", "disk.json", "0", "1"]
+TORSION = ["verify", "--suite", "torsion"]
+SIGMA_SUITE = ["verify", "--suite", "sigma", "--cases", "1"]
+MOVES_SUITE = ["verify", "--suite", "moves", "--cases", "1"]
+FUSION_SUITE = ["verify", "--suite", "fusion", "--cases", "1"]
+JACOBI_SUITE = ["verify", "--suite", "jacobi", "--cases", "1"]
 
 
 @pytest.mark.parametrize(
@@ -365,6 +370,17 @@ DISK = ["fuse", "disk.json", "0", "1"]
         (DISK, ["--backend", "quantum"]),
         (DISK, ["--order", "3"]),
         (DISK, ["--fr-diagonal", "exclude"]),
+        (TORSION, ["--backend", "quantum", "--order", "5"]),
+        (TORSION, ["--order", "2"]),
+        (SIGMA_SUITE, ["--backend", "classical"]),
+        (SIGMA_SUITE, ["--convention", "fusion=v1v2"]),
+        (SIGMA_SUITE, ["--fr-diagonal", "include"]),
+        (MOVES_SUITE, ["--fr-diagonal", "exclude", "--convention", "fusion=v2v1"]),
+        (MOVES_SUITE, ["--convention", "fusion=v1v2"]),
+        (FUSION_SUITE, ["--order", "3"]),
+        (FUSION_SUITE, ["--fr-diagonal", "exclude"]),
+        (JACOBI_SUITE, ["--backend", "quantum"]),
+        (JACOBI_SUITE, ["--convention", "fusion=v2v1"]),
     ],
     ids=lambda words: " ".join(w for w in words if not w.endswith(".json") and not w.isdigit()),
 )
@@ -379,7 +395,7 @@ def test_an_option_the_command_does_not_read_exit_2(command, option, tmp_path):
 
 
 def test_verify_drinfeld_order_above_3_exit_2():
-    code, out, err = run_cli(["verify", "--suite", "sigma", "--backend", "drinfeld", "--order", "4"])
+    code, out, err = run_cli(["verify", "--suite", "moves", "--backend", "drinfeld", "--order", "4"])
     assert code == 2 and out == ""
     assert "orders <= 3" in err
 

@@ -48,8 +48,7 @@ CASES = {
     "verify_sigma": ["verify", "--suite", "sigma", "--seed", "3", "--cases", "1"],
     "verify_fusion": ["verify", "--suite", "fusion", "--seed", "3", "--cases", "1"],
     "verify_jacobi": ["verify", "--suite", "jacobi", "--seed", "3", "--cases", "1"],
-    # the torsion suite fixes its own order (2) and refuses --order; the
-    # second case once passed --order 3, and gives the same report
+    # the torsion suite fixes its own order (2), so both cases give one report
     "verify_torsion": ["verify", "--suite", "torsion"],
     "verify_torsion_order3": ["verify", "--suite", "torsion", "--seed", "0"],
     "eval_tangle_adj_classical": ["eval-tangle", "tangle_adj.json", "--backend", "classical"],

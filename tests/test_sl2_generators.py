@@ -3,7 +3,8 @@
 A digest pins `classical_action` and `_quantum_action` byte for byte on
 every short word, so a rewrite of how the actions are tabulated must give
 the same layers.  The relation tests build both sides of the defining
-relations with `Morphism` arithmetic, so they hold whatever the tables are.
+relations with `Morphism` arithmetic, so they check the tables against the
+algebra, not against stored values.
 """
 
 import hashlib

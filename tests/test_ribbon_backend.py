@@ -1237,6 +1237,64 @@ def test_solver_outputs_are_pinned():
     assert digest == "0d91a1e84ac0ccfadb99c253e6776fcf0694bb4eb2a75e0f69390256635d7fdf"
 
 
+def test_inverses_and_cg_maps_are_pinned():
+    """braiding_inv and twist_inv on every word of at most two letters over
+    {1, V, V*, adj}, and the Clebsch-Gordan embeddings and projections of
+    V_m (x) V_n with m + n <= 5, byte for byte, on six rings."""
+    import hashlib
+    import json
+    from itertools import product
+
+    letters = (UNIT, V, VS, ADJ)
+    words = [*letters, *(TensorObj(a, b) for a, b in product(letters, repeat=2))]
+    rings = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("quantum", 5), ("drinfeld", 2), ("drinfeld", 3)]
+    digests = {}
+    for name, order in rings:
+        bk = make_backend(name, order)
+        outputs = [bk.braiding_inv(x, y).to_json() for x, y in product(words, repeat=2)]
+        outputs += [bk.twist_inv(x).to_json() for x in words]
+        cg = [bk.cg_decompose(m, n) for m in range(6) for n in range(6 - m)]
+        embeds = [embed.to_json() for pieces in cg for _, embed, _ in pieces]
+        projects = [project.to_json() for pieces in cg for _, _, project in pieces]
+        assert len(outputs) == 420 and len(embeds) == len(projects) == 34
+        digests[f"{name}{order}"] = [
+            hashlib.sha256(json.dumps(part, sort_keys=True).encode()).hexdigest()
+            for part in (outputs, embeds, projects)
+        ]
+    assert digests == {
+        "classical1": [
+            "b47486715b0705165b08258feaba37d9c5c4bdeee75bd69ce726200620f9de39",
+            "619f52ad5c20dc252f9de97d66e0e248b3371d770478a2b949dd7b40c75db3cd",
+            "852f24f15cafb651b55f9b0d12a614da43eaac45cccf2ecc678be085663cd273",
+        ],
+        "epsilon2": [
+            "deb29f9eeeb9cd69bbbaf1a7fd1f9dab746ceda9bcfc4bc3b23071f09c5650cf",
+            "e291bfa415a43f27e887832b7e395ec8e4937d26fbefff1c97681e1f0e446668",
+            "935ec2c353ba4dcc510661f4d1b5bfd3ec641d89e071902abdbe2afee7b1532a",
+        ],
+        "quantum3": [
+            "8fdc1908bb90e20fbf673a256cb238114b1191d2faad4630e78d41ab5e675e95",
+            "540b603760cf7e4a6bf983f9e1ec8e3355493736b7ab42c10d8d575eece56f1b",
+            "3d16fca21b40a544d888a0fa79c986c9aafd487066fcd418520f44c90f13be1b",
+        ],
+        "quantum5": [
+            "6f0f719df6bac54aa53009aef3f6a6cd07eb585393045a02354b0bd60ef47796",
+            "448975b974a462368321e6c339653b2e6f57dbfbdd7da91d4dceb39a2b4c6ed8",
+            "2bf8570ea06b6effab3cd3dd07003a8656e3b8e045fa0d184eaae28200f7f947",
+        ],
+        "drinfeld2": [
+            "37cf6a834b601fecfaacd9fd9521fd6efc951e9d9e87a3aff7168caaeb097eed",
+            "f3a5a89db448ed0698812d375ea15958f78eafc21e3d3504019c655b40848720",
+            "1c91d83b94644ca198348118251d6a9f30ecd19be2018be7faa63f2fa88a855b",
+        ],
+        "drinfeld3": [
+            "9ce9ce2357c4e5fad7a0698900e01f2359a75d70842ee5dd8512f1544601045e",
+            "d2b5fbc6d70b2d8c8be00d25ac1b0f265751f250748062633ab097a7c3d243aa",
+            "049704f14f490bab67deff53f8ced0818e3c0de57e0bc7ff98a4d82cd93874e8",
+        ],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Coherence against the comb of commutator-built associators
 # ---------------------------------------------------------------------------

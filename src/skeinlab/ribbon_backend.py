@@ -20,12 +20,12 @@ All four backends share one twist: exp(param*C/2), the scalar
 exp(param n(n+2)/4) on V_n and its dual, and on a tensor word the
 balancing axiom theta_{a@b} = c_{b,a} c_{a,b} (theta_a (x) theta_b).  All
 but the quantum backend share one braiding formula, flip o
-exp(rate*param*Omega), its inverse exp(-rate*param*Omega) o flip, with
-(Omega, rate) = (r, 1) on epsilon and (t, 1/2) otherwise.  The quantum
-braiding is flip o R for the truncated universal R-matrix R, and its
-inverse is the series inverse of that braiding.  The truncation does the
-rest: the order-1 exponential is the identity on classical, and e^2 = 0
-makes exp(e*r) = 1 + e*r.
+exp(rate*param*Omega), with (Omega, rate) = (r, 1) on epsilon and (t, 1/2)
+otherwise.  The quantum braiding is flip o R for the truncated universal
+R-matrix R.  The truncation does the rest: the order-1 exponential is the
+identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.  On every
+backend the inverse braiding and the inverse twist are the series inverses
+(`Morphism.inverse`) of the braiding and the twist.
 Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
 `insert_legs`, on a given matrix: each term is one small integer operator
 on the factors its legs touch, cached, and acts in one pass over the
@@ -51,9 +51,10 @@ All exact linear solving goes through one solver on integer layers:
 primitive integer vectors, one gcd per row update), and `solve_series`
 replays its recorded row operations once per order on the residuals of
 every right-hand side at once.  Invariant Hom bases, the inverse of a
-morphism and the coordinates of a skein core use it, and each
-Clebsch-Gordan embedding is the basis of the one-dimensional Hom space
-Hom(V_k, x (x) y).
+morphism and the coordinates of a skein core use it.  Each Clebsch-Gordan
+embedding is the basis of the one-dimensional Hom space Hom(V_k, x (x) y),
+and each projection the basis of Hom(x (x) y, V_k), scaled to be its left
+inverse.
 
 The sl2 data is one table, `_quantum_action`: E and F on V_n, the
 coproduct on a tensor word, the antipode on a dual, and
@@ -1117,8 +1118,6 @@ class BackendSpec:
         self.name = name
         self.mode = mode
         self._cache = {}
-        # the exponent Omega of the non-quantum braidings and its rate
-        self._omega, self._rate = (R_TENSOR, Fraction(1)) if name == "epsilon" else (T_TENSOR, Fraction(1, 2))
         self.nontrivial_associator = name == "drinfeld" and mode.order >= 3
 
     def __repr__(self):
@@ -1144,51 +1143,37 @@ class BackendSpec:
         src = word_tensor(x, y)
         if self.name == "quantum":
             layers = _quantum_r_matrix(x, y, self.mode.order)
-        else:
-            layers = self._exp_omega(x, y, self._rate)
+        else:  # flip o exp(rate * param * Omega)
+            omega, rate = (R_TENSOR, 1) if self.name == "epsilon" else (T_TENSOR, Fraction(1, 2))
+            layers = exp_nilseries(leg_insertion([x, y], [0], [1], omega), src.dim, self.mode, rate)
         return flip_matrix(x, y, self.mode) @ Morphism._of(src, src, self.mode, layers)
 
     def braiding_inv(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
         """Inverse of braiding(x, y): a morphism y(x)x -> x(x)y."""
-        return self._cached(("braidinv", x, y), lambda: self._braiding_inv(x, y))
-
-    def _braiding_inv(self, x, y):
-        if self.name == "quantum":
-            return self.braiding(x, y).inverse()
-        tgt = word_tensor(x, y)
-        return Morphism._of(tgt, tgt, self.mode, self._exp_omega(x, y, -self._rate)) @ flip_matrix(y, x, self.mode)
-
-    def _exp_omega(self, x, y, rate):
-        """Layers of exp(rate * param * Omega) on x(x)y."""
-        omega = leg_insertion([x, y], [0], [1], self._omega)
-        return exp_nilseries(omega, x.dim * y.dim, self.mode, rate)
+        return self._cached(("braidinv", x, y), lambda: self.braiding(x, y).inverse())
 
     # -- twist ---------------------------------------------------------------
 
     def twist(self, x: ObjectExpr) -> Morphism:
-        return self._cached(("twist", x), lambda: self._twist(x, 1))
+        return self._cached(("twist", x), lambda: self._twist(x))
 
     def twist_inv(self, x: ObjectExpr) -> Morphism:
-        return self._cached(("twistinv", x), lambda: self._twist(x, -1))
+        return self._cached(("twistinv", x), lambda: self.twist(x).inverse())
 
-    def _twist(self, x, sign):
-        """theta^sign: exp(sign param C/2) on a simple or dual, the balancing axiom on a tensor word.
+    def _twist(self, x):
+        """theta: exp(param C/2) on a simple or dual, the balancing axiom on a tensor word.
 
         C acts on V_n and its dual by n(n+2)/2.  On a @ b, theta =
-        c_{b,a} c_{a,b} (theta_a (x) theta_b) and theta^-1 =
-        (theta_a^-1 (x) theta_b^-1) c_{a,b}^-1 c_{b,a}^-1; on the Drinfeld
-        backend this is exp(param C/2) again, as C_{a@b} = C_a + C_b + 2 t_ab
-        with commuting terms.  The retype keeps explicit unit factors.
+        c_{b,a} c_{a,b} (theta_a (x) theta_b); on the Drinfeld backend this
+        is exp(param C/2) again, as C_{a@b} = C_a + C_b + 2 t_ab with
+        commuting terms.  The retype keeps explicit unit factors.
         """
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
-            if sign > 0:
-                m = self.braiding(b, a) @ self.braiding(a, b) @ self.twist(a).tensor(self.twist(b))
-            else:
-                m = self.twist_inv(a).tensor(self.twist_inv(b)) @ self.braiding_inv(a, b) @ self.braiding_inv(b, a)
+            m = self.braiding(b, a) @ self.braiding(a, b) @ self.twist(a).tensor(self.twist(b))
             return m.retyped(x, x)
         n = x.dim - 1  # the spin of a simple or dual, 0 on the unit
-        return Morphism.identity(x, self.mode).scale(exp_param_series(self.mode, Fraction(sign * n * (n + 2), 4)))
+        return Morphism.identity(x, self.mode).scale(exp_param_series(self.mode, Fraction(n * (n + 2), 4)))
 
     # -- infinitesimal braiding -----------------------------------------------
 
@@ -1400,7 +1385,9 @@ class BackendSpec:
         Returns a list of (SimpleObj, embed, project) with
         sum_k embed_k o project_k = id and project_k o embed_l = delta_kl id.
         The embedding is any basis of the one-dimensional Hom(V_k, x (x) y);
-        only embed o project is independent of that choice.
+        only embed o project is independent of that choice.  The projection
+        is the basis of Hom(x (x) y, V_k) scaled so that project o embed = id;
+        Schur's lemma gives the other relations.
         """
         x, y = simple(x), simple(y)
         return self._cached(("cg", x.spin, y.spin), lambda: self._cg(x, y))
@@ -1410,28 +1397,12 @@ class BackendSpec:
         if m + n > MAX_SPIN:
             raise CgError(f"product spin {m + n} exceeds the supported bound {MAX_SPIN}")
         word = TensorObj(x, y)
-        mode = self.mode
-        pieces = []
-        stacked = [[] for _ in range(mode.order)]
-        offset = 0
+        result = []
         for k in range(m + n, abs(m - n) - 1, -2):
             target = SimpleObj(k)
             (embed,) = self.invariant_hom_basis(target, word)
-            for terms, (den, part) in zip(stacked, embed.layers):
-                terms.append((den, {(i, j + offset): v for (i, j), v in part.items()}))
-            pieces.append((target, embed))
-            offset += target.dim
-        big_inv = Morphism._of(word, word, mode, [_sum(terms) for terms in stacked]).inverse()
-        result = []
-        offset = 0
-        for target, embed in pieces:
-            dk = target.dim
-            proj = [
-                _layer(den, {(i - offset, j): v for (i, j), v in e.items() if offset <= i < offset + dk})
-                for den, e in big_inv.layers
-            ]
-            result.append((target, embed, Morphism._of(word, target, mode, proj)))
-            offset += dk
+            (project,) = self.invariant_hom_basis(word, target)
+            result.append((target, embed, project.scale((project @ embed).entry(0, 0).inverse())))
         return result
 
     # -- invariant Hom spaces -----------------------------------------------------
@@ -1484,13 +1455,14 @@ class BackendSpec:
         return out
 
 
-@lru_cache(maxsize=None)
 def make_backend(name: str, order: int = 3) -> BackendSpec:
-    """Build one of the four backends; `order` only matters for hbar modes."""
-    if name == "classical":
-        return BackendSpec("classical", classical_mode())
-    if name == "epsilon":
-        return BackendSpec("epsilon", epsilon_mode())
-    if name in ("quantum", "drinfeld"):
-        return BackendSpec(name, hbar_mode(order))
-    raise LabelError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
+    """One of the four backends, one object (so one cache) per category and ring; `order` only matters for hbar."""
+    if name not in BACKEND_NAMES:
+        raise LabelError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
+    fixed = {"classical": classical_mode(), "epsilon": epsilon_mode()}
+    return _backend(name, fixed[name] if name in fixed else hbar_mode(order))
+
+
+@lru_cache(maxsize=None)
+def _backend(name: str, mode: RingMode) -> BackendSpec:
+    return BackendSpec(name, mode)

@@ -283,6 +283,16 @@ def test_drinfeld_associator_and_pentagon():
         BackendSpec("drinfeld", hbar_mode(4))
 
 
+def test_one_backend_per_category_and_ring():
+    """Every spelling of one ring gives the same backend, so its caches are
+    filled once: classical and epsilon ignore the order."""
+    for name in ("classical", "epsilon"):
+        assert make_backend(name) is make_backend(name, 1) is make_backend(name, order=5)
+    assert make_backend("quantum") is make_backend("quantum", 3) is make_backend("quantum", order=3)
+    assert make_backend("quantum", 2) is not make_backend("quantum", 3)
+    assert make_backend("drinfeld", 2) is not make_backend("quantum", 2)
+
+
 def test_drinfeld_associator_inverse():
     dr = make_backend("drinfeld", 3)
     words = (V, VS, ADJ, UNIT, TensorObj(V, VS), TensorObj(ADJ, TensorObj(V, V)))

@@ -105,8 +105,11 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-# verify's options that only some suites read: dest -> (flag, default)
+# verify's options that only some suites read: dest -> (flag, default);
+# the seed defaults to $SKEINLAB_SEED, else 0
 VERIFY_SUITE_OPTIONS = {
+    "seed": ("--seed", None),
+    "cases": ("--cases", 5),
     "backend": ("--backend", "classical"),
     "order": ("--order", 3),
     "fusion_order": ("--convention", "v1v2"),
@@ -182,7 +185,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--cases", type=int, default=5)
+    p.add_argument("--cases", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="default: $SKEINLAB_SEED, else 0")
     # None: not given; cmd_verify refuses it where the suite does not read it
     backend_options(p, None, None)

@@ -12,7 +12,7 @@ pin all sign and side conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AlgebraError, ModeError
 from .ribbon_backend import (
@@ -37,7 +37,7 @@ from .skein_algebra import (
     product_term_chains,
     slot_objects,
 )
-from .surface import SurfacePattern, fuse
+from .surface import Handle, SurfacePattern, fuse
 
 
 @dataclass
@@ -182,10 +182,15 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
     """Fusion theorem: sigma_f == (x)0(sigma) o J0 + (mu_f)0 o t-hat_{2,3}.
 
     s1, s2 live on the unfused two-vertex pattern; returns (ok, defect).
+    When the fused slot order starts with vertex 1, the check runs on the
+    elements with the two vertices exchanged, whose v1v2 fusion is the
+    same pattern.
     """
     if pattern.n_vertices != 2 or (v1, v2) not in ((0, 1), (1, 0)):
         raise AlgebraError("fusion check implemented for two-vertex patterns")
     fused = fuse(pattern, v1, v2, order=order)
+    if (v1 if order == "v1v2" else v2) == 1:
+        s1, s2 = _swap_vertices(s1), _swap_vertices(s2)
     f1 = _transplant(s1, fused)
     f2 = _transplant(s2, fused)
     lhs = sigma_algebraic(f1, f2).element
@@ -210,6 +215,22 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
     lhs = SkeinElement(backend_cl, fused, target_argument, list(lhs.terms))
     defect = (lhs - (term1 + term2).canonical()).canonical()
     return defect.is_zero, defect
+
+
+def _swap_vertices(element: SkeinElement) -> SkeinElement:
+    """The element with the two vertices of its pattern exchanged: the
+    argument reverses, and each core is conjugated by the flips of the two
+    vertices' boundary blocks and of the two arguments."""
+    pattern, backend = element.pattern, element.backend
+    ends = [Handle(tuple(replace(e, vertex=1 - e.vertex) for e in h.ends)) for h in pattern.handles]
+    n0, terms = len(pattern.slots_at(0)), []
+    for labels, core in element.terms:
+        objs = slot_objects(pattern, labels)
+        w0, w1 = tensor_word(objs[:n0]), tensor_word(objs[n0:])
+        terms.append((labels, backend.apply([w0, w1], [(0, 2, flip_matrix(w0, w1, backend.mode))], core)))
+    x0, x1 = element.argument
+    flip = backend.flat_apply([x1, x0], [(0, 2, flip_matrix(x1, x0, backend.mode))])
+    return SkeinElement(backend, SurfacePattern(2, tuple(ends)), element.argument, terms).precompose(flip, (x1, x0))
 
 
 def _transplant(element: SkeinElement, fused: SurfacePattern) -> SkeinElement:

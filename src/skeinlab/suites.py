@@ -203,7 +203,7 @@ def _snakes(bk, x: SimpleObj):
     return s1 == Morphism.identity(x, bk.mode) and s2 == Morphism.identity(dx, bk.mode)
 
 
-def ribbon_suite(backend_name: str, order: int, seed: int = 0):
+def ribbon_suite(backend_name: str, order: int):
     bk = make_backend(backend_name, order)
     objs = [UNIT, V, DualObj(V)]
     cases = []
@@ -332,20 +332,21 @@ def torsion_suite():
     return cases
 
 
-# the options of `skeinlab verify`, besides --seed and --cases, that each
-# suite reads; moves and ribbon run the configured backend and order, the
-# others fix their own
+# the options of `skeinlab verify` that each suite reads; moves and ribbon
+# run the configured backend and order, the others fix their own, and
+# ribbon and torsion draw no random cases
 SUITE_OPTIONS = {
-    "moves": ("backend", "order"),
+    "moves": ("seed", "cases", "backend", "order"),
     "ribbon": ("backend", "order"),
-    "fusion": ("fusion_order",),
-    "jacobi": ("fr_diagonal",),
+    "sigma": ("seed", "cases"),
+    "fusion": ("seed", "cases", "fusion_order"),
+    "jacobi": ("seed", "cases", "fr_diagonal"),
 }
 
 # each runner takes the parsed arguments of `skeinlab verify`
 SUITES = {
     "moves": lambda args: moves_suite(args.backend, args.order, args.seed, args.cases),
-    "ribbon": lambda args: ribbon_suite(args.backend, args.order, args.seed),
+    "ribbon": lambda args: ribbon_suite(args.backend, args.order),
     "sigma": lambda args: sigma_suite(args.seed, args.cases),
     "fusion": lambda args: fusion_suite(args.seed, args.cases, args.fusion_order),
     "jacobi": lambda args: jacobi_suite(args.seed, args.cases, args.fr_diagonal != "exclude"),

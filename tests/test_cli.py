@@ -67,8 +67,15 @@ def test_fuse_command(tmp_path):
     assert json.loads(out)["vertices"] == 1
 
 
+def test_verify_fusion_v2v1_checks_its_cases():
+    code, out, err = run_cli(["verify", "--suite", "fusion", "--convention", "fusion=v2v1", "--cases", "1"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["cases"] == 2 and report["defects"] == []
+
+
 def test_verify_exit_codes_and_determinism(tmp_path):
-    args = ["verify", "--suite", "torsion", "--seed", "3"]
+    args = ["verify", "--suite", "moves", "--seed", "3", "--cases", "1"]
     code1, out1, _ = run_cli(args)
     code2, out2, _ = run_cli(args)
     assert code1 == code2 == 0
@@ -342,6 +349,7 @@ ANNULI = ["product", "annulus_a.json", "annulus_b.json"]
 TORI = ["sigma", "torus_a.json", "torus_b.json"]
 DISK = ["fuse", "disk.json", "0", "1"]
 TORSION = ["verify", "--suite", "torsion"]
+RIBBON_SUITE = ["verify", "--suite", "ribbon"]
 SIGMA_SUITE = ["verify", "--suite", "sigma", "--cases", "1"]
 MOVES_SUITE = ["verify", "--suite", "moves", "--cases", "1"]
 FUSION_SUITE = ["verify", "--suite", "fusion", "--cases", "1"]
@@ -372,6 +380,11 @@ JACOBI_SUITE = ["verify", "--suite", "jacobi", "--cases", "1"]
         (DISK, ["--fr-diagonal", "exclude"]),
         (TORSION, ["--backend", "quantum", "--order", "5"]),
         (TORSION, ["--order", "2"]),
+        (TORSION, ["--seed", "3"]),
+        (TORSION, ["--cases", "9"]),
+        (TORSION, ["--seed", "5", "--cases", "9"]),
+        (RIBBON_SUITE, ["--seed", "3"]),
+        (RIBBON_SUITE, ["--cases", "2"]),
         (SIGMA_SUITE, ["--backend", "classical"]),
         (SIGMA_SUITE, ["--convention", "fusion=v1v2"]),
         (SIGMA_SUITE, ["--fr-diagonal", "include"]),

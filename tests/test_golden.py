@@ -48,9 +48,7 @@ CASES = {
     "verify_sigma": ["verify", "--suite", "sigma", "--seed", "3", "--cases", "1"],
     "verify_fusion": ["verify", "--suite", "fusion", "--seed", "3", "--cases", "1"],
     "verify_jacobi": ["verify", "--suite", "jacobi", "--seed", "3", "--cases", "1"],
-    # the torsion suite fixes its own order (2), so both cases give one report
     "verify_torsion": ["verify", "--suite", "torsion"],
-    "verify_torsion_order3": ["verify", "--suite", "torsion", "--seed", "0"],
     "eval_tangle_adj_classical": ["eval-tangle", "tangle_adj.json", "--backend", "classical"],
     "eval_tangle_adj_epsilon": ["eval-tangle", "tangle_adj.json", "--backend", "epsilon"],
     "verify_ribbon_epsilon": ["verify", "--suite", "ribbon", "--backend", "epsilon"],

@@ -50,6 +50,7 @@ from skeinlab.poisson import (
 from skeinlab.surface import (
     annulus,
     disk_with_two_points,
+    fuse,
     genus_two_one_boundary,
     once_punctured_torus,
     two_strand_chaps,
@@ -270,6 +271,20 @@ def test_fusion_theorem():
         s2 = random_element(EP, chaps, rng, label_pool=(0, 1))
         ok, defect = check_fusion(s1, s2, chaps, 0, 1)
         assert ok
+
+
+def test_fusion_theorem_with_vertex_1_first():
+    """fuse(p, 1, 0) and fuse(p, 0, 1, "v2v1") put vertex 1's slots first;
+    the check relabels the vertices instead of failing on the slot order."""
+    rng = random.Random(48)
+    chaps = two_strand_chaps()
+    for pattern, pool, argument in ((DISK, (0, 1, 2), (V, V)), (DISK, (0, 1, 2), (UNIT, UNIT)), (chaps, (0, 1), None)):
+        kwargs = {} if argument is None else {"argument": argument}
+        s1 = random_element(EP, pattern, rng, label_pool=pool, **kwargs)
+        s2 = random_element(EP, pattern, rng, label_pool=pool, **kwargs)
+        for v1, v2, order in ((1, 0, "v1v2"), (0, 1, "v2v1")):
+            ok, defect = check_fusion(s1, s2, pattern, v1, v2, order)
+            assert ok and defect.pattern == fuse(pattern, v1, v2, order), (pattern, v1, v2, order)
 
 
 def test_fusion_classical_sanity():

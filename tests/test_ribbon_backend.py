@@ -1305,6 +1305,29 @@ def test_inverses_and_cg_maps_are_pinned():
     }
 
 
+def test_duality_maps_are_pinned():
+    """ev, coev and the transposed twist on every letter of {1, V, V*, adj,
+    adj*}, every two-letter word and both bracketings of V adj V*, byte for
+    byte, on six rings with fresh caches."""
+    import hashlib
+    import json
+    from itertools import product
+
+    letters = (UNIT, V, VS, ADJ, DualObj(ADJ))
+    words = [*letters, *(TensorObj(a, b) for a, b in product(letters, repeat=2))]
+    words += [TensorObj(TensorObj(V, ADJ), VS), TensorObj(V, TensorObj(ADJ, VS))]
+    rings = [classical_mode(), epsilon_mode(), hbar_mode(3), hbar_mode(5)]
+    backends = [BackendSpec(kind, mode) for kind, mode in zip(["classical", "epsilon", "quantum", "quantum"], rings)]
+    backends += [BackendSpec("drinfeld", hbar_mode(2)), BackendSpec("drinfeld", hbar_mode(3))]
+    outputs = []
+    for bk in backends:
+        for w in words:
+            outputs += [bk.ev(w).to_json(), bk.coev(w).to_json(), bk.transpose(bk.twist(w)).to_json()]
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert len(outputs) == 576
+    assert digest == "73bad5ab750fd14658382c319f15d177ec4f55dda019c1c2af5a121feb1791ad"
+
+
 # ---------------------------------------------------------------------------
 # Coherence against the comb of commutator-built associators
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from skeinlab.skein_algebra import (
     random_element,
     unit_element,
 )
-from skeinlab.surface import annulus, disk_with_two_points, once_punctured_torus
+from skeinlab.surface import (
+    annulus,
+    disk_with_two_points,
+    genus_two_one_boundary,
+    once_punctured_torus,
+    two_strand_chaps,
+)
 
 CL = make_backend("classical")
 EP = make_backend("epsilon")
@@ -49,6 +55,29 @@ def test_torus_generators():
     tab = loop_element(CL, TOR, [[0, 1]])
     assert poly(ta) == "d0 + a0"
     assert poly(tab) == "d0*d1 + c0*b1 + b0*c1 + a0*a1"
+
+
+def test_loop_elements_are_pinned():
+    """Classical loop elements of spins 0, 1 and 2 on five patterns, byte for byte."""
+    import hashlib
+    import json
+
+    cases = [
+        (ANN, [[[0]]]),
+        (TOR, [[[0]], [[1]], [[0, 1]], [[1, 0]], [[0], [1]]]),
+        (genus_two_one_boundary(), [[[0, 1, 2, 3]], [[0, 2], [1, 3]], [[3]], [[1, 0]]]),
+        (DISK, [[[0]]]),
+        (two_strand_chaps(), [[[0, 1]], [[0], [1]]]),
+    ]
+    outputs = [
+        loop_element(CL, pattern, loops, spin=spin).to_json()
+        for pattern, loop_lists in cases
+        for loops in loop_lists
+        for spin in (0, 1, 2)
+    ]
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert len(outputs) == 39
+    assert digest == "2b4a4687c64a661bcb91c333454b1d207a708551aea7b61a97b6a21fc2d22f74"
 
 
 def test_mu_matches_function_product():

@@ -90,8 +90,8 @@ def interleaved_argument_factors(s1: SkeinElement, s2: SkeinElement):
 
 def sigma_algebraic(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
     """[mu - mu^op-]_1 over a deformed backend, as a classical element."""
-    if s1.backend.name not in ("epsilon", "quantum") or not s1.backend.is_deformed:
-        raise ModeError("sigma needs a first-order deformation (epsilon, or quantum at order >= 2)")
+    if not s1.backend.is_deformed:
+        raise ModeError("sigma needs a first-order deformation (epsilon, or quantum or drinfeld at order >= 2)")
     diff = (mu(s1, s2) - mu_op_minus(s1, s2)).canonical()
     for _, core in diff.terms:
         if not core.part0().is_zero:
@@ -188,6 +188,8 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1
     """
     if pattern.n_vertices != 2 or (v1, v2) not in ((0, 1), (1, 0)):
         raise AlgebraError("fusion check implemented for two-vertex patterns")
+    if not pattern == s1.pattern == s2.pattern:
+        raise AlgebraError("the elements do not live on the given pattern")
     fused = fuse(pattern, v1, v2, order=order)
     if (v1 if order == "v1v2" else v2) == 1:
         s1, s2 = _swap_vertices(s1), _swap_vertices(s2)

@@ -26,6 +26,13 @@ R-matrix R.  The truncation does the rest: the order-1 exponential is the
 identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.  On every
 backend the inverse braiding and the inverse twist are the series inverses
 (`Morphism.inverse`) of the braiding and the twist.
+`_ev` and `_coev` build every cup and cap.  On a simple they are the
+pairing and the copairing; a dual's ev and coev are the right duality of
+its simple V, ev(V) c(V, V*) (theta_V (x) id) and
+(id (x) theta_V) c(V, V*) coev(V); on a tensor word they nest the
+factors' maps.  With a nontrivial associator `_coev` divides the
+copairing by its snake through associator(x, x*, x) (the Drinfeld snake
+scale), so the snake identities hold exactly.
 Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
 `insert_legs`, on a given matrix: each term is one small integer operator
 on the factors its legs touch, cached, and acts in one pass over the
@@ -1196,30 +1203,6 @@ class BackendSpec:
 
     # -- duality ----------------------------------------------------------------
 
-    def _coev_scale(self, spin: int) -> ScalarSeries:
-        """Correction making the snake identities exact (Drinfeld only)."""
-        if not self.nontrivial_associator:
-            return ScalarSeries.one(self.mode)
-        return self._cached(("coevscale", spin), lambda: self._snake_scalar(SimpleObj(spin)).inverse())
-
-    def _snake_scalar(self, x: SimpleObj) -> ScalarSeries:
-        """The scalar by which the snake through the naive copairing scales x."""
-        idx = Morphism.identity(x, self.mode)
-        phi = self.associator(x, DualObj(x), x)
-        snake = idx.tensor(self._pairing(x)) @ phi @ self._naive_copairing(x).tensor(idx)
-        return snake.entry(0, 0)
-
-    def _pairing(self, x: SimpleObj) -> Morphism:
-        d = x.dim
-        return Morphism(TensorObj(DualObj(x), x), UNIT, self.mode, [{(0, i * d + i): 1 for i in range(d)}])
-
-    def _naive_copairing(self, x: SimpleObj) -> Morphism:
-        d = x.dim
-        return Morphism(UNIT, TensorObj(x, DualObj(x)), self.mode, [{(i * d + i, 0): 1 for i in range(d)}])
-
-    def _copairing(self, x: SimpleObj) -> Morphism:
-        return self._naive_copairing(x).scale(self._coev_scale(x.spin))
-
     def ev(self, x: ObjectExpr) -> Morphism:
         """Evaluation dual(x) (x) x -> unit."""
         return self._cached(("ev", x), lambda: self._ev(x))
@@ -1228,31 +1211,15 @@ class BackendSpec:
         """Coevaluation unit -> x (x) dual(x)."""
         return self._cached(("coev", x), lambda: self._coev(x))
 
-    def ev_right(self, x: SimpleObj) -> Morphism:
-        """Right evaluation x (x) dual(x) -> unit: ev o braiding o (twist (x) id)."""
-
-        def build():
-            th = self.twist(x).tensor(Morphism.identity(DualObj(x), self.mode))
-            return self.ev(x) @ self.braiding(x, DualObj(x)) @ th
-
-        return self._cached(("evr", x), build)
-
-    def coev_right(self, x: SimpleObj) -> Morphism:
-        """Right coevaluation unit -> dual(x) (x) x: (id (x) twist) o braiding o coev."""
-
-        def build():
-            th = Morphism.identity(DualObj(x), self.mode).tensor(self.twist(x))
-            return th @ self.braiding(x, DualObj(x)) @ self.coev(x)
-
-        return self._cached(("coevr", x), build)
-
     def _ev(self, x):
         if isinstance(x, UnitObj):
             return Morphism.identity(UNIT, self.mode)
-        if isinstance(x, SimpleObj):
-            return self._pairing(x)
-        if isinstance(x, DualObj):
-            return self.ev_right(x.inner).retyped(source=TensorObj(dual(x), x))
+        if isinstance(x, SimpleObj):  # the pairing
+            d = x.dim
+            return Morphism(TensorObj(DualObj(x), x), UNIT, self.mode, [{(0, i * d + i): 1 for i in range(d)}])
+        if isinstance(x, DualObj):  # the right evaluation of V = x.inner: ev(V) o c(V, V*) o (theta_V (x) id)
+            v = x.inner
+            return self.ev(v) @ self.braiding(v, x) @ self.twist(v).tensor(Morphism.identity(x, self.mode))
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
             da, db = dual(a), dual(b)
@@ -1264,9 +1231,18 @@ class BackendSpec:
         if isinstance(x, UnitObj):
             return Morphism.identity(UNIT, self.mode)
         if isinstance(x, SimpleObj):
-            return self._copairing(x)
-        if isinstance(x, DualObj):
-            return self.coev_right(x.inner).retyped(target=TensorObj(x, dual(x)))
+            # the copairing; through a nontrivial associator its snake scales x,
+            # so it is divided by that scalar to make the snake the identity
+            d = x.dim
+            m = Morphism(UNIT, TensorObj(x, DualObj(x)), self.mode, [{(i * d + i, 0): 1 for i in range(d)}])
+            if self.nontrivial_associator:
+                idx = Morphism.identity(x, self.mode)
+                snake = idx.tensor(self.ev(x)) @ self.associator(x, DualObj(x), x) @ m.tensor(idx)
+                m = m.scale(snake.entry(0, 0).inverse())
+            return m
+        if isinstance(x, DualObj):  # the right coevaluation of V = x.inner: (id (x) theta_V) o c(V, V*) o coev(V)
+            v = x.inner
+            return Morphism.identity(x, self.mode).tensor(self.twist(v)) @ self.braiding(v, x) @ self.coev(v)
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
             m1 = self.flat_apply([], [(0, 0, self.coev(a))])

@@ -29,6 +29,7 @@ from .ribbon_backend import (
     TensorObj,
     UNIT,
     dual,
+    flip_matrix,
     left_nested,
     make_backend,
     object_from_json,
@@ -273,6 +274,10 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
     `loops` is a list of handle-index sequences; the element is the product
     of the trace functions of the corresponding loop holonomies, with every
     unused handle labeled trivially.  Each loop visits its handles once.
+    Each step h -> h' of a loop is one coev cup from the +-end slot of h to
+    the --end slot of h', so the holonomy pairing contracts to
+    tr(rho(g_{h1}) rho(g_{h2}) ...); an unused handle is a spin-0 loop of
+    its own.  Flips then move the cups' strands into slot order.
     """
     if backend.name != "classical":
         raise ModeError("loop generators are built over the classical backend")
@@ -280,27 +285,18 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
     if len(set(used)) != len(used):
         raise AlgebraError("loops must not share handles")
     labels = [simple(0)] * pattern.n_handles
-    for loop in loops:
-        for h in loop:
-            labels[h] = simple(spin)
+    for h in used:
+        labels[h] = simple(spin)
     labels = tuple(labels)
-    objs = slot_objects(pattern, labels)
-    # one index per used handle: its --end slot carries its own index and
-    # its +-end slot the next handle's in the loop, so the holonomy pairing
-    # contracts to tr(rho(g_{h1}) rho(g_{h2}) ...); trivial slots read none
-    own = {h: n for n, h in enumerate(used)}
-    carried = {h: own[loop[(m + 1) % len(loop)]] for loop in loops for m, h in enumerate(loop)}
-    reads = [
-        (o.dim, None if labels[h].spin == 0 else own[h] if e.sign < 0 else carried[h])
-        for o, (h, e) in zip(objs, pattern.all_slots())
-    ]
-    raw = {}
-    for index in iproduct(range(simple(spin).dim), repeat=len(used)):
-        idx = 0
-        for dim, r in reads:
-            idx = idx * dim + (0 if r is None else index[r])
-        raw[(idx, 0)] = 1
-    core = Morphism(UNIT, tensor_word(objs), backend.mode, [raw])
+    steps = [(h, loop[(m + 1) % len(loop)]) for loop in loops for m, h in enumerate(loop)]
+    steps += [(h, h) for h in range(pattern.n_handles) if h not in used]
+    slot = {(h, end.sign): n for n, (h, end) in enumerate(pattern.all_slots())}
+    blocks = []  # each cup's two strands, tagged by their slots
+    for h, h2 in steps:
+        blocks += [(slot[h, 1], labels[h]), (slot[h2, -1], dual(labels[h]))]
+    core = backend.flat_apply([], [(0, 0, backend.coev(labels[h])) for h, _ in steps])
+    for _, context, i, pair in _crossings(blocks, lambda tag_l, tag_r: "flip"):
+        core = backend.apply(context, [(i, 2, flip_matrix(*pair, backend.mode))], core)
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
 

@@ -221,12 +221,10 @@ def _cell_morphism(cell: Cell, ins, coupons, backend: BackendSpec):
         return backend.twist(ins[0].obj)
     if k == "twist-":
         return backend.twist_inv(ins[0].obj)
-    if k == "cup":
+    if k in ("cup", "cap"):
         lab = SimpleObj(cell.label)
-        return backend.coev(lab) if cell.flavor == "l" else backend.coev_right(lab)
-    if k == "cap":
-        lab = SimpleObj(cell.label)
-        return backend.ev(lab) if cell.flavor == "l" else backend.ev_right(lab)
+        duality = backend.coev if k == "cup" else backend.ev
+        return duality(lab if cell.flavor == "l" else DualObj(lab))
     if k == "coupon":
         return coupons[cell.coupon_id]
     return Morphism.identity(tensor_word([s.obj for s in ins]), backend.mode)  # assoc+-

@@ -48,6 +48,9 @@ from skeinlab.poisson import (
     biderivation_check,
 )
 from skeinlab.surface import (
+    Handle,
+    HandleEnd,
+    SurfacePattern,
     annulus,
     disk_with_two_points,
     fuse,
@@ -234,6 +237,24 @@ def test_sigma_quantum_matches_epsilon():
         assert se.equal(sq)
 
 
+def test_sigma_drinfeld_matches_epsilon():
+    """sigma_algebraic reads only the first-order layer, where the Drinfeld
+    braiding is the epsilon one: both Drinfeld rings agree with epsilon."""
+    rng = random.Random(51)
+    d2, d3 = make_backend("drinfeld", 2), make_backend("drinfeld", 3)
+    nonzero = 0
+    for pat, pool, argument in ((ANN, (0, 1, 2), None), (TOR, (0, 1), None), (DISK, (0, 1, 2), (V, V))):
+        kwargs = {} if argument is None else {"argument": argument}
+        for _ in range(3):
+            s1 = random_element(CL, pat, rng, label_pool=pool, **kwargs)
+            s2 = random_element(CL, pat, rng, label_pool=pool, **kwargs)
+            se = sigma_algebraic(lift_element(s1, EP), lift_element(s2, EP))
+            nonzero += not se.is_zero
+            for dr in (d2, d3):
+                assert se.equal(sigma_algebraic(lift_element(s1, dr), lift_element(s2, dr))), (pat, dr.mode)
+    assert nonzero
+
+
 def test_symmetrization():
     rng = random.Random(43)
     for pat, pool in ((ANN, (0, 1, 2)), (TOR, (0, 1))):
@@ -285,6 +306,18 @@ def test_fusion_theorem_with_vertex_1_first():
         for v1, v2, order in ((1, 0, "v1v2"), (0, 1, "v2v1")):
             ok, defect = check_fusion(s1, s2, pattern, v1, v2, order)
             assert ok and defect.pattern == fuse(pattern, v1, v2, order), (pattern, v1, v2, order)
+
+
+def test_fusion_check_rejects_a_pattern_other_than_the_elements():
+    """Disk elements checked against the chaps, or against a disk whose
+    handle runs -/+, are refused before any product is formed."""
+    rng = random.Random(50)
+    s1 = random_element(EP, DISK, rng, label_pool=(0, 1, 2))
+    s2 = random_element(EP, DISK, rng, label_pool=(0, 1, 2))
+    reversed_disk = SurfacePattern(2, (Handle((HandleEnd(0, 0, -1), HandleEnd(1, 0, 1))),))
+    for pattern in (two_strand_chaps(), reversed_disk):
+        with pytest.raises(AlgebraError, match="pattern"):
+            check_fusion(s1, s2, pattern, 0, 1)
 
 
 def test_fusion_classical_sanity():

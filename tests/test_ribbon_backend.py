@@ -160,9 +160,10 @@ def test_braiding_inverse_all_backends():
 
 
 def test_snake_identities():
+    # on a dual x the snakes run through the right duality of x.inner
     for bk in backends():
-        for x in (V, ADJ):
-            dx = DualObj(x)
+        for x in (V, ADJ, VS, DualObj(ADJ)):
+            dx = dual(x)
             s1 = bk.flat_apply([x, dx, x], [(1, 2, bk.ev(x))]) @ bk.flat_apply(
                 [x], [(0, 0, bk.coev(x))]
             )
@@ -185,14 +186,18 @@ def test_snake_identities_on_a_nested_word():
 
 
 def test_loop_value_classical_and_quantum():
-    cl = make_backend("classical")
-    loop = cl.ev_right(V) @ cl.coev(V)
-    assert loop.entry(0, 0) == ScalarSeries.from_rational(cl.mode, 2)
-    q = make_backend("quantum", 3)
-    loopq = q.ev_right(V) @ q.coev(V)
-    # the ribbon closure of the unknot: classical limit 2, here q + 1/q
-    val = loopq.entry(0, 0)
-    assert val.coeffs[0] == 2
+    """ev(x*) o coev(x), the ribbon closure of the unknot, is the quantum
+    dimension [n+1]_q with q = e^(h/2), truncated to the ring: n+1 where h^2 = 0."""
+    q_dims = {
+        V: [2, 0, Fraction(1, 4), 0, Fraction(1, 192)],
+        ADJ: [3, 0, 1, 0, Fraction(1, 12)],
+    }
+    rings = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("quantum", 5), ("drinfeld", 2), ("drinfeld", 3)]
+    for name, order in rings:
+        bk = make_backend(name, order)
+        for x, q_dim in q_dims.items():
+            expected = Morphism.identity(UNIT, bk.mode).scale(ScalarSeries.from_coeffs(bk.mode, q_dim[:order]))
+            assert bk.ev(DualObj(x)) @ bk.coev(x) == expected, (name, order, str(x))
 
 
 def test_twist_axiom_and_transpose():

@@ -92,7 +92,7 @@ def cmd_sigma(args) -> int:
     elif args.method == "goldman":
         result = sigma_goldman(a, b)
     else:
-        result = fock_rosly_sigma(a.pattern, a, b, include_diagonal=args.fr_diagonal != "exclude")
+        result = fock_rosly_sigma(a, b, include_diagonal=args.fr_diagonal != "exclude")
     payload = result.element.to_json()
     payload["method"] = result.method
     _emit(payload, args.out)

@@ -18,6 +18,7 @@ from .errors import AlgebraError, ModeError
 from .ribbon_backend import (
     Morphism,
     RA_TENSOR,
+    R_TENSOR,
     TSYM_TENSOR,
     T_TENSOR,
     flip_matrix,
@@ -83,6 +84,18 @@ def interleaved_argument_factors(s1: SkeinElement, s2: SkeinElement):
     return factors, first, second
 
 
+def _flip_arguments(element: SkeinElement, factors, positions, argument) -> SkeinElement:
+    """The element pulled back along flips of adjacent argument factors.
+
+    `factors` lists the blocks of the new argument's flat word, and each
+    p in `positions` exchanges factors p and p + 1; `argument` is the new
+    argument.
+    """
+    backend = element.backend
+    placed = [(p, 2, flip_matrix(factors[p], factors[p + 1], backend.mode)) for p in positions]
+    return element.precompose(backend.flat_apply(factors, placed), argument)
+
+
 # ---------------------------------------------------------------------------
 # sigma: algebraic and diagrammatic
 # ---------------------------------------------------------------------------
@@ -140,17 +153,10 @@ def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
     sig12 = sigma_algebraic(s1, s2).element
     sig21 = sigma_algebraic(s2, s1).element
     # pull sigma(Y,X) back along the per-vertex classical flips
-    backend = sig21.backend
-    context = []
-    placed = []
-    for v in range(s1.pattern.n_vertices):
-        x, y = s1.argument[v], s2.argument[v]
-        context.extend([x, y])
-        placed.append((2 * v, 2, flip_matrix(x, y, backend.mode)))
-    pulled = sig21.precompose(backend.flat_apply(context, placed), sig12.argument)
+    factors, first, second = interleaved_argument_factors(s1, s2)
+    pulled = _flip_arguments(sig21, factors, first, sig12.argument)
     lhs = (sig12 + pulled).canonical()
     prod0 = mu(s1.part0(), s2.part0())
-    factors, first, second = interleaved_argument_factors(s1, s2)
     rhs = argument_insertion(prod0, T_TENSOR, factors, first, second).canonical()
     return lhs.equal(rhs)
 
@@ -158,63 +164,48 @@ def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
 def biderivation_check(s1: SkeinElement, s2: SkeinElement, s3: SkeinElement) -> bool:
     """Leibniz rule: sigma(mu(a,b), c) = perm*[mu0(sigma(a,c), b0)] + mu0(a0, sigma(b,c))."""
     lhs = sigma_algebraic(mu(s1, s2), s3).element.canonical()
-    backend_cl = make_backend("classical")
-    sig13 = sigma_algebraic(s1, s3).element
-    term1 = mu(sig13, s2.part0())
+    term1 = mu(sigma_algebraic(s1, s3).element, s2.part0())
     # rearrange ((X (x) Z) (x) Y) -> ((X (x) Y) (x) Z) by flipping Z past Y per vertex
-    context = []
-    placed = []
-    for v in range(s1.pattern.n_vertices):
-        x, y, z = s1.argument[v], s2.argument[v], s3.argument[v]
-        context.extend([x, y, z])
-        placed.append((3 * v + 1, 2, flip_matrix(y, z, backend_cl.mode)))
-    target_argument = tuple(
-        word_tensor(word_tensor(x, y), z)
-        for x, y, z in zip(s1.argument, s2.argument, s3.argument)
-    )
-    term1 = term1.precompose(backend_cl.flat_apply(context, placed), target_argument)
+    xyz = list(zip(s1.argument, s2.argument, s3.argument))
+    factors = [a for block in xyz for a in block]
+    target_argument = tuple(word_tensor(word_tensor(x, y), z) for x, y, z in xyz)
+    term1 = _flip_arguments(term1, factors, range(1, len(factors), 3), target_argument)
     term2 = mu(s1.part0(), sigma_algebraic(s2, s3).element)
     rhs = (term1 + term2.canonical()).canonical()
     return lhs.equal(rhs)
 
 
-def check_fusion(s1: SkeinElement, s2: SkeinElement, pattern: SurfacePattern, v1: int, v2: int, order: str = "v1v2"):
+def check_fusion(s1: SkeinElement, s2: SkeinElement, v1: int, v2: int, order: str = "v1v2"):
     """Fusion theorem: sigma_f == (x)0(sigma) o J0 + (mu_f)0 o t-hat_{2,3}.
 
-    s1, s2 live on the unfused two-vertex pattern; returns (ok, defect).
-    When the fused slot order starts with vertex 1, the check runs on the
-    elements with the two vertices exchanged, whose v1v2 fusion is the
-    same pattern.
+    s1, s2 live on one two-vertex pattern, which is fused at (v1, v2) in
+    the given slot order; returns (ok, defect).  When the fused slot order
+    starts with vertex 1, the check runs on the elements with the two
+    vertices exchanged, whose v1v2 fusion is the same pattern.  Elements on
+    different patterns are refused by the product walk.
     """
-    if pattern.n_vertices != 2 or (v1, v2) not in ((0, 1), (1, 0)):
+    if s1.pattern.n_vertices != 2 or s2.pattern.n_vertices != 2 or (v1, v2) not in ((0, 1), (1, 0)):
         raise AlgebraError("fusion check implemented for two-vertex patterns")
-    if not pattern == s1.pattern == s2.pattern:
-        raise AlgebraError("the elements do not live on the given pattern")
-    fused = fuse(pattern, v1, v2, order=order)
+    fused = fuse(s1.pattern, v1, v2, order=order)
     if (v1 if order == "v1v2" else v2) == 1:
         s1, s2 = _swap_vertices(s1), _swap_vertices(s2)
-    f1 = _transplant(s1, fused)
-    f2 = _transplant(s2, fused)
-    lhs = sigma_algebraic(f1, f2).element
-
     # right-hand side, first term: the fused image of the unfused sigma,
-    # pulled back along the classical middle interchange J0
+    # pulled back along the classical middle interchange J0; its product
+    # walk refuses elements on different patterns before they are fused
     sig = sigma_algebraic(s1, s2).element
-    sig_f = _transplant(sig, fused)
-    backend_cl = make_backend("classical")
     X1, X2 = s1.argument
     Y1, Y2 = s2.argument
     context = [X1, X2, Y1, Y2]
-    perm = backend_cl.flat_apply(context, [(1, 2, flip_matrix(X2, Y1, backend_cl.mode))])
     target_argument = (word_tensor(word_tensor(X1, X2), word_tensor(Y1, Y2)),)
-    term1 = sig_f.precompose(perm, target_argument)
+    term1 = _flip_arguments(_transplant(sig, fused), context, [1], target_argument)
 
     # second term: classical fused product with t on the middle arguments
     prod = mu(_transplant(s1.part0(), fused), _transplant(s2.part0(), fused))
     term2 = argument_insertion(prod, T_TENSOR, context, [1], [2])
 
-    # align lhs argument bracketing with the rhs one
-    lhs = SkeinElement(backend_cl, fused, target_argument, list(lhs.terms))
+    # the fused sigma, its argument bracketed as the rhs one
+    lhs = sigma_algebraic(_transplant(s1, fused), _transplant(s2, fused)).element
+    lhs = SkeinElement(lhs.backend, fused, target_argument, list(lhs.terms))
     defect = (lhs - (term1 + term2).canonical()).canonical()
     return defect.is_zero, defect
 
@@ -231,8 +222,8 @@ def _swap_vertices(element: SkeinElement) -> SkeinElement:
         w0, w1 = tensor_word(objs[:n0]), tensor_word(objs[n0:])
         terms.append((labels, backend.apply([w0, w1], [(0, 2, flip_matrix(w0, w1, backend.mode))], core)))
     x0, x1 = element.argument
-    flip = backend.flat_apply([x1, x0], [(0, 2, flip_matrix(x1, x0, backend.mode))])
-    return SkeinElement(backend, SurfacePattern(2, tuple(ends)), element.argument, terms).precompose(flip, (x1, x0))
+    swapped = SkeinElement(backend, SurfacePattern(2, tuple(ends)), element.argument, terms)
+    return _flip_arguments(swapped, [x1, x0], [0], (x1, x0))
 
 
 def _transplant(element: SkeinElement, fused: SurfacePattern) -> SkeinElement:
@@ -250,33 +241,28 @@ def _transplant(element: SkeinElement, fused: SurfacePattern) -> SkeinElement:
 # ---------------------------------------------------------------------------
 
 
-# -t + r_a with t = (r + r21)/2 and r_a = (r - r21)/2 (that is, -r21): the
-# ordered end pairs of a vertex, and the argument sides in `forgetful_correction`
+# -t + r_a with t = (r + r21)/2 and r_a = (r - r21)/2 (that is, -r21): an end
+# pair whose first end comes first, and the argument sides in `forgetful_correction`
 MINUS_T_PLUS_RA = tuple((-c, g1, g2) for c, g1, g2 in TSYM_TENSOR) + RA_TENSOR
 
 
 def _end_pairs_tensor(pattern: SurfacePattern, include_diagonal: bool):
-    """(i, j, tensor) triples of the ciliated vertex sum.
+    """(i, j, tensor) triples of the ciliated vertex sum, one per ordered end pair at a vertex.
 
     i, j are global slot indices of handle ends; the first leg acts on the
     first factor's strand at end i, the second on the second factor's at j.
-    t is the symmetric half of the classical r-matrix, r_a its
-    antisymmetric half.
+    The tensor is r when i comes after j in the cilium order, -r21 when it
+    comes before, and on the diagonal r_a, the antisymmetric half of r
+    (t/2, its symmetric half, when the diagonal is excluded).
     """
-    triples = []
+    diagonal = RA_TENSOR if include_diagonal else TSYM_TENSOR
     slots = pattern.all_slots()
+    triples = []
     for v in range(pattern.n_vertices):
         ends = [i for i, (_, e) in enumerate(slots) if e.vertex == v]
         for i in ends:
-            triples.append((i, i, TSYM_TENSOR))
-        for a, i in enumerate(ends):
-            for j in ends[a + 1 :]:
-                triples.append((j, i, T_TENSOR))  # 2 t_sym
-        for i in ends:
             for j in ends:
-                if i == j and not include_diagonal:
-                    continue
-                triples.append((i, j, MINUS_T_PLUS_RA))
+                triples.append((i, j, R_TENSOR if i > j else MINUS_T_PLUS_RA if i < j else diagonal))
     return triples
 
 
@@ -305,22 +291,17 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
     return SkeinElement(backend, pattern, product_argument(s1, s2), out_terms).canonical()
 
 
-def fock_rosly_sigma(
-    pattern: SurfacePattern, s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True
-) -> SigmaResult:
+def fock_rosly_sigma(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> SigmaResult:
     """The ciliated vertex sum built from the classical r-matrix.
 
-    Per vertex: t at equal ends, 2t at cilium-ordered pairs (later end on
-    the first factor), and -t + r_a over all ordered end pairs (including
-    the diagonal by default), realized as boundary-end insertions into the
-    classical product.
+    Per ordered pair of ends at a vertex, one insertion into the classical
+    product: r when the first factor's end comes later in the cilium order,
+    -r21 when it comes earlier, and r_a on the diagonal (t/2 with
+    include_diagonal=False).
     """
     if s1.backend.name != "classical":
         raise ModeError("the vertex sum runs over the classical backend")
-    if not pattern == s1.pattern == s2.pattern:
-        raise AlgebraError("the elements do not live on the given pattern")
-    triples = _end_pairs_tensor(pattern, include_diagonal)
-    total = _slot_insertion_product(s1, s2, triples)
+    total = _slot_insertion_product(s1, s2, _end_pairs_tensor(s1.pattern, include_diagonal))
     return SigmaResult(total, "fock_rosly")
 
 
@@ -341,7 +322,7 @@ def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
 
 def fock_rosly_consistency(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> bool:
     """fock_rosly_sigma == sigma_algebraic + (-t + r_a) on the arguments."""
-    fr = fock_rosly_sigma(s1.pattern, s1, s2, include_diagonal)
+    fr = fock_rosly_sigma(s1, s2, include_diagonal)
     ep = make_backend("epsilon")
     sig = sigma_algebraic(lift_element(s1, ep), lift_element(s2, ep)).element
     rhs = (sig + forgetful_correction(s1, s2)).canonical()

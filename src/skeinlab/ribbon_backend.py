@@ -1185,21 +1185,17 @@ class BackendSpec:
     # -- infinitesimal braiding -----------------------------------------------
 
     def inf_braiding(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
-        """t on x(x)y, as a classical morphism.
+        """t = e(x)f + f(x)e + h(x)h/2 on x(x)y, as a classical morphism.
 
-        An undeformed backend (classical, or truncation order 1) stores
-        t = e(x)f + f(x)e + h(x)h/2 directly; every deformed backend extracts
-        [beta^2 - id]_1, which equals the same tensor (the ratio between the
-        two is one in these conventions).
+        It is built from its legs on every backend; on a deformed backend it
+        equals [beta^2 - id]_1 in these conventions.
         """
-        return self._cached(("t", x, y), lambda: self._inf_braiding(x, y))
 
-    def _inf_braiding(self, x, y):
-        src = word_tensor(x, y)
-        if not self.is_deformed:
+        def build():
+            src = word_tensor(x, y)
             return Morphism._of(src, src, classical_mode(), [leg_insertion([x, y], [0], [1], T_TENSOR)])
-        double = self.braiding(y, x) @ self.braiding(x, y)
-        return (double - Morphism.identity(src, self.mode)).part1()
+
+        return self._cached(("t", x, y), build)
 
     # -- duality ----------------------------------------------------------------
 

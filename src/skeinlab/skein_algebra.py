@@ -449,7 +449,9 @@ def product_term_chains(s1: SkeinElement, s2: SkeinElement, crossing):
     second element's strand right of the first's at +-ends and mirrored at
     --ends; a crossing of two strands at one vertex is "interior", any other
     "boundary".  `crossing(kind, left, right)` gives each crossing's morphism.
+    Operands over different backends or on different patterns are refused here.
     """
+    s1._check_compatible(s2)
     backend = s1.backend
     pattern = s1.pattern
     slots = pattern.all_slots()
@@ -488,7 +490,6 @@ def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElemen
     disk algebra satisfies sigma = mu0 o t-hat on the second components.
     positive=False is the global mirror.
     """
-    s1._check_compatible(s2)
     backend = s1.backend
 
     def crossing(kind, left, right):

@@ -280,13 +280,13 @@ def fusion_suite(seed: int, pairs: int = 5, order: str = "v1v2"):
         arg = rng.choice((UNIT, V))
         s1 = random_element(ep, disk, rng, label_pool=(0, 1, 2), argument=(arg, arg))
         s2 = random_element(ep, disk, rng, label_pool=(0, 1, 2), argument=(arg, arg))
-        ok, defect = check_fusion(s1, s2, disk, 0, 1, order=order)
+        ok, defect = check_fusion(s1, s2, 0, 1, order=order)
         cases.append(_case(f"fuse-disk-annulus-{i}", ok, None if ok else defect.to_json()))
     chaps = two_strand_chaps()
     for i in range(pairs):
         s1 = random_element(ep, chaps, rng, label_pool=(0, 1))
         s2 = random_element(ep, chaps, rng, label_pool=(0, 1))
-        ok, defect = check_fusion(s1, s2, chaps, 0, 1, order=order)
+        ok, defect = check_fusion(s1, s2, 0, 1, order=order)
         cases.append(_case(f"fuse-chaps-torus-{i}", ok, None if ok else defect.to_json()))
     return cases
 
@@ -307,7 +307,7 @@ def jacobi_suite(seed: int, pairs: int = 5, include_diagonal: bool = True):
     tab = loop_element(cl, tor, [[0, 1]])
 
     def br(f, g):
-        return fock_rosly_sigma(tor, f, g, include_diagonal).element
+        return fock_rosly_sigma(f, g, include_diagonal).element
 
     total = None
     for x, y, z in ((ta, tb, tab), (tb, tab, ta), (tab, ta, tb)):

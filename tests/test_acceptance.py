@@ -168,13 +168,13 @@ def test_criterion_09_fusion_theorem():
         arg = rng.choice((UNIT, V))
         s1 = random_element(EP, DISK, rng, label_pool=(0, 1, 2), argument=(arg, arg))
         s2 = random_element(EP, DISK, rng, label_pool=(0, 1, 2), argument=(arg, arg))
-        good, _ = check_fusion(s1, s2, DISK, 0, 1)
+        good, _ = check_fusion(s1, s2, 0, 1)
         ok &= good
     chaps = two_strand_chaps()
     for i in range(25):
         s1 = random_element(EP, chaps, rng, label_pool=(0, 1))
         s2 = random_element(EP, chaps, rng, label_pool=(0, 1))
-        good, _ = check_fusion(s1, s2, chaps, 0, 1)
+        good, _ = check_fusion(s1, s2, 0, 1)
         ok &= good
     report(9, "fusion theorem", ok, "(25 pairs per fusion tree)")
 
@@ -192,7 +192,7 @@ def test_criterion_10_fock_rosly():
     tab = loop_element(CL, TOR, [[0, 1]])
 
     def br(f, g):
-        return fock_rosly_sigma(TOR, f, g).element
+        return fock_rosly_sigma(f, g).element
 
     total = None
     for x, y, z in ((ta, tb, tab), (tb, tab, ta), (tab, ta, tb)):

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import random
 import shlex
@@ -157,6 +158,32 @@ def test_labels_not_matching_core_exit_2(tmp_path):
     code, out, err = run_cli(["product", left, str(GOLDEN_INPUTS / "annulus_b.json")])
     assert code == 2 and out == ""
     assert "term 0 (labels V)" in err and "boundary word" in err
+
+
+def test_elements_on_different_patterns_or_backends_exit_2():
+    """Every ordered pair of golden elements that differ in pattern or
+    backend is refused by `product` and by each sigma method.  The product
+    walk names the mismatch, unless a vertex sum or intersection rule first
+    refuses its non-classical left operand; the algebraic route may refuse
+    an unliftable operand first."""
+    names = ("annulus_a", "annulus_b", "quantum_annulus_a", "quantum_annulus_b", "torus_a", "torus_b")
+    data = {name: json.loads((GOLDEN_INPUTS / f"{name}.json").read_text(encoding="utf-8")) for name in names}
+    checked = 0
+    for a, b in itertools.permutations(names, 2):
+        left, right = data[a], data[b]
+        if (left["backend"], left["pattern"]) == (right["backend"], right["pattern"]):
+            continue
+        mismatch = "different backends" if left["backend"] != right["backend"] else "different patterns"
+        for command in (["product"], *(["sigma", "--method", m] for m in ("algebraic", "goldman", "fock-rosly"))):
+            code, out, err = run_cli([command[0], str(GOLDEN_INPUTS / f"{a}.json"), str(GOLDEN_INPUTS / f"{b}.json"),
+                                      *command[1:]])
+            assert code == 2 and out == "" and "internal error" not in err, (a, b, command, err)
+            if command[-1] in ("goldman", "fock-rosly") and left["backend"] != "classical":
+                assert "runs over the classical backend" in err, (a, b, command, err)
+            elif command[-1] != "algebraic":
+                assert mismatch in err, (a, b, command, err)
+            checked += 1
+    assert checked == 24 * 4
 
 
 def test_sigma_algebraic_quantum_order_1_exit_2(tmp_path):

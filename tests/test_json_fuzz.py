@@ -115,13 +115,14 @@ def test_exponents_are_bounded():
             raise AssertionError(f"{text!r} was read")
 
 
-def _exit_code(args, data):
+def _exit_code(args, data, at=1):
+    """Run the command line with `data` written to a file whose path is inserted at args[at]."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(data))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([args[0], str(path), *args[1:]])
+            code = main([*args[:at], str(path), *args[at:]])
     assert code in (0, 2) and "internal error" not in err.getvalue(), (code, err.getvalue())
     return code, out.getvalue()
 
@@ -222,3 +223,11 @@ def _mutated_element(mutations):
 @given(element_mutations)
 def test_skein_elements_multiply_or_exit_2(mutations):
     _exit_code(["product", str(INPUTS / "annulus_b.json")], _mutated_element(mutations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_mutations)
+def test_skein_elements_beside_a_torus_element_give_a_goldman_sigma_or_exit_2(mutations):
+    """The unmutated annulus element lives on another pattern than the torus
+    one, which the product walk refuses before any crossing is applied."""
+    _exit_code(["sigma", str(INPUTS / "torus_a.json"), "--method", "goldman"], _mutated_element(mutations), at=2)

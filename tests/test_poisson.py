@@ -13,6 +13,10 @@ from skeinlab.polynomials import SL2Poly
 from skeinlab.ribbon_backend import (
     DualObj,
     Morphism,
+    RA_TENSOR,
+    R_TENSOR,
+    TSYM_TENSOR,
+    T_TENSOR,
     TensorObj,
     UNIT,
     classical_action,
@@ -165,8 +169,8 @@ def test_products_are_pinned():
                 continue
             outputs += [
                 sigma_goldman(s1, s2).element.to_json(),
-                fock_rosly_sigma(pattern, s1, s2).element.to_json(),
-                fock_rosly_sigma(pattern, s1, s2, include_diagonal=False).element.to_json(),
+                fock_rosly_sigma(s1, s2).element.to_json(),
+                fock_rosly_sigma(s1, s2, include_diagonal=False).element.to_json(),
             ]
             if lift:
                 outputs.append(mu(lift_element(s1, q2), lift_element(s2, q2)).to_json())
@@ -284,13 +288,13 @@ def test_fusion_theorem():
         arg = rng.choice((UNIT, V))
         s1 = random_element(EP, DISK, rng, label_pool=(0, 1, 2), argument=(arg, arg))
         s2 = random_element(EP, DISK, rng, label_pool=(0, 1, 2), argument=(arg, arg))
-        ok, defect = check_fusion(s1, s2, DISK, 0, 1)
+        ok, defect = check_fusion(s1, s2, 0, 1)
         assert ok, holonomy_evaluate(defect) if defect.backend.name == "classical" else defect
     chaps = two_strand_chaps()
     for i in range(2):
         s1 = random_element(EP, chaps, rng, label_pool=(0, 1))
         s2 = random_element(EP, chaps, rng, label_pool=(0, 1))
-        ok, defect = check_fusion(s1, s2, chaps, 0, 1)
+        ok, defect = check_fusion(s1, s2, 0, 1)
         assert ok
 
 
@@ -304,20 +308,24 @@ def test_fusion_theorem_with_vertex_1_first():
         s1 = random_element(EP, pattern, rng, label_pool=pool, **kwargs)
         s2 = random_element(EP, pattern, rng, label_pool=pool, **kwargs)
         for v1, v2, order in ((1, 0, "v1v2"), (0, 1, "v2v1")):
-            ok, defect = check_fusion(s1, s2, pattern, v1, v2, order)
+            ok, defect = check_fusion(s1, s2, v1, v2, order)
             assert ok and defect.pattern == fuse(pattern, v1, v2, order), (pattern, v1, v2, order)
 
 
 def test_fusion_check_rejects_a_pattern_other_than_the_elements():
-    """Disk elements checked against the chaps, or against a disk whose
-    handle runs -/+, are refused before any product is formed."""
+    """A disk element beside one on the chaps, or on a disk whose handle
+    runs -/+, is refused by the product walk before either is fused; one
+    beside an annulus element, before its vertices are exchanged."""
     rng = random.Random(50)
     s1 = random_element(EP, DISK, rng, label_pool=(0, 1, 2))
-    s2 = random_element(EP, DISK, rng, label_pool=(0, 1, 2))
     reversed_disk = SurfacePattern(2, (Handle((HandleEnd(0, 0, -1), HandleEnd(1, 0, 1))),))
-    for pattern in (two_strand_chaps(), reversed_disk):
-        with pytest.raises(AlgebraError, match="pattern"):
-            check_fusion(s1, s2, pattern, 0, 1)
+    for pattern in (two_strand_chaps(), reversed_disk, ANN):
+        s2 = random_element(EP, pattern, rng, label_pool=(0, 1))
+        for v1, v2, order in ((0, 1, "v1v2"), (1, 0, "v1v2")):
+            with pytest.raises(AlgebraError, match="pattern"):
+                check_fusion(s1, s2, v1, v2, order)
+            with pytest.raises(AlgebraError, match="pattern"):
+                check_fusion(s2, s1, v1, v2, order)
 
 
 def test_fusion_classical_sanity():
@@ -337,7 +345,7 @@ def test_fock_rosly_disk_reduces_to_ra_bracket():
     rng = random.Random(47)
     s1 = random_element(CL, DISK, rng, label_pool=(0, 1, 2), argument=(V, V))
     s2 = random_element(CL, DISK, rng, label_pool=(0, 1, 2), argument=(V, V))
-    fr = fock_rosly_sigma(DISK, s1, s2)
+    fr = fock_rosly_sigma(s1, s2)
     from skeinlab.poisson import argument_insertion, interleaved_argument_factors
     from skeinlab.ribbon_backend import RA_TENSOR
 
@@ -455,32 +463,72 @@ def _reference_slot_insertion_product(s1, s2, triples):
     return out.canonical()
 
 
+def _three_family_end_pairs(pattern, include_diagonal):
+    """The vertex sum as three overlapping families of end pairs.
+
+    Per vertex: t/2 at equal ends, t at cilium-ordered pairs (later end on
+    the first factor), and -t/2 + r_a over all ordered end pairs, the
+    diagonal only when it is included.  Summed per pair this is r, -r21 and
+    r_a (t/2 without the diagonal), the form `fock_rosly_sigma` inserts.
+    """
+    minus_tsym_plus_ra = tuple((-c, a, b) for c, a, b in TSYM_TENSOR) + RA_TENSOR
+    triples = []
+    slots = pattern.all_slots()
+    for v in range(pattern.n_vertices):
+        ends = [i for i, (_, e) in enumerate(slots) if e.vertex == v]
+        triples += [(i, i, TSYM_TENSOR) for i in ends]
+        triples += [(j, i, T_TENSOR) for a, i in enumerate(ends) for j in ends[a + 1 :]]
+        triples += [(i, j, minus_tsym_plus_ra) for i in ends for j in ends if include_diagonal or i != j]
+    return triples
+
+
 def test_fock_rosly_sigma_matches_the_insertion_matrix_reference():
     rng = random.Random(50)
     labels, nonzero = set(), set()
     # the first element of a pair is drawn from `pool`: without adj on the
     # torus, because on an adj x adj product word (3^8) the Kronecker
     # reference takes seconds, and without unit on the annulus, so that
-    # sums are nonzero
+    # sums are nonzero; the chaps take V arguments, as its full sums vanish
+    # on unit ones
     for name, pattern, argument, pool in (
         ("disk", DISK, (V, V), (0, 1, 2)),
         ("annulus", ANN, None, (1, 2)),
         ("torus", TOR, None, (0, 1)),
+        ("chaps", two_strand_chaps(), (V, V), (0, 1)),
     ):
         for _ in range(3):
             s1 = random_element(CL, pattern, rng, label_pool=pool, argument=argument)
             s2 = random_element(CL, pattern, rng, label_pool=(0, 1, 2), argument=argument)
             labels.update((name, lab.spin) for s in (s1, s2) for lab in s.terms[0][0])
             for diagonal in (True, False):
-                expected = _reference_slot_insertion_product(s1, s2, _end_pairs_tensor(pattern, diagonal))
-                got = fock_rosly_sigma(pattern, s1, s2, include_diagonal=diagonal).element
+                expected = _reference_slot_insertion_product(s1, s2, _three_family_end_pairs(pattern, diagonal))
+                got = fock_rosly_sigma(s1, s2, include_diagonal=diagonal).element
                 assert got.terms == expected.terms, (pattern, diagonal)
                 if expected.terms:
                     nonzero.add((name, diagonal))
     assert {(n, k) for n in ("annulus", "torus") for k in (0, 1, 2)} <= labels, labels
     # with unit arguments the full annulus sum equals sigma_algebraic, which
     # vanishes there; its part without the diagonal does not
-    assert nonzero >= {("disk", True), ("disk", False), ("annulus", False), ("torus", True), ("torus", False)}, nonzero
+    assert nonzero >= {(n, k) for n in ("disk", "torus", "chaps") for k in (True, False)} | {("annulus", False)}, nonzero
+
+
+def test_vertex_sum_inserts_once_per_ordered_end_pair():
+    """n^2 triples at a vertex with n ends, one per ordered pair: r when the
+    first factor's end comes later, -r21 when it comes earlier, r_a on the
+    diagonal, and t/2 there when the diagonal is excluded."""
+    for pattern in (DISK, ANN, TOR, two_strand_chaps(), genus_two_one_boundary()):
+        slots = pattern.all_slots()
+        for diagonal in (True, False):
+            triples = _end_pairs_tensor(pattern, diagonal)
+            pairs = [(i, j) for i, j, _ in triples]
+            per_vertex = [len(pattern.slots_at(v)) ** 2 for v in range(pattern.n_vertices)]
+            assert len(pairs) == len(set(pairs)) == sum(per_vertex), (pattern, diagonal)
+            for i, j, tensor in triples:
+                assert slots[i][1].vertex == slots[j][1].vertex
+                expected = RA_TENSOR if diagonal else TSYM_TENSOR
+                if i != j:
+                    expected = R_TENSOR if i > j else tuple((-c, a, b) for c, a, b in TSYM_TENSOR) + RA_TENSOR
+                assert tensor == expected, (pattern, i, j)
 
 
 def test_fock_rosly_sigma_builds_no_matrix_on_the_product_word(monkeypatch):
@@ -493,7 +541,7 @@ def test_fock_rosly_sigma_builds_no_matrix_on_the_product_word(monkeypatch):
     rng = random.Random(5)
     a = random_element(CL, TOR, rng, label_pool=(2,))
     b = random_element(CL, TOR, rng, label_pool=(2,))
-    fock_rosly_sigma(TOR, a, b)
+    fock_rosly_sigma(a, b)
     sizes = []
     int_ident = ribbon_backend._int_ident
 
@@ -502,7 +550,7 @@ def test_fock_rosly_sigma_builds_no_matrix_on_the_product_word(monkeypatch):
         return int_ident(d)
 
     monkeypatch.setattr(ribbon_backend, "_int_ident", watched)
-    assert not fock_rosly_sigma(TOR, a, b).is_zero
+    assert not fock_rosly_sigma(a, b).is_zero
     assert max(sizes, default=0) < 81, (len(sizes), max(sizes))
 
 
@@ -514,12 +562,10 @@ def _golden_input(name):
 def test_fock_rosly_sigma_rejects_a_pattern_other_than_the_elements():
     torus = _golden_input("torus_a"), _golden_input("torus_b")
     ann = _golden_input("annulus_a"), _golden_input("annulus_b")
-    for pattern, (s1, s2) in ((ANN, torus), (DISK, ann), (TOR, ann)):
+    for s1, s2 in ((torus[0], ann[1]), (ann[0], torus[1])):
         with pytest.raises(AlgebraError, match="pattern"):
-            fock_rosly_sigma(pattern, s1, s2)
-    with pytest.raises(AlgebraError, match="pattern"):
-        fock_rosly_sigma(TOR, torus[0], ann[1])
-    assert not fock_rosly_sigma(TOR, *torus).is_zero
+            fock_rosly_sigma(s1, s2)
+    assert not fock_rosly_sigma(*torus).is_zero
 
 
 def test_jacobi_on_trace_triple():
@@ -528,7 +574,7 @@ def test_jacobi_on_trace_triple():
     tab = loop_element(CL, TOR, [[0, 1]])
 
     def br(f, g):
-        return fock_rosly_sigma(TOR, f, g).element
+        return fock_rosly_sigma(f, g).element
 
     total = None
     for x, y, z in ((ta, tb, tab), (tb, tab, ta), (tab, ta, tb)):

@@ -103,11 +103,16 @@ def test_inf_braiding_is_flip_minus_half():
 )
 def test_extracted_inf_braiding_equals_classical_t(name, order):
     # [beta^2 - id]_1 of each deformed braiding against t built from its legs;
-    # at order 1 there is no first-order term, and t is built from its legs
+    # at order 1 there is no first-order term: the braiding squares to the identity
     cl = make_backend("classical")
     bk = make_backend(name, order)
     for x, y in ((V, V), (VS, V), (ADJ, V), (UNIT, V)):
         assert bk.inf_braiding(x, y) == cl.inf_braiding(x, y), (name, order, str(x), str(y))
+        defect = bk.braiding(y, x) @ bk.braiding(x, y) - Morphism.identity(word_tensor(x, y), bk.mode)
+        if bk.is_deformed:
+            assert defect.part1() == cl.inf_braiding(x, y), (name, order, str(x), str(y))
+        else:
+            assert defect.is_zero, (name, order, str(x), str(y))
 
 
 def test_inf_braiding_symmetry():

@@ -179,6 +179,43 @@ def test_products_are_pinned():
     assert digest == "4437d341d69b594fc76c7746a9779295ac4b0470a2d42d995b35c0430a7f8690"
 
 
+def test_lifted_products_and_genus_two_sigmas_are_pinned():
+    """mu and mu^op- on lifted pairs, and the classical sigmas on genus two, pinned by a digest of their JSON.
+
+    Each classical pair is lifted to epsilon, quantum(3) and Drinfeld(3);
+    the genus-two {V} pair to epsilon and quantum(3) only.  The genus-two
+    pair also carries sigma_goldman and both vertex sums, which
+    `test_products_are_pinned` skips there.
+    """
+    q3, d3 = make_backend("quantum", 3), make_backend("drinfeld", 3)
+    g2 = genus_two_one_boundary()
+    cases = (
+        (DISK, (V, V), (0, 1, 2), 2, (EP, q3, d3)),
+        (ANN, None, (0, 1, 2), 2, (EP, q3, d3)),
+        (TOR, None, (0, 1), 2, (EP, q3, d3)),
+        (two_strand_chaps(), (V, V), (0, 1), 2, (EP, q3, d3)),
+        (g2, None, (1,), 1, (EP, q3)),
+    )
+    outputs = []
+    for pattern, argument, pool, n_pairs, backends in cases:
+        rng = random.Random(8)
+        for _ in range(n_pairs):
+            s1 = random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            s2 = random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            for bk in backends:
+                a, b = lift_element(s1, bk), lift_element(s2, bk)
+                outputs += [mu(a, b).to_json(), mu_op_minus(a, b).to_json()]
+            if pattern is g2:
+                outputs += [
+                    sigma_goldman(s1, s2).element.to_json(),
+                    fock_rosly_sigma(s1, s2).element.to_json(),
+                    fock_rosly_sigma(s1, s2, include_diagonal=False).element.to_json(),
+                ]
+    assert len(outputs) == 4 * 2 * 3 * 2 + 2 * 2 + 3
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "0de5364867183004f1d68bd51a161f0379fc0c2fbff5a05663a8deff32f71a46"
+
+
 def test_goldman_sites_counts():
     # annulus: two interior sites; torus: eight; disk: one
     for pattern, count in ((DISK, 1), (ANN, 2), (TOR, 8)):

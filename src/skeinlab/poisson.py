@@ -2,8 +2,8 @@
 
 sigma is the first-order difference between the product and its globally
 undercrossed opposite.  It can be computed three ways: algebraically from
-a deformed backend, diagrammatically by summing infinitesimal-braiding
-insertions over the interior crossings of the product walk, and in the
+a deformed backend, diagrammatically by inserting the infinitesimal
+braiding wherever two strands cross at one vertex, and in the
 classical holonomy model by the ciliated vertex sum built from the
 classical r-matrix.  The acceptance identities (disk formula, oracle
 equivalence, symmetrization, Leibniz, fusion, Fock-Rosly consistency)
@@ -35,8 +35,9 @@ from .skein_algebra import (
     mu,
     mu_op_minus,
     product_argument,
-    product_term_chains,
+    product_terms,
     slot_objects,
+    strand_positions,
 )
 from .surface import Handle, SurfacePattern, fuse
 
@@ -113,34 +114,20 @@ def sigma_algebraic(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
 
 
 def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
-    """Sum over interior intersection sites of t-coupon insertions.
+    """Goldman's intersection rule: t inserted at every crossing of two strands at one vertex.
 
-    Each "interior" crossing of the product walk, two strands at one
-    vertex, is replaced by flip o t (the first-order difference of an
-    overcrossing and an undercrossing); everything else is evaluated
-    classically.  The crossings between strands at different vertices and
-    the argument rearrangements cancel pairwise in the first-order
-    difference and carry no interior intersection.  Orientation signs arise
-    from the dual-representation legs of t.  One forward pass over the step
-    chain carries the plain core and the sum of the insertions made so far.
+    Such a crossing is an intersection site, where the first-order
+    difference of an overcrossing and an undercrossing is flip o t; the
+    crossings between strands at different vertices and the argument
+    rearrangements cancel pairwise in that difference.  Every classical
+    crossing is a flip, so by naturality each t is inserted once, on the
+    finished product term, at the two strands' `strand_positions`
+    (`_goldman_triples`).  Orientation signs arise from the
+    dual-representation legs of t.
     """
     if s1.backend.name != "classical":
         raise ModeError("the intersection rule runs over the classical backend")
-    backend = s1.backend
-    out_terms = []
-    for labels, acc, chain in product_term_chains(s1, s2, lambda kind, left, right: backend.braiding(left, right)):
-        total_core = None
-        for kind, context, placed, pair in chain:
-            if kind == "interior":
-                t_ins = backend.apply(context, [(placed[0][0], 2, backend.inf_braiding(*pair))], acc)
-                total_core = t_ins if total_core is None else total_core + t_ins
-            if total_core is not None:
-                total_core = backend.apply(context, placed, total_core)
-            acc = backend.apply(context, placed, acc)
-        if total_core is not None and not total_core.is_zero:
-            out_terms.append((labels, total_core))
-    total = SkeinElement(backend, s1.pattern, product_argument(s1, s2), out_terms)
-    return SigmaResult(total.canonical(), "goldman")
+    return SigmaResult(_slot_insertion_product(s1, s2, _goldman_triples(s1.pattern)), "goldman")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +233,22 @@ def _transplant(element: SkeinElement, fused: SurfacePattern) -> SkeinElement:
 MINUS_T_PLUS_RA = tuple((-c, g1, g2) for c, g1, g2 in TSYM_TENSOR) + RA_TENSOR
 
 
+def _vertex_end_pairs(pattern: SurfacePattern):
+    """Every ordered pair (i, j) of handle ends at one vertex, as global slot indices."""
+    slots = pattern.all_slots()
+    return [(i, j) for i, (_, a) in enumerate(slots) for j, (_, b) in enumerate(slots) if a.vertex == b.vertex]
+
+
+def _goldman_triples(pattern: SurfacePattern):
+    """(i, j, t) for each end pair at a vertex whose strands cross in the product walk.
+
+    The first factor's strand at end i crosses the second's at end j when
+    it ends up right of it: when i > j, or i == j at a --end.
+    """
+    places = strand_positions(pattern)
+    return [(i, j, T_TENSOR) for i, j in _vertex_end_pairs(pattern) if places[i][0] > places[j][1]]
+
+
 def _end_pairs_tensor(pattern: SurfacePattern, include_diagonal: bool):
     """(i, j, tensor) triples of the ciliated vertex sum, one per ordered end pair at a vertex.
 
@@ -256,39 +259,36 @@ def _end_pairs_tensor(pattern: SurfacePattern, include_diagonal: bool):
     (t/2, its symmetric half, when the diagonal is excluded).
     """
     diagonal = RA_TENSOR if include_diagonal else TSYM_TENSOR
-    slots = pattern.all_slots()
-    triples = []
-    for v in range(pattern.n_vertices):
-        ends = [i for i, (_, e) in enumerate(slots) if e.vertex == v]
-        for i in ends:
-            for j in ends:
-                triples.append((i, j, R_TENSOR if i > j else MINUS_T_PLUS_RA if i < j else diagonal))
-    return triples
+    return [
+        (i, j, R_TENSOR if i > j else MINUS_T_PLUS_RA if i < j else diagonal)
+        for i, j in _vertex_end_pairs(pattern)
+    ]
 
 
 def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> SkeinElement:
-    """Classical product with boundary-end insertions summed per term pair.
+    """The classical product with boundary-end insertions, summed per term.
 
-    For each pair of terms the insertions act on the core right after the
-    tensor-of-cores step of the product chain, whose rows index the word
-    W_f (x) W_g: first legs on W_f slots, second legs on W_g slots, applied
-    to the core by `insert_legs` (no matrix on the word is built).
+    Each (i, j, tensor) triple acts on every term core of `product_terms`,
+    its first legs on the first factor's strand at end i and its second
+    legs on the second factor's at end j, at their `strand_positions`.
+    Every classical crossing is a flip, so this equals inserting before the
+    strands move.  `insert_legs` applies the insertions to the core, and no
+    matrix on the product word is built.
     """
-    backend = s1.backend
     pattern = s1.pattern
-    nslots = len(pattern.all_slots())
-    pairs = [(i, nslots + j, tensor) for i, j, tensor in triples]
-    out_terms = []
-    for new_labels, core, chain in product_term_chains(s1, s2, lambda kind, left, right: backend.braiding(left, right)):
-        objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
-        objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
-        for kind, context, placed, _ in chain:
-            core = backend.apply(context, placed, core)
-            if kind == "tensor":
-                layers = [insert_legs(objs1 + objs2, pairs, layer) for layer in core.layers]
-                core = Morphism._of(core.source, core.target, backend.mode, layers)
-        out_terms.append((new_labels, core))
-    return SkeinElement(backend, pattern, product_argument(s1, s2), out_terms).canonical()
+    places = strand_positions(pattern)
+    legs = [(places[i][0], places[j][1], tensor) for i, j, tensor in triples]
+    product = product_terms(s1, s2)
+    terms = []
+    for labels, core in product.terms:
+        strands = [None] * (2 * len(places))
+        objs1 = slot_objects(pattern, [lab.left for lab in labels])
+        objs2 = slot_objects(pattern, [lab.right for lab in labels])
+        for (p1, p2), o1, o2 in zip(places, objs1, objs2):
+            strands[p1], strands[p2] = o1, o2
+        layers = [insert_legs(strands, legs, layer) for layer in core.layers]
+        terms.append((labels, Morphism._of(core.source, core.target, core.mode, layers)))
+    return SkeinElement(product.backend, pattern, product.argument, terms).canonical()
 
 
 def fock_rosly_sigma(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> SigmaResult:

@@ -7,11 +7,12 @@ the pattern: each handle contributes its label at its +-end slot and the
 dual at its --end slot, slots ordered vertex by vertex along the cilia.
 
 The product of two elements places the second element's strands beside the
-first's at every slot (second to the right at +-ends, mirrored at --ends)
-and realizes the interleaving by backend braidings; composite handle
-labels are immediately reduced to simples by Clebsch-Gordan insertion.
-The product is one walk over its crossings, each step tagged with its kind,
-which the diagrammatic first-order machinery reuses.
+first's at every slot (second to the right at +-ends, mirrored at --ends,
+`strand_positions`) and realizes the interleaving by backend braidings;
+composite handle labels are immediately reduced to simples by
+Clebsch-Gordan insertion.  `product_terms` is the one walk over a
+product's crossings; the classical first-order rules insert their legs on
+its finished terms.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
     for h, h2 in steps:
         blocks += [(slot[h, 1], labels[h]), (slot[h2, -1], dual(labels[h]))]
     core = backend.flat_apply([], [(0, 0, backend.coev(labels[h])) for h, _ in steps])
-    for _, context, i, pair in _crossings(blocks, lambda tag_l, tag_r: "flip"):
+    for context, i, pair in _crossings(blocks):
         core = backend.apply(context, [(i, 2, flip_matrix(*pair, backend.mode))], core)
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
@@ -412,12 +413,12 @@ def _coordinates(m: Morphism, basis):
 # ---------------------------------------------------------------------------
 
 
-def _crossings(blocks, kind):
+def _crossings(blocks):
     """The crossings that bubble-sort (tag, object) blocks by their tags.
 
-    Before each swap of adjacent blocks yields (kind(left tag, right tag),
-    context, position, (left object, right object)), the context being the
-    objects in their current order; each pair of blocks crosses at most once.
+    Before each swap of adjacent blocks yields (context, position, (left
+    object, right object)), the context being the objects in their current
+    order; each pair of blocks crosses at most once.
     """
     work = list(blocks)
     changed = True
@@ -426,9 +427,19 @@ def _crossings(blocks, kind):
         for i in range(len(work) - 1):
             (tag_l, left), (tag_r, right) = work[i], work[i + 1]
             if tag_l > tag_r:
-                yield kind(tag_l, tag_r), [o for _, o in work], i, (left, right)
+                yield [o for _, o in work], i, (left, right)
                 work[i], work[i + 1] = work[i + 1], work[i]
                 changed = True
+
+
+def strand_positions(pattern: SurfacePattern):
+    """Per slot, the positions of the first and the second factor's strands in a product's boundary word.
+
+    The two strands at slot i take positions 2i and 2i + 1: the first
+    factor's strand sits left at +-ends and right at --ends.
+    """
+    slots = pattern.all_slots()
+    return [(2 * i, 2 * i + 1) if end.sign > 0 else (2 * i + 1, 2 * i) for i, (_, end) in enumerate(slots)]
 
 
 def product_argument(s1: SkeinElement, s2: SkeinElement):
@@ -436,49 +447,39 @@ def product_argument(s1: SkeinElement, s2: SkeinElement):
     return tuple(word_tensor(a, b) for a, b in zip(s1.argument, s2.argument))
 
 
-def product_term_chains(s1: SkeinElement, s2: SkeinElement, crossing):
-    """Per term pair: the composite labels, the start core and the step chain.
+def product_terms(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElement:
+    """The terms of mu(s1, s2, positive) before `canonical()`, one per term pair.
 
-    The chain lists steps (kind, context, placed, pair) in application order;
-    applying them in turn to the start core, the identity of the interleaved
-    argument word, with `BackendSpec.apply` gives the term core of the
-    product.  Stage A reorders the argument blocks from (X_1, Y_1, ..., X_k,
-    Y_k) to (X_1..X_k, Y_1..Y_k) by "argument" crossings.  The "tensor" step,
-    whose pair is None, tensors the two cores.  Stage B reorders the boundary
-    strands from (all of s1's, all of s2's) to the per-slot interleaving,
-    second element's strand right of the first's at +-ends and mirrored at
-    --ends; a crossing of two strands at one vertex is "interior", any other
-    "boundary".  `crossing(kind, left, right)` gives each crossing's morphism.
-    Operands over different backends or on different patterns are refused here.
+    Stage A reorders the argument blocks from (X_1, Y_1, ..., X_k, Y_k) to
+    (X_1..X_k, Y_1..Y_k), once, on the identity of the interleaved argument
+    word.  Each term then tensors the two cores and, in stage B, moves the
+    boundary strands from (all of s1's, all of s2's) to their
+    `strand_positions`.  Labels are the composite pairs.  Operands over
+    different backends or on different patterns are refused here.
     """
     s1._check_compatible(s2)
-    backend = s1.backend
-    pattern = s1.pattern
-    slots = pattern.all_slots()
-    vertex = [end.vertex for _, end in slots]
-    # a strand's tag is (slot, side rank): s1's strand first at +-ends, s2's at --ends
-    rank = [(0, 1) if end.sign > 0 else (1, 0) for _, end in slots]
+    backend, pattern = s1.backend, s1.pattern
 
-    def steps(crossings):
-        for kind, context, i, pair in crossings:
-            yield kind, context, [(i, 2, crossing(kind, *pair))], pair
+    def walk(blocks, over, core):
+        for context, i, (left, right) in _crossings(blocks):
+            b = backend.braiding(left, right) if over else backend.braiding_inv(right, left)
+            core = backend.apply(context, [(i, 2, b)], core)
+        return core
 
     pairs = zip(s1.argument, s2.argument)
     arg_blocks = [((side, v), a) for v, pair in enumerate(pairs) for side, a in enumerate(pair)]
     start = Morphism.identity(_source_word([a for _, a in arg_blocks]), backend.mode)
-    arg_steps = list(steps(_crossings(arg_blocks, lambda tag_l, tag_r: "argument")))
-
-    def slot_kind(tag_l, tag_r):
-        return "interior" if vertex[tag_l[0]] == vertex[tag_r[0]] else "boundary"
-
+    start = walk(arg_blocks, not positive, start)
+    places = strand_positions(pattern)
+    terms = []
     for labels1, f in s1.terms:
         for labels2, g in s2.terms:
-            slot_blocks = [((i, rank[i][0]), o) for i, o in enumerate(slot_objects(pattern, labels1))]
-            slot_blocks += [((i, rank[i][1]), o) for i, o in enumerate(slot_objects(pattern, labels2))]
-            chain = arg_steps + [("tensor", [f.source, g.source], [(0, 1, f), (1, 1, g)], None)]
-            chain.extend(steps(_crossings(slot_blocks, slot_kind)))
-            new_labels = tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2))
-            yield new_labels, start, chain
+            blocks = [(places[i][0], o) for i, o in enumerate(slot_objects(pattern, labels1))]
+            blocks += [(places[i][1], o) for i, o in enumerate(slot_objects(pattern, labels2))]
+            core = backend.apply([f.source, g.source], [(0, 1, f), (1, 1, g)], start)
+            labels = tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2))
+            terms.append((labels, walk(blocks, positive, core)))
+    return SkeinElement(backend, pattern, product_argument(s1, s2), terms)
 
 
 def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElement:
@@ -490,19 +491,7 @@ def mu(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> SkeinElemen
     disk algebra satisfies sigma = mu0 o t-hat on the second components.
     positive=False is the global mirror.
     """
-    backend = s1.backend
-
-    def crossing(kind, left, right):
-        if positive != (kind == "argument"):
-            return backend.braiding(left, right)
-        return backend.braiding_inv(right, left)
-
-    out_terms = []
-    for new_labels, core, chain in product_term_chains(s1, s2, crossing):
-        for _, context, placed, _ in chain:
-            core = backend.apply(context, placed, core)
-        out_terms.append((new_labels, core))
-    return SkeinElement(backend, s1.pattern, product_argument(s1, s2), out_terms).canonical()
+    return product_terms(s1, s2, positive).canonical()
 
 
 def mu_op_minus(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:

@@ -13,7 +13,6 @@ the left" convention on the merged disk).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import FusionError
 
@@ -92,9 +91,6 @@ class SurfacePattern:
     @property
     def n_handles(self):
         return len(self.handles)
-
-    def euler_characteristic(self):
-        return self.n_vertices - self.n_handles
 
     def slots_at(self, v: int):
         """Handle ends at vertex v in cilium order: list of (handle index, end)."""
@@ -201,23 +197,3 @@ def genus_two_one_boundary() -> SurfacePattern:
     """Genus-2 surface with one boundary circle: two interleaved handle pairs."""
     p = disjoint_union(once_punctured_torus(), once_punctured_torus())
     return fuse(p, 0, 1)
-
-
-def pattern_canonical_form(p: SurfacePattern):
-    """Canonical encoding under vertex relabeling (small patterns only)."""
-    best = None
-    for perm in permutations(range(p.n_vertices)):
-        handles = []
-        for h in p.handles:
-            ends = tuple(sorted(((perm[e.vertex], e.slot, e.sign) for e in h.ends)))
-            handles.append(ends)
-        code = tuple(sorted(handles))
-        if best is None or code < best:
-            best = code
-    return (p.n_vertices, best)
-
-
-def pattern_isomorphic(p: SurfacePattern, q: SurfacePattern) -> bool:
-    if p.n_vertices != q.n_vertices or p.n_handles != q.n_handles:
-        return False
-    return pattern_canonical_form(p) == pattern_canonical_form(q)

@@ -284,10 +284,6 @@ def tensor(left: TangleWord, right: TangleWord) -> TangleWord:
     return TangleWord(left.bottom + right.bottom, tuple(slices), coupons)
 
 
-def identity_word(strands) -> TangleWord:
-    return TangleWord(tuple(strands), (), {})
-
-
 # ---------------------------------------------------------------------------
 # Moves
 # ---------------------------------------------------------------------------

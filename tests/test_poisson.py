@@ -28,20 +28,22 @@ from skeinlab.ribbon_backend import (
 from skeinlab.scalars import classical_mode
 from skeinlab.skein_algebra import (
     SkeinElement,
+    _crossings,
     holonomy_evaluate,
     lift_element,
     loop_element,
     mu,
     mu_op_minus,
     product_argument,
-    product_term_chains,
     random_element,
     slot_objects,
+    strand_positions,
     unit_element,
 )
 from skeinlab.poisson import (
     SigmaResult,
     _end_pairs_tensor,
+    _goldman_triples,
     check_fusion,
     fock_rosly_consistency,
     fock_rosly_sigma,
@@ -217,11 +219,108 @@ def test_lifted_products_and_genus_two_sigmas_are_pinned():
 
 
 def test_goldman_sites_counts():
-    # annulus: two interior sites; torus: eight; disk: one
-    for pattern, count in ((DISK, 1), (ANN, 2), (TOR, 8)):
-        unit = unit_element(CL, pattern)
-        ((_, _, chain),) = product_term_chains(unit, unit, lambda kind, left, right: CL.braiding(left, right))
-        assert [kind for kind, *_ in chain].count("interior") == count
+    """Goldman inserts t once per pair of strands that cross at one vertex.
+
+    Those are the same-vertex end pairs whose blocks swap when `_crossings`
+    sorts the product's strands by their `strand_positions`: at a vertex
+    with n ends, m of them --ends, n(n - 1)/2 + m pairs.
+    """
+    for pattern, count in (
+        (DISK, 1),
+        (ANN, 2),
+        (TOR, 8),
+        (two_strand_chaps(), 4),
+        (genus_two_one_boundary(), 32),
+    ):
+        slots = pattern.all_slots()
+        places = strand_positions(pattern)
+        blocks = [(p1, (1, i)) for i, (p1, _) in enumerate(places)]
+        blocks += [(p2, (2, j)) for j, (_, p2) in enumerate(places)]
+        swaps = [pair for _, _, pair in _crossings(blocks)]
+        assert all(left[0] == 1 and right[0] == 2 for left, right in swaps)
+        same_vertex = [(i, j) for (_, i), (_, j) in swaps if slots[i][1].vertex == slots[j][1].vertex]
+        triples = _goldman_triples(pattern)
+        assert all(tensor is T_TENSOR for _, _, tensor in triples)
+        pairs = [(i, j) for i, j, _ in triples]
+        assert sorted(pairs) == sorted(same_vertex) and len(set(pairs)) == len(pairs), pattern
+        ends = [[e for _, e in pattern.slots_at(v)] for v in range(pattern.n_vertices)]
+        assert len(pairs) == sum(len(e) * (len(e) - 1) // 2 + sum(x.sign < 0 for x in e) for e in ends) == count
+
+
+def _reference_walk(s1, s2):
+    """mu's classical walk per term pair, rebuilt beside `product_terms` from `_crossings`.
+
+    Yields (labels, start, steps); applying the steps (context, placed,
+    site) in turn to `start`, the identity of the interleaved argument
+    word, gives the product term's core.  The argument flips come first,
+    then the tensor of the two cores (site None), then the boundary flips,
+    each strand tagged (slot, rank) with the first factor's strand first at
+    +-ends.  `site` is True on a flip of two strands at one vertex.
+    """
+    backend, pattern = s1.backend, s1.pattern
+    slots = pattern.all_slots()
+    rank = [(0, 1) if end.sign > 0 else (1, 0) for _, end in slots]
+
+    def flips(blocks, same_vertex):
+        steps = []
+        for context, i, ((tag_l, left), (tag_r, right)) in _crossings([(tag, (tag, o)) for tag, o in blocks]):
+            flip = flip_matrix(left, right, backend.mode)
+            steps.append(([o for _, o in context], [(i, 2, flip)], same_vertex(tag_l, tag_r)))
+        return steps
+
+    arg_blocks = [((side, v), a) for v, pair in enumerate(zip(s1.argument, s2.argument)) for side, a in enumerate(pair)]
+    start = Morphism.identity(tensor_word([leaf for _, a in arg_blocks for leaf in a.leaves()]), backend.mode)
+    arg_steps = flips(arg_blocks, lambda tag_l, tag_r: False)
+    for labels1, f in s1.terms:
+        for labels2, g in s2.terms:
+            blocks = [((i, rank[i][0]), o) for i, o in enumerate(slot_objects(pattern, labels1))]
+            blocks += [((i, rank[i][1]), o) for i, o in enumerate(slot_objects(pattern, labels2))]
+            steps = arg_steps + [([f.source, g.source], [(0, 1, f), (1, 1, g)], None)]
+            steps += flips(blocks, lambda tag_l, tag_r: slots[tag_l[0]][1].vertex == slots[tag_r[0]][1].vertex)
+            yield tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2)), start, steps
+
+
+def _reference_goldman(s1, s2):
+    """Goldman's rule as a two-core walk: flip o t at each same-vertex crossing as it happens.
+
+    One pass carries the plain core and the sum of the insertions made so
+    far, as `sigma_goldman` did before it inserted t on the finished terms.
+    """
+    backend = s1.backend
+    terms = []
+    for labels, plain, steps in _reference_walk(s1, s2):
+        total = None
+        for context, placed, site in steps:
+            if site:
+                i = placed[0][0]
+                t = backend.apply(context, [(i, 2, backend.inf_braiding(context[i], context[i + 1]))], plain)
+                total = t if total is None else total + t
+            if total is not None:
+                total = backend.apply(context, placed, total)
+            plain = backend.apply(context, placed, plain)
+        if total is not None:
+            terms.append((labels, total))
+    return SkeinElement(backend, s1.pattern, product_argument(s1, s2), terms).canonical()
+
+
+def test_sigma_goldman_matches_the_two_core_walk():
+    rng = random.Random(52)
+    nonzero = set()
+    for name, pattern, argument, pool, n_pairs in (
+        ("disk", DISK, (V, V), (0, 1, 2), 3),
+        ("annulus", ANN, (simple(2),), (1, 2), 3),
+        ("torus", TOR, None, (0, 1), 3),
+        ("chaps", two_strand_chaps(), (V, V), (0, 1), 3),
+        ("genus two", genus_two_one_boundary(), None, (1,), 1),
+    ):
+        for _ in range(n_pairs):
+            s1 = random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            s2 = random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            expected = _reference_goldman(s1, s2)
+            assert sigma_goldman(s1, s2).element.terms == expected.terms, name
+            if expected.terms:
+                nonzero.add(name)
+    assert nonzero == {"disk", "annulus", "torus", "chaps", "genus two"}, nonzero
 
 
 def test_goldman_torus_generators():
@@ -471,15 +570,16 @@ def _kron_leg_insertion(factors, first, second, tensor):
 def _reference_slot_insertion_product(s1, s2, triples):
     """The vertex sum as one D x D insertion matrix `mid` per label tuple, composed with the core.
 
-    The construction `_slot_insertion_product` used before it applied the
-    insertions to the core, with `_kron_leg_insertion` for `leg_insertion`.
+    `mid` acts right after the tensor step of `_reference_walk`, on the
+    word W_f (x) W_g, before any strand moves; it is built with
+    `_kron_leg_insertion` for `leg_insertion`.
     """
     backend = s1.backend
     pattern = s1.pattern
     nslots = len(pattern.all_slots())
     slot_cache = {}
     out_terms = []
-    for new_labels, core, chain in product_term_chains(s1, s2, lambda kind, left, right: backend.braiding(left, right)):
+    for new_labels, core, steps in _reference_walk(s1, s2):
         objs1 = slot_objects(pattern, [lab.left for lab in new_labels])
         objs2 = slot_objects(pattern, [lab.right for lab in new_labels])
         factors = tuple(objs1 + objs2)
@@ -491,9 +591,9 @@ def _reference_slot_insertion_product(s1, s2, triples):
             word = tensor_word(list(factors))
             slot_cache[factors] = Morphism(word, word, backend.mode, [entries])
         mid = slot_cache[factors]
-        for kind, context, placed, _ in chain:
+        for context, placed, site in steps:
             core = backend.apply(context, placed, core)
-            if kind == "tensor":
+            if site is None:
                 core = mid @ core
         out_terms.append((new_labels, core))
     out = SkeinElement(backend, pattern, product_argument(s1, s2), out_terms)

@@ -17,7 +17,6 @@ from skeinlab.tangle import (
     apply_move,
     compose,
     coupon_then_cross,
-    identity_word,
     random_word,
     reparenthesize_coupon,
     rt_evaluate,
@@ -30,7 +29,7 @@ BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 3)]
 
 def test_empty_word_is_identity_on_unit():
     cl = make_backend("classical")
-    w = identity_word([])
+    w = TangleWord((), (), {})
     m = rt_evaluate(w, cl)
     assert m == Morphism.identity(tensor_word([]), cl.mode)
 
@@ -55,7 +54,7 @@ def test_compose_functorial_and_tensor_monoidal():
     for name, order in BACKENDS:
         bk = make_backend(name, order)
         upper = random_word(rng, bk, n_strands=2, n_slices=2)
-        lower = identity_word(upper.bottom)
+        lower = TangleWord(upper.bottom, (), {})
         w = compose(upper, lower)
         assert rt_evaluate(w, bk) == rt_evaluate(upper, bk)
         # genuine stacking: evaluation is functorial
@@ -88,7 +87,7 @@ def test_eval_compose_braid_inverse():
     for name, order in BACKENDS:
         bk = make_backend(name, order)
         w = TangleWord((V1, V1), ((Cell("braid+", 0),), (Cell("braid-", 0),)), {})
-        assert rt_evaluate(w, bk) == rt_evaluate(identity_word([V1, V1]), bk), name
+        assert rt_evaluate(w, bk) == rt_evaluate(TangleWord((V1, V1), (), {}), bk), name
 
 
 def test_all_moves_all_backends():
@@ -120,7 +119,7 @@ def test_sphere_relation_torsion_defect():
     for name in ("quantum", "drinfeld"):
         bk = make_backend(name, 2)
         sq = TangleWord((V1,), ((Cell("twist+", 0),), (Cell("twist+", 0),)), {})
-        defect = rt_evaluate(sq, bk) - rt_evaluate(identity_word([V1]), bk)
+        defect = rt_evaluate(sq, bk) - rt_evaluate(TangleWord((V1,), (), {}), bk)
         expected = Morphism.identity(simple(1), bk.mode).scale(
             ScalarSeries.from_coeffs(bk.mode, [0, "3/2"])
         )
@@ -144,7 +143,7 @@ def test_reparenthesize_coupon_roundtrip():
 
 
 def test_coupon_slide_move_error():
-    w = identity_word([V1, V1])
+    w = TangleWord((V1, V1), (), {})
     with pytest.raises(MoveError):
         apply_move(w, "CouponSlide", (0, 0))
     with pytest.raises(MoveError):
@@ -175,7 +174,7 @@ def test_word_json_roundtrip():
 
 
 def test_r2_reduce_direction():
-    w = identity_word([V1, V1])
+    w = TangleWord((V1, V1), (), {})
     grown = apply_move(w, "R2", (0, 0, "insert"))
     back = apply_move(grown, "R2", (0, 0, "reduce"))
     assert back.slices == w.slices

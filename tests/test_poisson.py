@@ -218,6 +218,43 @@ def test_lifted_products_and_genus_two_sigmas_are_pinned():
     assert digest == "0de5364867183004f1d68bd51a161f0379fc0c2fbff5a05663a8deff32f71a46"
 
 
+def test_products_with_composite_arguments_are_pinned():
+    """mu and mu^op- on Drinfeld(3) and quantum(5) lifts of pairs whose arguments are composite words, pinned.
+
+    The arguments are not left-nested, so the argument crossings move
+    blocks of several strands and the Drinfeld coherence of each crossing
+    rebrackets inside them.  The disk pairs are sums of two random
+    elements; the chaps pair is one term on each side.
+    """
+    adj, vvd = simple(2), TensorObj(V, DualObj(V))
+    d3, q5 = make_backend("drinfeld", 3), make_backend("quantum", 5)
+    cases = (
+        (DISK, (vvd, adj), (vvd, adj), 2),
+        (DISK, (TensorObj(V, TensorObj(V, V)), TensorObj(adj, V)), (vvd, adj), 2),
+        (DISK, (TensorObj(TensorObj(DualObj(V), adj), V), UNIT), (V, TensorObj(V, TensorObj(DualObj(V), V))), 2),
+        (two_strand_chaps(), (TensorObj(V, TensorObj(V, V)), V), (vvd, TensorObj(DualObj(V), V)), 1),
+    )
+    outputs = []
+    for pattern, a1, a2, summands in cases:
+        rng = random.Random(9)
+        pool = (0, 1, 2) if summands > 1 else (0, 1)
+        for _ in range(summands):
+            s1, s2 = (
+                reduce(
+                    SkeinElement.__add__,
+                    [random_element(CL, pattern, rng, label_pool=pool, argument=a) for _ in range(summands)],
+                )
+                for a in (a1, a2)
+            )
+            for bk in (d3, q5):
+                a, b = lift_element(s1, bk), lift_element(s2, bk)
+                outputs += [mu(a, b).to_json(), mu_op_minus(a, b).to_json()]
+    assert len(outputs) == 3 * 2 * 2 * 2 + 2 * 2
+    assert all(out["terms"] for out in outputs)
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "c9bbab37c714f089d3e1247414710e052b20bc1f7877972aeda268078607b60e"
+
+
 def test_goldman_sites_counts():
     """Goldman inserts t once per pair of strands that cross at one vertex.
 

@@ -51,7 +51,8 @@ identity.  On the other backends it relabels.
 a cup or cap) acts inside a word: it moves the sparse rows of a core by
 mixed-radix index arithmetic and never builds id (x) m (x) id on the word.
 `flat_apply` is `apply` on the identity, for callers whose answer is that
-matrix.
+matrix.  `sort_blocks` walks the crossings that reorder a word's blocks:
+each acts at the blocks' fixed positions, then the rows move once.
 
 All exact linear solving goes through one solver on integer layers:
 `_factor` reduces the constant layer once, fraction-free (rows stay
@@ -82,7 +83,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, gcd, lcm, prod
 
 from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
@@ -874,52 +875,33 @@ def insert_legs(factors, terms, m):
     whose rows index the flat word of `factors`, and g^(p) is g acting on
     factors[p] (id (x) g (x) id).  Each term acts as one small integer
     operator on the factors its legs touch (`_leg_operator`), in one pass
-    over m: an entry of the operator moves a row of m by a fixed offset
-    (`_leg_offsets`).  The result is the canonical sum of the terms.
+    over m that moves its rows by fixed offsets (`_leg_offsets`), and adds
+    into one running sum over the terms' common denominator.
     """
     den, entries = m
-    strides = [1] * len(factors)  # strides[p]: the row step of factors[p] in the flat word
-    for p in range(len(factors) - 1, 0, -1):
-        strides[p - 1] = strides[p] * factors[p].dim
-    tensors = {}  # id -> integer form, so no term hashes a tensor's Fractions
-    out = []
+    strides = [prod(f.dim for f in factors[p + 1 :]) for p in range(len(factors))]
+    tensors = {id(t): t for *_, t in terms}  # so no term hashes a tensor's Fractions
+    common = lcm(*(c.denominator for t in tensors.values() for c, *_ in t))
+    ints = {k: tuple((c.numerator * (common // c.denominator), *g) for c, *g in t if c) for k, t in tensors.items()}
+    acc = {}
     for *positions, tensor in terms:
-        t = tensors.get(id(tensor))
-        if t is None:
-            t = tensors[id(tensor)] = _int_tensor(tensor)
         slots = sorted(set(positions))
-        digits, by_col = _leg_offsets(
-            tuple(factors[p] for p in slots), tuple(map(slots.index, positions)), t, tuple(strides[p] for p in slots)
-        )
-        acc = {}
-        for (r, j), y in entries.items():
-            c = 0
-            for stride, d in digits:
-                c = c * d + r // stride % d
-            for offset, x in by_col.get(c, ()):
-                key = (r + offset, j)
-                s = acc.get(key)
-                acc[key] = x * y if s is None else s + x * y
-        out.append((den * t[0], {k: v for k, v in acc.items() if v}))
-    return _sum(out)
-
-
-def _int_tensor(tensor):
-    """(den, ((n_k, g_k1, ...), ...)): a tensor's coefficients over their common denominator."""
-    den = lcm(*(c.denominator for c, *_ in tensor))
-    return den, tuple((c.numerator * (den // c.denominator), *gens) for c, *gens in tensor if c)
+        op = _leg_operator(tuple(factors[p] for p in slots), tuple(map(slots.index, positions)), ints[id(tensor)])
+        compiled = _leg_offsets(tuple(factors[p].dim for p in slots), tuple(strides[p] for p in slots), op)
+        _int_offset_apply(compiled, entries, acc)
+    return _layer(den * common, {k: v for k, v in acc.items() if v})
 
 
 @lru_cache(maxsize=None)
 def _leg_operator(objs, slots, tensor):
-    """The integer matrix of sum_k n_k G_k1 (x) ... (x) G_km on the word of `objs`.
+    """The integer matrix of sum_k n_k G_k1 (x) ... (x) G_km on the word of `objs`, as ((k, c), n) items.
 
-    `tensor` is an `_int_tensor`, leg i acts on objs[slots[i]], and G_ks is
-    the product of the generators of the legs on objs[s], the first leg on
-    the left.  A unit factor makes the operator zero.
+    `tensor` lists (n_k, g_k1, ...) with integer n_k, leg i acts on
+    objs[slots[i]], and G_ks is the product of the generators of the legs
+    on objs[s], the first leg on the left.  A unit factor makes it zero.
     """
     total = {}
-    for n, *gens in tensor[1]:
+    for n, *gens in tensor:
         op = {(0, 0): n}
         for s, obj in enumerate(objs):
             g = _int_ident(obj.dim)
@@ -928,20 +910,19 @@ def _leg_operator(objs, slots, tensor):
                     g = _int_compose(g, classical_action(gen, obj))
             op = _int_kron(op, g, obj.dim, obj.dim)
         _int_iadd(total, op)
-    return total
+    return tuple(total.items())
 
 
 @lru_cache(maxsize=None)
-def _leg_offsets(objs, slots, tensor, strides):
-    """`_leg_operator` compiled for factors at the given row strides of a flat word.
+def _leg_offsets(dims, strides, op):
+    """An operator's ((k, c), n) entries `op`, on factors of the given dims at the given row strides of a flat word.
 
-    Returns (digits, by_col): a row r of the word has the operator
-    column c = sum_s digit_s(r) prod_{t > s} dim_t with digit_s(r) =
-    r // stride_s % dim_s, read by the (stride, dim) pairs `digits`, and
-    by_col[c] lists (offset, n) for the operator's entries n in column c:
-    each moves row r to r + offset, offset = sum_s (k_s - c_s) stride_s.
+    The factors need not be adjacent.  Returns (digits, by_col): row r has
+    the operator column c = sum_s digit_s(r) prod_{t > s} dim_t with
+    digit_s(r) = r // stride_s % dim_s, read by the (stride, dim) pairs
+    `digits`, and by_col[c] lists (offset, n) for the entries n in column
+    c: each moves row r to r + offset, offset = sum_s (k_s - c_s) stride_s.
     """
-    dims = [obj.dim for obj in objs]
 
     def place(code):  # an operator index as a row offset in the flat word
         total = 0
@@ -951,9 +932,63 @@ def _leg_offsets(objs, slots, tensor, strides):
         return total
 
     by_col = {}
-    for (k, c), n in _leg_operator(objs, slots, tensor).items():
+    for (k, c), n in op:
         by_col.setdefault(c, []).append((place(k) - place(c), n))
     return tuple(zip(strides, dims)), {c: tuple(v) for c, v in by_col.items()}
+
+
+def _int_offset_apply(compiled, b, out):
+    """out += op b, in one pass over b's rows, for an operator compiled by `_leg_offsets`; cancelled entries stay as zeros."""
+    digits, by_col = compiled
+    for (r, j), y in b.items():
+        c = 0
+        for stride, d in digits:
+            c = c * d + r // stride % d
+        for offset, x in by_col.get(c, ()):
+            key = (r + offset, j)
+            s = out.get(key)
+            out[key] = x * y if s is None else s + x * y
+    return out
+
+
+def _crossings(blocks):
+    """The crossings that bubble-sort (tag, object) blocks by their tags.
+
+    Before each swap of adjacent blocks yields (context, position, (left
+    object, right object)), the context being the objects in their current
+    order; each pair of blocks crosses at most once.
+    """
+    work = list(blocks)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            (tag_l, left), (tag_r, right) = work[i], work[i + 1]
+            if tag_l > tag_r:
+                yield [o for _, o in work], i, (left, right)
+                work[i], work[i + 1] = work[i + 1], work[i]
+                changed = True
+
+
+@lru_cache(maxsize=None)
+def _relabelling(dims, final):
+    """(hi, lo, low): row r of a flat word goes to hi[r // low] + lo[r % low] when its factors move into the order `final`.
+
+    The tables cover the two halves of the factors, so each is near the
+    square root of the word's dimension; one table would be all of it.
+    """
+    strides, step = [0] * len(dims), 1
+    for n in reversed(final):
+        strides[n], step = step, step * dims[n]
+    split = len(dims) // 2
+
+    def table(factors):
+        out = [0]
+        for n in factors:
+            out = [x + d * strides[n] for x in out for d in range(dims[n])]
+        return out
+
+    return table(range(split)), table(range(split, len(dims))), prod(dims[split:])
 
 
 def exp_nilseries(m, d, mode: RingMode, rate=Fraction(1)):
@@ -1348,6 +1383,56 @@ class BackendSpec:
         """
         word = tensor_word([leaf for obj in context for leaf in obj.leaves()])
         return self.apply(context, placed, Morphism.identity(word, self.mode))
+
+    def sort_blocks(self, blocks, over: bool, core: Morphism) -> Morphism:
+        """`core` followed by the crossings (`_crossings`) that sort the (tag, object) blocks of its target by tag.
+
+        A crossing, braiding(left, right) if `over` else braiding_inv(right,
+        left), is flip o B with B = flip(right, left) o crossing.  The flips
+        move to the end, so B acts at the blocks' original positions (an
+        uncrossed pair keeps its order; `_leg_offsets`, skipped if B = 1, as
+        on classical) and one row relabelling ends the walk.  A nontrivial
+        associator adds `apply`'s two rebrackets per crossing, h^2 (X_in +
+        P^-1 X_out P) m_0, on the starting layer 0 (h^3 = 0, B = 1 + O(h)).
+        """
+        objs = [o for _, o in blocks]
+        dims = [o.dim for o in objs]
+        strides = [prod(dims[p + 1 :]) for p in range(len(dims))]
+        first = list(accumulate((len(o.leaves()) for o in objs), initial=0))  # block n's leaves start at first[n]
+        layers, legs = core.layers, []
+
+        def flat(order):
+            return tensor_word([x for n in order for x in objs[n].leaves()])
+
+        def placement(order, i):  # the raw placement word of a crossing at i
+            words = [objs[n] for n in order]
+            return reduce(word_tensor, words[:i] + [word_tensor(words[i], words[i + 1])] + words[i + 2 :], UNIT)
+
+        def act(op, m):  # an operator on blocks a and b, at their original positions
+            out = _int_offset_apply(_leg_offsets((dims[a], dims[b]), (strides[a], strides[b]), op), m, {})
+            return {k: v for k, v in out.items() if v}
+
+        for before, i, (a, b) in _crossings([(tag, n) for n, (tag, _) in enumerate(blocks)]):
+            rest = self._cached(("rest", over, objs[a], objs[b]), lambda: self._crossing_rest(over, objs[a], objs[b]))
+            if rest is not None:
+                layers = _layers_add(layers, _convolve(rest, layers, act))
+            if self.nontrivial_associator:
+                after = before[:i] + [b, a] + before[i + 2 :]
+                for order, src, tgt in ((before, flat(before), placement(before, i)), (after, placement(after, i), flat(after))):
+                    leaf = [k for n in order for k in range(first[n], first[n + 1])]
+                    legs += [(*(leaf[p] for p in ijk), t) for *ijk, t in _coherence_legs(src, tgt)]
+        if legs:
+            layers = (*layers[:2], _add(layers[2], insert_legs(flat(range(len(objs))).leaves(), legs, core.layers[0])))
+        final = sorted(range(len(blocks)), key=lambda n: blocks[n][0])
+        hi, lo, low = _relabelling(tuple(dims), tuple(final))
+        layers = [(d, {(hi[r // low] + lo[r % low], j): v for (r, j), v in e.items()}) for d, e in layers]
+        return Morphism._of(core.source, flat(final), self.mode, layers)
+
+    def _crossing_rest(self, over, left, right):
+        """B - 1 for B = flip(right, left) o crossing, as layers of hashable entries; None when B = 1."""
+        b = self.braiding(left, right) if over else self.braiding_inv(right, left)
+        rest = flip_matrix(right, left, self.mode) @ b - Morphism.identity(b.source, self.mode)
+        return None if rest.is_zero else tuple((d, tuple(e.items())) for d, e in rest.layers)
 
     # -- Clebsch-Gordan -------------------------------------------------------
 

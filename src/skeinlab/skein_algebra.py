@@ -8,11 +8,11 @@ dual at its --end slot, slots ordered vertex by vertex along the cilia.
 
 The product of two elements places the second element's strands beside the
 first's at every slot (second to the right at +-ends, mirrored at --ends,
-`strand_positions`) and realizes the interleaving by backend braidings;
-composite handle labels are immediately reduced to simples by
-Clebsch-Gordan insertion.  `product_terms` is the one walk over a
-product's crossings; the classical first-order rules insert their legs on
-its finished terms.
+`strand_positions`) and realizes the interleaving by backend braidings,
+each acting at the strands' fixed positions before one row relabelling
+(`BackendSpec.sort_blocks`); composite handle labels are then reduced to
+simples by Clebsch-Gordan insertion.  `product_terms` is the one walk over
+a product's crossings; the first-order rules insert legs on its terms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .ribbon_backend import (
     TensorObj,
     UNIT,
     dual,
-    flip_matrix,
     left_nested,
     make_backend,
     object_from_json,
@@ -278,7 +277,8 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
     Each step h -> h' of a loop is one coev cup from the +-end slot of h to
     the --end slot of h', so the holonomy pairing contracts to
     tr(rho(g_{h1}) rho(g_{h2}) ...); an unused handle is a spin-0 loop of
-    its own.  Flips then move the cups' strands into slot order.
+    its own.  `BackendSpec.sort_blocks` moves the cups' strands into slot
+    order: the crossings are flips, so it only relabels rows.
     """
     if backend.name != "classical":
         raise ModeError("loop generators are built over the classical backend")
@@ -295,9 +295,8 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
     blocks = []  # each cup's two strands, tagged by their slots
     for h, h2 in steps:
         blocks += [(slot[h, 1], labels[h]), (slot[h2, -1], dual(labels[h]))]
-    core = backend.flat_apply([], [(0, 0, backend.coev(labels[h])) for h, _ in steps])
-    for context, i, pair in _crossings(blocks):
-        core = backend.apply(context, [(i, 2, flip_matrix(*pair, backend.mode))], core)
+    cups = backend.flat_apply([], [(0, 0, backend.coev(labels[h])) for h, _ in steps])
+    core = backend.sort_blocks(blocks, True, cups)
     argument = tuple(UNIT for _ in range(pattern.n_vertices))
     return SkeinElement(backend, pattern, argument, [(labels, core)])
 
@@ -413,25 +412,6 @@ def _coordinates(m: Morphism, basis):
 # ---------------------------------------------------------------------------
 
 
-def _crossings(blocks):
-    """The crossings that bubble-sort (tag, object) blocks by their tags.
-
-    Before each swap of adjacent blocks yields (context, position, (left
-    object, right object)), the context being the objects in their current
-    order; each pair of blocks crosses at most once.
-    """
-    work = list(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            (tag_l, left), (tag_r, right) = work[i], work[i + 1]
-            if tag_l > tag_r:
-                yield [o for _, o in work], i, (left, right)
-                work[i], work[i + 1] = work[i + 1], work[i]
-                changed = True
-
-
 def strand_positions(pattern: SurfacePattern):
     """Per slot, the positions of the first and the second factor's strands in a product's boundary word.
 
@@ -452,24 +432,19 @@ def product_terms(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> 
 
     Stage A reorders the argument blocks from (X_1, Y_1, ..., X_k, Y_k) to
     (X_1..X_k, Y_1..Y_k), once, on the identity of the interleaved argument
-    word.  Each term then tensors the two cores and, in stage B, moves the
-    boundary strands from (all of s1's, all of s2's) to their
-    `strand_positions`.  Labels are the composite pairs.  Operands over
+    word.  Each term then tensors the two cores (the only `apply`) and, in
+    stage B, moves the boundary strands from (all of s1's, all of s2's) to
+    their `strand_positions`.  Both stages are one `BackendSpec.sort_blocks`
+    on every backend.  Labels are the composite pairs.  Operands over
     different backends or on different patterns are refused here.
     """
     s1._check_compatible(s2)
     backend, pattern = s1.backend, s1.pattern
 
-    def walk(blocks, over, core):
-        for context, i, (left, right) in _crossings(blocks):
-            b = backend.braiding(left, right) if over else backend.braiding_inv(right, left)
-            core = backend.apply(context, [(i, 2, b)], core)
-        return core
-
     pairs = zip(s1.argument, s2.argument)
     arg_blocks = [((side, v), a) for v, pair in enumerate(pairs) for side, a in enumerate(pair)]
     start = Morphism.identity(_source_word([a for _, a in arg_blocks]), backend.mode)
-    start = walk(arg_blocks, not positive, start)
+    start = backend.sort_blocks(arg_blocks, not positive, start)
     places = strand_positions(pattern)
     terms = []
     for labels1, f in s1.terms:
@@ -478,7 +453,7 @@ def product_terms(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> 
             blocks += [(places[i][1], o) for i, o in enumerate(slot_objects(pattern, labels2))]
             core = backend.apply([f.source, g.source], [(0, 1, f), (1, 1, g)], start)
             labels = tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2))
-            terms.append((labels, walk(blocks, positive, core)))
+            terms.append((labels, backend.sort_blocks(blocks, positive, core)))
     return SkeinElement(backend, pattern, product_argument(s1, s2), terms)
 
 

@@ -19,6 +19,7 @@ from skeinlab.ribbon_backend import (
     T_TENSOR,
     TensorObj,
     UNIT,
+    _crossings,
     classical_action,
     flip_matrix,
     make_backend,
@@ -28,13 +29,13 @@ from skeinlab.ribbon_backend import (
 from skeinlab.scalars import classical_mode
 from skeinlab.skein_algebra import (
     SkeinElement,
-    _crossings,
     holonomy_evaluate,
     lift_element,
     loop_element,
     mu,
     mu_op_minus,
     product_argument,
+    product_terms,
     random_element,
     slot_objects,
     strand_positions,
@@ -253,6 +254,57 @@ def test_products_with_composite_arguments_are_pinned():
     assert all(out["terms"] for out in outputs)
     digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
     assert digest == "c9bbab37c714f089d3e1247414710e052b20bc1f7877972aeda268078607b60e"
+
+
+def _reference_product_terms(s1, s2, positive=True):
+    """`product_terms(s1, s2, positive).terms` by the per-crossing walk: one `apply` of each braiding as it happens."""
+    backend, pattern = s1.backend, s1.pattern
+
+    def walk(blocks, over, core):
+        for context, i, (left, right) in _crossings(blocks):
+            b = backend.braiding(left, right) if over else backend.braiding_inv(right, left)
+            core = backend.apply(context, [(i, 2, b)], core)
+        return core
+
+    arg_blocks = [((side, v), a) for v, pair in enumerate(zip(s1.argument, s2.argument)) for side, a in enumerate(pair)]
+    start = Morphism.identity(tensor_word([leaf for _, a in arg_blocks for leaf in a.leaves()]), backend.mode)
+    start = walk(arg_blocks, not positive, start)
+    places = strand_positions(pattern)
+    terms = []
+    for labels1, f in s1.terms:
+        for labels2, g in s2.terms:
+            blocks = [(places[i][0], o) for i, o in enumerate(slot_objects(pattern, labels1))]
+            blocks += [(places[i][1], o) for i, o in enumerate(slot_objects(pattern, labels2))]
+            core = backend.apply([f.source, g.source], [(0, 1, f), (1, 1, g)], start)
+            labels = tuple(TensorObj(l1, l2) for l1, l2 in zip(labels1, labels2))
+            terms.append((labels, walk(blocks, positive, core)))
+    return terms
+
+
+def test_product_terms_match_the_per_crossing_walk():
+    """The walk at fixed strand positions gives exactly the per-crossing walk's terms.
+
+    On all four backends, Drinfeld at orders 2 and 3, both crossing
+    signs; the disk pairs have composite arguments.  Genus two {V} runs on
+    classical and epsilon only.
+    """
+    adj = simple(2)
+    deformed = (EP, make_backend("quantum", 3), make_backend("drinfeld", 2), make_backend("drinfeld", 3))
+    cases = (
+        (DISK, (V, V), (V, V), (0, 1, 2), deformed),
+        (DISK, (TensorObj(V, DualObj(V)), adj), (TensorObj(V, TensorObj(V, V)), TensorObj(adj, V)), (0, 1, 2), deformed),
+        (TOR, None, None, (0, 1), deformed),
+        (two_strand_chaps(), (V, V), (V, V), (0, 1), deformed),
+        (genus_two_one_boundary(), None, None, (1,), (EP,)),
+    )
+    rng = random.Random(62)
+    for pattern, a1, a2, pool, backends in cases:
+        s1 = random_element(CL, pattern, rng, label_pool=pool, argument=a1)
+        s2 = random_element(CL, pattern, rng, label_pool=pool, argument=a2)
+        for bk in (CL, *backends):
+            a, b = (s1, s2) if bk is CL else (lift_element(s1, bk), lift_element(s2, bk))
+            for positive in (True, False):
+                assert product_terms(a, b, positive).terms == _reference_product_terms(a, b, positive), (bk, positive)
 
 
 def test_goldman_sites_counts():

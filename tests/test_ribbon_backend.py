@@ -20,6 +20,7 @@ from skeinlab.ribbon_backend import (
     TensorObj,
     UNIT,
     UnitObj,
+    _crossings,
     as_layer,
     classical_action,
     dual,
@@ -726,6 +727,31 @@ def test_insert_legs_on_a_matrix_matches_leg_insertion_composed():
         assert to_fractions(insert_legs(factors, pairs, as_layer(m))) == expected, (factors, first, second, tensor)
         seen.add((len(first) > 1 or len(second) > 1, first == second, n % 4))
     assert len(seen) == 16, seen
+
+
+def test_sort_blocks_relabels_rows_as_the_flips_do():
+    """On classical every crossing is the flip, so `sort_blocks` is only its row relabelling.
+
+    Checked against one `apply` of `flip_matrix` per crossing, on random
+    blocks of dims 1 to 6 (unit and trivial-simple blocks included), with
+    some walks that cross nothing.
+    """
+    cl = make_backend("classical")
+    rng = random.Random(61)
+    pool = [UNIT, simple(0), V, VS, ADJ, simple(3), TensorObj(V, ADJ)]
+    crossed = set()
+    for n in range(60):
+        objs = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        tags = list(range(len(objs))) if n % 10 == 0 else [rng.randrange(4) for _ in objs]
+        blocks = list(zip(tags, objs))
+        word = tensor_word([x for o in objs for x in o.leaves()])
+        core = Morphism(ADJ, word, cl.mode, [_random_columns(rng, word.dim, 3)])
+        expected = core
+        for context, i, (left, right) in _crossings(blocks):
+            expected = cl.apply(context, [(i, 2, flip_matrix(left, right, cl.mode))], expected)
+        assert cl.sort_blocks(blocks, n % 2 == 0, core) == expected, blocks
+        crossed.add(any(_crossings(blocks)))
+    assert crossed == {False, True}
 
 
 def test_insert_legs_sums_pairs_with_different_tensors():

@@ -256,6 +256,78 @@ def test_products_with_composite_arguments_are_pinned():
     assert digest == "c9bbab37c714f089d3e1247414710e052b20bc1f7877972aeda268078607b60e"
 
 
+# Hand-built patterns with a handle whose --end comes before its +-end in slot order:
+# one vertex with one handle, a torus with its second handle reversed, and a
+# disk whose --end sits at vertex 0.
+REVERSED_PATTERNS = tuple(
+    SurfacePattern.from_json(data)
+    for data in (
+        {"vertices": 1, "handles": [{"ends": [{"v": 0, "slot": 1, "orient": "+"}, {"v": 0, "slot": 0, "orient": "-"}]}]},
+        {
+            "vertices": 1,
+            "handles": [
+                {"ends": [{"v": 0, "slot": 0, "orient": "+"}, {"v": 0, "slot": 2, "orient": "-"}]},
+                {"ends": [{"v": 0, "slot": 3, "orient": "+"}, {"v": 0, "slot": 1, "orient": "-"}]},
+            ],
+        },
+        {"vertices": 2, "handles": [{"ends": [{"v": 1, "slot": 0, "orient": "+"}, {"v": 0, "slot": 0, "orient": "-"}]}]},
+    )
+)
+
+
+def _sigma_pin_pairs():
+    """(backend, s1, s2) lifted pairs pinned by `test_sigma_algebraic_and_reversed_handles_are_pinned`.
+
+    Each element is a sum of two random classical elements, so label tuples
+    repeat across term pairs; every pair is lifted to epsilon, quantum(3),
+    Drinfeld(2) and Drinfeld(3), and the genus-two {V} pair to epsilon only.
+    """
+    deformed = (EP, make_backend("quantum", 3), make_backend("drinfeld", 2), make_backend("drinfeld", 3))
+    cases = (
+        (DISK, (V, V), (0, 1, 2), deformed),
+        (ANN, None, (0, 1, 2), deformed),
+        (TOR, None, (0, 1), deformed),
+        (two_strand_chaps(), (V, V), (0, 1), deformed),
+        (genus_two_one_boundary(), None, (1,), (EP,)),
+    )
+    rng = random.Random(23)
+    for pattern, argument, pool, backends in cases:
+        s1, s2 = (
+            random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            + random_element(CL, pattern, rng, label_pool=pool, argument=argument)
+            for _ in range(2)
+        )
+        for bk in backends:
+            yield bk, lift_element(s1, bk), lift_element(s2, bk)
+
+
+def test_sigma_algebraic_and_reversed_handles_are_pinned():
+    """sigma_algebraic on lifted sums, and products on patterns with a reversed handle, pinned by a digest.
+
+    The reversed patterns carry composite labels through `canonical()` with
+    the --end of a handle before its +-end; their products run on all four
+    backends, each element a sum of two random ones.
+    """
+    outputs = [(a.pattern, sigma_algebraic(a, b).element.to_json()) for _, a, b in _sigma_pin_pairs()]
+    assert [pattern for pattern, out in outputs if not out["terms"]] == [ANN] * 4  # the annulus bracket vanishes
+    outputs = [out for _, out in outputs]
+    rng = random.Random(25)
+    for pattern in REVERSED_PATTERNS:
+        argument = (V, V) if pattern.n_vertices == 2 else None
+        s1, s2 = (
+            random_element(CL, pattern, rng, label_pool=(1, 2), argument=argument)
+            + random_element(CL, pattern, rng, label_pool=(1, 2), argument=argument)
+            for _ in range(2)
+        )
+        for bk in (CL, EP, make_backend("quantum", 3), make_backend("drinfeld", 3)):
+            a, b = (s1, s2) if bk is CL else (lift_element(s1, bk), lift_element(s2, bk))
+            outputs += [mu(a, b).to_json(), mu_op_minus(a, b).to_json()]
+    assert len(outputs) == 4 * 4 + 1 + 3 * 4 * 2
+    assert all(out["terms"] for out in outputs[17:])
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "946e1767d3e88d92d59cee375c9144a271e588b8522896e2c1f7dbf203e07547"
+
+
 def _reference_product_terms(s1, s2, positive=True):
     """`product_terms(s1, s2, positive).terms` by the per-crossing walk: one `apply` of each braiding as it happens."""
     backend, pattern = s1.backend, s1.pattern

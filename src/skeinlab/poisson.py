@@ -33,7 +33,6 @@ from .skein_algebra import (
     SkeinElement,
     lift_element,
     mu,
-    mu_op_minus,
     product_argument,
     product_terms,
     slot_objects,
@@ -103,10 +102,13 @@ def _flip_arguments(element: SkeinElement, factors, positions, argument) -> Skei
 
 
 def sigma_algebraic(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
-    """[mu - mu^op-]_1 over a deformed backend, as a classical element."""
+    """[mu - mu^op-]_1 over a deformed backend, as a classical element.
+
+    The product terms are subtracted before `canonical()`, so each term
+    pair's two cores cancel in their constant layer before any reduction."""
     if not s1.backend.is_deformed:
         raise ModeError("sigma needs a first-order deformation (epsilon, or quantum or drinfeld at order >= 2)")
-    diff = (mu(s1, s2) - mu_op_minus(s1, s2)).canonical()
+    diff = (product_terms(s1, s2) - product_terms(s1, s2, False)).canonical()
     for _, core in diff.terms:
         if not core.part0().is_zero:
             raise AlgebraError("product difference has a nonzero classical part")

@@ -53,6 +53,7 @@ mixed-radix index arithmetic and never builds id (x) m (x) id on the word.
 `flat_apply` is `apply` on the identity, for callers whose answer is that
 matrix.  `sort_blocks` walks the crossings that reorder a word's blocks:
 each acts at the blocks' fixed positions, then the rows move once.
+`_int_pair_apply` reduces a skein handle's two ends in one pass.
 
 All exact linear solving goes through one solver on integer layers:
 `_factor` reduces the constant layer once, fraction-free (rows stay
@@ -542,6 +543,29 @@ def _int_apply(a, b, right, src, tgt):
             s = out.get(key)
             out[key] = p if s is None else s + p
     return {k: v for k, v in out.items() if v}
+
+
+def _int_pair_apply(table, b, d, mid, inner, limit):
+    """{(out, degree): entries}: maps on two factors of b's rows, in one pass.
+
+    Row (((top d + x) mid + m) d + y) inner + low times v goes to row
+    (((top k + x') mid + m) k + y') inner + low of (out, degree), for each
+    (out, k, x', y', degree, v) in table[(x, y)] with degree < limit."""
+    sums = {}
+    moves = {
+        xy: [(sums.setdefault((out, degree), {}), k * mid * k * inner, k * inner, (x2 * mid * k + y2) * inner, v)
+             for out, k, x2, y2, degree, v in entries if degree < limit]
+        for xy, entries in table.items()
+    }
+    for (r, j), w in b.items():
+        q, low = divmod(r, inner)
+        q, y = divmod(q, d)
+        top, m = divmod(q, mid)
+        top, x = divmod(top, d)
+        for acc, big, small, offset, v in moves.get((x, y), ()):
+            key = (top * big + m * small + offset + low, j)
+            acc[key] = acc.get(key, 0) + w * v
+    return {out: {k: v for k, v in acc.items() if v} for out, acc in sums.items()}
 
 
 def _int_iadd(out, b, w=1):
@@ -1127,20 +1151,24 @@ def _joins(tree):
 
 @lru_cache(maxsize=None)
 def _coherence_legs(src: ObjectExpr, tgt: ObjectExpr):
-    """(i, j, k, tensor) terms of X(src -> tgt), coherence(src, tgt) = 1 + h^2 X.
+    """(i, j, k, sign) terms of X(src -> tgt), coherence(src, tgt) = 1 + h^2 X.
 
     With h^3 = 0 every associator step is 1 + O(h^2), so the steps of any
     rebracketing add their h^2 parts.  A rotation (xy)z -> x(yz) adds
     [t_ij, t_jk] for each leaf triple i in x, j in y, k in z: exactly the
     triples whose psi turns from 0 to 1.  Hence
     X(src -> tgt) = 1/24 sum_{i<j<k} (psi_tgt - psi_src)(i, j, k) Omega_ijk,
-    with Omega = [t12, t23] (`OMEGA_TENSOR`), so each term's coefficients
-    are those of Omega over 24.  Unit factors carry no leaf and give no path.
+    with Omega = [t12, t23], and `_omega(sign)` is each term's tensor.  Unit
+    factors carry no leaf and give no path.
     """
     gained, lost = _joins(tgt), _joins(src)
-    plus = tuple((c / 24, *gens) for c, *gens in OMEGA_TENSOR)
-    minus = tuple((-c, *gens) for c, *gens in plus)
-    return tuple([(*ijk, plus) for ijk in gained - lost] + [(*ijk, minus) for ijk in lost - gained])
+    return tuple([(*ijk, 1) for ijk in gained - lost] + [(*ijk, -1) for ijk in lost - gained])
+
+
+@lru_cache(maxsize=None)
+def _omega(n: int):
+    """n/24 Omega = n/24 [t12, t23] (`OMEGA_TENSOR`) as a three-leg tensor, one object per n."""
+    return tuple((c * n / 24, *gens) for c, *gens in OMEGA_TENSOR)
 
 
 # ---------------------------------------------------------------------------
@@ -1325,7 +1353,8 @@ class BackendSpec:
             return m.retyped(source, target)
         m0, m1, m2 = m.layers
         if target != m.target:
-            m2 = _add(m2, insert_legs(m.target.leaves(), _coherence_legs(m.target, target), m0))
+            legs = [(i, j, k, _omega(n)) for i, j, k, n in _coherence_legs(m.target, target)]
+            m2 = _add(m2, insert_legs(m.target.leaves(), legs, m0))
         if source != m.source:
             y = self.coherence(source, m.source).layers[2]
             m2 = _sum([m2, _product(m0, y, _int_compose)])
@@ -1394,12 +1423,14 @@ class BackendSpec:
         on classical) and one row relabelling ends the walk.  A nontrivial
         associator adds `apply`'s two rebrackets per crossing, h^2 (X_in +
         P^-1 X_out P) m_0, on the starting layer 0 (h^3 = 0, B = 1 + O(h)).
+        Omega is totally antisymmetric, so each leaf triple acts once, its
+        terms summed with the sign of their legs' permutation.
         """
         objs = [o for _, o in blocks]
         dims = [o.dim for o in objs]
         strides = [prod(dims[p + 1 :]) for p in range(len(dims))]
         first = list(accumulate((len(o.leaves()) for o in objs), initial=0))  # block n's leaves start at first[n]
-        layers, legs = core.layers, []
+        layers, legs = core.layers, {}
 
         def flat(order):
             return tensor_word([x for n in order for x in objs[n].leaves()])
@@ -1420,9 +1451,13 @@ class BackendSpec:
                 after = before[:i] + [b, a] + before[i + 2 :]
                 for order, src, tgt in ((before, flat(before), placement(before, i)), (after, placement(after, i), flat(after))):
                     leaf = [k for n in order for k in range(first[n], first[n + 1])]
-                    legs += [(*(leaf[p] for p in ijk), t) for *ijk, t in _coherence_legs(src, tgt)]
-        if legs:
-            layers = (*layers[:2], _add(layers[2], insert_legs(flat(range(len(objs))).leaves(), legs, core.layers[0])))
+                    for *ijk, n in _coherence_legs(src, tgt):
+                        triple = [leaf[p] for p in ijk]
+                        key = tuple(sorted(triple))
+                        legs[key] = legs.get(key, 0) + n * (-1) ** sum(x > y for x, y in combinations(triple, 2))
+        terms = [(*ijk, _omega(n)) for ijk, n in legs.items() if n]
+        if terms:
+            layers = (*layers[:2], _add(layers[2], insert_legs(flat(range(len(objs))).leaves(), terms, core.layers[0])))
         final = sorted(range(len(blocks)), key=lambda n: blocks[n][0])
         hi, lo, low = _relabelling(tuple(dims), tuple(final))
         layers = [(d, {(hi[r // low] + lo[r % low], j): v for (r, j), v in e.items()}) for d, e in layers]

@@ -13,13 +13,17 @@ each acting at the strands' fixed positions before one row relabelling
 (`BackendSpec.sort_blocks`); composite handle labels are then reduced to
 simples by Clebsch-Gordan insertion.  `product_terms` is the one walk over
 a product's crossings; the first-order rules insert legs on its terms.
+`canonical()` sums equal label tuples before it reduces them, one pass per
+composite handle (`_reduce_handle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
+from math import lcm, prod
 
 from .errors import AlgebraError, LabelError, ModeError
 from .polynomials import SL2Poly, sl2_rep_entries
@@ -35,6 +39,7 @@ from .ribbon_backend import (
     object_from_json,
     parse_label,
     simple,
+    _int_pair_apply,
     _sum,
     solve_series,
     tensor_word,
@@ -52,8 +57,8 @@ def slot_objects(pattern: SurfacePattern, labels):
     return objs
 
 
-def _source_word(argument):
-    return tensor_word([leaf for arg in argument for leaf in arg.leaves()])
+def _flat_word(objects):
+    return tensor_word([leaf for obj in objects for leaf in obj.leaves()])
 
 
 @dataclass
@@ -107,8 +112,8 @@ class SkeinElement:
         flat word must be the source of `m`.
         """
         argument = self.argument if argument is None else tuple(argument)
-        if m.target != _source_word(self.argument) or m.source != _source_word(argument):
-            raise AlgebraError(f"{m!r} does not map {_source_word(argument)} onto the argument word")
+        if m.target != _flat_word(self.argument) or m.source != _flat_word(argument):
+            raise AlgebraError(f"{m!r} does not map {_flat_word(argument)} onto the argument word")
         terms = [(labels, core @ m) for labels, core in self.terms]
         return SkeinElement(self.backend, self.pattern, argument, terms)
 
@@ -119,46 +124,56 @@ class SkeinElement:
     # -- canonical form -------------------------------------------------------
 
     def canonical(self) -> "SkeinElement":
-        """Reduce all labels to simples, merge equal label tuples, sort."""
-        terms = list(self.terms)
-        out = []
-        while terms:
-            labels, core = terms.pop()
-            if core.is_zero:
-                continue
-            hi = next((i for i, lab in enumerate(labels) if not isinstance(lab, SimpleObj)), None)
-            if hi is None:
-                out.append((labels, core))
-                continue
-            terms.extend(self._reduce_handle(labels, core, hi))
-        merged = {}
-        for labels, core in out:
-            key = tuple(lab.spin for lab in labels)
-            if key in merged:
-                merged[key] = (labels, merged[key][1] + core)
-            else:
-                merged[key] = (labels, core)
-        final = [(labels, core) for key, (labels, core) in sorted(merged.items()) if not core.is_zero]
-        return SkeinElement(self.backend, self.pattern, self.argument, final)
+        """Reduce all labels to simples, merge equal label tuples, sort.
+
+        Equal tuples, composite ones included, are summed before they are
+        reduced, from the most composite labels down, so each is reduced once."""
+        groups, todo = {}, self.terms
+        for level in range(self.pattern.n_handles, -1, -1):
+            for labels, core in todo:
+                groups[labels] = groups[labels] + core if labels in groups else core
+            todo = []
+            for labels in [l for l in groups if level and sum(not isinstance(x, SimpleObj) for x in l) == level]:
+                core = groups.pop(labels)
+                if not core.is_zero:
+                    hi = next(i for i, lab in enumerate(labels) if not isinstance(lab, SimpleObj))
+                    todo += self._reduce_handle(labels, core, hi)
+        final = sorted((tuple(lab.spin for lab in labels), labels, core) for labels, core in groups.items())
+        return SkeinElement(self.backend, self.pattern, self.argument, [t[1:] for t in final if not t[2].is_zero])
 
     def _reduce_handle(self, labels, core, hi):
+        """`core` with handle hi's composite label reduced to each simple V_k, in one pass per layer.
+
+        The pass (`_int_pair_apply`, `_cg_table`) runs on the raw word of the
+        slot objects, as in `BackendSpec.apply`."""
         lab = labels[hi]
-        if not isinstance(lab, TensorObj) or not (
-            isinstance(lab.left, SimpleObj) and isinstance(lab.right, SimpleObj)
-        ):
+        if not (isinstance(lab, TensorObj) and isinstance(lab.left, SimpleObj) and isinstance(lab.right, SimpleObj)):
             raise AlgebraError(f"cannot reduce handle label {lab}")
-        backend = self.backend
+        backend, mode = self.backend, self.backend.mode
         slots = self.pattern.all_slots()
-        pos_plus = next(i for i, (h, e) in enumerate(slots) if h == hi and e.sign > 0)
-        pos_minus = next(i for i, (h, e) in enumerate(slots) if h == hi and e.sign < 0)
+        first, second = (n for n, (h, _) in enumerate(slots) if h == hi)
         context = slot_objects(self.pattern, labels)
-        comps = _cg_with_transpose(backend, lab.left, lab.right)
+        if core.mode != mode or core.target != _flat_word(context):
+            raise ModeError(f"core {core!r} does not end on the boundary word of {', '.join(map(str, labels))}")
+        layers = core.layers
+        if backend.nontrivial_associator:
+            layers = backend.rebracket(core, target=reduce(word_tensor, context, UNIT)).layers
+        plus_first = slots[first][1].sign > 0
+        targets, den, table = _cg_table(backend, lab.left, lab.right, plus_first)
+        dims = [o.dim for o in context]  # the two ends have the same dim
+        walk = (dims[first], prod(dims[first + 1 : second]), prod(dims[second + 1 :]))
+        out = [[[] for _ in layers] for _ in targets]  # per component and order: (den, entries) terms
+        for order, (d, entries) in enumerate(layers):
+            for (n, degree), acc in _int_pair_apply(table, entries, *walk, mode.order - order).items():
+                out[n][order + degree].append((d * den, acc))
         results = []
-        for target, project, embed_t in comps:
-            new_labels = list(labels)
-            new_labels[hi] = target
-            placed = [(pos_plus, 1, project), (pos_minus, 1, embed_t)]
-            results.append((tuple(new_labels), backend.apply(context, placed, core)))
+        for target, parts in zip(targets, out):
+            objs = list(context)
+            objs[first], objs[second] = (target, dual(target)) if plus_first else (dual(target), target)
+            m = Morphism._of(core.source, _flat_word(objs), mode, [_sum(t) for t in parts])
+            if backend.nontrivial_associator:
+                m = backend.rebracket(m.retyped(target=reduce(word_tensor, objs, UNIT)), target=m.target)
+            results.append((labels[:hi] + (target,) + labels[hi + 1 :], m))
         return results
 
     def equal(self, other: "SkeinElement") -> bool:
@@ -217,7 +232,7 @@ class SkeinElement:
         pattern = SurfacePattern.from_json(data["pattern"])
         argument = tuple(object_from_json(a) for a in data["argument"])
         element = SkeinElement(backend, pattern, argument, [])
-        source = _source_word(argument)
+        source = _flat_word(argument)
         for n, t in enumerate(data["terms"]):
             if not isinstance(t["labels"], list):
                 raise LabelError(f"term {n}: labels must be a list of strings, got {t['labels']!r}")
@@ -244,14 +259,22 @@ class SkeinElement:
         return element
 
 
-def _cg_with_transpose(backend: BackendSpec, b: SimpleObj, c: SimpleObj):
-    key = ("cgT", b.spin, c.spin)
+def _cg_table(backend: BackendSpec, b: SimpleObj, c: SimpleObj, plus_first: bool):
+    """(targets, den, table) for `_int_pair_apply`: per V_k = targets[n], the projection (x) the
+    transposed embedding on a handle's ends in slot order (the +-end first if `plus_first`)."""
 
     def build():
-        comps = backend.cg_decompose(b, c)
-        return [(target, project, backend.transpose(embed)) for target, embed, project in comps]
+        cg = backend.cg_decompose(b, c)
+        ops = [p.tensor(backend.transpose(e)) if plus_first else backend.transpose(e).tensor(p) for _, e, p in cg]
+        den, table = lcm(*(d for op in ops for d, _ in op.layers)), {}
+        for n, ((target, _, _), op) in enumerate(zip(cg, ops)):
+            for degree, (d, entries) in enumerate(op.layers):
+                for (row, col), v in entries.items():
+                    entry = (n, target.dim, *divmod(row, target.dim), degree, v * (den // d))
+                    table.setdefault(divmod(col, b.dim * c.dim), []).append(entry)
+        return [t for t, _, _ in cg], den, table
 
-    return backend._cached(key, build)
+    return backend._cached(("cg_table", b.spin, c.spin, plus_first), build)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +340,7 @@ def element_hom_basis(backend: BackendSpec, pattern: SurfacePattern, argument, l
         x_v = left_nested(argument[v])
         per_vertex.append(backend.invariant_hom_basis(x_v, w_v))
         pos += k
-    source = _source_word(argument)
+    source = _flat_word(argument)
     target = tensor_word(objs)
     basis = []
     for combo in iproduct(*per_vertex):
@@ -443,7 +466,7 @@ def product_terms(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> 
 
     pairs = zip(s1.argument, s2.argument)
     arg_blocks = [((side, v), a) for v, pair in enumerate(pairs) for side, a in enumerate(pair)]
-    start = Morphism.identity(_source_word([a for _, a in arg_blocks]), backend.mode)
+    start = Morphism.identity(_flat_word([a for _, a in arg_blocks]), backend.mode)
     start = backend.sort_blocks(arg_blocks, not positive, start)
     places = strand_positions(pattern)
     terms = []
@@ -508,7 +531,7 @@ def holonomy_evaluate(s: SkeinElement):
     s = s.canonical()
     n = s.pattern.n_handles
     slots = s.pattern.all_slots()
-    src_dim = _source_word(s.argument).dim
+    src_dim = _flat_word(s.argument).dim
     out = [SL2Poly.constant(n, 0) for _ in range(src_dim)]
     for labels, core in s.terms:
         objs = slot_objects(s.pattern, labels)

@@ -328,6 +328,19 @@ def test_sigma_algebraic_and_reversed_handles_are_pinned():
     assert digest == "946e1767d3e88d92d59cee375c9144a271e588b8522896e2c1f7dbf203e07547"
 
 
+def _reference_sigma_algebraic(s1, s2):
+    """[mu - mu^op-]_1 from the two canonical products, each reduced on its own."""
+    diff = (mu(s1, s2) - mu_op_minus(s1, s2)).canonical()
+    assert all(core.part0().is_zero for _, core in diff.terms)
+    return diff.part1().canonical()
+
+
+def test_sigma_algebraic_matches_the_difference_of_canonical_products():
+    """Subtracting the term lists before `canonical()` gives the difference of the two canonical products."""
+    for bk, a, b in _sigma_pin_pairs():
+        assert sigma_algebraic(a, b).element.terms == _reference_sigma_algebraic(a, b).terms, (bk, a.pattern)
+
+
 def _reference_product_terms(s1, s2, positive=True):
     """`product_terms(s1, s2, positive).terms` by the per-crossing walk: one `apply` of each braiding as it happens."""
     backend, pattern = s1.backend, s1.pattern

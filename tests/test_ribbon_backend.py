@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd, lcm, prod
 
 import pytest
@@ -1427,6 +1427,30 @@ def test_omega_tensor_is_the_commutator_of_t12_and_t23():
                 ident = as_layer({(i, i): Fraction(1) for i in range(x.dim * y.dim * z.dim)})
                 omega = to_fractions(insert_legs([x, y, z], [(0, 1, 2, OMEGA_TENSOR)], ident))
                 assert omega == _t_commutator(x, y, z), (x, y, z)
+
+
+def test_omega_is_totally_antisymmetric_in_its_legs():
+    """Omega = [t12, t23] with its legs permuted acts as the permutation's sign times Omega.
+
+    `insert_legs` on random words of 3-5 letters over {V, V*, adj, V0},
+    three distinct random leg positions in every order, and random sparse
+    rational layers of up to three columns.
+    """
+    rng = random.Random(41)
+    omega = tuple((c / 24, *g) for c, *g in OMEGA_TENSOR)
+    nonzero = 0
+    for _ in range(40):
+        factors = [rng.choice((V, VS, ADJ, SimpleObj(0))) for _ in range(rng.randint(3, 5))]
+        dim = prod(f.dim for f in factors)
+        m = as_layer({(rng.randrange(dim), rng.randrange(3)): Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(8)})
+        p = rng.sample(range(len(factors)), 3)
+        den, base = insert_legs(factors, [(*p, omega)], m)
+        nonzero += bool(base)
+        for perm in permutations(range(3)):
+            sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+            legs = [p[i] for i in perm]
+            assert insert_legs(factors, [(*legs, omega)], m) == (den, {k: sign * v for k, v in base.items()}), (factors, legs)
+    assert nonzero >= 10
 
 
 def _random_tree(rng, letters):

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from skeinlab import ribbon_backend
 from skeinlab.errors import AlgebraError, ModeError
 from skeinlab.polynomials import SL2Poly
-from skeinlab.ribbon_backend import BackendSpec, Morphism, UNIT, make_backend, simple
+from skeinlab.ribbon_backend import BackendSpec, DualObj, Morphism, TensorObj, UNIT, make_backend, simple, tensor_word
 from skeinlab.skein_algebra import (
     SkeinElement,
     action,
@@ -15,10 +16,13 @@ from skeinlab.skein_algebra import (
     loop_element,
     mu,
     mu_op_minus,
+    product_terms,
     random_element,
+    slot_objects,
     unit_element,
 )
 from skeinlab.surface import (
+    SurfacePattern,
     annulus,
     disk_with_two_points,
     genus_two_one_boundary,
@@ -298,3 +302,150 @@ def test_product_builds_no_matrix_on_the_boundary_word(monkeypatch):
     product = mu(a, b).canonical()
     assert product.terms
     assert max(dims, default=0) < 81, (len(dims), max(dims))
+
+
+# a torus whose second handle has its --end (slot 1) before its +-end (slot 3)
+REVERSED_TORUS = SurfacePattern.from_json(
+    {
+        "vertices": 1,
+        "handles": [
+            {"ends": [{"v": 0, "slot": 0, "orient": "+"}, {"v": 0, "slot": 2, "orient": "-"}]},
+            {"ends": [{"v": 0, "slot": 3, "orient": "+"}, {"v": 0, "slot": 1, "orient": "-"}]},
+        ],
+    }
+)
+
+
+def _reference_reduce_handle(element, labels, core, hi):
+    """`_reduce_handle` as one `apply` per Clebsch-Gordan component: the projection at
+    the handle's +-end and the transposed embedding at its --end."""
+    backend, lab = element.backend, labels[hi]
+    slots = element.pattern.all_slots()
+    pos_plus = next(i for i, (h, e) in enumerate(slots) if h == hi and e.sign > 0)
+    pos_minus = next(i for i, (h, e) in enumerate(slots) if h == hi and e.sign < 0)
+    context = slot_objects(element.pattern, labels)
+    results = []
+    for target, embed, project in backend.cg_decompose(lab.left, lab.right):
+        new_labels = labels[:hi] + (target,) + labels[hi + 1 :]
+        placed = [(pos_plus, 1, project), (pos_minus, 1, backend.transpose(embed))]
+        results.append((new_labels, backend.apply(context, placed, core)))
+    return results
+
+
+def test_reduce_handle_matches_one_apply_per_component():
+    """The one-pass reduction equals the per-component `apply` loop on every composite handle.
+
+    Every handle of every product term is reduced, and so is every handle
+    of the once-reduced terms, where simple and composite labels mix; on
+    all four backends (Drinfeld at orders 2 and 3), with composite
+    non-left-nested arguments on the disk and a handle whose --end comes
+    first on the reversed torus.
+    """
+    adj = simple(2)
+    backends = (CL, EP, Q3, make_backend("drinfeld", 2), DR)
+    cases = (
+        (DISK, (V, V), (V, V), (0, 1, 2)),
+        (DISK, (TensorObj(V, DualObj(V)), adj), (TensorObj(V, TensorObj(V, V)), TensorObj(adj, V)), (0, 1, 2)),
+        (TOR, None, None, (1, 2)),
+        (REVERSED_TORUS, None, None, (1, 2)),
+        (two_strand_chaps(), (V, V), (V, V), (0, 1)),
+    )
+    rng = random.Random(31)
+    checked = set()
+    for pattern, a1, a2, pool in cases:
+        s1 = random_element(CL, pattern, rng, label_pool=pool, argument=a1)
+        s2 = random_element(CL, pattern, rng, label_pool=pool, argument=a2)
+        for bk in backends:
+            a, b = (s1, s2) if bk is CL else (lift_element(s1, bk), lift_element(s2, bk))
+            product = product_terms(a, b, positive=bk is not EP)
+            terms = list(product.terms)
+            for labels, core in product.terms:
+                terms += product._reduce_handle(labels, core, 0)
+            for labels, core in terms:
+                for hi, lab in enumerate(labels):
+                    if isinstance(lab, TensorObj):
+                        expected = _reference_reduce_handle(product, labels, core, hi)
+                        assert product._reduce_handle(labels, core, hi) == expected, (bk, pattern, labels, hi)
+                        checked.add((bk.name, bk.mode.order, pattern))
+    assert len(checked) == len(backends) * 4  # the two disk cases share a pattern
+
+
+def test_reduce_handle_refuses_a_core_off_the_boundary_word():
+    """A core over another ring, or ending on another bracketing of the boundary word, raises ModeError."""
+    rng = random.Random(32)
+    s1 = random_element(CL, TOR, rng, label_pool=(1,))
+    s2 = random_element(CL, TOR, rng, label_pool=(1,))
+    for bk in (CL, DR):
+        a, b = (s1, s2) if bk is CL else (lift_element(s1, bk), lift_element(s2, bk))
+        product = product_terms(a, b)
+        (labels, core), = product.terms
+        blocky = tensor_word(slot_objects(TOR, labels))  # composite labels kept as blocks
+        assert blocky != core.target and blocky.leaves() == core.target.leaves()
+        with pytest.raises(ModeError):
+            product._reduce_handle(labels, core.retyped(target=blocky), 0)
+        with pytest.raises(ModeError):
+            SkeinElement(bk, TOR, product.argument, [(labels, core.retyped(target=blocky))]).canonical()
+    (labels, core), = product_terms(s1, s2).terms
+    with pytest.raises(ModeError):
+        product._reduce_handle(labels, core, 1)  # a classical core on the Drinfeld element
+
+
+def test_canonical_reduces_each_label_tuple_once(monkeypatch):
+    """canonical() sums the cores of equal label tuples, composite ones included, before reducing.
+
+    Each distinct label tuple reaches `_reduce_handle` once, and a tuple
+    whose cores cancel reaches it not at all.
+    """
+    calls = []
+    reduce_handle = SkeinElement._reduce_handle
+
+    def counted(self, labels, core, hi):
+        calls.append(labels)
+        return reduce_handle(self, labels, core, hi)
+
+    monkeypatch.setattr(SkeinElement, "_reduce_handle", counted)
+    rng = random.Random(33)
+    for pattern, pool in ((TOR, (1, 2)), (REVERSED_TORUS, (1, 2)), (ANN, (0, 1, 2))):
+        s1, s2 = (
+            random_element(CL, pattern, rng, label_pool=pool) + random_element(CL, pattern, rng, label_pool=pool)
+            for _ in range(2)
+        )
+        for bk in (CL, EP, DR):
+            a, b = (s1, s2) if bk is CL else (lift_element(s1, bk), lift_element(s2, bk))
+            product = product_terms(a, b)
+            calls.clear()
+            expected = product.canonical()
+            assert len(calls) == len(set(calls)), (pattern, bk)
+            assert {labels for labels, _ in product.terms} <= set(calls)
+            # the same terms, every core split in two summands: still one reduction per tuple
+            halves = [(labels, c) for labels, core in product.terms for c in (core.scale(F(1, 3)), core.scale(F(2, 3)))]
+            calls.clear()
+            assert SkeinElement(bk, pattern, product.argument, halves).canonical().terms == expected.terms
+            assert len(calls) == len(set(calls))
+            calls.clear()
+            zero = (product + product.scale(-1)).canonical()
+            assert zero.terms == [] and calls == []
+
+
+def test_drinfeld_product_inserts_each_leaf_triple_once(monkeypatch):
+    """A Drinfeld(3) product's coherence terms reach `insert_legs` once per leaf triple, in increasing order.
+
+    Omega is totally antisymmetric, so the walk keys each term by its
+    sorted leaf triple with the permutation's sign and sums the
+    coefficients; at least one torus triple gets several terms.
+    """
+    calls = []
+    insert_legs = ribbon_backend.insert_legs
+
+    def watched(factors, terms, m):
+        calls.append([t[:-1] for t in terms if len(t) == 4])
+        return insert_legs(factors, terms, m)
+
+    rng = random.Random(34)
+    a, b = (lift_element(random_element(CL, TOR, rng, label_pool=(1,)), DR) for _ in range(2))
+    expected = product_terms(a, b).terms
+    monkeypatch.setattr(ribbon_backend, "insert_legs", watched)
+    assert product_terms(a, b).terms == expected
+    triples = [legs for call in calls for legs in call]
+    assert triples and all(i < j < k for i, j, k in triples)
+    assert all(len(set(call)) == len(call) for call in calls)

@@ -21,9 +21,8 @@ from .ribbon_backend import (
     R_TENSOR,
     TSYM_TENSOR,
     T_TENSOR,
+    act_legs,
     flip_matrix,
-    insert_legs,
-    leg_insertion,
     make_backend,
     tensor_word,
     word_tensor,
@@ -67,9 +66,9 @@ def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, sec
     explicitly (unit blocks included), so that product elements keep their
     pair structure even when one side's argument is trivial.
     """
-    layer = leg_insertion(factors, first_blocks, second_blocks, tensor)
     word = tensor_word([leaf for a in element.argument for leaf in a.leaves()])
-    return element.precompose(Morphism._of(word, word, classical_mode(), [layer]))
+    pairs = [(i, j, tensor) for i in first_blocks for j in second_blocks]
+    return element.precompose(act_legs(factors, pairs, Morphism.identity(word, classical_mode())))
 
 
 def interleaved_argument_factors(s1: SkeinElement, s2: SkeinElement):
@@ -274,7 +273,7 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
     its first legs on the first factor's strand at end i and its second
     legs on the second factor's at end j, at their `strand_positions`.
     Every classical crossing is a flip, so this equals inserting before the
-    strands move.  `insert_legs` applies the insertions to the core, and no
+    strands move.  `act_legs` applies the insertions to the core, and no
     matrix on the product word is built.
     """
     pattern = s1.pattern
@@ -288,8 +287,7 @@ def _slot_insertion_product(s1: SkeinElement, s2: SkeinElement, triples) -> Skei
         objs2 = slot_objects(pattern, [lab.right for lab in labels])
         for (p1, p2), o1, o2 in zip(places, objs1, objs2):
             strands[p1], strands[p2] = o1, o2
-        layers = [insert_legs(strands, legs, layer) for layer in core.layers]
-        terms.append((labels, Morphism._of(core.source, core.target, core.mode, layers)))
+        terms.append((labels, act_legs(strands, legs, core)))
     return SkeinElement(product.backend, pattern, product.argument, terms).canonical()
 
 

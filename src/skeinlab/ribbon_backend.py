@@ -53,7 +53,9 @@ mixed-radix index arithmetic and never builds id (x) m (x) id on the word.
 `flat_apply` is `apply` on the identity, for callers whose answer is that
 matrix.  `sort_blocks` walks the crossings that reorder a word's blocks:
 each acts at the blocks' fixed positions, then the rows move once.
-`_int_pair_apply` reduces a skein handle's two ends in one pass.
+`cg_reduce` reduces a skein handle's two ends to every Clebsch-Gordan
+component in one pass.  It shares `apply`'s one Drinfeld round trip,
+`_on_raw_word`.  Only this module reads or builds a morphism's layers.
 
 All exact linear solving goes through one solver on integer layers:
 `_factor` reduces the constant layer once, fraction-free (rows stay
@@ -87,7 +89,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import factorial, gcd, lcm, prod
 
-from .errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
+from .errors import AlgebraError, CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from .scalars import (
     RingMode,
     ScalarSeries,
@@ -212,7 +214,7 @@ def parse_label(name: str) -> int:
         raise LabelError(f"a simple label must be a string, got {name!r}")
     if name in _NAME_SPINS:
         return _NAME_SPINS[name]
-    if name.startswith("V") and name[1:].isdigit():
+    if name.startswith("V") and name[1:].isascii() and name[1:].isdigit():
         return int(name[1:])
     raise LabelError(f"unknown simple label {name!r}")
 
@@ -263,18 +265,17 @@ def word_tensor(a: ObjectExpr, b: ObjectExpr) -> ObjectExpr:
 
 
 def object_from_json(data) -> ObjectExpr:
+    """["unit"], [label], ["dual", x] or ["tensor", x, y, ...] (left-nested); any other shape raises LabelError."""
     if not isinstance(data, list) or not data:
         raise LabelError(f"an object must be a non-empty list such as [\"V\"], got {data!r}")
-    if data[0] == "unit":
-        return UNIT
-    if data[0] == "tensor":
-        word = object_from_json(data[1])
-        for part in data[2:]:
-            word = TensorObj(word, object_from_json(part))
-        return word
-    if data[0] == "dual":
-        return dual(object_from_json(data[1]))
-    return simple(parse_label(data[0]))
+    head, parts = data[0], data[1:]
+    if head == "tensor" and len(parts) >= 2:
+        return reduce(TensorObj, map(object_from_json, parts))
+    if head == "dual" and len(parts) == 1:
+        return dual(object_from_json(parts[0]))
+    if head in ("tensor", "dual") or parts:
+        raise LabelError(f"malformed object {data!r}: use [\"unit\"], [label], [\"dual\", x] or [\"tensor\", x, y, ...]")
+    return UNIT if head == "unit" else simple(parse_label(head))
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +827,22 @@ def solve_series(a, ncols, b):
     return lifts, xs, bad
 
 
+def coordinates(m: Morphism, basis):
+    """The ScalarSeries c_n with m = sum_n c_n basis[n], exactly (one `solve_series`); AlgebraError off the span."""
+
+    def stacked(morphisms):
+        """Per order, the layer whose column n holds the entries of morphisms[n]."""
+        return [
+            _sum([(d, {(p, n): v for p, v in e.items()}) for n, (d, e) in enumerate(f.layers[k] for f in morphisms)])
+            for k in range(m.mode.order)
+        ]
+
+    _, coords, bad = solve_series(stacked(basis), len(basis), stacked([m]))
+    if bad:
+        raise AlgebraError("morphism does not lie in the invariant Hom space")
+    return [ScalarSeries(m.mode, tuple(Fraction(e.get((n, 0), 0), den) for den, e in coords)) for n in range(len(basis))]
+
+
 # ---------------------------------------------------------------------------
 # sl2 representation data
 # ---------------------------------------------------------------------------
@@ -890,6 +907,12 @@ def leg_insertion(factors, first, second, tensor):
     """
     pairs = [(i, j, tensor) for i in first for j in second]
     return insert_legs(factors, pairs, (1, _int_ident(prod(w.dim for w in factors))))
+
+
+def act_legs(factors, terms, m: Morphism) -> Morphism:
+    """`insert_legs` on every layer of `m`, whose target is the flat word of `factors`: the
+    leg terms' constant operator applied to m."""
+    return Morphism._of(m.source, m.target, m.mode, [insert_legs(factors, terms, layer) for layer in m.layers])
 
 
 def insert_legs(factors, terms, m):
@@ -1365,11 +1388,7 @@ class BackendSpec:
 
         `core` must end on the left-nested word of `context`.  Each placed
         morphism acts on the core's rows by index arithmetic (`_int_apply`),
-        one placement at a time.  With a nontrivial associator `rebracket`
-        moves the core onto the raw placement word before and the result to
-        the left-nested target word after, so this is exact in the Drinfeld
-        backend as well; on strict backends both moves would only relabel
-        and are skipped.
+        one placement at a time, on the raw placement word (`_on_raw_word`).
         """
 
         def flat(objs):
@@ -1387,19 +1406,32 @@ class BackendSpec:
         source, target = tensor_word(flat(sources)), tensor_word(flat(targets))
         if core.mode != self.mode or core.target != source:
             raise ModeError(f"apply: core {core!r} does not end on the context word {source}")
-        layers = core.layers
-        if self.nontrivial_associator:
-            layers = self.rebracket(core, target=reduce(word_tensor, sources, UNIT)).layers
-        dims = [s.dim for s in sources]
-        right = prod(dims)
-        for f, d in zip(factors, dims):
-            right //= d
-            if isinstance(f, Morphism):
-                layers = _convolve(f.layers, layers, lambda a, b: _int_apply(a, b, right, d, f.target.dim))
+
+        def act(layers):
+            dims = [s.dim for s in sources]
+            right = prod(dims)
+            for f, d in zip(factors, dims):
+                right //= d
+                if isinstance(f, Morphism):
+                    layers = _convolve(f.layers, layers, lambda a, b: _int_apply(a, b, right, d, f.target.dim))
+            return [(targets, target, layers)]
+
+        return self._on_raw_word(core, sources, act)[0]
+
+    def _on_raw_word(self, core, blocks, act):
+        """The morphisms core.source -> target of `act` on the layers of `core` on the raw word of its `blocks`.
+
+        `act` returns (blocks, target, layers) triples, each result on the raw
+        word of its blocks and `target` their left-nested word.  Only a
+        nontrivial associator moves anything (`rebracket`, there and back).
+        """
         if not self.nontrivial_associator:
-            return Morphism._of(core.source, target, self.mode, layers)
-        placement = Morphism._of(core.source, reduce(word_tensor, targets, UNIT), self.mode, layers)
-        return self.rebracket(placement, target=target)
+            return [Morphism._of(core.source, target, self.mode, layers) for _, target, layers in act(core.layers)]
+        raw = self.rebracket(core, target=reduce(word_tensor, blocks, UNIT))
+        return [
+            self.rebracket(Morphism._of(core.source, reduce(word_tensor, out, UNIT), self.mode, layers), target=target)
+            for out, target, layers in act(raw.layers)
+        ]
 
     def flat_apply(self, context, placed) -> Morphism:
         """Morphisms applied inside a word, as one matrix between left-nested words.
@@ -1483,6 +1515,54 @@ class BackendSpec:
         """
         x, y = simple(x), simple(y)
         return self._cached(("cg", x.spin, y.spin), lambda: self._cg(x, y))
+
+    def cg_reduce(self, core, context, plus, minus):
+        """`core` with a block b (x) c of simples at context[plus] and its dual at context[minus] reduced to each V_k.
+
+        Returns one (V_k, morphism) pair per Clebsch-Gordan component: the
+        projection at context[plus], the transposed embedding at
+        context[minus].  One pass per core layer (`_int_pair_apply`, through
+        `_cg_table`) writes every component, on the raw word of the context
+        as in `apply`.  `core` must end on the left-nested word of `context`.
+        """
+        word = tensor_word([leaf for obj in context for leaf in obj.leaves()])
+        if core.mode != self.mode or core.target != word:
+            raise ModeError(f"cg_reduce: core {core!r} does not end on the context word {word}")
+        lab, first, second = context[plus], min(plus, minus), max(plus, minus)
+        targets, den, table = self._cg_table(lab.left, lab.right, plus < minus)
+        dims = [o.dim for o in context]  # the two ends have the same dim
+        walk = (dims[first], prod(dims[first + 1 : second]), prod(dims[second + 1 :]))
+        outputs = []
+        for target in targets:
+            blocks = list(context)
+            blocks[plus], blocks[minus] = target, dual(target)
+            outputs.append((blocks, tensor_word([leaf for obj in blocks for leaf in obj.leaves()])))
+
+        def act(layers):
+            out = [[[] for _ in layers] for _ in targets]  # per component and order: (den, entries) terms
+            for order, (d, entries) in enumerate(layers):
+                for (n, degree), acc in _int_pair_apply(table, entries, *walk, self.mode.order - order).items():
+                    out[n][order + degree].append((d * den, acc))
+            return [(blocks, target, [_sum(t) for t in parts]) for (blocks, target), parts in zip(outputs, out)]
+
+        return list(zip(targets, self._on_raw_word(core, context, act)))
+
+    def _cg_table(self, b: SimpleObj, c: SimpleObj, plus_first: bool):
+        """(targets, den, table) for `_int_pair_apply`: per V_k = targets[n], the projection (x) the
+        transposed embedding on a handle's ends in slot order (the +-end first if `plus_first`)."""
+
+        def build():
+            cg = self.cg_decompose(b, c)
+            ops = [p.tensor(self.transpose(e)) if plus_first else self.transpose(e).tensor(p) for _, e, p in cg]
+            den, table = lcm(*(d for op in ops for d, _ in op.layers)), {}
+            for n, ((target, _, _), op) in enumerate(zip(cg, ops)):
+                for degree, (d, entries) in enumerate(op.layers):
+                    for (row, col), v in entries.items():
+                        entry = (n, target.dim, *divmod(row, target.dim), degree, v * (den // d))
+                        table.setdefault(divmod(col, b.dim * c.dim), []).append(entry)
+            return [t for t, _, _ in cg], den, table
+
+        return self._cached(("cg_table", b.spin, c.spin, plus_first), build)
 
     def _cg(self, x: SimpleObj, y: SimpleObj):
         m, n = x.spin, y.spin

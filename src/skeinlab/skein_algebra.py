@@ -14,16 +14,15 @@ each acting at the strands' fixed positions before one row relabelling
 simples by Clebsch-Gordan insertion.  `product_terms` is the one walk over
 a product's crossings; the first-order rules insert legs on its terms.
 `canonical()` sums equal label tuples before it reduces them, one pass per
-composite handle (`_reduce_handle`).
+composite handle (`BackendSpec.cg_reduce`).  Cores are handled only through
+`Morphism` and backend operations; their layers stay inside `ribbon_backend`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product as iproduct
-from math import lcm, prod
 
 from .errors import AlgebraError, LabelError, ModeError
 from .polynomials import SL2Poly, sl2_rep_entries
@@ -33,15 +32,13 @@ from .ribbon_backend import (
     SimpleObj,
     TensorObj,
     UNIT,
+    coordinates,
     dual,
     left_nested,
     make_backend,
     object_from_json,
     parse_label,
     simple,
-    _int_pair_apply,
-    _sum,
-    solve_series,
     tensor_word,
     word_tensor,
 )
@@ -142,39 +139,13 @@ class SkeinElement:
         return SkeinElement(self.backend, self.pattern, self.argument, [t[1:] for t in final if not t[2].is_zero])
 
     def _reduce_handle(self, labels, core, hi):
-        """`core` with handle hi's composite label reduced to each simple V_k, in one pass per layer.
-
-        The pass (`_int_pair_apply`, `_cg_table`) runs on the raw word of the
-        slot objects, as in `BackendSpec.apply`."""
+        """`core` with handle hi's composite label reduced to each simple V_k (`BackendSpec.cg_reduce`)."""
         lab = labels[hi]
         if not (isinstance(lab, TensorObj) and isinstance(lab.left, SimpleObj) and isinstance(lab.right, SimpleObj)):
             raise AlgebraError(f"cannot reduce handle label {lab}")
-        backend, mode = self.backend, self.backend.mode
-        slots = self.pattern.all_slots()
-        first, second = (n for n, (h, _) in enumerate(slots) if h == hi)
-        context = slot_objects(self.pattern, labels)
-        if core.mode != mode or core.target != _flat_word(context):
-            raise ModeError(f"core {core!r} does not end on the boundary word of {', '.join(map(str, labels))}")
-        layers = core.layers
-        if backend.nontrivial_associator:
-            layers = backend.rebracket(core, target=reduce(word_tensor, context, UNIT)).layers
-        plus_first = slots[first][1].sign > 0
-        targets, den, table = _cg_table(backend, lab.left, lab.right, plus_first)
-        dims = [o.dim for o in context]  # the two ends have the same dim
-        walk = (dims[first], prod(dims[first + 1 : second]), prod(dims[second + 1 :]))
-        out = [[[] for _ in layers] for _ in targets]  # per component and order: (den, entries) terms
-        for order, (d, entries) in enumerate(layers):
-            for (n, degree), acc in _int_pair_apply(table, entries, *walk, mode.order - order).items():
-                out[n][order + degree].append((d * den, acc))
-        results = []
-        for target, parts in zip(targets, out):
-            objs = list(context)
-            objs[first], objs[second] = (target, dual(target)) if plus_first else (dual(target), target)
-            m = Morphism._of(core.source, _flat_word(objs), mode, [_sum(t) for t in parts])
-            if backend.nontrivial_associator:
-                m = backend.rebracket(m.retyped(target=reduce(word_tensor, objs, UNIT)), target=m.target)
-            results.append((labels[:hi] + (target,) + labels[hi + 1 :], m))
-        return results
+        ends = {end.sign: n for n, (h, end) in enumerate(self.pattern.all_slots()) if h == hi}
+        reduced = self.backend.cg_reduce(core, slot_objects(self.pattern, labels), ends[1], ends[-1])
+        return [(labels[:hi] + (target,) + labels[hi + 1 :], m) for target, m in reduced]
 
     def equal(self, other: "SkeinElement") -> bool:
         """Exact equality of canonical forms.
@@ -250,31 +221,13 @@ class SkeinElement:
                     f"{source} to the boundary word {target}"
                 )
             try:
-                _coordinates(core, element_hom_basis(backend, pattern, argument, labels))
+                coordinates(core, element_hom_basis(backend, pattern, argument, labels))
             except AlgebraError:
                 raise AlgebraError(f"{where}: core does not lie in the invariant Hom space") from None
             except (KeyError, ValueError, TypeError, IndexError) as exc:  # an engine fault, not bad input
                 raise RuntimeError(f"{where}: the span check failed") from exc
             element.terms.append((labels, core))
         return element
-
-
-def _cg_table(backend: BackendSpec, b: SimpleObj, c: SimpleObj, plus_first: bool):
-    """(targets, den, table) for `_int_pair_apply`: per V_k = targets[n], the projection (x) the
-    transposed embedding on a handle's ends in slot order (the +-end first if `plus_first`)."""
-
-    def build():
-        cg = backend.cg_decompose(b, c)
-        ops = [p.tensor(backend.transpose(e)) if plus_first else backend.transpose(e).tensor(p) for _, e, p in cg]
-        den, table = lcm(*(d for op in ops for d, _ in op.layers)), {}
-        for n, ((target, _, _), op) in enumerate(zip(cg, ops)):
-            for degree, (d, entries) in enumerate(op.layers):
-                for (row, col), v in entries.items():
-                    entry = (n, target.dim, *divmod(row, target.dim), degree, v * (den // d))
-                    table.setdefault(divmod(col, b.dim * c.dim), []).append(entry)
-        return [t for t, _, _ in cg], den, table
-
-    return backend._cached(("cg_table", b.spin, c.spin, plus_first), build)
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +356,11 @@ def lift_element(element: SkeinElement, backend: BackendSpec) -> SkeinElement:
         cl_basis = element_hom_basis(cl, element.pattern, element.argument, labels)
         q_basis = element_hom_basis(backend, element.pattern, element.argument, labels)
         lifted = Morphism.zero(core.source, core.target, backend.mode)
-        den, coords = _coordinates(core, cl_basis)[0]
-        for (n, _), v in coords.items():
-            lifted = lifted + q_basis[n].scale(Fraction(v, den))
+        for b, c in zip(q_basis, coordinates(core, cl_basis)):
+            if c.coeffs[0]:
+                lifted = lifted + b.scale(c.coeffs[0])
         terms.append((labels, lifted))
     return SkeinElement(backend, element.pattern, element.argument, terms)
-
-
-def _coordinates(m: Morphism, basis):
-    """Exact coordinates of m in a Hom basis over the backend ring.
-
-    Returns the layers of the coordinate column: entry (b, 0) of layer k is
-    the coefficient of param^k basis[b] in m.
-    """
-
-    def stacked(morphisms):
-        """Per order, the layer whose column n holds the entries of morphisms[n]."""
-        return [
-            _sum([(d, {(p, n): v for p, v in e.items()}) for n, (d, e) in enumerate(f.layers[k] for f in morphisms)])
-            for k in range(m.mode.order)
-        ]
-
-    _, coords, bad = solve_series(stacked(basis), len(basis), stacked([m]))
-    if bad:
-        raise AlgebraError("morphism does not lie in the invariant Hom space")
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -534,27 +467,13 @@ def holonomy_evaluate(s: SkeinElement):
     src_dim = _flat_word(s.argument).dim
     out = [SL2Poly.constant(n, 0) for _ in range(src_dim)]
     for labels, core in s.terms:
-        objs = slot_objects(s.pattern, labels)
-        dims = [o.dim for o in objs]
-        den, constant = core.layers[0]
-        for (i, j), v in constant.items():
-            # decode the boundary index i into slot indices
-            idx = []
-            rest = i
-            for d in reversed(dims):
-                idx.append(rest % d)
-                rest //= d
-            idx.reverse()
-            plus = {}
-            minus = {}
-            for pos, (h, e) in enumerate(slots):
-                if e.sign > 0:
-                    plus[h] = idx[pos]
-                else:
-                    minus[h] = idx[pos]
-            poly = SL2Poly.constant(n, Fraction(v, den))
+        dims = [o.dim for o in slot_objects(s.pattern, labels)]
+        for (i, j), v in core.entries.items():
+            digits = {}  # the boundary index i as one index per (handle, end sign)
+            for (h, e), d in zip(reversed(slots), reversed(dims)):
+                i, digits[h, e.sign] = divmod(i, d)
+            poly = SL2Poly.constant(n, v.coeffs[0])
             for h, lab in enumerate(labels):
-                rep = sl2_rep_entries(lab.spin, n, h)
-                poly = poly * rep[minus[h]][plus[h]]
+                poly = poly * sl2_rep_entries(lab.spin, n, h)[digits[h, -1]][digits[h, 1]]
             out[j] = out[j] + poly
     return out

@@ -385,8 +385,8 @@ def cross_then_coupon(coupon_id: str, m: Morphism, p: int):
     return _braids(*reversed(range(p, p + k_in))) + ((Cell("coupon", p + 1, coupon_id=coupon_id),),)
 
 
-def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4, max_width: int = 5) -> TangleWord:
-    """A random well-formed word over V and dual(V), with assorted cells."""
+def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWord:
+    """A random well-formed word over V and dual(V), with assorted cells; a cup needs fewer than 5 strands."""
     bottom = tuple(Strand(1, rng.choice((1, -1))) for _ in range(n_strands))
     word = TangleWord(bottom, (), {})
     coupon_count = 0
@@ -396,7 +396,7 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4, max_width: 
         options = ["twist"]
         if width >= 2:
             options.extend(["braid", "braid", "cap_maybe"])
-        if width < max_width:
+        if width < 5:
             options.append("cup")
         if width >= 1:
             options.append("coupon")

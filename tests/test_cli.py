@@ -225,7 +225,7 @@ def test_engine_fault_in_the_span_check_exit_3(monkeypatch):
     def broken_coordinates(m, basis):
         raise IndexError("bug")
 
-    monkeypatch.setattr(skein_algebra, "_coordinates", broken_coordinates)
+    monkeypatch.setattr(skein_algebra, "coordinates", broken_coordinates)
     code, out, err = run_cli(["product", str(GOLDEN_INPUTS / "annulus_a.json"), str(GOLDEN_INPUTS / "annulus_b.json")])
     assert code == 3 and out == ""
     assert "internal error" in err and "broken_coordinates" in err and "malformed" not in err
@@ -261,19 +261,38 @@ def _edited_tangle(tmp_path, edit):
 
 def test_non_string_labels_exit_2(tmp_path):
     right = str(GOLDEN_INPUTS / "annulus_b.json")
-    for labels in ([5], [None], "adj"):
+    # a label's digits are ASCII: "V\u0662" (Arabic-Indic two) is not adj
+    for labels, message in (([5], "label must be a string"), ([None], "label must be a string"),
+                            ("adj", "labels must be a list"), (["V\u0662"], "unknown simple label")):
         code, out, err = run_cli(["product", _edited_annulus(tmp_path, lambda term: term.update(labels=labels)), right])
         assert code == 2 and out == "" and "internal error" not in err, err
-        assert "label must be a string" in err or "labels must be a list" in err, err
-    # the integer 7 is not the label "V7"
+        assert message in err, (labels, err)
+    # the integer 7 is not the label "V7"; ["unit"] and [label] take no further
+    # element, "dual" exactly one and "tensor" at least two
     data = json.loads((GOLDEN_INPUTS / "annulus_a.json").read_text(encoding="utf-8"))
-    for argument in ([[7]], [7], [[]], ["V"]):
+    for argument, message in (
+        ([[7]], "label must be a string"),
+        ([7], "non-empty list"),
+        ([[]], "non-empty list"),
+        (["V"], "non-empty list"),
+        ([["unit", "junk", 7]], "malformed object"),
+        ([["V", ["V"]]], "malformed object"),
+        ([["tensor"]], "malformed object"),
+        ([["tensor", ["unit"]]], "malformed object"),
+        ([["dual"]], "malformed object"),
+        ([["dual", ["V"], ["V"]]], "malformed object"),
+        ([["V\u00b2"]], "unknown simple label"),
+        ([["V\u0663"]], "unknown simple label"),
+    ):
         data["argument"] = argument
         path = tmp_path / "arg.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(["product", str(path), right])
         assert code == 2 and out == "" and "internal error" not in err, argument
-        assert "label must be a string" in err or "non-empty list" in err, err
+        assert message in err, (argument, err)
+    path = _edited_annulus(tmp_path, lambda term: term["core"].update(source=["unit", {"anything": 1}]))
+    code, out, err = run_cli(["product", path, right])
+    assert code == 2 and out == "" and "malformed object" in err, err
     path = _edited_tangle(tmp_path, lambda w: w["bottom"][0].__setitem__(0, 5))
     code, out, err = run_cli(["eval-tangle", path, "--backend", "quantum", "--order", "3"])
     assert code == 2 and out == "" and "label must be a string" in err, err

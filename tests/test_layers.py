@@ -7,6 +7,7 @@ seeded random sparse layers with mixed denominators, negative entries and
 entries that cancel, and every layer the engine builds must be canonical.
 """
 
+import ast
 import io
 import random
 import tokenize
@@ -386,4 +387,36 @@ def test_no_float_in_the_engine_source():
             literal = tok.type == tokenize.NUMBER and any(ch in tok.string.lower() for ch in ".ej")
             if literal or (tok.type == tokenize.NAME and tok.string == "float"):
                 found.append((path.name, tok.start, tok.string))
+    assert found == []
+
+
+def _layer_format_uses(path):
+    """(line, name) for each `.layers` read, `._of` call and `_`-prefixed name taken from `ribbon_backend` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in ("layers", "_of")
+            or (isinstance(node.value, ast.Name) and node.value.id == "ribbon_backend" and node.attr.startswith("_"))
+        ):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ribbon_backend"):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_the_layer_format_has_one_owner():
+    """Only `ribbon_backend` reads or builds a morphism's layers: no other
+    engine module reads `.layers`, calls `Morphism._of` or imports a
+    `_`-prefixed name from it, and the skein algebra and Poisson modules
+    leave the Drinfeld round trip (`nontrivial_associator`, `rebracket`) to
+    the backend."""
+    package = Path(ribbon_backend.__file__).parent
+    assert _layer_format_uses(package / "ribbon_backend.py")  # the scan sees what it looks for
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "ribbon_backend.py":
+            found += [(path.name, *use) for use in _layer_format_uses(path)]
+        if path.name in ("skein_algebra.py", "poisson.py"):
+            text = path.read_text(encoding="utf-8")
+            found += [(path.name, word) for word in ("nontrivial_associator", "rebracket") if word in text]
     assert found == []

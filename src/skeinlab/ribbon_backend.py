@@ -47,15 +47,15 @@ T), so rebracketing adds one h^2 term to the morphism and builds no comb
 of associators; `coherence` and the associators are rebrackets of the
 identity.  On the other backends it relabels.
 
-`BackendSpec.apply` is the one way a local morphism (a crossing, a coupon,
-a cup or cap) acts inside a word: it moves the sparse rows of a core by
-mixed-radix index arithmetic and never builds id (x) m (x) id on the word.
-`flat_apply` is `apply` on the identity, for callers whose answer is that
-matrix.  `sort_blocks` walks the crossings that reorder a word's blocks:
-each acts at the blocks' fixed positions, then the rows move once.
-`cg_reduce` reduces a skein handle's two ends to every Clebsch-Gordan
-component in one pass.  It shares `apply`'s one Drinfeld round trip,
-`_on_raw_word`.  Only this module reads or builds a morphism's layers.
+`BackendSpec.apply_chain` is the one way local morphisms (crossings,
+coupons, cups, caps) act inside a word, step after step: it moves a core's
+sparse rows by mixed-radix index arithmetic, never builds id (x) m (x) id,
+and rebrackets once per step boundary.  `apply` is its one-step case and
+`flat_apply` is `apply` on the identity.  `sort_blocks` walks the crossings
+that reorder a word's blocks: each acts at the blocks' fixed positions, then
+the rows move once.  `cg_reduce` reduces a skein handle's two ends to every
+Clebsch-Gordan component in one pass, through the chain's step onto a raw
+word, `_on_raw_word`.  Only this module reads or builds a morphism's layers.
 
 All exact linear solving goes through one solver on integer layers:
 `_factor` reduces the constant layer once, fraction-free (rows stay
@@ -345,8 +345,13 @@ class Morphism:
 
     @property
     def entries(self):
-        """position -> ScalarSeries, for every nonzero position."""
-        return {pos: self.entry(*pos) for pos in _positions(self.layers)}
+        """position -> ScalarSeries, for every nonzero position, in one pass over the layers."""
+        zero = [Fraction(0)] * len(self.layers)
+        coeffs = {pos: list(zero) for pos in _positions(self.layers)}
+        for k, (den, e) in enumerate(self.layers):
+            for pos, v in e.items():
+                coeffs[pos][k] = Fraction(v, den)
+        return {pos: ScalarSeries(self.mode, tuple(c)) for pos, c in coeffs.items()}
 
     @property
     def is_zero(self):
@@ -1335,9 +1340,8 @@ class BackendSpec:
         """Categorical transpose Hom(a, b) -> Hom(dual(b), dual(a))."""
         a, b = u.source, u.target
         da, db = dual(a), dual(b)
-        m = self.flat_apply([db], [(1, 0, self.coev(a))])
-        m = self.apply([db, a, da], [(1, 1, u)], m)
-        return self.rebracket(self.apply([db, b, da], [(0, 2, self.ev(b))], m), db, da)
+        steps = [([db], [(1, 0, self.coev(a))]), ([db, a, da], [(1, 1, u)]), ([db, b, da], [(0, 2, self.ev(b))])]
+        return self.rebracket(self.apply_chain(steps, Morphism.identity(left_nested(db), self.mode)), db, da)
 
     # -- associator and coherence ------------------------------------------------
 
@@ -1370,6 +1374,8 @@ class BackendSpec:
         """
         source = m.source if source is None else source
         target = m.target if target is None else target
+        if source is m.source and target is m.target:
+            return m
         if source.leaves() != m.source.leaves() or target.leaves() != m.target.leaves():
             raise ModeError(f"rebracket needs equal flat words: {m.source} -> {m.target} vs {source} -> {target}")
         if not self.nontrivial_associator:
@@ -1384,54 +1390,57 @@ class BackendSpec:
         return Morphism._of(source, target, self.mode, (m0, m1, m2))
 
     def apply(self, context, placed, core: Morphism) -> Morphism:
-        """flat_apply(context, placed) @ core, without building the word matrix.
+        """flat_apply(context, placed) @ core, without building the word matrix: `apply_chain` of one step."""
+        return self.apply_chain([(context, placed)], core)
 
-        `core` must end on the left-nested word of `context`.  Each placed
-        morphism acts on the core's rows by index arithmetic (`_int_apply`),
-        one placement at a time, on the raw placement word (`_on_raw_word`).
-        """
+    def apply_chain(self, steps, core: Morphism) -> Morphism:
+        """`core` (on a left-nested word) followed by each (context, placed) step's flat_apply; each context
+        must be on the flat word the last step ended on.  Placed morphisms act on the core's rows by index
+        arithmetic (`_int_apply`) on the step's raw placement word (`_on_raw_word`), where the core stays until
+        the next step: with h^3 = 0, X(a -> b) + X(b -> c) = X(a -> c), so one rebracket per step boundary and
+        one back at the end equal a round trip per step."""
 
         def flat(objs):
             return [leaf for obj in objs for leaf in obj.leaves()]
 
-        factors, pos = [], 0
-        for at, span, m in sorted(placed, key=lambda p: p[0]):
-            if m.mode != self.mode or flat(context[at : at + span]) != m.source.leaves():
-                raise ModeError(f"apply: {m!r} does not match the context at {at}")
-            factors += context[pos:at] + [m]
-            pos = at + span
-        factors += context[pos:]
-        sources = [f.source if isinstance(f, Morphism) else f for f in factors]
-        targets = [f.target if isinstance(f, Morphism) else f for f in factors]
-        source, target = tensor_word(flat(sources)), tensor_word(flat(targets))
-        if core.mode != self.mode or core.target != source:
-            raise ModeError(f"apply: core {core!r} does not end on the context word {source}")
+        word = core.target.leaves()
+        nested = tensor_word(word)
+        if core.mode != self.mode or core.target != nested:
+            raise ModeError(f"apply: core {core!r} is over another ring or does not end on a left-nested word")
+        for context, placed in steps:
+            factors, pos = [], 0
+            for at, span, m in sorted(placed, key=lambda p: p[0]):
+                if m.mode != self.mode or flat(context[at : at + span]) != m.source.leaves():
+                    raise ModeError(f"apply: {m!r} does not match the context at {at}")
+                factors += context[pos:at] + [m]
+                pos = at + span
+            if flat(context) != word:
+                raise ModeError(f"apply: the context {context} is not on the word {nested}")
+            factors += context[pos:]
+            sources = [f.source if isinstance(f, Morphism) else f for f in factors]
+            targets = [f.target if isinstance(f, Morphism) else f for f in factors]
+            nested = tensor_word(word := flat(targets))
 
-        def act(layers):
-            dims = [s.dim for s in sources]
-            right = prod(dims)
-            for f, d in zip(factors, dims):
-                right //= d
-                if isinstance(f, Morphism):
-                    layers = _convolve(f.layers, layers, lambda a, b: _int_apply(a, b, right, d, f.target.dim))
-            return [(targets, target, layers)]
+            def act(layers):
+                dims = [s.dim for s in sources]
+                right = prod(dims)
+                for f, d in zip(factors, dims):
+                    right //= d
+                    if isinstance(f, Morphism):
+                        layers = _convolve(f.layers, layers, lambda a, b: _int_apply(a, b, right, d, f.target.dim))
+                return [(targets, nested, layers)]
 
-        return self._on_raw_word(core, sources, act)[0]
+            (core,) = self._on_raw_word(core, sources, act)
+        return self.rebracket(core, target=nested)
 
     def _on_raw_word(self, core, blocks, act):
-        """The morphisms core.source -> target of `act` on the layers of `core` on the raw word of its `blocks`.
-
-        `act` returns (blocks, target, layers) triples, each result on the raw
-        word of its blocks and `target` their left-nested word.  Only a
-        nontrivial associator moves anything (`rebracket`, there and back).
-        """
+        """`act` on the layers of `core` on the raw word of `blocks`; it returns (out, target, layers) triples.
+        Only a nontrivial associator moves anything: `core` onto that raw word here, and each result, left on
+        the raw word of `out`, onto `target` in the caller's one `rebracket`; elsewhere results are on `target`."""
         if not self.nontrivial_associator:
             return [Morphism._of(core.source, target, self.mode, layers) for _, target, layers in act(core.layers)]
-        raw = self.rebracket(core, target=reduce(word_tensor, blocks, UNIT))
-        return [
-            self.rebracket(Morphism._of(core.source, reduce(word_tensor, out, UNIT), self.mode, layers), target=target)
-            for out, target, layers in act(raw.layers)
-        ]
+        core = self.rebracket(core, target=reduce(word_tensor, blocks, UNIT))
+        return [Morphism._of(core.source, reduce(word_tensor, out, UNIT), self.mode, layers) for out, _, layers in act(core.layers)]
 
     def flat_apply(self, context, placed) -> Morphism:
         """Morphisms applied inside a word, as one matrix between left-nested words.
@@ -1545,7 +1554,8 @@ class BackendSpec:
                     out[n][order + degree].append((d * den, acc))
             return [(blocks, target, [_sum(t) for t in parts]) for (blocks, target), parts in zip(outputs, out)]
 
-        return list(zip(targets, self._on_raw_word(core, context, act)))
+        raw = self._on_raw_word(core, context, act)
+        return [(t, self.rebracket(m, target=nested)) for t, (_, nested), m in zip(targets, outputs, raw)]
 
     def _cg_table(self, b: SimpleObj, c: SimpleObj, plus_first: bool):
         """(targets, den, table) for `_int_pair_apply`: per V_k = targets[n], the projection (x) the

@@ -1,9 +1,10 @@
 """Slice-word tangles in the square and their Reshetikhin-Turaev evaluation.
 
 A tangle word is a list of horizontal slices acting on a boundary word of
-oriented labeled strands.  Evaluation composes the backend images of the
-cells slice by slice; every slice is wrapped in the canonical rebracketing
-morphisms, so evaluation is exact also for the non-strict Drinfeld backend.
+oriented labeled strands.  Evaluation applies the backend images of the
+cells slice by slice, as one `BackendSpec.apply_chain`; consecutive slices
+are joined by one canonical rebracketing, so evaluation is exact also for
+the non-strict Drinfeld backend.
 
 Interfaces between slices are flat strand lists carrying the implicit
 left-nested bracketing; coupons keep their own parenthesization as the
@@ -236,11 +237,9 @@ def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
         if m.mode != backend.mode:
             raise ModeError(f"coupon {cid!r} lives in {m.mode}, backend is {backend.mode}")
     levels, placed = word._walk()
-    total = Morphism.identity(tensor_word([s.obj for s in word.bottom]), backend.mode)
-    for strands, cells in zip(levels, placed):
-        morphisms = [(c.at, len(ins), _cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells]
-        total = backend.apply([s.obj for s in strands], morphisms, total)
-    return total
+    steps = [([s.obj for s in strands], [(c.at, len(ins), _cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells])
+             for strands, cells in zip(levels, placed)]
+    return backend.apply_chain(steps, Morphism.identity(tensor_word([s.obj for s in word.bottom]), backend.mode))
 
 
 def _merge_coupons(base: TangleWord, extra: TangleWord):

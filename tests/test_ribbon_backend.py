@@ -513,6 +513,7 @@ def _check(m, src, tgt, mode, ref):
     assert all(v for _, e in m.layers for v in e.values()), "stored zero"
     assert len(m.layers) == mode.order
     assert _dense(m) == ref
+    assert m.entries == {(i, j): v for i, row in enumerate(ref) for j, v in enumerate(row) if v != ScalarSeries.zero(mode)}
     assert m == _from_dense(src, tgt, mode, ref)
 
 
@@ -1605,3 +1606,76 @@ def test_apply_rejects_wrong_modes_and_core_targets():
             bk.apply([V, V, V], [(0, 2, braid)], Morphism.identity(TensorObj(V, V), bk.mode))
         with pytest.raises(ModeError):  # placed source does not match the context
             bk.apply([V, ADJ], [(0, 2, braid)], Morphism.identity(TensorObj(V, ADJ), bk.mode))
+
+
+def test_apply_chain_keeps_the_refusals_of_apply():
+    """Mode and word checks hold at every step of a chain, not only the first."""
+    for name, order in APPLY_BACKENDS:
+        bk = make_backend(name, order)
+        other = make_backend("epsilon" if name == "classical" else "classical")
+        word = TensorObj(TensorObj(V, V), V)
+        core = Morphism.identity(word, bk.mode)
+        first = ([V, V, V], [(0, 2, bk.braiding(V, V))])
+        assert bk.apply_chain([first, first], core) == bk.apply(*first, bk.apply(*first, core))
+        with pytest.raises(ModeError):  # core over another ring
+            bk.apply_chain([first, first], Morphism.identity(word, other.mode))
+        with pytest.raises(ModeError):  # core over another ring, no steps
+            bk.apply_chain([], Morphism.identity(word, other.mode))
+        with pytest.raises(ModeError):  # core ends on another bracketing at the first step
+            bk.apply_chain([first, first], Morphism.identity(TensorObj(V, TensorObj(V, V)), bk.mode))
+        with pytest.raises(ModeError):  # placed morphism over another ring at a later step
+            bk.apply_chain([first, ([V, V, V], [(1, 2, other.braiding(V, V))])], core)
+        with pytest.raises(ModeError):  # placed source does not match the context at a later step
+            bk.apply_chain([first, ([V, V, V], [(1, 2, bk.braiding(V, ADJ))])], core)
+        with pytest.raises(ModeError):  # a later context on another flat word of the same dimension
+            bk.apply_chain([first, ([V, VS, V], [(0, 2, bk.ev(V).tensor(Morphism.identity(UNIT, bk.mode)))])], core)
+
+
+def _reference_transpose(bk, u):
+    """`transpose` as three applies, each a full round trip through the left-nested word."""
+    a, b = u.source, u.target
+    da, db = dual(a), dual(b)
+    m = bk.flat_apply([db], [(1, 0, bk.coev(a))])
+    m = bk.apply([db, a, da], [(1, 1, u)], m)
+    return bk.rebracket(bk.apply([db, b, da], [(0, 2, bk.ev(b))], m), db, da)
+
+
+@pytest.mark.parametrize("name,order", APPLY_BACKENDS)
+def test_transpose_chain_matches_three_applies(name, order):
+    bk = make_backend(name, order)
+    rng = random.Random(order * 7 + len(name))
+    maps = [
+        bk.braiding(V, V),
+        bk.braiding_inv(ADJ, VS),
+        bk.braiding(TensorObj(V, VS), V),
+        bk.braiding(V, TensorObj(ADJ, V)),
+        bk.random_invariant(TensorObj(V, TensorObj(V, V)), tensor_word([V, V, V]), rng),
+        bk.random_invariant(TensorObj(V, ADJ), TensorObj(ADJ, V), rng),
+        bk.random_invariant(TensorObj(VS, TensorObj(V, V)), TensorObj(TensorObj(V, VS), V), rng),
+    ]
+    for u in maps:
+        assert not u.is_zero
+        assert bk.transpose(u) == _reference_transpose(bk, u), u
+
+
+def test_drinfeld_rebrackets_compose_along_a_path():
+    """X(a -> b) + X(b -> c) = X(a -> c): coherence and rebracket compose along any path of bracketings.
+
+    Seeded random bracketings a, b, c of one flat word of 3-5 leaves and a
+    unit factor, with duals, on Drinfeld(3).
+    """
+    bk = BackendSpec("drinfeld", hbar_mode(3))  # fresh caches
+    rng = random.Random(41)
+    distinct = 0
+    for _ in range(24):
+        letters = _random_letters(rng, (V, VS, ADJ), 3, 5, 48)
+        letters[rng.randrange(len(letters))] = VS
+        letters.insert(rng.randint(0, len(letters)), UNIT)
+        a, b, c = (_random_tree(rng, letters) for _ in range(3))
+        assert bk.coherence(b, c) @ bk.coherence(a, b) == bk.coherence(a, c), (a, b, c)
+        m = _random_morphism(rng, rng.choice((UNIT, V, TensorObj(V, ADJ))), a, bk.mode, density=0.3)
+        while m.part0().is_zero:
+            m = _random_morphism(rng, m.source, a, bk.mode, density=0.3)
+        assert bk.rebracket(bk.rebracket(m, target=b), target=c) == bk.rebracket(m, target=c), (a, b, c)
+        distinct += len({a, b, c}) == 3 and bk.coherence(a, c) != Morphism.identity(a, bk.mode).retyped(target=c)
+    assert distinct >= 10, distinct

@@ -7,7 +7,7 @@ import pytest
 
 from skeinlab import ribbon_backend, suites, tangle
 from skeinlab.errors import MoveError, WordError
-from skeinlab.ribbon_backend import Morphism, TensorObj, make_backend, simple, tensor_word
+from skeinlab.ribbon_backend import BackendSpec, Morphism, TensorObj, make_backend, simple, tensor_word
 from skeinlab.scalars import ScalarSeries
 from skeinlab.suites import MOVE_KINDS, _apply_random_move
 from skeinlab.tangle import (
@@ -421,3 +421,67 @@ def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):
     assert value == expected and not value.is_zero
     assert sizes == [1], sizes
     assert composed == [], len(composed)
+
+
+# ---------------------------------------------------------------------------
+# rt_evaluate as one chain against one full round trip per slice
+# ---------------------------------------------------------------------------
+
+
+def _reference_rt_evaluate(word, backend):
+    """`rt_evaluate` as one `apply` per slice, each a full round trip through the left-nested word."""
+    levels, placed = word._walk()
+    total = Morphism.identity(tensor_word([s.obj for s in word.bottom]), backend.mode)
+    for strands, cells in zip(levels, placed):
+        morphisms = [(c.at, len(ins), tangle._cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells]
+        total = backend.apply([s.obj for s in strands], morphisms, total)
+    return total
+
+
+def _chain_words(bk):
+    """Random words with coupons, cups and caps, side-by-side words (several cells per slice),
+    a closure through a coupon on a right-nested source, a one-slice word and words with no slices."""
+    rng = random.Random(37)
+    words = [TangleWord((), (), {}), TangleWord((V1, V1), (), {}), TangleWord((V1,), ((Cell("twist+", 0),),), {})]
+    words += [random_word(rng, bk, n_strands=rng.choice((1, 2, 3)), n_slices=rng.choice((2, 3, 5))) for _ in range(8)]
+    words += [tensor(random_word(rng, bk, 2, 3), random_word(rng, bk, 1, 2)) for _ in range(2)]
+    v = simple(1)
+    closure = _closure(3, [1, -2], middle=[(Cell("coupon", 0, coupon_id="c"),)])
+    closure.coupons["c"] = bk.random_invariant(TensorObj(v, TensorObj(v, v)), tensor_word([v, v, v]), rng)
+    return words + [closure]
+
+
+@pytest.mark.parametrize("name,order", BACKENDS + [("drinfeld", 2)])
+def test_rt_evaluate_chain_matches_a_round_trip_per_slice(name, order):
+    bk = make_backend(name, order)
+    words = _chain_words(bk)
+    assert {"coupon", "cup", "cap"} <= {c.kind for w in words for cells in w.slices for c in cells}
+    assert any(len(cells) > 1 for w in words for cells in w.slices)
+    assert {0, 1} <= {len(w.slices) for w in words}
+    nonzero = 0
+    for word in words:
+        value = rt_evaluate(word, bk)
+        assert value == _reference_rt_evaluate(word, bk), word.to_json()
+        nonzero += not value.is_zero
+    assert nonzero >= 10
+
+
+def test_drinfeld_chain_rebrackets_once_per_slice_boundary(monkeypatch):
+    """An n-slice word costs at most n + 1 rebrackets on Drinfeld(3): one onto each slice's raw word
+    and one back to the left-nested word at the end (a round trip per slice costs 2n)."""
+    bk = make_backend("drinfeld", 3)
+    rebracket, calls = BackendSpec.rebracket, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return rebracket(self, *args, **kwargs)
+
+    words = _chain_words(bk)
+    assert max(len(w.slices) for w in words) >= 4
+    for word in words:
+        rt_evaluate(word, bk)  # fill the caches
+        calls.clear()
+        monkeypatch.setattr(BackendSpec, "rebracket", counted)
+        rt_evaluate(word, bk)
+        monkeypatch.undo()
+        assert len(calls) <= len(word.slices) + 1, (len(calls), len(word.slices))

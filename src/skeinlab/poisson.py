@@ -22,6 +22,7 @@ from .ribbon_backend import (
     TSYM_TENSOR,
     T_TENSOR,
     act_legs,
+    flat_word,
     flip_matrix,
     make_backend,
     tensor_word,
@@ -59,16 +60,17 @@ class SigmaResult:
 # ---------------------------------------------------------------------------
 
 
-def argument_insertion(element: SkeinElement, tensor, factors, first_blocks, second_blocks) -> SkeinElement:
-    """Precompose every core with a two-leg insertion on argument blocks.
+def argument_insertion(element: SkeinElement, tensor, factors, pairs) -> SkeinElement:
+    """Precompose every core with a two-leg insertion on pairs of argument blocks.
 
     `factors` lists the argument blocks of the element's source word
     explicitly (unit blocks included), so that product elements keep their
-    pair structure even when one side's argument is trivial.
+    pair structure even when one side's argument is trivial.  Each (i, j)
+    in `pairs` inserts `tensor`, its first legs on block i and its second
+    legs on block j.
     """
-    word = tensor_word([leaf for a in element.argument for leaf in a.leaves()])
-    pairs = [(i, j, tensor) for i in first_blocks for j in second_blocks]
-    return element.precompose(act_legs(factors, pairs, Morphism.identity(word, classical_mode())))
+    legs = [(i, j, tensor) for i, j in pairs]
+    return element.precompose(act_legs(factors, legs, Morphism.identity(flat_word(element.argument), classical_mode())))
 
 
 def interleaved_argument_factors(s1: SkeinElement, s2: SkeinElement):
@@ -137,7 +139,11 @@ def sigma_goldman(s1: SkeinElement, s2: SkeinElement) -> SigmaResult:
 
 
 def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
-    """sigma_{X,Y} + E0(beta_0) o sigma_{Y,X} o flip == E0(t-hat) o mu_0."""
+    """sigma_{X,Y} + E0(beta_0) o sigma_{Y,X} o flip == E0(t-hat) o mu_0.
+
+    t-hat acts at each vertex on that vertex's two argument blocks (the
+    first and the second factor's), never across vertices.
+    """
     sig12 = sigma_algebraic(s1, s2).element
     sig21 = sigma_algebraic(s2, s1).element
     # pull sigma(Y,X) back along the per-vertex classical flips
@@ -145,7 +151,7 @@ def symmetrization_check(s1: SkeinElement, s2: SkeinElement) -> bool:
     pulled = _flip_arguments(sig21, factors, first, sig12.argument)
     lhs = (sig12 + pulled).canonical()
     prod0 = mu(s1.part0(), s2.part0())
-    rhs = argument_insertion(prod0, T_TENSOR, factors, first, second).canonical()
+    rhs = argument_insertion(prod0, T_TENSOR, factors, zip(first, second)).canonical()
     return lhs.equal(rhs)
 
 
@@ -189,7 +195,7 @@ def check_fusion(s1: SkeinElement, s2: SkeinElement, v1: int, v2: int, order: st
 
     # second term: classical fused product with t on the middle arguments
     prod = mu(_transplant(s1.part0(), fused), _transplant(s2.part0(), fused))
-    term2 = argument_insertion(prod, T_TENSOR, context, [1], [2])
+    term2 = argument_insertion(prod, T_TENSOR, context, [(1, 2)])
 
     # the fused sigma, its argument bracketed as the rhs one
     lhs = sigma_algebraic(_transplant(s1, fused), _transplant(s2, fused)).element
@@ -317,7 +323,7 @@ def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
         s1._check_compatible(s2)
         return SkeinElement(s1.backend, s1.pattern, product_argument(s1, s2), [])
     prod0 = mu(s1, s2)
-    return argument_insertion(prod0, MINUS_T_PLUS_RA, factors, first, second).canonical()
+    return argument_insertion(prod0, MINUS_T_PLUS_RA, factors, [(i, j) for i in first for j in second]).canonical()
 
 
 def fock_rosly_consistency(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> bool:

@@ -242,7 +242,11 @@ def dual(x) -> ObjectExpr:
 
 
 def tensor_word(factors) -> ObjectExpr:
-    """Left-nested tensor of the factors; unit factors are dropped."""
+    """The tensor of the factors nested to the left as given, unit factors dropped.
+
+    A composite factor stays a subtree, so the word is left-nested only
+    when every factor is a leaf; `flat_word` flattens the factors first.
+    """
     factors = [f for f in factors if not isinstance(f, UnitObj)]
     if not factors:
         return UNIT
@@ -252,8 +256,9 @@ def tensor_word(factors) -> ObjectExpr:
     return word
 
 
-def left_nested(x: ObjectExpr) -> ObjectExpr:
-    return tensor_word(x.leaves())
+def flat_word(blocks) -> ObjectExpr:
+    """The left-nested word of the blocks' leaves."""
+    return tensor_word([leaf for obj in blocks for leaf in obj.leaves()])
 
 
 def word_tensor(a: ObjectExpr, b: ObjectExpr) -> ObjectExpr:
@@ -1310,8 +1315,9 @@ class BackendSpec:
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
             da, db = dual(a), dual(b)
-            m1 = self.flat_apply([db, da, a, b], [(1, 2, self.ev(a))])
-            return self.rebracket(self.apply([db, b], [(0, 2, self.ev(b))], m1), source=TensorObj(dual(x), x))
+            steps = [([db, da, a, b], [(1, 2, self.ev(a))]), ([db, b], [(0, 2, self.ev(b))])]
+            m = self.apply_chain(steps, Morphism.identity(flat_word([db, da, a, b]), self.mode))
+            return self.rebracket(m, source=TensorObj(dual(x), x))
         raise TypeError(x)
 
     def _coev(self, x):
@@ -1332,8 +1338,9 @@ class BackendSpec:
             return Morphism.identity(x, self.mode).tensor(self.twist(v)) @ self.braiding(v, x) @ self.coev(v)
         if isinstance(x, TensorObj):
             a, b = x.left, x.right
-            m1 = self.flat_apply([], [(0, 0, self.coev(a))])
-            return self.rebracket(self.apply([a, dual(a)], [(1, 0, self.coev(b))], m1), target=TensorObj(x, dual(x)))
+            steps = [([], [(0, 0, self.coev(a))]), ([a, dual(a)], [(1, 0, self.coev(b))])]
+            m = self.apply_chain(steps, Morphism.identity(UNIT, self.mode))
+            return self.rebracket(m, target=TensorObj(x, dual(x)))
         raise TypeError(x)
 
     def transpose(self, u: Morphism) -> Morphism:
@@ -1341,7 +1348,7 @@ class BackendSpec:
         a, b = u.source, u.target
         da, db = dual(a), dual(b)
         steps = [([db], [(1, 0, self.coev(a))]), ([db, a, da], [(1, 1, u)]), ([db, b, da], [(0, 2, self.ev(b))])]
-        return self.rebracket(self.apply_chain(steps, Morphism.identity(left_nested(db), self.mode)), db, da)
+        return self.rebracket(self.apply_chain(steps, Morphism.identity(flat_word([db]), self.mode)), db, da)
 
     # -- associator and coherence ------------------------------------------------
 
@@ -1412,7 +1419,7 @@ class BackendSpec:
             for at, span, m in sorted(placed, key=lambda p: p[0]):
                 if m.mode != self.mode or flat(context[at : at + span]) != m.source.leaves():
                     raise ModeError(f"apply: {m!r} does not match the context at {at}")
-                factors += context[pos:at] + [m]
+                factors += [*context[pos:at], m]
                 pos = at + span
             if flat(context) != word:
                 raise ModeError(f"apply: the context {context} is not on the word {nested}")
@@ -1445,14 +1452,13 @@ class BackendSpec:
     def flat_apply(self, context, placed) -> Morphism:
         """Morphisms applied inside a word, as one matrix between left-nested words.
 
-        `context` is a list of strand/word objects; `placed` is a list of
+        `context` is a list or tuple of word objects; `placed` is a list of
         (position, span, morphism): the morphism replaces `span` consecutive
         context entries starting at `position` (span 0 inserts before it).
         It is `apply` on the identity of the context word; callers that go
         on to compose with a core call `apply` and never build this matrix.
         """
-        word = tensor_word([leaf for obj in context for leaf in obj.leaves()])
-        return self.apply(context, placed, Morphism.identity(word, self.mode))
+        return self.apply(context, placed, Morphism.identity(flat_word(context), self.mode))
 
     def sort_blocks(self, blocks, over: bool, core: Morphism) -> Morphism:
         """`core` followed by the crossings (`_crossings`) that sort the (tag, object) blocks of its target by tag.
@@ -1474,7 +1480,7 @@ class BackendSpec:
         layers, legs = core.layers, {}
 
         def flat(order):
-            return tensor_word([x for n in order for x in objs[n].leaves()])
+            return flat_word(objs[n] for n in order)
 
         def placement(order, i):  # the raw placement word of a crossing at i
             words = [objs[n] for n in order]
@@ -1534,7 +1540,7 @@ class BackendSpec:
         `_cg_table`) writes every component, on the raw word of the context
         as in `apply`.  `core` must end on the left-nested word of `context`.
         """
-        word = tensor_word([leaf for obj in context for leaf in obj.leaves()])
+        word = flat_word(context)
         if core.mode != self.mode or core.target != word:
             raise ModeError(f"cg_reduce: core {core!r} does not end on the context word {word}")
         lab, first, second = context[plus], min(plus, minus), max(plus, minus)
@@ -1545,7 +1551,7 @@ class BackendSpec:
         for target in targets:
             blocks = list(context)
             blocks[plus], blocks[minus] = target, dual(target)
-            outputs.append((blocks, tensor_word([leaf for obj in blocks for leaf in obj.leaves()])))
+            outputs.append((blocks, flat_word(blocks)))
 
         def act(layers):
             out = [[[] for _ in layers] for _ in targets]  # per component and order: (den, entries) terms

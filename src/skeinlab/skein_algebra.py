@@ -34,7 +34,7 @@ from .ribbon_backend import (
     UNIT,
     coordinates,
     dual,
-    left_nested,
+    flat_word,
     make_backend,
     object_from_json,
     parse_label,
@@ -52,10 +52,6 @@ def slot_objects(pattern: SurfacePattern, labels):
         lab = labels[hi]
         objs.append(lab if end.sign > 0 else dual(lab))
     return objs
-
-
-def _flat_word(objects):
-    return tensor_word([leaf for obj in objects for leaf in obj.leaves()])
 
 
 @dataclass
@@ -81,7 +77,7 @@ class SkeinElement:
             raise AlgebraError("elements live on different patterns")
 
     def _flat_argument(self):
-        return tuple(left_nested(a) for a in self.argument)
+        return tuple(flat_word([a]) for a in self.argument)
 
     def __add__(self, other: "SkeinElement") -> "SkeinElement":
         self._check_compatible(other)
@@ -109,8 +105,8 @@ class SkeinElement:
         flat word must be the source of `m`.
         """
         argument = self.argument if argument is None else tuple(argument)
-        if m.target != _flat_word(self.argument) or m.source != _flat_word(argument):
-            raise AlgebraError(f"{m!r} does not map {_flat_word(argument)} onto the argument word")
+        if m.target != flat_word(self.argument) or m.source != flat_word(argument):
+            raise AlgebraError(f"{m!r} does not map {flat_word(argument)} onto the argument word")
         terms = [(labels, core @ m) for labels, core in self.terms]
         return SkeinElement(self.backend, self.pattern, argument, terms)
 
@@ -203,7 +199,7 @@ class SkeinElement:
         pattern = SurfacePattern.from_json(data["pattern"])
         argument = tuple(object_from_json(a) for a in data["argument"])
         element = SkeinElement(backend, pattern, argument, [])
-        source = _flat_word(argument)
+        source = flat_word(argument)
         for n, t in enumerate(data["terms"]):
             if not isinstance(t["labels"], list):
                 raise LabelError(f"term {n}: labels must be a list of strings, got {t['labels']!r}")
@@ -290,10 +286,10 @@ def element_hom_basis(backend: BackendSpec, pattern: SurfacePattern, argument, l
     for v in range(pattern.n_vertices):
         k = len(pattern.slots_at(v))
         w_v = tensor_word(objs[pos : pos + k])
-        x_v = left_nested(argument[v])
+        x_v = flat_word([argument[v]])
         per_vertex.append(backend.invariant_hom_basis(x_v, w_v))
         pos += k
-    source = _flat_word(argument)
+    source = flat_word(argument)
     target = tensor_word(objs)
     basis = []
     for combo in iproduct(*per_vertex):
@@ -399,7 +395,7 @@ def product_terms(s1: SkeinElement, s2: SkeinElement, positive: bool = True) -> 
 
     pairs = zip(s1.argument, s2.argument)
     arg_blocks = [((side, v), a) for v, pair in enumerate(pairs) for side, a in enumerate(pair)]
-    start = Morphism.identity(_flat_word([a for _, a in arg_blocks]), backend.mode)
+    start = Morphism.identity(flat_word([a for _, a in arg_blocks]), backend.mode)
     start = backend.sort_blocks(arg_blocks, not positive, start)
     places = strand_positions(pattern)
     terms = []
@@ -464,7 +460,7 @@ def holonomy_evaluate(s: SkeinElement):
     s = s.canonical()
     n = s.pattern.n_handles
     slots = s.pattern.all_slots()
-    src_dim = _flat_word(s.argument).dim
+    src_dim = flat_word(s.argument).dim
     out = [SL2Poly.constant(n, 0) for _ in range(src_dim)]
     for labels, core in s.terms:
         dims = [o.dim for o in slot_objects(s.pattern, labels)]

@@ -85,7 +85,7 @@ def _apply_random_move(word, kind, backend, rng):
         lvl, p = rng.choice(sites)
         return word, apply_move(word, "R2", (lvl, p, "insert"))
     if kind in ("FramedR1", "Snake"):
-        sites = [(l, p) for l, s in enumerate(levels) for p in range(len(s)) if s[p].orient > 0]
+        sites = [(l, p) for l, s in enumerate(levels) for p in range(len(s)) if isinstance(s[p], SimpleObj)]
         if not sites:
             return None
         lvl, p = rng.choice(sites)
@@ -98,7 +98,7 @@ def _apply_random_move(word, kind, backend, rng):
         if not sites:
             return None
         lvl, p = rng.choice(sites)
-        a, b, c = (strand.obj for strand in levels[lvl][p : p + 3])
+        a, b, c = levels[lvl][p : p + 3]
         src = TensorObj(TensorObj(a, b), c)
         m = backend.random_invariant(src, src, rng)
         cid = f"rp{len(word.coupons)}"
@@ -118,7 +118,7 @@ def _apply_random_move(word, kind, backend, rng):
             return None
         for _ in range(8):
             p = rng.randrange(len(strands) - 1)
-            m = backend.random_invariant(strands[p].obj, strands[p].obj, rng)
+            m = backend.random_invariant(strands[p], strands[p], rng)
             if not m.is_zero:
                 cid = f"slide{len(word.coupons)}"
                 before = _splice(word, top, coupon_then_cross(cid, m, p), [(cid, m)])
@@ -254,7 +254,7 @@ def sigma_suite(seed: int, pairs: int = 5):
         sig = sigma_algebraic(s1, s2).element
         prod0 = mu(s1.part0(), s2.part0())
         factors, first, second = interleaved_argument_factors(s1, s2)
-        rhs = argument_insertion(prod0, T_TENSOR, factors, [first[1]], [second[1]]).canonical()
+        rhs = argument_insertion(prod0, T_TENSOR, factors, [(first[1], second[1])]).canonical()
         ok = sig.equal(rhs)
         cases.append(_case(f"disk-formula-{i}", ok, None if ok else (sig - rhs).canonical().to_json()))
     for pat_name, pat in (("annulus", annulus()), ("torus", once_punctured_torus())):

@@ -6,9 +6,12 @@ cells slice by slice, as one `BackendSpec.apply_chain`; consecutive slices
 are joined by one canonical rebracketing, so evaluation is exact also for
 the non-strict Drinfeld backend.
 
-Interfaces between slices are flat strand lists carrying the implicit
+A strand is a leaf object of the backend: `SimpleObj(n)` going up,
+`DualObj(SimpleObj(n))` going down, as `ObjectExpr.leaves()` returns them.
+Interfaces between slices are tuples of strands carrying the implicit
 left-nested bracketing; coupons keep their own parenthesization as the
-source/target trees of their morphism.
+source/target trees of their morphism.  In JSON a strand is
+[label, "+" or "-"].
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .ribbon_backend import (
     DualObj,
     Morphism,
     SimpleObj,
+    dual,
     parse_label,
     simple,
     spin_name,
@@ -33,24 +37,17 @@ def _spin(label) -> int:
     return simple(parse_label(label)).spin
 
 
-@dataclass(frozen=True)
-class Strand:
-    spin: int
-    orient: int  # +1 up, -1 down
+def _strand_to_json(strand):
+    if isinstance(strand, DualObj):
+        return [spin_name(strand.inner.spin), "-"]
+    return [spin_name(strand.spin), "+"]
 
-    @property
-    def obj(self):
-        s = SimpleObj(self.spin)
-        return s if self.orient > 0 else DualObj(s)
 
-    def to_json(self):
-        return [spin_name(self.spin), "+" if self.orient > 0 else "-"]
-
-    @staticmethod
-    def from_json(data):
-        if not isinstance(data, list) or len(data) != 2 or data[1] not in ("+", "-"):
-            raise WordError(f"a strand must be [label, \"+\" or \"-\"], got {data!r}")
-        return Strand(_spin(data[0]), 1 if data[1] == "+" else -1)
+def _strand_from_json(data):
+    if not isinstance(data, list) or len(data) != 2 or data[1] not in ("+", "-"):
+        raise WordError(f"a strand must be [label, \"+\" or \"-\"], got {data!r}")
+    up = simple(parse_label(data[0]))
+    return up if data[1] == "+" else DualObj(up)
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,8 @@ class TangleWord:
         return levels, placed
 
     def interfaces(self):
-        """Strand tuples between slices: interfaces()[0] is the bottom."""
+        """The strands between slices, each level a tuple of `SimpleObj`s (up) and
+        `DualObj`s (down): interfaces()[0] is the bottom, interfaces()[-1] the top."""
         return self._walk()[0]
 
     @property
@@ -135,8 +133,8 @@ class TangleWord:
 
     def to_json(self):
         return {
-            "bottom": [s.to_json() for s in self.bottom],
-            "top": [s.to_json() for s in self.top],
+            "bottom": [_strand_to_json(s) for s in self.bottom],
+            "top": [_strand_to_json(s) for s in self.top],
             "slices": [[c.to_json() for c in cells] for cells in self.slices],
             "coupons": {k: m.to_json() for k, m in self.coupons.items()},
         }
@@ -149,28 +147,15 @@ class TangleWord:
         if not isinstance(coupons, dict) or not all(isinstance(k, str) for k in coupons):
             raise WordError(f"coupons must be an object with string keys, got {type(coupons).__name__}")
         word = TangleWord(
-            bottom=tuple(Strand.from_json(s) for s in data["bottom"]),
+            bottom=tuple(_strand_from_json(s) for s in data["bottom"]),
             slices=tuple(tuple(Cell.from_json(c) for c in cells) for cells in data["slices"]),
             coupons={k: Morphism.from_json(m) for k, m in coupons.items()},
         )
         if "top" in data:
-            declared = tuple(Strand.from_json(s) for s in data["top"])
+            declared = tuple(_strand_from_json(s) for s in data["top"])
             if declared != word.top:
                 raise WordError("declared top boundary does not match the slices")
         return word
-
-
-def _strands_of(word):
-    """The strands of a coupon boundary word."""
-    strands = []
-    for obj in word.leaves():
-        if isinstance(obj, SimpleObj):
-            strands.append(Strand(obj.spin, 1))
-        elif isinstance(obj, DualObj):
-            strands.append(Strand(obj.inner.spin, -1))
-        else:
-            raise WordError(f"coupon boundaries must be words of simples and duals, got {obj}")
-    return tuple(strands)
 
 
 _SPANS = {"braid+": 2, "braid-": 2, "twist+": 1, "twist-": 1, "assoc+": 3, "assoc-": 3}
@@ -185,7 +170,8 @@ def _cell_io(cell: Cell, strands, coupons):
     if k in ("cup", "cap"):
         if cell.label is None:
             raise WordError(f"{k} at {p} has no label")
-        pair = (Strand(cell.label, 1), Strand(cell.label, -1))
+        up = SimpleObj(cell.label)
+        pair = (up, DualObj(up))
         if (k == "cup") != (cell.flavor == "l"):
             pair = pair[::-1]
         ins, outs = ((), pair) if k == "cup" else (pair, ())
@@ -193,7 +179,7 @@ def _cell_io(cell: Cell, strands, coupons):
         m = coupons.get(cell.coupon_id)
         if m is None:
             raise WordError(f"unknown coupon {cell.coupon_id!r}")
-        ins, outs = _strands_of(m.source), _strands_of(m.target)
+        ins, outs = tuple(m.source.leaves()), tuple(m.target.leaves())
     elif k in _SPANS:
         ins = strands[p : p + _SPANS[k]]
         if len(ins) < _SPANS[k]:
@@ -215,20 +201,20 @@ def _cell_morphism(cell: Cell, ins, coupons, backend: BackendSpec):
     """The backend image of a cell whose input strands are `ins`."""
     k = cell.kind
     if k == "braid+":
-        return backend.braiding(ins[0].obj, ins[1].obj)
+        return backend.braiding(ins[0], ins[1])
     if k == "braid-":
-        return backend.braiding_inv(ins[1].obj, ins[0].obj)
+        return backend.braiding_inv(ins[1], ins[0])
     if k == "twist+":
-        return backend.twist(ins[0].obj)
+        return backend.twist(ins[0])
     if k == "twist-":
-        return backend.twist_inv(ins[0].obj)
+        return backend.twist_inv(ins[0])
     if k in ("cup", "cap"):
         lab = SimpleObj(cell.label)
         duality = backend.coev if k == "cup" else backend.ev
         return duality(lab if cell.flavor == "l" else DualObj(lab))
     if k == "coupon":
         return coupons[cell.coupon_id]
-    return Morphism.identity(tensor_word([s.obj for s in ins]), backend.mode)  # assoc+-
+    return Morphism.identity(tensor_word(ins), backend.mode)  # assoc+-
 
 
 def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
@@ -237,9 +223,9 @@ def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
         if m.mode != backend.mode:
             raise ModeError(f"coupon {cid!r} lives in {m.mode}, backend is {backend.mode}")
     levels, placed = word._walk()
-    steps = [([s.obj for s in strands], [(c.at, len(ins), _cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells])
+    steps = [(strands, [(c.at, len(ins), _cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells])
              for strands, cells in zip(levels, placed)]
-    return backend.apply_chain(steps, Morphism.identity(tensor_word([s.obj for s in word.bottom]), backend.mode))
+    return backend.apply_chain(steps, Morphism.identity(tensor_word(word.bottom), backend.mode))
 
 
 def _merge_coupons(base: TangleWord, extra: TangleWord):
@@ -341,7 +327,7 @@ def _move_rule(word: TangleWord, move: str, site):
         if direction != "insert":
             raise MoveError("snake moves are insertions")
     (strand,) = _strands_at(word, level, p, 1)
-    if strand.orient < 0:
+    if isinstance(strand, DualObj):
         raise MoveError(f"{move} implemented for upward strands")
     lab = strand.spin
     if move == "FramedR1":
@@ -386,7 +372,8 @@ def cross_then_coupon(coupon_id: str, m: Morphism, p: int):
 
 def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWord:
     """A random well-formed word over V and dual(V), with assorted cells; a cup needs fewer than 5 strands."""
-    bottom = tuple(Strand(1, rng.choice((1, -1))) for _ in range(n_strands))
+    up, down = SimpleObj(1), DualObj(SimpleObj(1))
+    bottom = tuple(rng.choice((up, down)) for _ in range(n_strands))
     word = TangleWord(bottom, (), {})
     coupon_count = 0
     for _ in range(n_slices):
@@ -416,9 +403,8 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWo
             sites = []
             for p in range(width - 1):
                 a, b = strands[p], strands[p + 1]
-                if a.spin == b.spin == 1 and a.orient != b.orient:
-                    flavor = "l" if a.orient < 0 else "r"
-                    sites.append((p, flavor))
+                if a in (up, down) and b == dual(a):
+                    sites.append((p, "l" if a == down else "r"))
             if not sites:
                 continue
             p, flavor = rng.choice(sites)
@@ -426,7 +412,7 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWo
         elif kind == "coupon":
             span = 1 if width == 1 else rng.choice((1, 2))
             p = rng.randrange(width - span + 1)
-            source = tensor_word([strands[p + i].obj for i in range(span)])
+            source = tensor_word(strands[p : p + span])
             m = backend.random_invariant(source, source, rng)
             if m.is_zero:
                 continue

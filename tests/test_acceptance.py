@@ -114,7 +114,7 @@ def test_criterion_05_disk_formula():
         sig = sigma_algebraic(s1, s2).element
         prod0 = mu(s1.part0(), s2.part0())
         factors, first, second = interleaved_argument_factors(s1, s2)
-        t24 = argument_insertion(prod0, T_TENSOR, factors, [first[1]], [second[1]]).canonical()
+        t24 = argument_insertion(prod0, T_TENSOR, factors, [(first[1], second[1])]).canonical()
         ok &= sig.equal(t24)
     report(5, "disk formula", ok, "(50 random pairs)")
 

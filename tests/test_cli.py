@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import cli
+from skeinlab import cli, suites
 from skeinlab.cli import main
 from skeinlab.ribbon_backend import make_backend, simple
 from skeinlab.skein_algebra import lift_element, loop_element, mu, random_element
 from skeinlab.surface import annulus, disk_with_two_points, once_punctured_torus
-from skeinlab.tangle import Cell, Strand, TangleWord
+from skeinlab.tangle import Cell, TangleWord
 
 
 def run_cli(args, tmp_path=None):
@@ -29,7 +29,7 @@ def run_cli(args, tmp_path=None):
 
 
 def test_eval_tangle(tmp_path):
-    w = TangleWord((Strand(1, 1), Strand(1, 1)), ((Cell("braid+", 0),), (Cell("braid-", 0),)), {})
+    w = TangleWord((simple(1), simple(1)), ((Cell("braid+", 0),), (Cell("braid-", 0),)), {})
     path = tmp_path / "word.json"
     path.write_text(json.dumps(w.to_json()))
     code, out, _ = run_cli(["eval-tangle", str(path), "--backend", "quantum", "--order", "3"])
@@ -110,7 +110,7 @@ def test_malformed_json_exit_2(tmp_path):
 
 
 def test_unknown_backend_exit_2(tmp_path):
-    w = TangleWord((Strand(1, 1),), (), {})
+    w = TangleWord((simple(1),), (), {})
     path = tmp_path / "w.json"
     path.write_text(json.dumps(w.to_json()))
     code, out, err = run_cli(["eval-tangle", str(path), "--backend", "nonsense"])
@@ -451,6 +451,31 @@ def test_an_option_the_command_does_not_read_exit_2(command, option, tmp_path):
     assert run_cli(argv)[0] == 0
     code, out, _ = run_cli(argv + option)
     assert code == 2 and out == ""
+
+
+class _RecordingArgs:
+    """Parsed `verify` arguments that record which attributes a runner reads."""
+
+    def __init__(self, values):
+        self.values, self.read = values, set()
+
+    def __getattr__(self, name):
+        if name not in self.values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self.values[name]
+
+
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_each_suite_runner_reads_exactly_its_listed_options(suite, monkeypatch):
+    """`verify` refuses the options SUITE_OPTIONS does not list for a suite, so
+    a runner reading an unlisted option, or leaving a listed one unread,
+    would make verify refuse an option it reads or accept one it ignores."""
+    for name in [n for n in vars(suites) if n.endswith("_suite")]:
+        monkeypatch.setattr(suites, name, lambda *args, **kwargs: [])
+    args = _RecordingArgs({dest: default for dest, (_, default) in cli.VERIFY_SUITE_OPTIONS.items()} | {"seed": 0})
+    assert suites.SUITES[suite](args) == []
+    assert args.read == set(suites.SUITE_OPTIONS.get(suite, ()))
 
 
 def test_verify_drinfeld_order_above_3_exit_2():

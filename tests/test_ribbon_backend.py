@@ -24,10 +24,10 @@ from skeinlab.ribbon_backend import (
     as_layer,
     classical_action,
     dual,
+    flat_word,
     flip_matrix,
     insert_legs,
     leg_insertion,
-    left_nested,
     make_backend,
     object_from_json,
     simple,
@@ -188,7 +188,7 @@ def test_snake_identities_on_a_nested_word():
         s1 = bk.flat_apply([x, dx, x], [(1, 2, bk.ev(x))]) @ bk.flat_apply([x], [(0, 0, bk.coev(x))])
         s2 = bk.flat_apply([dx, x, dx], [(0, 2, bk.ev(x))]) @ bk.flat_apply([dx], [(1, 0, bk.coev(x))])
         assert s1 == Morphism.identity(x, bk.mode), bk.name
-        assert s2 == Morphism.identity(left_nested(dx), bk.mode), bk.name
+        assert s2 == Morphism.identity(flat_word([dx]), bk.mode), bk.name
 
 
 def test_loop_value_classical_and_quantum():
@@ -1390,9 +1390,9 @@ def _reference_associator(bk, x, y, z, sign):
 
 
 def _reference_comb(bk, tree):
-    """Canonical morphism tree -> left_nested(tree), one reference inverse associator at a time."""
+    """Canonical morphism tree -> flat_word([tree]), one reference inverse associator at a time."""
     if not isinstance(tree, TensorObj):
-        return Morphism.identity(tree, bk.mode).retyped(target=left_nested(tree))
+        return Morphism.identity(tree, bk.mode).retyped(target=flat_word([tree]))
     a, b = tree.left, tree.right
     if isinstance(b, TensorObj):
         step = _reference_associator(bk, a, b.left, b.right, -1)
@@ -1402,7 +1402,7 @@ def _reference_comb(bk, tree):
         return _reference_comb(bk, a).retyped(source=tree)
     comb_a = _reference_comb(bk, a)
     m = comb_a.tensor(Morphism.identity(b, bk.mode))
-    return m.retyped(source=tree, target=left_nested(tree))
+    return m.retyped(source=tree, target=flat_word([tree]))
 
 
 def _reference_coherence(bk, s, t):
@@ -1521,7 +1521,7 @@ def _kron_flat_apply(bk, context, placed):
     factors += context[pos:]
     parts = [f if isinstance(f, Morphism) else Morphism.identity(f, bk.mode) for f in factors]
     raw = reduce(Morphism.tensor, parts or [Morphism.identity(UNIT, bk.mode)])
-    return bk.rebracket(raw, left_nested(raw.source), left_nested(raw.target))
+    return bk.rebracket(raw, flat_word([raw.source]), flat_word([raw.target]))
 
 
 def _random_morphism(rng, source, target, mode, density=0.5):

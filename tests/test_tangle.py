@@ -2,17 +2,17 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from skeinlab import ribbon_backend, suites, tangle
 from skeinlab.errors import MoveError, WordError
-from skeinlab.ribbon_backend import BackendSpec, Morphism, TensorObj, make_backend, simple, tensor_word
+from skeinlab.ribbon_backend import BackendSpec, DualObj, Morphism, TensorObj, make_backend, simple, tensor_word
 from skeinlab.scalars import ScalarSeries
 from skeinlab.suites import MOVE_KINDS, _apply_random_move
 from skeinlab.tangle import (
     Cell,
-    Strand,
     TangleWord,
     apply_move,
     compose,
@@ -23,7 +23,7 @@ from skeinlab.tangle import (
     tensor,
 )
 
-V1 = Strand(1, 1)
+V1 = simple(1)
 BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 3)]
 
 
@@ -76,10 +76,10 @@ def test_compose_functorial_and_tensor_monoidal():
         ej = rt_evaluate(joint, bk)
         raw = el.tensor(er)
         # juxtaposition agrees with the tensor up to the backend rebracketing
-        from skeinlab.ribbon_backend import left_nested
+        from skeinlab.ribbon_backend import flat_word
 
-        c_in = bk.coherence(left_nested(raw.source), raw.source)
-        c_out = bk.coherence(raw.target, left_nested(raw.target))
+        c_in = bk.coherence(flat_word([raw.source]), raw.source)
+        c_out = bk.coherence(raw.target, flat_word([raw.target]))
         assert ej == c_out @ raw @ c_in, name
 
 
@@ -173,6 +173,31 @@ def test_word_json_roundtrip():
     json.dumps(data)  # serializable
 
 
+@pytest.mark.parametrize("name", ["tangle_adj", "tangle_hbar3"])
+def test_golden_tangle_boundaries_round_trip_byte_for_byte(name):
+    data = json.loads((Path(__file__).parent / "golden" / "inputs" / f"{name}.json").read_text())
+    out = TangleWord.from_json(data).to_json()
+    for key in ("bottom", "top"):
+        assert json.dumps(out[key]) == json.dumps(data[key])
+
+
+def test_a_coupon_on_composite_words_takes_and_puts_back_their_leaves():
+    """Coupon boundaries are bracketed words; the interfaces hold their leaves, down strands as duals."""
+    dr = make_backend("drinfeld", 3)
+    v, vs, adj = simple(1), DualObj(simple(1)), simple(2)
+    source, target = TensorObj(v, TensorObj(vs, adj)), TensorObj(TensorObj(adj, v), vs)
+    m = dr.random_invariant(source, target, random.Random(6))
+    word = TangleWord((v, vs, adj), ((Cell("coupon", 0, coupon_id="c"),),), {"c": m})
+    (((_, ins),),) = word._walk()[1]
+    assert ins == tuple(source.leaves()) == word.bottom
+    assert word.top == tuple(target.leaves()) == (adj, v, vs)
+    data = word.to_json()
+    assert data["bottom"] == [["V", "+"], ["V", "-"], ["adj", "+"]] and data["top"] == [["adj", "+"], ["V", "+"], ["V", "-"]]
+    assert TangleWord.from_json(data).top == word.top
+    assert not m.is_zero
+    assert rt_evaluate(word, dr) == dr.rebracket(m, tensor_word(word.bottom), tensor_word(word.top))
+
+
 def test_r2_reduce_direction():
     w = TangleWord((V1, V1), (), {})
     grown = apply_move(w, "R2", (0, 0, "insert"))
@@ -230,7 +255,7 @@ def test_move_rules_keep_the_boundary():
         p = rng.randrange(max(1, len(strands)))
         coupons = dict(word.coupons)
         if strands:
-            coupons["s"] = bk.random_invariant(strands[p].obj, strands[p].obj, rng)
+            coupons["s"] = bk.random_invariant(strands[p], strands[p], rng)
         plants = [
             ("R2", (level, p, "insert"), ()),
             ("R2", (level, p, "reduce"), _braid_slices("braid+", p) + _braid_slices("braid-", p)),
@@ -431,10 +456,10 @@ def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):
 def _reference_rt_evaluate(word, backend):
     """`rt_evaluate` as one `apply` per slice, each a full round trip through the left-nested word."""
     levels, placed = word._walk()
-    total = Morphism.identity(tensor_word([s.obj for s in word.bottom]), backend.mode)
+    total = Morphism.identity(tensor_word(word.bottom), backend.mode)
     for strands, cells in zip(levels, placed):
         morphisms = [(c.at, len(ins), tangle._cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells]
-        total = backend.apply([s.obj for s in strands], morphisms, total)
+        total = backend.apply(strands, morphisms, total)
     return total
 
 

@@ -314,16 +314,18 @@ def fock_rosly_sigma(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool 
 def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
     """(-t + r_a) acting on the argument sides of the classical product.
 
-    Leg generators act by 0 on one-dimensional argument blocks, so when
-    every block has dimension 1 the correction is the empty element and
-    the product is not computed.
+    It acts at each vertex on that vertex's two argument blocks (the first
+    and the second factor's), never across vertices.  Leg generators act
+    by 0 on one-dimensional argument blocks, so when every block has
+    dimension 1 the correction is the empty element and the product is
+    not computed.
     """
     factors, first, second = interleaved_argument_factors(s1, s2)
     if all(f.dim == 1 for f in factors):
         s1._check_compatible(s2)
         return SkeinElement(s1.backend, s1.pattern, product_argument(s1, s2), [])
     prod0 = mu(s1, s2)
-    return argument_insertion(prod0, MINUS_T_PLUS_RA, factors, [(i, j) for i in first for j in second]).canonical()
+    return argument_insertion(prod0, MINUS_T_PLUS_RA, factors, zip(first, second)).canonical()
 
 
 def fock_rosly_consistency(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> bool:

@@ -26,11 +26,11 @@ R-matrix R.  The truncation does the rest: the order-1 exponential is the
 identity on classical, and e^2 = 0 makes exp(e*r) = 1 + e*r.  On every
 backend the inverse braiding and the inverse twist are the series inverses
 (`Morphism.inverse`) of the braiding and the twist.
-`_ev` and `_coev` build every cup and cap.  On a simple they are the
+`ev` and `coev` build every cup and cap.  On a simple they are the
 pairing and the copairing; a dual's ev and coev are the right duality of
 its simple V, ev(V) c(V, V*) (theta_V (x) id) and
 (id (x) theta_V) c(V, V*) coev(V); on a tensor word they nest the
-factors' maps.  With a nontrivial associator `_coev` divides the
+factors' maps.  With a nontrivial associator `coev` divides the
 copairing by its snake through associator(x, x*, x) (the Drinfeld snake
 scale), so the snake identities hold exactly.
 Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
@@ -1212,7 +1212,11 @@ BACKEND_NAMES = ("classical", "epsilon", "quantum", "drinfeld")
 
 
 class BackendSpec:
-    """Ribbon-category data for one of the four sl2 instances."""
+    """Ribbon-category data for one of the four sl2 instances.
+
+    The methods whose results the engine reuses are `lru_cache`d; the key is
+    (backend, arguments as passed), so each backend keeps its own entries.
+    """
 
     def __init__(self, name: str, mode: RingMode):
         if name == "drinfeld" and mode.order > 3:
@@ -1220,7 +1224,6 @@ class BackendSpec:
             raise TruncationUnsupported("DrinfeldSl2 supports truncation orders <= 3")
         self.name = name
         self.mode = mode
-        self._cache = {}
         self.nontrivial_associator = name == "drinfeld" and mode.order >= 3
 
     def __repr__(self):
@@ -1231,18 +1234,11 @@ class BackendSpec:
         """Whether the ring has a first-order term (order >= 2)."""
         return self.mode.order > 1
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     # -- braiding ----------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def braiding(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
         """The braiding x(x)y -> y(x)x; the left (x) strand passes over."""
-        return self._cached(("braid", x, y), lambda: self._braiding(x, y))
-
-    def _braiding(self, x, y):
         src = word_tensor(x, y)
         if self.name == "quantum":
             layers = _quantum_r_matrix(x, y, self.mode.order)
@@ -1251,19 +1247,15 @@ class BackendSpec:
             layers = exp_nilseries(leg_insertion([x, y], [0], [1], omega), src.dim, self.mode, rate)
         return flip_matrix(x, y, self.mode) @ Morphism._of(src, src, self.mode, layers)
 
+    @lru_cache(maxsize=None)
     def braiding_inv(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
         """Inverse of braiding(x, y): a morphism y(x)x -> x(x)y."""
-        return self._cached(("braidinv", x, y), lambda: self.braiding(x, y).inverse())
+        return self.braiding(x, y).inverse()
 
     # -- twist ---------------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def twist(self, x: ObjectExpr) -> Morphism:
-        return self._cached(("twist", x), lambda: self._twist(x))
-
-    def twist_inv(self, x: ObjectExpr) -> Morphism:
-        return self._cached(("twistinv", x), lambda: self.twist(x).inverse())
-
-    def _twist(self, x):
         """theta: exp(param C/2) on a simple or dual, the balancing axiom on a tensor word.
 
         C acts on V_n and its dual by n(n+2)/2.  On a @ b, theta =
@@ -1278,6 +1270,10 @@ class BackendSpec:
         n = x.dim - 1  # the spin of a simple or dual, 0 on the unit
         return Morphism.identity(x, self.mode).scale(exp_param_series(self.mode, Fraction(n * (n + 2), 4)))
 
+    @lru_cache(maxsize=None)
+    def twist_inv(self, x: ObjectExpr) -> Morphism:
+        return self.twist(x).inverse()
+
     # -- infinitesimal braiding -----------------------------------------------
 
     def inf_braiding(self, x: ObjectExpr, y: ObjectExpr) -> Morphism:
@@ -1286,24 +1282,14 @@ class BackendSpec:
         It is built from its legs on every backend; on a deformed backend it
         equals [beta^2 - id]_1 in these conventions.
         """
-
-        def build():
-            src = word_tensor(x, y)
-            return Morphism._of(src, src, classical_mode(), [leg_insertion([x, y], [0], [1], T_TENSOR)])
-
-        return self._cached(("t", x, y), build)
+        src = word_tensor(x, y)
+        return Morphism._of(src, src, classical_mode(), [leg_insertion([x, y], [0], [1], T_TENSOR)])
 
     # -- duality ----------------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def ev(self, x: ObjectExpr) -> Morphism:
         """Evaluation dual(x) (x) x -> unit."""
-        return self._cached(("ev", x), lambda: self._ev(x))
-
-    def coev(self, x: ObjectExpr) -> Morphism:
-        """Coevaluation unit -> x (x) dual(x)."""
-        return self._cached(("coev", x), lambda: self._coev(x))
-
-    def _ev(self, x):
         if isinstance(x, UnitObj):
             return Morphism.identity(UNIT, self.mode)
         if isinstance(x, SimpleObj):  # the pairing
@@ -1320,7 +1306,9 @@ class BackendSpec:
             return self.rebracket(m, source=TensorObj(dual(x), x))
         raise TypeError(x)
 
-    def _coev(self, x):
+    @lru_cache(maxsize=None)
+    def coev(self, x: ObjectExpr) -> Morphism:
+        """Coevaluation unit -> x (x) dual(x)."""
         if isinstance(x, UnitObj):
             return Morphism.identity(UNIT, self.mode)
         if isinstance(x, SimpleObj):
@@ -1360,13 +1348,14 @@ class BackendSpec:
         """x(x)(y(x)z) -> (x(x)y)(x)z: 1 - h^2/24 [t12, t23] on Drinfeld(3)."""
         return self.coherence(TensorObj(x, TensorObj(y, z)), TensorObj(TensorObj(x, y), z))
 
+    @lru_cache(maxsize=None)
     def coherence(self, src: ObjectExpr, tgt: ObjectExpr) -> Morphism:
         """The canonical rebracketing morphism src -> tgt (same flat word).
 
         It is `rebracket` of the identity: 1 + h^2 X(src -> tgt) on
         Drinfeld(3) (see `_coherence_legs`), a relabelled identity elsewhere.
         """
-        return self._cached(("coh", src, tgt), lambda: self.rebracket(Morphism.identity(src, self.mode), target=tgt))
+        return self.rebracket(Morphism.identity(src, self.mode), target=tgt)
 
     def rebracket(self, m: Morphism, source=None, target=None) -> Morphism:
         """`m` between other bracketings of its flat source and target words.
@@ -1491,7 +1480,7 @@ class BackendSpec:
             return {k: v for k, v in out.items() if v}
 
         for before, i, (a, b) in _crossings([(tag, n) for n, (tag, _) in enumerate(blocks)]):
-            rest = self._cached(("rest", over, objs[a], objs[b]), lambda: self._crossing_rest(over, objs[a], objs[b]))
+            rest = self._crossing_rest(over, objs[a], objs[b])
             if rest is not None:
                 layers = _layers_add(layers, _convolve(rest, layers, act))
             if self.nontrivial_associator:
@@ -1510,6 +1499,7 @@ class BackendSpec:
         layers = [(d, {(hi[r // low] + lo[r % low], j): v for (r, j), v in e.items()}) for d, e in layers]
         return Morphism._of(core.source, flat(final), self.mode, layers)
 
+    @lru_cache(maxsize=None)
     def _crossing_rest(self, over, left, right):
         """B - 1 for B = flip(right, left) o crossing, as layers of hashable entries; None when B = 1."""
         b = self.braiding(left, right) if over else self.braiding_inv(right, left)
@@ -1529,7 +1519,17 @@ class BackendSpec:
         Schur's lemma gives the other relations.
         """
         x, y = simple(x), simple(y)
-        return self._cached(("cg", x.spin, y.spin), lambda: self._cg(x, y))
+        m, n = x.spin, y.spin
+        if m + n > MAX_SPIN:
+            raise CgError(f"product spin {m + n} exceeds the supported bound {MAX_SPIN}")
+        word = TensorObj(x, y)
+        result = []
+        for k in range(m + n, abs(m - n) - 1, -2):
+            target = SimpleObj(k)
+            (embed,) = self.invariant_hom_basis(target, word)
+            (project,) = self.invariant_hom_basis(word, target)
+            result.append((target, embed, project.scale((project @ embed).entry(0, 0).inverse())))
+        return result
 
     def cg_reduce(self, core, context, plus, minus):
         """`core` with a block b (x) c of simples at context[plus] and its dual at context[minus] reduced to each V_k.
@@ -1563,38 +1563,23 @@ class BackendSpec:
         raw = self._on_raw_word(core, context, act)
         return [(t, self.rebracket(m, target=nested)) for t, (_, nested), m in zip(targets, outputs, raw)]
 
+    @lru_cache(maxsize=None)
     def _cg_table(self, b: SimpleObj, c: SimpleObj, plus_first: bool):
         """(targets, den, table) for `_int_pair_apply`: per V_k = targets[n], the projection (x) the
         transposed embedding on a handle's ends in slot order (the +-end first if `plus_first`)."""
-
-        def build():
-            cg = self.cg_decompose(b, c)
-            ops = [p.tensor(self.transpose(e)) if plus_first else self.transpose(e).tensor(p) for _, e, p in cg]
-            den, table = lcm(*(d for op in ops for d, _ in op.layers)), {}
-            for n, ((target, _, _), op) in enumerate(zip(cg, ops)):
-                for degree, (d, entries) in enumerate(op.layers):
-                    for (row, col), v in entries.items():
-                        entry = (n, target.dim, *divmod(row, target.dim), degree, v * (den // d))
-                        table.setdefault(divmod(col, b.dim * c.dim), []).append(entry)
-            return [t for t, _, _ in cg], den, table
-
-        return self._cached(("cg_table", b.spin, c.spin, plus_first), build)
-
-    def _cg(self, x: SimpleObj, y: SimpleObj):
-        m, n = x.spin, y.spin
-        if m + n > MAX_SPIN:
-            raise CgError(f"product spin {m + n} exceeds the supported bound {MAX_SPIN}")
-        word = TensorObj(x, y)
-        result = []
-        for k in range(m + n, abs(m - n) - 1, -2):
-            target = SimpleObj(k)
-            (embed,) = self.invariant_hom_basis(target, word)
-            (project,) = self.invariant_hom_basis(word, target)
-            result.append((target, embed, project.scale((project @ embed).entry(0, 0).inverse())))
-        return result
+        cg = self.cg_decompose(b, c)
+        ops = [p.tensor(self.transpose(e)) if plus_first else self.transpose(e).tensor(p) for _, e, p in cg]
+        den, table = lcm(*(d for op in ops for d, _ in op.layers)), {}
+        for n, ((target, _, _), op) in enumerate(zip(cg, ops)):
+            for degree, (d, entries) in enumerate(op.layers):
+                for (row, col), v in entries.items():
+                    entry = (n, target.dim, *divmod(row, target.dim), degree, v * (den // d))
+                    table.setdefault(divmod(col, b.dim * c.dim), []).append(entry)
+        return [t for t, _, _ in cg], den, table
 
     # -- invariant Hom spaces -----------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def invariant_hom_basis(self, source: ObjectExpr, target: ObjectExpr):
         """Basis of Hom(source, target) in the backend category.
 
@@ -1605,9 +1590,6 @@ class BackendSpec:
         epsilon and Drinfeld categories keep the classical E and F, so
         their basis is the classical one, taken into their ring.
         """
-        return self._cached(("hom", source, target), lambda: self._hom_basis(source, target))
-
-    def _hom_basis(self, source, target):
         if self.name in ("epsilon", "drinfeld"):
             return [b.convert(self.mode) for b in make_backend("classical").invariant_hom_basis(source, target)]
         order = self.mode.order
@@ -1644,7 +1626,7 @@ class BackendSpec:
 
 
 def make_backend(name: str, order: int = 3) -> BackendSpec:
-    """One of the four backends, one object (so one cache) per category and ring; `order` only matters for hbar."""
+    """One backend object per category and ring (so one set of cache entries); `order` only matters for hbar."""
     if name not in BACKEND_NAMES:
         raise LabelError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
     fixed = {"classical": classical_mode(), "epsilon": epsilon_mode()}

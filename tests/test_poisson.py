@@ -640,6 +640,41 @@ def test_fusion_theorem_with_vertex_1_first():
             assert ok and defect.pattern == fuse(pattern, v1, v2, order), (pattern, v1, v2, order)
 
 
+def test_excision_at_every_order_on_the_disk_and_the_chaps():
+    """Fusing the two marked points commutes with the product, up to one braiding on the arguments.
+
+    For s1, s2 on a two-vertex pattern with arguments (X1, X2) and (Y1, Y2)
+    and T the transplant onto the fused pattern, mu(T s1, T s2) equals
+    T(mu(s1, s2)) precomposed with c = braiding(X2, Y1) on X1 X2 Y1 Y2.
+    Fusion concatenates the slot orders, so stage B (positive crossings)
+    moves the same strands the same way in both products.  Stage A differs:
+    the unfused product reorders X1 Y1 X2 Y2 to X1 X2 Y1 Y2 with one negative
+    crossing, braiding_inv(X2, Y1), which the fused product (one argument
+    block per factor) does not make; c is its inverse.  With
+    braiding_inv(Y1, X2) in place of c the identity fails on every deformed ring.
+    """
+    from skeinlab.poisson import _transplant
+
+    rng = random.Random(7)
+    rings = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("quantum", 5), ("drinfeld", 2), ("drinfeld", 3)]
+    for name, order in rings:
+        bk = make_backend(name, order)
+        for pat in (DISK, two_strand_chaps()):
+            fused = fuse(pat, 0, 1)
+            for arg in (V, simple(2)):
+                s1 = random_element(bk, pat, rng, label_pool=(0, 1, 2), argument=(arg, arg))
+                s2 = random_element(bk, pat, rng, label_pool=(0, 1, 2), argument=(arg, arg))
+                (x1, x2), (y1, y2) = s1.argument, s2.argument
+                context = [x1, x2, y1, y2]
+                lhs = mu(_transplant(s1, fused), _transplant(s2, fused))
+                product = _transplant(mu(s1, s2), fused)
+                rhs = product.precompose(bk.flat_apply(context, [(1, 2, bk.braiding(x2, y1))]), lhs.argument)
+                wrong = product.precompose(bk.flat_apply(context, [(1, 2, bk.braiding_inv(y1, x2))]), lhs.argument)
+                assert not lhs.is_zero, (name, order, pat, arg)
+                assert lhs.equal(rhs), (name, order, pat, arg)
+                assert lhs.equal(wrong) is not bk.is_deformed, (name, order, pat, arg)
+
+
 def test_fusion_check_rejects_a_pattern_other_than_the_elements():
     """A disk element beside one on the chaps, or on a disk whose handle
     runs -/+, is refused by the product walk before either is fused; one
@@ -695,14 +730,28 @@ def test_fock_rosly_consistency_random():
             assert fock_rosly_consistency(s1, s2)
 
 
+def test_fock_rosly_consistency_on_two_vertex_arguments():
+    """On the disk and the chaps with V and adj arguments, -t + r_a acts inside each vertex:
+    the vertex sum equals sigma plus the correction, and both are nonzero."""
+    rng = random.Random(5)
+    for pat in (DISK, two_strand_chaps()):
+        for arg in (V, simple(2)):
+            for _ in range(2):
+                s1 = random_element(CL, pat, rng, label_pool=(0, 1, 2), argument=(arg, arg))
+                s2 = random_element(CL, pat, rng, label_pool=(0, 1, 2), argument=(arg, arg))
+                assert not forgetful_correction(s1, s2).is_zero, (pat, arg)
+                assert not fock_rosly_sigma(s1, s2).element.is_zero, (pat, arg)
+                assert fock_rosly_consistency(s1, s2, include_diagonal=True), (pat, arg)
+
+
 def _full_forgetful_correction(s1, s2):
-    """(-t + r_a) on the argument sides of the classical product, always computed."""
+    """(-t + r_a) on each vertex's two argument sides of the classical product, always computed."""
     from skeinlab.poisson import argument_insertion, interleaved_argument_factors
     from skeinlab.ribbon_backend import RA_TENSOR, TSYM_TENSOR
 
     factors, first, second = interleaved_argument_factors(s1, s2)
     minus_t = [(-c, g1, g2) for c, g1, g2 in TSYM_TENSOR]
-    return argument_insertion(mu(s1, s2), minus_t + list(RA_TENSOR), factors, [(i, j) for i in first for j in second]).canonical()
+    return argument_insertion(mu(s1, s2), minus_t + list(RA_TENSOR), factors, zip(first, second)).canonical()
 
 
 def test_forgetful_correction_matches_the_full_computation():

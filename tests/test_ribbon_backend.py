@@ -1220,6 +1220,36 @@ def test_inverse_twist_equals_inverse_of_twist(name, order):
         assert bk.twist(x) @ bk.twist_inv(x) == Morphism.identity(x, bk.mode)
 
 
+def test_cached_methods_keep_one_result_per_backend_and_arguments():
+    """The `lru_cache`d methods are keyed on (backend, arguments): a repeated call
+    returns the same object, and a second backend with the same name and ring
+    builds its own, equal one.  The uncached `cg_decompose` and `inf_braiding`
+    return equal results on repeated calls."""
+    w = TensorObj(V, ADJ)
+    calls = [
+        ("braiding", (V, ADJ)),
+        ("braiding_inv", (V, ADJ)),
+        ("twist", (w,)),
+        ("twist_inv", (w,)),
+        ("ev", (w,)),
+        ("coev", (w,)),
+        ("coherence", (TensorObj(w, V), TensorObj(V, TensorObj(ADJ, V)))),
+        ("_crossing_rest", (True, V, ADJ)),
+        ("_cg_table", (V, ADJ, True)),
+        ("invariant_hom_basis", (w, TensorObj(ADJ, V))),
+    ]
+    cached = [name for name, f in vars(BackendSpec).items() if hasattr(f, "cache_info")]
+    assert sorted(cached) == sorted(name for name, _ in calls)
+    bk, fresh = make_backend("drinfeld", 3), BackendSpec("drinfeld", hbar_mode(3))
+    for name, args in calls:
+        value = getattr(bk, name)(*args)
+        assert value is not None and getattr(bk, name)(*args) is value, name
+        other = getattr(fresh, name)(*args)
+        assert other == value and other is not value, name
+    for name, args in (("cg_decompose", (V, ADJ)), ("inf_braiding", (V, ADJ))):
+        assert getattr(bk, name)(*args) == getattr(bk, name)(*args), name
+
+
 def _hom_spaces():
     """50 Hom spaces: End of 3-letter words over {V, V*}, End of 2-letter
     words over {V, V*, adj}, Hom(1, 4-letter words over {V, V*} and over

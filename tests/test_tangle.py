@@ -300,22 +300,27 @@ def _closure(n, braid, middle=(), label=1):
     return TangleWord((), tuple(slices), {})
 
 
-def _exp_h(a):
-    """exp(a h) mod h^3."""
-    a = Fraction(a)
-    return (Fraction(1), a, a * a / 2)
+def _exp_h(a, order):
+    """exp(a h) mod h^order."""
+    a, term, out = Fraction(a), Fraction(1), []
+    for k in range(order):
+        out.append(term)
+        term = term * a / (k + 1)
+    return tuple(out)
 
 
 def _series_mul(x, y):
-    return tuple(sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(3))
+    """The product of two series mod h^order, order = len(x) = len(y)."""
+    return tuple(sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x)))
 
 
-def _series_sum(terms):
-    return tuple(sum(c * t[k] for c, t in terms) for k in range(3))
+def _series_sum(terms, order):
+    """sum c t mod h^order over the (c, t) in `terms`."""
+    return tuple(sum(c * t[k] for c, t in terms) for k in range(order))
 
 
-def _framed_jones(jones, writhe):
-    """theta_V^writhe [2] V_K(t) at t = q^-2, q = exp(h/2), mod h^3.
+def _framed_jones(jones, writhe, order):
+    """theta_V^writhe [2] V_K(t) at t = q^-2, q = exp(h/2), mod h^order.
 
     The Hecke relation (c - q^(1/2))(c + q^(-3/2)) = 0 of the braiding on
     V (x) V and the twist theta_V = q^(3/2) (C = 3/2 on V) give the skein
@@ -324,11 +329,14 @@ def _framed_jones(jones, writhe):
     relation at t = q^-2 (t^(1/2) = -q^-1), so J(K) = [2] V_K(q^-2) for a
     knot.  `jones` maps powers of t to coefficients; t^p = exp(-p h).
     """
-    quantum_dim = _series_sum([(1, _exp_h(Fraction(1, 2))), (1, _exp_h(Fraction(-1, 2)))])
-    framing = _exp_h(Fraction(3, 4) * writhe)  # theta_V^w
-    v = _series_sum([(c, _exp_h(-p)) for p, c in jones.items()])
+    quantum_dim = _series_sum([(1, _exp_h(Fraction(1, 2), order)), (1, _exp_h(Fraction(-1, 2), order))], order)
+    framing = _exp_h(Fraction(3, 4) * writhe, order)  # theta_V^w
+    v = _series_sum([(c, _exp_h(-p, order)) for p, c in jones.items()], order)
     return _series_mul(_series_mul(quantum_dim, framing), v)
 
+
+# the quantum backend runs at any order; Drinfeld stops at 3 (h^3 = 0)
+CLOSURE_BACKENDS = [("quantum", 3), ("quantum", 4), ("quantum", 6), ("drinfeld", 3)]
 
 KNOTS = [
     # (name, strands, braid word, writhe, Jones polynomial {power of t: coefficient})
@@ -338,27 +346,35 @@ KNOTS = [
 ]
 
 
+def _closure_values(word):
+    """The 1 x 1 evaluation of a closed word on each of `CLOSURE_BACKENDS`, as its coefficients."""
+    values = {}
+    for backend, order in CLOSURE_BACKENDS:
+        m = rt_evaluate(word, make_backend(backend, order))
+        assert m.source_dim == m.target_dim == 1
+        values[backend, order] = m.entry(0, 0).coeffs
+    return values
+
+
 @pytest.mark.parametrize("name,strands,braid,writhe,jones", KNOTS, ids=[k[0] for k in KNOTS])
 def test_braid_closures_match_the_framed_jones_polynomial(name, strands, braid, writhe, jones):
-    """Reshetikhin-Turaev on quantum(3) and Drinfeld(3) against the closed form,
-    and the two backends against each other mod h^3 (Drinfeld-Kohno)."""
-    expected = _framed_jones(jones, writhe)
-    values = {}
-    for backend in ("quantum", "drinfeld"):
-        m = rt_evaluate(_closure(strands, braid), make_backend(backend, 3))
-        assert m.source_dim == m.target_dim == 1
-        values[backend] = m.entry(0, 0).coeffs
-        assert values[backend] == expected, (backend, values[backend], expected)
-    assert values["quantum"] == values["drinfeld"]
+    """Reshetikhin-Turaev on quantum(3), quantum(4), quantum(6) and Drinfeld(3)
+    against the closed form at each order, and the two backends against each
+    other mod h^3 (Drinfeld-Kohno)."""
+    values = _closure_values(_closure(strands, braid))
+    for (backend, order), value in values.items():
+        expected = _framed_jones(jones, writhe, order)
+        assert value == expected, (backend, order, value, expected)
+    assert values["quantum", 3] == values["drinfeld", 3]
 
 
-def _q_power(x):
-    """q^x = exp(x h / 2) mod h^3."""
-    return _exp_h(Fraction(x, 2))
+def _q_power(x, order):
+    """q^x = exp(x h / 2) mod h^order."""
+    return _exp_h(Fraction(x, 2), order)
 
 
-def _torus_link(n, m):
-    """Closure of sigma_1^m on two strands V_n: sum_k lambda_k^m [k+1] mod h^3.
+def _torus_link(n, m, order):
+    """Closure of sigma_1^m on two strands V_n: sum_k lambda_k^m [k+1] mod h^order.
 
     V_n (x) V_n = sum_k V_k over k = 2n, 2n-2, ..., 0, and the braiding acts
     on V_k by lambda_k = (-1)^((2n-k)/2) q^((k(k+2)/2 - n(n+2))/2): the sign
@@ -370,48 +386,55 @@ def _torus_link(n, m):
     terms = []
     for k in range(2 * n, -1, -2):
         sign = -1 if m * (2 * n - k) // 2 % 2 else 1
-        power = _q_power(Fraction(m * (k * (k + 2) - 2 * n * (n + 2)), 4))
-        dim = _series_sum([(1, _q_power(j)) for j in range(-k, k + 1, 2)])
+        power = _q_power(Fraction(m * (k * (k + 2) - 2 * n * (n + 2)), 4), order)
+        dim = _series_sum([(1, _q_power(j, order)) for j in range(-k, k + 1, 2)], order)
         terms.append((sign, _series_mul(power, dim)))
-    return _series_sum(terms)
+    return _series_sum(terms, order)
 
 
 def test_torus_link_closed_form_examples():
     """The closed form on known values: the Hopf link (n = 1, m = 2) is
-    theta_V^2 [2] (q^-1 + q^-5), and the two unlinked strands (m = 0) give [n+1]^2."""
-    quantum_dim = _framed_jones({0: 1}, 0)
-    hopf = _series_mul(_series_mul(_q_power(3), quantum_dim), _series_sum([(1, _q_power(-1)), (1, _q_power(-5))]))
-    assert _torus_link(1, 2) == hopf == (4, 0, Fraction(5, 2))
-    assert _torus_link(2, 3) == (3, 18, 31)
+    theta_V^2 [2] (q^-1 + q^-5), and the two unlinked strands (m = 0) give [n+1]^2.
+    Mod h^6: the adj trefoil and the framed Jones form of the figure-eight."""
+    quantum_dim = _framed_jones({0: 1}, 0, 3)
+    q_terms = _series_sum([(1, _q_power(-1, 3)), (1, _q_power(-5, 3))], 3)
+    hopf = _series_mul(_series_mul(_q_power(3, 3), quantum_dim), q_terms)
+    assert _torus_link(1, 2, 3) == hopf == (4, 0, Fraction(5, 2))
+    assert _torus_link(2, 3, 3) == (3, 18, 31)
+    assert _torus_link(2, 3, 6) == (3, 18, 31, 18, Fraction(961, 12), Fraction(-171, 10))
+    (_, _, _, writhe, jones), = (k for k in KNOTS if k[0] == "figure-eight")
+    assert _framed_jones(jones, writhe, 6) == (2, 0, Fraction(25, 4), 0, Fraction(625, 192), 0)
     for n in (1, 2):
-        dim = _series_sum([(1, _q_power(j)) for j in range(-n, n + 1, 2)])
-        assert _torus_link(n, 0) == _series_mul(dim, dim)
+        for order in (3, 6):
+            dim = _series_sum([(1, _q_power(j, order)) for j in range(-n, n + 1, 2)], order)
+            assert _torus_link(n, 0, order) == _series_mul(dim, dim)
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["V", "adj"])
 @pytest.mark.parametrize("m", range(-3, 4))
 def test_two_strand_torus_links_match_the_closed_form(n, m):
-    """Closures of sigma_1^m on V_n (x) V_n on quantum(3) and Drinfeld(3)
-    against `_torus_link`, and the two backends against each other."""
+    """Closures of sigma_1^m on V_n (x) V_n on quantum(3), quantum(4),
+    quantum(6) and Drinfeld(3) against `_torus_link` at each order, and the
+    two backends against each other mod h^3."""
     braid = [1 if m > 0 else -1] * abs(m)
-    values = {}
-    for backend in ("quantum", "drinfeld"):
-        m_out = rt_evaluate(_closure(2, braid, label=n), make_backend(backend, 3))
-        assert m_out.source_dim == m_out.target_dim == 1
-        values[backend] = m_out.entry(0, 0).coeffs
-    assert values["quantum"] == values["drinfeld"] == _torus_link(n, m)
+    values = _closure_values(_closure(2, braid, label=n))
+    for (backend, order), value in values.items():
+        assert value == _torus_link(n, m, order), (backend, order)
+    assert values["quantum", 3] == values["drinfeld", 3]
 
 
 @pytest.mark.parametrize("backend", ["quantum", "drinfeld"])
 @pytest.mark.parametrize("writhe", [-1, 0, 1])
 def test_framed_adj_unknot_is_the_quantum_dimension(backend, writhe):
     """The one-strand closure on adj with `writhe` twists is theta_adj^writhe [3]:
-    [3] = q^-2 + 1 + q^2 = (3, 0, 1) mod h^3 and theta_adj = q^4 (C = 4 on adj)."""
+    [3] = q^-2 + 1 + q^2 = (3, 0, 1) mod h^3 and theta_adj = q^4 (C = 4 on adj).
+    Quantum runs at orders 3, 4 and 6, Drinfeld at 3."""
     twists = [(Cell("twist+" if writhe > 0 else "twist-", 0),)] * abs(writhe)
-    m = rt_evaluate(_closure(1, [], middle=twists, label=2), make_backend(backend, 3))
-    quantum_dim = _series_sum([(1, _q_power(-2)), (1, _q_power(0)), (1, _q_power(2))])
-    assert quantum_dim == (3, 0, 1)
-    assert m.entry(0, 0).coeffs == _series_mul(_q_power(4 * writhe), quantum_dim)
+    assert _series_sum([(1, _q_power(-2, 3)), (1, _q_power(0, 3)), (1, _q_power(2, 3))], 3) == (3, 0, 1)
+    for order in [o for b, o in CLOSURE_BACKENDS if b == backend]:
+        m = rt_evaluate(_closure(1, [], middle=twists, label=2), make_backend(backend, order))
+        quantum_dim = _series_sum([(1, _q_power(-2, order)), (1, _q_power(0, order)), (1, _q_power(2, order))], order)
+        assert m.entry(0, 0).coeffs == _series_mul(_q_power(4 * writhe, order), quantum_dim), order
 
 
 def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):

@@ -113,7 +113,6 @@ VERIFY_SUITE_OPTIONS = {
     "backend": ("--backend", "classical"),
     "order": ("--order", 3),
     "fusion_order": ("--convention", "v1v2"),
-    "fr_diagonal": ("--fr-diagonal", "include"),
 }
 
 
@@ -190,7 +189,6 @@ def build_parser():
     # None: not given; cmd_verify refuses it where the suite does not read it
     backend_options(p, None, None)
     convention_option(p, None)
-    p.add_argument("--fr-diagonal", choices=("include", "exclude"), default=None)
     p.set_defaults(func=cmd_verify)
 
     for p in sub.choices.values():

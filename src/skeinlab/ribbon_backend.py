@@ -50,10 +50,11 @@ identity.  On the other backends it relabels.
 `BackendSpec.apply_chain` is the one way local morphisms (crossings,
 coupons, cups, caps) act inside a word, step after step: it moves a core's
 sparse rows by mixed-radix index arithmetic, never builds id (x) m (x) id,
-and rebrackets once per step boundary.  `apply` is its one-step case and
-`flat_apply` is `apply` on the identity.  `sort_blocks` walks the crossings
-that reorder a word's blocks: each acts at the blocks' fixed positions, then
-the rows move once.  `cg_reduce` reduces a skein handle's two ends to every
+and rebrackets once per step boundary.  As in `cg_reduce`, each operator
+layer goes straight to its output degree, in one pass per core layer.
+`apply` is its one-step case and `flat_apply` is `apply` on the identity.
+`sort_blocks` walks the crossings that reorder a word's blocks: each acts at
+the blocks' fixed positions, then the rows move once.  `cg_reduce` reduces a skein handle's two ends to every
 Clebsch-Gordan component in one pass, through the chain's step onto a raw
 word, `_on_raw_word`.  Only this module reads or builds a morphism's layers.
 
@@ -507,8 +508,11 @@ _ENTRY_KEY = re.compile(r"(-?[0-9]{1,18}),(-?[0-9]{1,18})")
 # The `_int_*` kernels work on bare {(i, j): int} dicts and never divide.
 # A layer is a canonical pair (den, entries); `_layer` and `_sum` restore
 # that form once per result, combining denominators by product or lcm, and
-# skip the gcd when the denominator is 1.  Layers are shared between
-# morphisms, so no function mutates a layer's dict.
+# skip the gcd when the denominator is 1.  The apply kernels
+# (`_series_apply`, `_int_pair_apply`) route each operator layer to its
+# output degree in one pass per core layer and normalise each degree once.
+# Layers are shared between morphisms, so no function mutates a layer's
+# dict.
 
 
 def _int_compose(a, b):
@@ -533,27 +537,37 @@ def _int_kron(a, b, bd_rows, bd_cols):
     return out
 
 
-def _int_apply(a, b, right, src, tgt):
-    """(id (x) a (x) id_right) b by mixed-radix row arithmetic.
+def _series_apply(a, b, right, src, tgt):
+    """The truncated series (id (x) a (x) id_right) b of two layer lists, by mixed-radix row arithmetic.
 
     Row (l * src + c) * right + rr of b goes to row (l * tgt + k) * right + rr
-    for every entry a[k, c]; the identity factors are never built.  Entries
-    of a equal to 1 (most of a crossing's) move b's entries unmultiplied.
+    for every entry a[k, c]; the identity factors are never built.  Each
+    operator layer goes straight to its output degree, as in `_int_pair_apply`:
+    one pass per core layer decodes each row once and adds it into every
+    degree, over that degree's lcm of denominators, pre-scaled into a's
+    entries.  An entry that scales to 1 (most of a crossing's) moves b's
+    entries unmultiplied.
     """
-    by_col = {}
-    for (k, c), x in a.items():
-        by_col.setdefault(c, []).append((k, None if x == 1 else x))
+    n = len(a)
+    dens = [lcm(*(a[i][0] * b[m - i][0] for i in range(m + 1) if a[i][1] and b[m - i][1])) for m in range(n)]
+    sums = [{} for _ in range(n)]
     block = src * right
-    out = {}
-    for (r, j), y in b.items():
-        l, rest = divmod(r, block)
-        c, rr = divmod(rest, right)
-        for k, x in by_col.get(c, ()):
-            key = ((l * tgt + k) * right + rr, j)
-            p = y if x is None else x * y
-            s = out.get(key)
-            out[key] = p if s is None else s + p
-    return {k: v for k, v in out.items() if v}
+    for j, (bden, entries) in enumerate(b):
+        if not entries:
+            continue
+        by_col = {}
+        for i, (aden, ops) in enumerate(a[: n - j]):
+            acc, w = sums[i + j], dens[i + j] // (aden * bden)
+            for (k, c), x in ops.items():
+                by_col.setdefault(c, []).append((acc, k * right, None if x * w == 1 else x * w))
+        for (r, col), y in entries.items():
+            l, rest = divmod(r, block)
+            c, rr = divmod(rest, right)
+            base = l * tgt * right + rr
+            for acc, kr, x in by_col.get(c, ()):
+                key = (base + kr, col)
+                acc[key] = acc.get(key, 0) + (y if x is None else x * y)
+    return [_layer(d, {k: v for k, v in s.items() if v}) for d, s in zip(dens, sums)]
 
 
 def _int_pair_apply(table, b, d, mid, inner, limit):
@@ -1392,9 +1406,10 @@ class BackendSpec:
     def apply_chain(self, steps, core: Morphism) -> Morphism:
         """`core` (on a left-nested word) followed by each (context, placed) step's flat_apply; each context
         must be on the flat word the last step ended on.  Placed morphisms act on the core's rows by index
-        arithmetic (`_int_apply`) on the step's raw placement word (`_on_raw_word`), where the core stays until
-        the next step: with h^3 = 0, X(a -> b) + X(b -> c) = X(a -> c), so one rebracket per step boundary and
-        one back at the end equal a round trip per step."""
+        arithmetic (`_series_apply`, every operator layer to its output degree in one pass per core layer)
+        on the step's raw placement word (`_on_raw_word`), where the core stays until the next step: with
+        h^3 = 0, X(a -> b) + X(b -> c) = X(a -> c), so one rebracket per step boundary and one back at the
+        end equal a round trip per step."""
 
         def flat(objs):
             return [leaf for obj in objs for leaf in obj.leaves()]
@@ -1423,7 +1438,7 @@ class BackendSpec:
                 for f, d in zip(factors, dims):
                     right //= d
                     if isinstance(f, Morphism):
-                        layers = _convolve(f.layers, layers, lambda a, b: _int_apply(a, b, right, d, f.target.dim))
+                        layers = _series_apply(f.layers, layers, right, d, f.target.dim)
                 return [(targets, nested, layers)]
 
             (core,) = self._on_raw_word(core, sources, act)

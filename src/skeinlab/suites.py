@@ -291,7 +291,7 @@ def fusion_suite(seed: int, pairs: int = 5, order: str = "v1v2"):
     return cases
 
 
-def jacobi_suite(seed: int, pairs: int = 5, include_diagonal: bool = True):
+def jacobi_suite(seed: int, pairs: int = 5):
     rng = random.Random(seed)
     cl = make_backend("classical")
     cases = []
@@ -299,7 +299,7 @@ def jacobi_suite(seed: int, pairs: int = 5, include_diagonal: bool = True):
         for i in range(pairs):
             s1 = random_element(cl, pat, rng, label_pool=(0, 1, 2))
             s2 = random_element(cl, pat, rng, label_pool=(0, 1, 2))
-            ok = fock_rosly_consistency(s1, s2, include_diagonal)
+            ok = fock_rosly_consistency(s1, s2)
             cases.append(_case(f"fr-consistency-{pat_name}-{i}", ok))
     tor = once_punctured_torus()
     ta = loop_element(cl, tor, [[0]])
@@ -307,7 +307,7 @@ def jacobi_suite(seed: int, pairs: int = 5, include_diagonal: bool = True):
     tab = loop_element(cl, tor, [[0, 1]])
 
     def br(f, g):
-        return fock_rosly_sigma(f, g, include_diagonal).element
+        return fock_rosly_sigma(f, g).element
 
     total = None
     for x, y, z in ((ta, tb, tab), (tb, tab, ta), (tab, ta, tb)):
@@ -340,7 +340,7 @@ SUITE_OPTIONS = {
     "ribbon": ("backend", "order"),
     "sigma": ("seed", "cases"),
     "fusion": ("seed", "cases", "fusion_order"),
-    "jacobi": ("seed", "cases", "fr_diagonal"),
+    "jacobi": ("seed", "cases"),
 }
 
 # each runner takes the parsed arguments of `skeinlab verify`
@@ -349,6 +349,6 @@ SUITES = {
     "ribbon": lambda args: ribbon_suite(args.backend, args.order),
     "sigma": lambda args: sigma_suite(args.seed, args.cases),
     "fusion": lambda args: fusion_suite(args.seed, args.cases, args.fusion_order),
-    "jacobi": lambda args: jacobi_suite(args.seed, args.cases, args.fr_diagonal != "exclude"),
+    "jacobi": lambda args: jacobi_suite(args.seed, args.cases),
     "torsion": lambda args: torsion_suite(),
 }

@@ -440,6 +440,7 @@ JACOBI_SUITE = ["verify", "--suite", "jacobi", "--cases", "1"]
         (FUSION_SUITE, ["--fr-diagonal", "exclude"]),
         (JACOBI_SUITE, ["--backend", "quantum"]),
         (JACOBI_SUITE, ["--convention", "fusion=v2v1"]),
+        (JACOBI_SUITE, ["--fr-diagonal", "exclude"]),
     ],
     ids=lambda words: " ".join(w for w in words if not w.endswith(".json") and not w.isdigit()),
 )

@@ -26,7 +26,6 @@ from skeinlab.ribbon_backend import (
     Morphism,
     TensorObj,
     _convolve,
-    _int_apply,
     _int_compose,
     _int_kron,
     _layer,
@@ -34,6 +33,7 @@ from skeinlab.ribbon_backend import (
     _layers_kron,
     _layers_scale,
     _product,
+    _series_apply,
     _sum,
     as_layer,
     classical_action,
@@ -190,11 +190,36 @@ def test_binary_kernels_match_the_fraction_reference(seed):
     rows, cols = rng.randint(1, 3), rng.randint(1, 3)
     kron = _layer(*_product(la, lb, lambda x, y: _int_kron(x, y, rows, cols)))
     assert _equal(kron, _frac_kron(a, b, rows, cols))
-    # apply: b, from c to m letters, acts on the middle factor of left (x) c (x) right
-    left, right = rng.randint(1, 3), rng.randint(1, 3)
-    core = _fractions(rng, left * c * right, rng.randint(1, 3))
-    applied = _layer(*_product(lb, as_layer(core), lambda x, y: _int_apply(x, y, right, c, m)))
-    assert _equal(applied, _frac_apply(b, core, right, c, m))
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 6))
+@pytest.mark.parametrize("seed", range(8))
+def test_series_apply_matches_the_fraction_reference(order, seed):
+    """The one-pass apply kernel against the convolution of per-layer applies.
+
+    An operator from c to m letters acts on the middle factor of left (x) c
+    (x) right.  Layers may be empty, the operator's integral layers carry
+    entries equal to 1, and at order >= 2 degree 1 gets a0 (s b0) + (-s a0) b0,
+    two terms over different denominators that cancel to (1, {})."""
+    rng = random.Random(300 + 10 * order + seed)
+    m, c, left, right, cols = (rng.randint(1, 3) for _ in range(5))
+    a = [_fractions(rng, m, c) for _ in range(order)]
+    for layer in a:
+        if layer and all(v.denominator == 1 for v in layer.values()):
+            layer[rng.choice(sorted(layer))] = Fraction(1)
+    b = [_fractions(rng, left * c * right, cols) for _ in range(order)]
+    if order >= 2:
+        a[0] = a[0] or {(0, 0): Fraction(1)}
+        b[0] = b[0] or {(0, 0): Fraction(5, 6)}
+        s = _value(rng)
+        a[1], b[1] = _frac_scale(a[0], -s), _frac_scale(b[0], s)
+    got = _series_apply([as_layer(x) for x in a], [as_layer(x) for x in b], right, c, m)
+    want = _frac_convolve(a, b, lambda x, y: _frac_apply(x, y, right, c, m))
+    assert len(got) == order
+    for layer, expected in zip(got, want):
+        assert _equal(layer, expected)
+    if order >= 2:
+        assert got[1] == (1, {})
 
 
 @pytest.mark.parametrize("seed", SEEDS)

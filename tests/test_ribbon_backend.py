@@ -1533,7 +1533,7 @@ def test_rebracket_matches_reference_comb_conjugation():
 # apply against the Kronecker-product flat_apply
 # ---------------------------------------------------------------------------
 
-APPLY_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 2), ("drinfeld", 3)]
+APPLY_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("quantum", 5), ("drinfeld", 2), ("drinfeld", 3)]
 APPLY_POOL = (UNIT, V, VS, ADJ, TensorObj(V, ADJ))
 APPLY_TARGETS = (UNIT, V, VS, ADJ, TensorObj(VS, V), TensorObj(V, TensorObj(ADJ, VS)))
 

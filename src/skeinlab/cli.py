@@ -19,7 +19,7 @@ from .ribbon_backend import BACKEND_NAMES, make_backend
 from .skein_algebra import SkeinElement, lift_element, mu
 from .poisson import fock_rosly_sigma, sigma_algebraic, sigma_goldman
 from .surface import SurfacePattern, fuse
-from .suites import SUITE_OPTIONS, SUITES
+from .suites import SUITES
 from .tangle import TangleWord, rt_evaluate
 
 
@@ -117,7 +117,7 @@ VERIFY_SUITE_OPTIONS = {
 
 
 def cmd_verify(args) -> int:
-    reads = SUITE_OPTIONS.get(args.suite, ())
+    runner, reads = SUITES[args.suite]
     for dest, (flag, default) in VERIFY_SUITE_OPTIONS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
     if args.seed is None:
         args.seed = _env_seed()
     t0 = time.monotonic()
-    cases = SUITES[args.suite](args)
+    cases = runner(*(getattr(args, o) for o in reads))
     cases.sort(key=lambda c: c["id"])
     defects = [c for c in cases if not c["ok"]]
     report = {

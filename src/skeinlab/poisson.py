@@ -328,9 +328,9 @@ def forgetful_correction(s1: SkeinElement, s2: SkeinElement) -> SkeinElement:
     return argument_insertion(prod0, MINUS_T_PLUS_RA, factors, zip(first, second)).canonical()
 
 
-def fock_rosly_consistency(s1: SkeinElement, s2: SkeinElement, include_diagonal: bool = True) -> bool:
+def fock_rosly_consistency(s1: SkeinElement, s2: SkeinElement) -> bool:
     """fock_rosly_sigma == sigma_algebraic + (-t + r_a) on the arguments."""
-    fr = fock_rosly_sigma(s1, s2, include_diagonal)
+    fr = fock_rosly_sigma(s1, s2)
     ep = make_backend("epsilon")
     sig = sigma_algebraic(lift_element(s1, ep), lift_element(s2, ep)).element
     rhs = (sig + forgetful_correction(s1, s2)).canonical()

@@ -54,7 +54,9 @@ and rebrackets once per step boundary.  As in `cg_reduce`, each operator
 layer goes straight to its output degree, in one pass per core layer.
 `apply` is its one-step case and `flat_apply` is `apply` on the identity.
 `sort_blocks` walks the crossings that reorder a word's blocks: each acts at
-the blocks' fixed positions, then the rows move once.  `cg_reduce` reduces a skein handle's two ends to every
+the blocks' fixed positions, then the rows move once, and it builds no word
+per crossing (on Drinfeld(3) it reads each crossing's coherence off the leaf
+indices).  `cg_reduce` reduces a skein handle's two ends to every
 Clebsch-Gordan component in one pass, through the chain's step onto a raw
 word, `_on_raw_word`.  Only this module reads or builds a morphism's layers.
 
@@ -1450,8 +1452,8 @@ class BackendSpec:
         the raw word of `out`, onto `target` in the caller's one `rebracket`; elsewhere results are on `target`."""
         if not self.nontrivial_associator:
             return [Morphism._of(core.source, target, self.mode, layers) for _, target, layers in act(core.layers)]
-        core = self.rebracket(core, target=reduce(word_tensor, blocks, UNIT))
-        return [Morphism._of(core.source, reduce(word_tensor, out, UNIT), self.mode, layers) for out, _, layers in act(core.layers)]
+        core = self.rebracket(core, target=tensor_word(blocks))
+        return [Morphism._of(core.source, tensor_word(out), self.mode, layers) for out, _, layers in act(core.layers)]
 
     def flat_apply(self, context, placed) -> Morphism:
         """Morphisms applied inside a word, as one matrix between left-nested words.
@@ -1473,9 +1475,16 @@ class BackendSpec:
         uncrossed pair keeps its order; `_leg_offsets`, skipped if B = 1, as
         on classical) and one row relabelling ends the walk.  A nontrivial
         associator adds `apply`'s two rebrackets per crossing, h^2 (X_in +
-        P^-1 X_out P) m_0, on the starting layer 0 (h^3 = 0, B = 1 + O(h)).
-        Omega is totally antisymmetric, so each leaf triple acts once, its
-        terms summed with the sign of their legs' permutation.
+        P^-1 X_out P) m_0, on the starting layer 0 (h^3 = 0, B = 1 + O(h)),
+        read off leaf indices with no word built.  psi (`_coherence_legs`) is
+        0 on a flat word, and the raw placement word nests the crossing pair
+        as one factor after the leaves L of the blocks left of it.  So a
+        crossing of block A (left) and block B adds 2 Omega_lab for l in L,
+        a in A, b in B; Omega_ab1b2 for b1 < b2 in B; and -Omega_a1a2b for
+        a1 < a2 in A.  A triple that does not meet both blocks keeps its
+        order and its psi across the crossing, so its terms cancel.  Omega is
+        totally antisymmetric, so each leaf triple acts once, its terms summed
+        with the sign of their legs' permutation.
         """
         objs = [o for _, o in blocks]
         dims = [o.dim for o in objs]
@@ -1486,10 +1495,6 @@ class BackendSpec:
         def flat(order):
             return flat_word(objs[n] for n in order)
 
-        def placement(order, i):  # the raw placement word of a crossing at i
-            words = [objs[n] for n in order]
-            return reduce(word_tensor, words[:i] + [word_tensor(words[i], words[i + 1])] + words[i + 2 :], UNIT)
-
         def act(op, m):  # an operator on blocks a and b, at their original positions
             out = _int_offset_apply(_leg_offsets((dims[a], dims[b]), (strides[a], strides[b]), op), m, {})
             return {k: v for k, v in out.items() if v}
@@ -1499,13 +1504,13 @@ class BackendSpec:
             if rest is not None:
                 layers = _layers_add(layers, _convolve(rest, layers, act))
             if self.nontrivial_associator:
-                after = before[:i] + [b, a] + before[i + 2 :]
-                for order, src, tgt in ((before, flat(before), placement(before, i)), (after, placement(after, i), flat(after))):
-                    leaf = [k for n in order for k in range(first[n], first[n + 1])]
-                    for *ijk, n in _coherence_legs(src, tgt):
-                        triple = [leaf[p] for p in ijk]
-                        key = tuple(sorted(triple))
-                        legs[key] = legs.get(key, 0) + n * (-1) ** sum(x > y for x, y in combinations(triple, 2))
+                left = [k for n in before[:i] for k in range(first[n], first[n + 1])]
+                xa, xb = range(first[a], first[a + 1]), range(first[b], first[b + 1])
+                for *triple, n in [*((l, x, y, 2) for l in left for x in xa for y in xb),
+                                   *((x, *p, 1) for x in xa for p in combinations(xb, 2)),
+                                   *((*p, y, -1) for p in combinations(xa, 2) for y in xb)]:
+                    key = tuple(sorted(triple))
+                    legs[key] = legs.get(key, 0) + n * (-1) ** sum(x > y for x, y in combinations(triple, 2))
         terms = [(*ijk, _omega(n)) for ijk, n in legs.items() if n]
         if terms:
             layers = (*layers[:2], _add(layers[2], insert_legs(flat(range(len(objs))).leaves(), terms, core.layers[0])))

@@ -332,23 +332,14 @@ def torsion_suite():
     return cases
 
 
-# the options of `skeinlab verify` that each suite reads; moves and ribbon
-# run the configured backend and order, the others fix their own, and
-# ribbon and torsion draw no random cases
-SUITE_OPTIONS = {
-    "moves": ("seed", "cases", "backend", "order"),
-    "ribbon": ("backend", "order"),
-    "sigma": ("seed", "cases"),
-    "fusion": ("seed", "cases", "fusion_order"),
-    "jacobi": ("seed", "cases"),
-}
-
-# each runner takes the parsed arguments of `skeinlab verify`
+# each suite's runner and the options of `skeinlab verify` it takes, in
+# parameter order; moves and ribbon run the configured backend and order,
+# the others fix their own, and ribbon and torsion draw no random cases
 SUITES = {
-    "moves": lambda args: moves_suite(args.backend, args.order, args.seed, args.cases),
-    "ribbon": lambda args: ribbon_suite(args.backend, args.order),
-    "sigma": lambda args: sigma_suite(args.seed, args.cases),
-    "fusion": lambda args: fusion_suite(args.seed, args.cases, args.fusion_order),
-    "jacobi": lambda args: jacobi_suite(args.seed, args.cases),
-    "torsion": lambda args: torsion_suite(),
+    "moves": (moves_suite, ("backend", "order", "seed", "cases")),
+    "ribbon": (ribbon_suite, ("backend", "order")),
+    "sigma": (sigma_suite, ("seed", "cases")),
+    "fusion": (fusion_suite, ("seed", "cases", "fusion_order")),
+    "jacobi": (jacobi_suite, ("seed", "cases")),
+    "torsion": (torsion_suite, ()),
 }

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import itertools
 import json
 import random
@@ -454,29 +455,17 @@ def test_an_option_the_command_does_not_read_exit_2(command, option, tmp_path):
     assert code == 2 and out == ""
 
 
-class _RecordingArgs:
-    """Parsed `verify` arguments that record which attributes a runner reads."""
-
-    def __init__(self, values):
-        self.values, self.read = values, set()
-
-    def __getattr__(self, name):
-        if name not in self.values:
-            raise AttributeError(name)
-        self.read.add(name)
-        return self.values[name]
-
-
 @pytest.mark.parametrize("suite", sorted(suites.SUITES))
-def test_each_suite_runner_reads_exactly_its_listed_options(suite, monkeypatch):
-    """`verify` refuses the options SUITE_OPTIONS does not list for a suite, so
-    a runner reading an unlisted option, or leaving a listed one unread,
-    would make verify refuse an option it reads or accept one it ignores."""
-    for name in [n for n in vars(suites) if n.endswith("_suite")]:
-        monkeypatch.setattr(suites, name, lambda *args, **kwargs: [])
-    args = _RecordingArgs({dest: default for dest, (_, default) in cli.VERIFY_SUITE_OPTIONS.items()} | {"seed": 0})
-    assert suites.SUITES[suite](args) == []
-    assert args.read == set(suites.SUITE_OPTIONS.get(suite, ()))
+def test_each_suite_runner_reads_exactly_its_listed_options(suite):
+    """`verify` refuses the options SUITES does not list for a suite and
+    passes the listed ones to its runner in order, so the list must bind
+    every parameter: a runner parameter left unbound would keep its default
+    while verify accepted nothing for it, and one bound twice or too many
+    options would not bind."""
+    runner, options = suites.SUITES[suite]
+    assert set(options) <= set(cli.VERIFY_SUITE_OPTIONS)
+    signature = inspect.signature(runner)
+    assert list(signature.bind(*options).arguments) == list(signature.parameters)
 
 
 def test_verify_drinfeld_order_above_3_exit_2():

@@ -765,7 +765,7 @@ def test_fock_rosly_consistency_on_two_vertex_arguments():
                 s2 = random_element(CL, pat, rng, label_pool=(0, 1, 2), argument=(arg, arg))
                 assert not forgetful_correction(s1, s2).is_zero, (pat, arg)
                 assert not fock_rosly_sigma(s1, s2).element.is_zero, (pat, arg)
-                assert fock_rosly_consistency(s1, s2, include_diagonal=True), (pat, arg)
+                assert fock_rosly_consistency(s1, s2), (pat, arg)
 
 
 def _full_forgetful_correction(s1, s2):

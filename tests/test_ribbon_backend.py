@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import factorial, gcd, lcm, prod
 
 import pytest
 
+from skeinlab import ribbon_backend
 from skeinlab.errors import CgError, LabelError, ModeError, Part1DomainError, SkeinlabError, TruncationUnsupported
 from skeinlab.ribbon_backend import (
     RA_TENSOR,
@@ -20,7 +21,9 @@ from skeinlab.ribbon_backend import (
     TensorObj,
     UNIT,
     UnitObj,
+    _coherence_legs,
     _crossings,
+    _omega,
     as_layer,
     classical_action,
     dual,
@@ -753,6 +756,96 @@ def test_sort_blocks_relabels_rows_as_the_flips_do():
         assert cl.sort_blocks(blocks, n % 2 == 0, core) == expected, blocks
         crossed.add(any(_crossings(blocks)))
     assert crossed == {False, True}
+
+
+# leaves, units and composites nested both ways, for random block lists
+BLOCK_POOL = [V, ADJ, VS, UNIT, TensorObj(V, VS), TensorObj(TensorObj(V, VS), V), TensorObj(V, TensorObj(V, VS))]
+
+
+def _random_blocks(rng, most_blocks, largest_dim):
+    """2 to most_blocks random (tag, object) blocks from BLOCK_POOL whose word has at most largest_dim."""
+    while True:
+        objs = [rng.choice(BLOCK_POOL) for _ in range(rng.randint(2, most_blocks))]
+        if prod(o.dim for o in objs) <= largest_dim:
+            return [(rng.randrange(4), o) for o in objs]
+
+
+@pytest.mark.parametrize("name, order", [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 2), ("drinfeld", 3)])
+def test_sort_blocks_matches_one_apply_per_crossing(name, order):
+    """`sort_blocks` on the identity equals one `apply` of each crossing of the walk, at its current position.
+
+    The crossing is braiding(left, right) over and braiding_inv(right, left)
+    under; on Drinfeld(3) each `apply` rebrackets its word in and out.
+    """
+    bk = make_backend(name, order)
+    rng = random.Random(62)
+    for n in range(24):
+        blocks = _random_blocks(rng, 4, 128)
+        over = n % 2 == 0
+        core = Morphism.identity(flat_word(o for _, o in blocks), bk.mode)
+        expected = core
+        for context, i, (left, right) in _crossings(blocks):
+            crossing = bk.braiding(left, right) if over else bk.braiding_inv(right, left)
+            expected = bk.apply(context, [(i, 2, crossing)], expected)
+        assert bk.sort_blocks(blocks, over, core) == expected, (blocks, over)
+
+
+def _reference_crossing_legs(blocks):
+    """The coherence terms {sorted leaf triple: n} that `sort_blocks` gives Drinfeld(3), from rebracketed words.
+
+    Per crossing, X_in runs from the flat word to the raw placement word
+    (the pair of crossing blocks tensored as one factor) and X_out back from
+    the crossed placement word; `_coherence_legs` reads each on its words,
+    and each leg maps to the starting leaves with its permutation's sign.
+    """
+    objs = [o for _, o in blocks]
+    first = list(accumulate((len(o.leaves()) for o in objs), initial=0))
+
+    def flat(order):
+        return flat_word(objs[n] for n in order)
+
+    def placement(order, i):
+        words = [objs[n] for n in order]
+        return reduce(word_tensor, words[:i] + [word_tensor(words[i], words[i + 1])] + words[i + 2 :], UNIT)
+
+    legs = {}
+    for before, i, (a, b) in _crossings([(tag, n) for n, (tag, _) in enumerate(blocks)]):
+        after = before[:i] + [b, a] + before[i + 2 :]
+        for order, src, tgt in ((before, flat(before), placement(before, i)), (after, placement(after, i), flat(after))):
+            leaf = [k for n in order for k in range(first[n], first[n + 1])]
+            for *ijk, n in _coherence_legs(src, tgt):
+                triple = [leaf[p] for p in ijk]
+                key = tuple(sorted(triple))
+                legs[key] = legs.get(key, 0) + n * (-1) ** sum(x > y for x, y in combinations(triple, 2))
+    return {ijk: n for ijk, n in legs.items() if n}
+
+
+def test_sort_blocks_coherence_terms_match_the_word_reference(monkeypatch):
+    """On Drinfeld(3) the leg terms `sort_blocks` passes to `insert_legs` are the word-based ones, triple for triple."""
+    dr = make_backend("drinfeld", 3)
+    calls = []
+    insert_legs = ribbon_backend.insert_legs
+
+    def watched(factors, terms, m):
+        calls.append(terms)
+        return insert_legs(factors, terms, m)
+
+    monkeypatch.setattr(ribbon_backend, "insert_legs", watched)
+    rng = random.Random(63)
+    nonzero = 0
+    for _ in range(300):
+        blocks = _random_blocks(rng, 6, 4096)
+        word = flat_word(o for _, o in blocks)
+        core = Morphism(V, word, dr.mode, [{(rng.randrange(word.dim), 0): 1}])
+        dr.sort_blocks(blocks, True, core)  # fills the crossing caches, whose set-up may insert legs too
+        calls.clear()
+        dr.sort_blocks(blocks, True, core)
+        expected = _reference_crossing_legs(blocks)
+        assert len(calls) <= 1
+        got = {(i, j, k): omega for call in calls for i, j, k, omega in call}
+        assert got == {ijk: _omega(n) for ijk, n in expected.items()}, blocks
+        nonzero += bool(expected)
+    assert nonzero > 100
 
 
 def test_insert_legs_sums_pairs_with_different_tensors():

@@ -1,6 +1,9 @@
 import pytest
 
 from skeinlab.errors import FusionError
+from skeinlab.poisson import _swap_vertices
+from skeinlab.ribbon_backend import make_backend
+from skeinlab.skein_algebra import unit_element
 from skeinlab.surface import (
     Handle,
     HandleEnd,
@@ -56,6 +59,8 @@ def test_fuse_errors():
         fuse(d, 0, 0)
     with pytest.raises(FusionError):
         fuse(d, 0, 5)
+    with pytest.raises(FusionError, match="unknown fusion order"):
+        fuse(d, 0, 1, order="v3")
 
 
 def test_chi_additive_under_disjoint_union():
@@ -72,6 +77,10 @@ def test_validation():
         SurfacePattern(1, (Handle((HandleEnd(0, 0, 1), HandleEnd(0, 2, -1))),))
     with pytest.raises(FusionError):
         SurfacePattern(2, (Handle((HandleEnd(0, 0, 1), HandleEnd(1, 0, 1))),))
+    with pytest.raises(FusionError, match="handles have exactly two ends"):
+        SurfacePattern(1, (Handle((HandleEnd(0, 0, 1), HandleEnd(0, 1, -1), HandleEnd(0, 2, 1))),))
+    with pytest.raises(FusionError, match="handle end at missing vertex 1"):
+        SurfacePattern(1, (Handle((HandleEnd(0, 0, 1), HandleEnd(1, 0, -1))),))
 
 
 def test_json_roundtrip():
@@ -85,3 +94,27 @@ def test_patterns_compare_by_vertices_and_handles():
     for p in (annulus(), once_punctured_torus(), two_strand_chaps()):
         for q in (SurfacePattern(p.n_vertices, p.handles), SurfacePattern.from_json(p.to_json())):
             assert p == q and hash(p) == hash(q)
+
+
+def _reference_slots(p):
+    """Every end as (handle index, end), vertex by vertex in cilium order, by sorting the ends."""
+    found = sorted((e.vertex, e.slot, hi, e) for hi, h in enumerate(p.handles) for e in h.ends)
+    return [(hi, e) for (_, _, hi, e) in found]
+
+
+def _patterns():
+    d, t = disk_with_two_points(), once_punctured_torus()
+    built = [d, annulus(), two_strand_chaps(), t, genus_two_one_boundary(), disjoint_union(t, d)]
+    built += [fuse(disjoint_union(d, t), 0, 2, order) for order in ("v1v2", "v2v1")]
+    built += [SurfacePattern(2, (Handle((HandleEnd(0, 0, -1), HandleEnd(1, 0, 1))),))]  # the --end first
+    built += [_swap_vertices(unit_element(make_backend("classical"), p)).pattern for p in (d, two_strand_chaps())]
+    return built + [SurfacePattern.from_json(p.to_json()) for p in built]
+
+
+def test_slot_order_matches_the_sorted_ends():
+    for p in _patterns():
+        reference = _reference_slots(p)
+        assert p.all_slots() == reference
+        assert [hi_e for v in range(p.n_vertices) for hi_e in p.slots_at(v)] == reference
+        position = {(hi, e.sign): n for n, (hi, e) in enumerate(reference)}
+        assert len(position) == 2 * p.n_handles

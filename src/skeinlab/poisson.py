@@ -242,7 +242,7 @@ MINUS_T_PLUS_RA = tuple((-c, g1, g2) for c, g1, g2 in TSYM_TENSOR) + RA_TENSOR
 
 def _vertex_end_pairs(pattern: SurfacePattern):
     """Every ordered pair (i, j) of handle ends at one vertex, as global slot indices."""
-    slots = pattern.all_slots()
+    slots = pattern.slots
     return [(i, j) for i, (_, a) in enumerate(slots) for j, (_, b) in enumerate(slots) if a.vertex == b.vertex]
 
 

@@ -48,7 +48,7 @@ from .surface import SurfacePattern
 def slot_objects(pattern: SurfacePattern, labels):
     """Boundary slot objects in global cilium order for the given labels."""
     objs = []
-    for hi, end in pattern.all_slots():
+    for hi, end in pattern.slots:
         lab = labels[hi]
         objs.append(lab if end.sign > 0 else dual(lab))
     return objs
@@ -139,8 +139,8 @@ class SkeinElement:
         lab = labels[hi]
         if not (isinstance(lab, TensorObj) and isinstance(lab.left, SimpleObj) and isinstance(lab.right, SimpleObj)):
             raise AlgebraError(f"cannot reduce handle label {lab}")
-        ends = {end.sign: n for n, (h, end) in enumerate(self.pattern.all_slots()) if h == hi}
-        reduced = self.backend.cg_reduce(core, slot_objects(self.pattern, labels), ends[1], ends[-1])
+        slot = self.pattern.slot_of
+        reduced = self.backend.cg_reduce(core, slot_objects(self.pattern, labels), slot[hi, 1], slot[hi, -1])
         return [(labels[:hi] + (target,) + labels[hi + 1 :], m) for target, m in reduced]
 
     def equal(self, other: "SkeinElement") -> bool:
@@ -263,7 +263,7 @@ def loop_element(backend: BackendSpec, pattern: SurfacePattern, loops, spin: int
     labels = tuple(labels)
     steps = [(h, loop[(m + 1) % len(loop)]) for loop in loops for m, h in enumerate(loop)]
     steps += [(h, h) for h in range(pattern.n_handles) if h not in used]
-    slot = {(h, end.sign): n for n, (h, end) in enumerate(pattern.all_slots())}
+    slot = pattern.slot_of
     blocks = []  # each cup's two strands, tagged by their slots
     for h, h2 in steps:
         blocks += [(slot[h, 1], labels[h]), (slot[h2, -1], dual(labels[h]))]
@@ -370,8 +370,7 @@ def strand_positions(pattern: SurfacePattern):
     The two strands at slot i take positions 2i and 2i + 1: the first
     factor's strand sits left at +-ends and right at --ends.
     """
-    slots = pattern.all_slots()
-    return [(2 * i, 2 * i + 1) if end.sign > 0 else (2 * i + 1, 2 * i) for i, (_, end) in enumerate(slots)]
+    return [(2 * i, 2 * i + 1) if end.sign > 0 else (2 * i + 1, 2 * i) for i, (_, end) in enumerate(pattern.slots)]
 
 
 def product_argument(s1: SkeinElement, s2: SkeinElement):
@@ -459,14 +458,13 @@ def holonomy_evaluate(s: SkeinElement):
         raise ModeError("holonomy evaluation needs the classical backend")
     s = s.canonical()
     n = s.pattern.n_handles
-    slots = s.pattern.all_slots()
     src_dim = flat_word(s.argument).dim
     out = [SL2Poly.constant(n, 0) for _ in range(src_dim)]
     for labels, core in s.terms:
         dims = [o.dim for o in slot_objects(s.pattern, labels)]
         for (i, j), v in core.entries.items():
             digits = {}  # the boundary index i as one index per (handle, end sign)
-            for (h, e), d in zip(reversed(slots), reversed(dims)):
+            for (h, e), d in zip(reversed(s.pattern.slots), reversed(dims)):
                 i, digits[h, e.sign] = divmod(i, d)
             poly = SL2Poly.constant(n, v.coeffs[0])
             for h, lab in enumerate(labels):

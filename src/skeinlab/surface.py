@@ -3,7 +3,9 @@
 A pattern is a set of vertices (disks with one marked boundary point each)
 joined by handles.  Each handle end sits in a slot of a vertex; the slots
 at a vertex are linearly ordered, reading left to right from the cilium.
-The Euler characteristic is #vertices - #handles.
+The Euler characteristic is #vertices - #handles.  A pattern derives its
+slot order once, as it is validated: `slots` lists every end vertex by vertex
+in cilium order, and `slot_of` maps (handle, sign) to its position there.
 
 Fusion merges two vertices into one, concatenating their slot orders
 (first vertex first by default, which realizes the "left skein starts to
@@ -12,7 +14,7 @@ the left" convention on the merged disk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FusionError
 
@@ -66,10 +68,13 @@ class Handle:
 class SurfacePattern:
     n_vertices: int
     handles: tuple  # tuple of Handle
+    # (handle index, end) pairs and (handle index, sign) -> position, set by __post_init__
+    slots: tuple = field(init=False, compare=False, repr=False)
+    slot_of: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        slots = {}
-        for h in self.handles:
+        ends = {}  # (vertex, slot) -> (handle index, end)
+        for hi, h in enumerate(self.handles):
             if len(h.ends) != 2:
                 raise FusionError("handles have exactly two ends")
             if {h.ends[0].sign, h.ends[1].sign} != {1, -1}:
@@ -78,13 +83,16 @@ class SurfacePattern:
                 if not 0 <= e.vertex < self.n_vertices:
                     raise FusionError(f"handle end at missing vertex {e.vertex}")
                 key = (e.vertex, e.slot)
-                if key in slots:
+                if key in ends:
                     raise FusionError(f"two handle ends in slot {key}")
-                slots[key] = True
-        for v in range(self.n_vertices):
-            used = sorted(s for (w, s) in slots if w == v)
-            if used != list(range(len(used))):
+                ends[key] = (hi, e)
+        order = sorted(ends)
+        for v, s in order:
+            if s and (v, s - 1) not in ends:
                 raise FusionError(f"slots at vertex {v} must be 0..k-1 with no gaps")
+        slots = tuple(ends[key] for key in order)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "slot_of", {(hi, e.sign): n for n, (hi, e) in enumerate(slots)})
 
     # -- derived data ------------------------------------------------------
 
@@ -94,20 +102,7 @@ class SurfacePattern:
 
     def slots_at(self, v: int):
         """Handle ends at vertex v in cilium order: list of (handle index, end)."""
-        found = []
-        for hi, h in enumerate(self.handles):
-            for e in h.ends:
-                if e.vertex == v:
-                    found.append((e.slot, hi, e))
-        found.sort()
-        return [(hi, e) for (_, hi, e) in found]
-
-    def all_slots(self):
-        """All handle ends, vertex by vertex in cilium order."""
-        out = []
-        for v in range(self.n_vertices):
-            out.extend(self.slots_at(v))
-        return out
+        return [(hi, e) for hi, e in self.slots if e.vertex == v]
 
     def to_json(self):
         return {

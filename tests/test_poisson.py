@@ -407,7 +407,7 @@ def test_goldman_sites_counts():
         (two_strand_chaps(), 4),
         (genus_two_one_boundary(), 32),
     ):
-        slots = pattern.all_slots()
+        slots = pattern.slots
         places = strand_positions(pattern)
         blocks = [(p1, (1, i)) for i, (p1, _) in enumerate(places)]
         blocks += [(p2, (2, j)) for j, (_, p2) in enumerate(places)]
@@ -433,7 +433,7 @@ def _reference_walk(s1, s2):
     +-ends.  `site` is True on a flip of two strands at one vertex.
     """
     backend, pattern = s1.backend, s1.pattern
-    slots = pattern.all_slots()
+    slots = pattern.slots
     rank = [(0, 1) if end.sign > 0 else (1, 0) for _, end in slots]
 
     def flips(blocks, same_vertex):
@@ -841,7 +841,7 @@ def _reference_slot_insertion_product(s1, s2, triples):
     """
     backend = s1.backend
     pattern = s1.pattern
-    nslots = len(pattern.all_slots())
+    nslots = len(pattern.slots)
     slot_cache = {}
     out_terms = []
     for new_labels, core, steps in _reference_walk(s1, s2):
@@ -875,7 +875,7 @@ def _three_family_end_pairs(pattern, include_diagonal):
     """
     minus_tsym_plus_ra = tuple((-c, a, b) for c, a, b in TSYM_TENSOR) + RA_TENSOR
     triples = []
-    slots = pattern.all_slots()
+    slots = pattern.slots
     for v in range(pattern.n_vertices):
         ends = [i for i, (_, e) in enumerate(slots) if e.vertex == v]
         triples += [(i, i, TSYM_TENSOR) for i in ends]
@@ -919,7 +919,7 @@ def test_vertex_sum_inserts_once_per_ordered_end_pair():
     first factor's end comes later, -r21 when it comes earlier, r_a on the
     diagonal, and t/2 there when the diagonal is excluded."""
     for pattern in (DISK, ANN, TOR, two_strand_chaps(), genus_two_one_boundary()):
-        slots = pattern.all_slots()
+        slots = pattern.slots
         for diagonal in (True, False):
             triples = _end_pairs_tensor(pattern, diagonal)
             pairs = [(i, j) for i, j, _ in triples]

@@ -320,7 +320,7 @@ def _reference_reduce_handle(element, labels, core, hi):
     """`_reduce_handle` as one `apply` per Clebsch-Gordan component: the projection at
     the handle's +-end and the transposed embedding at its --end."""
     backend, lab = element.backend, labels[hi]
-    slots = element.pattern.all_slots()
+    slots = element.pattern.slots
     pos_plus = next(i for i, (h, e) in enumerate(slots) if h == hi and e.sign > 0)
     pos_minus = next(i for i, (h, e) in enumerate(slots) if h == hi and e.sign < 0)
     context = slot_objects(element.pattern, labels)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from skeinlab.errors import FusionError
@@ -112,9 +114,17 @@ def _patterns():
 
 
 def test_slot_order_matches_the_sorted_ends():
+    """`slots`, `slot_of` and `slots_at` agree with sorting the ends by (vertex, slot)."""
     for p in _patterns():
         reference = _reference_slots(p)
-        assert p.all_slots() == reference
+        assert list(p.slots) == reference
         assert [hi_e for v in range(p.n_vertices) for hi_e in p.slots_at(v)] == reference
-        position = {(hi, e.sign): n for n, (hi, e) in enumerate(reference)}
-        assert len(position) == 2 * p.n_handles
+        assert p.slot_of == {(hi, e.sign): n for n, (hi, e) in enumerate(reference)}
+        assert len(p.slot_of) == 2 * p.n_handles
+
+
+def test_derived_slots_stay_out_of_equality_and_repr():
+    p = once_punctured_torus()
+    assert "slots=" not in repr(p) and "slot_of=" not in repr(p)
+    assert [f.name for f in fields(p) if f.compare] == ["n_vertices", "handles"]
+    assert p.slots is p.slots and p.slot_of is p.slot_of  # computed once, not per read

@@ -13,7 +13,7 @@ import pytest
 
 from skeinlab import cli, suites
 from skeinlab.cli import main
-from skeinlab.ribbon_backend import make_backend, simple
+from skeinlab.ribbon_backend import make_backend, simple, tensor_word
 from skeinlab.skein_algebra import lift_element, loop_element, mu, random_element
 from skeinlab.surface import annulus, disk_with_two_points, once_punctured_torus
 from skeinlab.tangle import Cell, TangleWord
@@ -490,3 +490,45 @@ def test_readme_cli_block_parses_and_shows_every_option():
         for name, p in commands.items()
     }
     assert shown == declared
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "torsion"], ["fuse", "{disk}", "0", "1"]], ids=["verify", "fuse"])
+def test_out_writes_what_stdout_would_print(command, tmp_path):
+    disk = tmp_path / "disk.json"
+    disk.write_text(json.dumps(disk_with_two_points().to_json()))
+    args = [a.format(disk=disk) for a in command]
+    code, printed, _ = run_cli(args)
+    assert code == 0
+    target = tmp_path / "out.json"
+    code, out, _ = run_cli(args + ["--out", str(target)])
+    assert code == 0 and out == ""
+    written, expected = json.loads(target.read_text()), json.loads(printed)
+    written.pop("elapsed_ms", None)
+    expected.pop("elapsed_ms", None)
+    assert written == expected
+
+
+def test_non_integer_env_seed_exit_2(monkeypatch):
+    monkeypatch.setenv("SKEINLAB_SEED", "abc")
+    code, out, err = run_cli(["verify", "--suite", "torsion"])
+    assert code == 2 and out == ""
+    assert "SKEINLAB_SEED must be an integer, got 'abc'" in err
+
+
+def test_unknown_fuse_convention_exit_2(tmp_path):
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(disk_with_two_points().to_json()))
+    code, out, err = run_cli(["fuse", str(path), "0", "1", "--convention", "fusion=bad"])
+    assert code == 2 and out == ""
+    assert "unknown convention 'fusion=bad'" in err
+
+
+def test_coupon_over_another_ring_exit_2(tmp_path):
+    ep = make_backend("epsilon")
+    coupon = ep.random_invariant(tensor_word([simple(1)]), tensor_word([simple(1)]), random.Random(3))
+    w = TangleWord((simple(1),), ((Cell("coupon", 0, coupon_id="c"),),), {"c": coupon})
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(w.to_json()))
+    code, out, err = run_cli(["eval-tangle", str(path), "--backend", "quantum", "--order", "3"])
+    assert code == 2 and out == ""
+    assert "coupon 'c' lives in epsilon" in err

@@ -449,3 +449,16 @@ def test_drinfeld_product_inserts_each_leaf_triple_once(monkeypatch):
     triples = [legs for call in calls for legs in call]
     assert triples and all(i < j < k for i, j, k in triples)
     assert all(len(set(call)) == len(call) for call in calls)
+
+
+@pytest.mark.parametrize(
+    "backend,loops,error,match",
+    [
+        (EP, [[0]], ModeError, "built over the classical backend"),
+        (CL, [[0], [0, 1]], AlgebraError, "must not share handles"),
+    ],
+    ids=["epsilon", "shared-handle"],
+)
+def test_loop_element_refusals(backend, loops, error, match):
+    with pytest.raises(error, match=match):
+        loop_element(backend, TOR, loops)

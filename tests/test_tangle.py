@@ -533,3 +533,85 @@ def test_drinfeld_chain_rebrackets_once_per_slice_boundary(monkeypatch):
         rt_evaluate(word, bk)
         monkeypatch.undo()
         assert len(calls) <= len(word.slices) + 1, (len(calls), len(word.slices))
+
+
+def _v_vs_v_word():
+    """(V, V*, V) with a braid on the first two strands, then a twist on the third."""
+    return TangleWord((V1, DualObj(V1), V1), ((Cell("braid+", 0),), (Cell("twist+", 2),)), {})
+
+
+@pytest.mark.parametrize("level", range(3))
+@pytest.mark.parametrize("kind", ["assoc+", "assoc-"])
+def test_an_assoc_slice_leaves_the_evaluation_unchanged(kind, level):
+    """An assoc cell is the identity of its three strands at any level, and survives JSON."""
+    word = _v_vs_v_word()
+    slices = word.slices[:level] + ((Cell(kind, 0),),) + word.slices[level:]
+    with_assoc = TangleWord(word.bottom, slices, {})
+    assert with_assoc.top == word.top
+    for name, order in BACKENDS:
+        bk = make_backend(name, order)
+        assert rt_evaluate(with_assoc, bk) == rt_evaluate(word, bk), name
+    data = with_assoc.to_json()
+    assert data["slices"][level] == [{"cell": kind, "at": 0}]
+    assert TangleWord.from_json(json.loads(json.dumps(data))).slices == with_assoc.slices
+    with pytest.raises(WordError, match="needs 3 strands"):
+        TangleWord((V1, V1), ((Cell(kind, 0),),), {}).interfaces()
+
+
+@pytest.mark.parametrize("name,order", [("classical", 1), ("quantum", 3), ("drinfeld", 3)])
+def test_clashing_coupon_ids_are_renamed_unless_the_coupons_agree(name, order):
+    """Two words that each hold a coupon c1 keep both when composed or tensored: the
+    second becomes c1'; a coupon equal to the first shares its id."""
+    bk = make_backend(name, order)
+    rng = random.Random(13)
+    vv = tensor_word([V1, V1])
+    m_lower, m_upper = bk.random_invariant(vv, vv, rng), bk.random_invariant(vv, vv, rng)
+    assert m_lower != m_upper
+    coupon = (Cell("coupon", 0, coupon_id="c1"),)
+    lower = TangleWord((V1, V1), ((Cell("braid+", 0),), coupon), {"c1": m_lower})
+    upper = TangleWord((V1, V1), (coupon,), {"c1": m_upper})
+    stacked = compose(upper, lower)
+    assert stacked.coupons == {"c1": m_lower, "c1'": m_upper}
+    assert stacked.slices[-1] == (Cell("coupon", 0, coupon_id="c1'"),)
+    assert rt_evaluate(stacked, bk) == rt_evaluate(upper, bk) @ rt_evaluate(lower, bk)
+    side = tensor(lower, upper)
+    assert side.coupons == {"c1": m_lower, "c1'": m_upper}
+    assert side.slices[0][1:] == (Cell("coupon", 2, coupon_id="c1'"),)
+    same = TangleWord((V1, V1), (coupon,), {"c1": m_lower})
+    assert compose(same, lower).coupons == tensor(lower, same).coupons == {"c1": m_lower}
+
+
+def _coupon_word():
+    dr = make_backend("drinfeld", 3)
+    vvv = tensor_word([V1, V1, V1])
+    m = dr.random_invariant(vvv, vvv, random.Random(9))
+    return TangleWord((V1, V1, V1), ((Cell("coupon", 0, coupon_id="c"),),), {"c": m}), dr
+
+
+def _reparenthesize(coupon_id, leaves):
+    word, dr = _coupon_word()
+    return reparenthesize_coupon(word, coupon_id, tensor_word(leaves), word.coupons["c"].target, dr)
+
+
+THREE_BRAIDS = TangleWord((V1, V1, V1), _braid_slices("braid+", 0, 0, 0), {})
+ONE_BRAID = TangleWord((V1, V1), ((Cell("braid+", 0),),), {})
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: apply_move(ONE_BRAID, "R7", (0, 0)), MoveError, "unknown move 'R7'"),
+        (lambda: apply_move(THREE_BRAIDS, "R3", (0, "up")), MoveError, "unknown R3 direction 'up'"),
+        (lambda: apply_move(ONE_BRAID, "R2", (0, 0, "sideways")), MoveError, "unknown R2 direction 'sideways'"),
+        (lambda: apply_move(ONE_BRAID, "SnakeLeft", (0, 0, "reduce")), MoveError, "snake moves are insertions"),
+        (lambda: apply_move(ONE_BRAID, "CouponSlide", (0, 0)), MoveError, "needs a lone coupon slice"),
+        (lambda: apply_move(THREE_BRAIDS, "R3", (0, "lr")), MoveError, "no R3 pattern at site"),
+        (lambda: _reparenthesize("d", [V1, V1, V1]), WordError, "unknown coupon 'd'"),
+        (lambda: _reparenthesize("c", [V1, V1]), WordError, "same flat boundary"),
+    ],
+    ids=["move", "r3-direction", "r2-direction", "snake-reduce", "slide-on-braid", "r3-mismatch",
+         "reparenthesize-id", "reparenthesize-boundary"],
+)
+def test_move_and_rebracket_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1407,6 +1407,24 @@ def test_solver_outputs_are_pinned():
     assert digest == "0d91a1e84ac0ccfadb99c253e6776fcf0694bb4eb2a75e0f69390256635d7fdf"
 
 
+def test_quantum_hom_bases_past_h2_are_pinned():
+    """The quantum Hom bases at orders 2, 5 and 8, byte for byte, on the 50
+    spaces of `_hom_spaces` and Hom(1, adj^5), End(V adj) and End(V (V* V)):
+    the lifts of the classical kernel through every order up to h^7."""
+    import hashlib
+    import json
+
+    spaces = _hom_spaces() + [(UNIT, tensor_word([ADJ] * 5))]
+    spaces += [(w, w) for w in (TensorObj(V, ADJ), TensorObj(V, TensorObj(VS, V)))]
+    outputs = []
+    for order in (2, 5, 8):
+        bk = BackendSpec("quantum", hbar_mode(order))
+        outputs += [b.to_json() for src, tgt in spaces for b in bk.invariant_hom_basis(src, tgt)]
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert len(outputs) == 393
+    assert digest == "d0a0f392f4a8a1aa651902fd13f780bf22b4c1a74a1e078e5c592f5beec84451"
+
+
 def test_inverses_and_cg_maps_are_pinned():
     """braiding_inv and twist_inv on every word of at most two letters over
     {1, V, V*, adj}, and the Clebsch-Gordan embeddings and projections of

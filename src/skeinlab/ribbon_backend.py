@@ -64,19 +64,21 @@ All exact linear solving goes through one solver on integer layers:
 `_factor` reduces the constant layer once, fraction-free (rows stay
 primitive integer vectors, one gcd per row update), and `solve_series`
 replays its recorded row operations once per order on the residuals of
-every right-hand side at once.  Invariant Hom bases, the inverse of a
-morphism and the coordinates of a skein core use it.  Each Clebsch-Gordan
-embedding is the basis of the one-dimensional Hom space Hom(V_k, x (x) y),
-and each projection the basis of Hom(x (x) y, V_k), scaled to be its left
-inverse.
+every right-hand side at once.  The inverse of a morphism and the
+coordinates of a skein core use it, and one classical reduction per flat
+Hom space (`_hom_system`) serves every backend and bracketing: its kernel
+is the classical basis, and the quantum basis lifts it through the
+quantum constraint layers of order >= 1.  Each Clebsch-Gordan embedding
+is the basis of the one-dimensional Hom space Hom(V_k, x (x) y), and each
+projection the basis of Hom(x (x) y, V_k), scaled to be its left inverse.
 
 The sl2 data is one table, `_quantum_action`: E and F on V_n, the
 coproduct on a tensor word, the antipode on a dual, and
 K^(+-1) = exp(+-h H/2) on the weights (`weights_of`).  The classical e and
 f are its order-1 truncation, where K = 1, and h is the diagonal of the
 weights.  The epsilon and Drinfeld categories keep the classical
-generators, so their Hom spaces are the classical ones taken into their
-ring; only the classical and quantum backends solve for a Hom basis.
+generators, so their Hom bases are the classical ones taken into their
+ring.
 
 Normalization: the invariant form is the trace form on the fundamental
 representation, so t = e(x)f + f(x)e + h(x)h/2, C = ef + fe + h^2/2, and
@@ -820,27 +822,31 @@ def solve_series(a, ncols, b):
 
     `a` and `b` are lists of layers (missing layers of b are 0): A has
     `ncols` columns, rows are any hashable keys, and each column of B is a
-    right-hand side.  One reduction of A_0 is replayed once per order on the
-    residuals B_k - sum_{i>=1} A_i X_{k-i} of all columns.  Returns
-    (kernel, x, bad): the layers of the lift of every classical kernel
-    vector (column n lifts the n-th, which is 1 on the n-th free column),
-    the layers of X with the free variables 0, and the set of columns of B
-    with no solution, which are left out of X.  A kernel vector that does
-    not lift means the module is not free and raises CgError.
+    right-hand side.  One reduction of A_0 (`_factor`) is replayed once per
+    order on the residuals B_k - sum_{i>=1} A_i X_{k-i} of all columns.
+    Returns (kernel, x, bad): the layers of the lift of every classical
+    kernel vector (column n lifts the n-th, which is 1 on the n-th free
+    column), the layers of X with the free variables 0, and the set of
+    columns of B with no solution, which are left out of X.  A kernel vector
+    that does not lift means the module is not free and raises CgError.
     """
-    den0, a0 = a[0]
-    kernel, solve = _factor(a0, ncols)
+    return _lift_series(a[0][0], _factor(a[0][1], ncols), a[1:], b)
+
+
+def _lift_series(den0, factored, higher, b):
+    """`solve_series` with A_0 = a0 / den0 reduced, factored = _factor(a0, ncols), A_k = higher[k-1]; X = 0 if b = []."""
+    kernel, solve = factored
 
     def lift(xs, bk):
         """X_k from a0 X_k = den0 (B_k - sum_{i>=1} A_i X_{k-i}), with k = len(xs)."""
         k = len(xs)
-        terms = (_product(a[i], xs[k - i], _int_compose) for i in range(1, k + 1))
+        terms = (_product(higher[i - 1], xs[k - i], _int_compose) for i in range(1, k + 1))
         den, e = _sum([bk, *((d, _int_scale(t, -1)) for d, t in terms)])
         return solve((den, _int_scale(e, den0)))
 
     lifts, xs, bad = [kernel], [], set()
-    for k in range(len(a)):
-        x, missing = lift(xs, b[k] if k < len(b) else (1, {}))
+    for k in range(len(higher) + 1):
+        x, missing = lift(xs, b[k] if k < len(b) else (1, {})) if b else ((1, {}), set())
         xs.append(x)
         bad |= missing
         if k:
@@ -1601,33 +1607,13 @@ class BackendSpec:
 
     @lru_cache(maxsize=None)
     def invariant_hom_basis(self, source: ObjectExpr, target: ObjectExpr):
-        """Basis of Hom(source, target) in the backend category.
-
-        Computed weight-graded: an intertwiner only connects equal weights,
-        so the unknowns are the weight-matched matrix positions and the
-        constraints are the E and F intertwining relations.  For the
-        quantum backend the basis is the lift of the classical one.  The
-        epsilon and Drinfeld categories keep the classical E and F, so
-        their basis is the classical one, taken into their ring.
-        """
+        """Basis of Hom(source, target): the kernel of the classical system of the flat words (`_hom_system`),
+        lifted through the quantum constraint layers of order >= 1, or taken into the epsilon and Drinfeld ring."""
         if self.name in ("epsilon", "drinfeld"):
             return [b.convert(self.mode) for b in make_backend("classical").invariant_hom_basis(source, target)]
-        order = self.mode.order
-        ws, wt = weights_of(source), weights_of(target)
-        unknowns = [(i, j) for i in range(target.dim) for j in range(source.dim) if wt[i] == ws[j]]
-        upos = {u: a for a, u in enumerate(unknowns)}
-        gens = [(_quantum_action(g, source, order), _quantum_action(g, target, order)) for g in ("E", "F")]
-        # one constraint row per (g, i, j): (gt M - M gs)_{ij} = 0, as one
-        # integer {(row, unknown): coefficient} layer per order
-        terms = [[] for _ in range(order)]
-        ns, nt = source.dim, target.dim
-        for g, (gs, gt) in enumerate(gens):
-            for o, ((dt, et), (ds, es)) in enumerate(zip(gt, gs)):
-                terms[o] += [
-                    (dt, {((g, i, j), upos[k, j]): v for (i, k), v in et.items() for j in range(ns) if (k, j) in upos}),
-                    (ds, {((g, i, j), upos[i, k]): -v for (k, j), v in es.items() for i in range(nt) if (i, k) in upos}),
-                ]
-        lifts, _, _ = solve_series([_sum(t) for t in terms], len(unknowns), [])
+        flat = flat_word([source]), flat_word([target])
+        unknowns, den0, factored = _hom_system(*flat)
+        lifts, _, _ = _lift_series(den0, factored, _hom_constraints(*flat, unknowns, self.mode.order, 1), [])
         columns = {}
         for o, (_, e) in enumerate(lifts):
             for (c, n), v in e.items():
@@ -1643,6 +1629,29 @@ class BackendSpec:
         for b in basis:
             out = out + b.scale(Fraction(rng.randint(-3, 3)))
         return out
+
+
+def _hom_constraints(source: ObjectExpr, target: ObjectExpr, unknowns, order: int, first: int):
+    """Layers first..order-1 of the relations (gt M - M gs)_{ij} = 0, g = E, F, on Hom(source, target) at `order`."""
+    upos = {u: a for a, u in enumerate(unknowns)}
+    ns, nt = source.dim, target.dim
+    terms = [[] for _ in range(first, order)]
+    for g, gen in enumerate(("E", "F")):
+        gs, gt = _quantum_action(gen, source, order), _quantum_action(gen, target, order)
+        for o, ((dt, et), (ds, es)) in enumerate(zip(gt[first:], gs[first:])):
+            terms[o] += [
+                (dt, {((g, i, j), upos[k, j]): v for (i, k), v in et.items() for j in range(ns) if (k, j) in upos}),
+                (ds, {((g, i, j), upos[i, k]): -v for (k, j), v in es.items() for i in range(nt) if (i, k) in upos}),
+            ]
+    return [_sum(t) for t in terms]
+
+
+@lru_cache(maxsize=None)
+def _hom_system(source: ObjectExpr, target: ObjectExpr):
+    """(weight-matched unknowns, den0, `_factor` of a0) for the classical Hom(source, target) constraints a0 / den0."""
+    unknowns = [(i, j) for i, wi in enumerate(weights_of(target)) for j, wj in enumerate(weights_of(source)) if wi == wj]
+    (a0,) = _hom_constraints(source, target, unknowns, 1, 0)
+    return unknowns, a0[0], _factor(a0[1], len(unknowns))
 
 
 def make_backend(name: str, order: int = 3) -> BackendSpec:

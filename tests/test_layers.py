@@ -10,6 +10,7 @@ entries that cancel, and every layer the engine builds must be canonical.
 import ast
 import io
 import random
+import sys
 import tokenize
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -412,6 +413,24 @@ def test_no_float_in_the_engine_source():
             literal = tok.type == tokenize.NUMBER and any(ch in tok.string.lower() for ch in ".ej")
             if literal or (tok.type == tokenize.NAME and tok.string == "float"):
                 found.append((path.name, tok.start, tok.string))
+    assert found == []
+
+
+def test_the_engine_imports_only_the_standard_library():
+    """Every import in the engine names a standard-library module or the
+    package itself, so the package keeps no runtime dependency even where
+    numpy, scipy or sympy happen to be installed."""
+    found = []
+    for path in sorted(Path(ribbon_backend.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            found += [(path.name, node.lineno, r) for r in sorted(roots - sys.stdlib_module_names - {"skeinlab"})]
     assert found == []
 
 

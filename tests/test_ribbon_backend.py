@@ -1385,6 +1385,27 @@ def test_hom_dimensions_match_spin_multiplicities(name, order):
         assert [b.part0() for b in basis] == cl.invariant_hom_basis(source, target), (source, target)
 
 
+def test_one_reduction_serves_every_backend_and_bracketing(monkeypatch):
+    """The classical, quantum(3), quantum(5), epsilon and Drinfeld(3) bases of
+    End(V (V* V)) reduce its classical constraints once between them, and the
+    same space bracketed as End((V V*) V) reduces them no more."""
+    ribbon_backend._hom_system.cache_clear()
+    BackendSpec.invariant_hom_basis.cache_clear()
+    calls = []
+    factor = ribbon_backend._factor
+
+    def counted(a0, ncols):
+        calls.append(ncols)
+        return factor(a0, ncols)
+
+    monkeypatch.setattr(ribbon_backend, "_factor", counted)
+    rings = [("classical", 1), ("quantum", 3), ("quantum", 5), ("epsilon", 2), ("drinfeld", 3)]
+    for word in (TensorObj(V, TensorObj(VS, V)), TensorObj(TensorObj(V, VS), V)):
+        for name, order in rings:
+            assert len(make_backend(name, order).invariant_hom_basis(word, word)) == 5, (name, order)
+        assert len(calls) == 1, str(word)
+
+
 def test_solver_outputs_are_pinned():
     """Hom bases, Clebsch-Gordan maps and inverses, byte for byte as the
     sparse Fraction solver gave them."""

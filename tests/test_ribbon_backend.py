@@ -68,6 +68,28 @@ def test_object_dims_and_duals():
         simple("W7")
 
 
+def test_word_repr_str_json_dim_leaves_and_hash_are_pinned():
+    """repr, str, JSON, dim, leaves and hash of a fixed set of words, pinned by a digest.
+
+    The hash is that of a frozen dataclass, hash of the field tuple, so the
+    iteration order of any set or dict of words stays as it is."""
+    import hashlib
+    import json
+
+    v0, v4 = simple(0), simple(4)
+    words = [UNIT, v0, V, ADJ, v4, VS, DualObj(ADJ), TensorObj(V, VS), tensor_word([V, ADJ, DualObj(v4)]),
+             TensorObj(V, TensorObj(UNIT, ADJ)), dual(tensor_word([V, DualObj(ADJ), v4]))]
+    rows = [[repr(w), str(w), w.to_json(), w.dim, [repr(leaf) for leaf in w.leaves()], hash(w)] for w in words]
+    assert rows[8][:2] == ["TensorObj(left=TensorObj(left=SimpleObj(spin=1), right=SimpleObj(spin=2)), "
+                           "right=DualObj(inner=SimpleObj(spin=4)))", "((V @ adj) @ V4*)"]
+    assert [r[1] for r in rows[:7]] == ["1", "unit", "V", "adj", "V4", "V*", "adj*"]
+    assert [r[3] for r in rows] == [1, 1, 2, 3, 5, 2, 3, 4, 30, 6, 30]
+    assert hash(UNIT) == hash(()) and hash(V) == hash((1,)) and hash(VS) == hash((V,))
+    assert hash(TensorObj(V, VS)) == hash((V, VS))
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "ec179e57656ef9becc6e111bd4ee38d1f10e35082769bf3fdfcff369beb05a01"
+
+
 def test_classical_braiding_is_flip():
     cl = make_backend("classical")
     assert cl.braiding(V, V) == flip_matrix(V, V, cl.mode)

@@ -226,7 +226,7 @@ def _transplant(element: SkeinElement, fused: SurfacePattern) -> SkeinElement:
     Fusion concatenates the slot orders, so the boundary word and the core
     matrices are unchanged; the argument becomes the tensor of the two.
     """
-    argument = (tensor_word(list(element.argument)),)
+    argument = (tensor_word(element.argument),)
     return SkeinElement(element.backend, fused, argument, list(element.terms))
 
 

@@ -88,7 +88,6 @@ C acts on the fundamental by 3/2 and on V_n by n(n+2)/2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
@@ -116,30 +115,66 @@ MAX_SPIN = 8
 # ---------------------------------------------------------------------------
 
 
-class ObjectExpr:
-    """A parenthesized tensor word over simple labels and their duals."""
+_WORDS = {}  # (class, *fields) -> the one node of that word
 
+
+class ObjectExpr:
+    """A parenthesized tensor word over simple labels and their duals.
+
+    Words are hash-consed: a constructor returns the one node built for its
+    (class, fields), so `==` is identity, and `dim`, the leaves (a tuple) and
+    the hash (a frozen dataclass's, hash of the fields) are computed once.
+    Nodes are immutable; copies and pickles are the node itself.  Each
+    subclass names its fields in `__slots__` and gives its dim and leaves
+    in `_shape`.
+    """
+
+    __slots__ = ("dim", "_leaves", "_hash")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _WORDS.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            dim, leaves = node._shape()
+            object.__setattr__(node, "dim", dim)
+            object.__setattr__(node, "_leaves", leaves)
+            object.__setattr__(node, "_hash", hash(fields))
+            node = _WORDS.setdefault(key, node)
+        return node
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(type(self).__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def leaves(self):
+        return self._leaves
+
+
+class UnitObj(ObjectExpr):
     __slots__ = ()
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def leaves(self):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class UnitObj(ObjectExpr):
-    @property
-    def dim(self):
-        return 1
-
-    def leaves(self):
-        return []
+    def _shape(self):
+        return 1, ()
 
     def to_json(self):
         return ["unit"]
@@ -148,16 +183,11 @@ class UnitObj(ObjectExpr):
         return "1"
 
 
-@dataclass(frozen=True)
 class SimpleObj(ObjectExpr):
-    spin: int
+    __slots__ = ("spin",)
 
-    @property
-    def dim(self):
-        return self.spin + 1
-
-    def leaves(self):
-        return [self]
+    def _shape(self):
+        return self.spin + 1, (self,)
 
     def to_json(self):
         # the trivial simple is "V0", distinct from the monoidal unit
@@ -167,16 +197,11 @@ class SimpleObj(ObjectExpr):
         return spin_name(self.spin)
 
 
-@dataclass(frozen=True)
 class DualObj(ObjectExpr):
-    inner: SimpleObj
+    __slots__ = ("inner",)
 
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    def leaves(self):
-        return [self]
+    def _shape(self):
+        return self.inner.dim, (self,)
 
     def to_json(self):
         return ["dual", self.inner.to_json()]
@@ -185,17 +210,11 @@ class DualObj(ObjectExpr):
         return f"{self.inner}*"
 
 
-@dataclass(frozen=True)
 class TensorObj(ObjectExpr):
-    left: ObjectExpr
-    right: ObjectExpr
+    __slots__ = ("left", "right")
 
-    @property
-    def dim(self):
-        return self.left.dim * self.right.dim
-
-    def leaves(self):
-        return self.left.leaves() + self.right.leaves()
+    def _shape(self):
+        return self.left.dim * self.right.dim, self.left._leaves + self.right._leaves
 
     def to_json(self):
         return ["tensor", self.left.to_json(), self.right.to_json()]
@@ -233,8 +252,9 @@ def simple(label) -> SimpleObj:
     return SimpleObj(spin)
 
 
+@lru_cache(maxsize=None)
 def dual(x) -> ObjectExpr:
-    """Dual of a word: reverse the factors and dualize the leaves."""
+    """Dual of a word: reverse the factors and dualize the leaves; one dual per node."""
     if isinstance(x, UnitObj):
         return UNIT
     if isinstance(x, SimpleObj):
@@ -252,18 +272,18 @@ def tensor_word(factors) -> ObjectExpr:
     A composite factor stays a subtree, so the word is left-nested only
     when every factor is a leaf; `flat_word` flattens the factors first.
     """
-    factors = [f for f in factors if not isinstance(f, UnitObj)]
-    if not factors:
-        return UNIT
-    word = factors[0]
-    for f in factors[1:]:
-        word = TensorObj(word, f)
-    return word
+    return _left_nested(tuple(factors))
+
+
+@lru_cache(maxsize=None)
+def _left_nested(factors) -> ObjectExpr:
+    """One left-nested word per tuple of factors."""
+    return reduce(word_tensor, factors, UNIT)
 
 
 def flat_word(blocks) -> ObjectExpr:
     """The left-nested word of the blocks' leaves."""
-    return tensor_word([leaf for obj in blocks for leaf in obj.leaves()])
+    return _left_nested(tuple(leaf for obj in blocks for leaf in obj.leaves()))
 
 
 def word_tensor(a: ObjectExpr, b: ObjectExpr) -> ObjectExpr:
@@ -966,6 +986,8 @@ def insert_legs(factors, terms, m):
     for *positions, tensor in terms:
         slots = sorted(set(positions))
         op = _leg_operator(tuple(factors[p] for p in slots), tuple(map(slots.index, positions)), ints[id(tensor)])
+        if not op:  # a leg on a unit or V0 factor
+            continue
         compiled = _leg_offsets(tuple(factors[p].dim for p in slots), tuple(strides[p] for p in slots), op)
         _int_offset_apply(compiled, entries, acc)
     return _layer(den * common, {k: v for k, v in acc.items() if v})
@@ -1420,11 +1442,11 @@ class BackendSpec:
         end equal a round trip per step."""
 
         def flat(objs):
-            return [leaf for obj in objs for leaf in obj.leaves()]
+            return tuple(leaf for obj in objs for leaf in obj.leaves())
 
-        word = core.target.leaves()
-        nested = tensor_word(word)
-        if core.mode != self.mode or core.target != nested:
+        nested = core.target
+        word = nested.leaves()
+        if core.mode != self.mode or tensor_word(word) is not nested:
             raise ModeError(f"apply: core {core!r} is over another ring or does not end on a left-nested word")
         for context, placed in steps:
             factors, pos = [], 0
@@ -1498,9 +1520,6 @@ class BackendSpec:
         first = list(accumulate((len(o.leaves()) for o in objs), initial=0))  # block n's leaves start at first[n]
         layers, legs = core.layers, {}
 
-        def flat(order):
-            return flat_word(objs[n] for n in order)
-
         def act(op, m):  # an operator on blocks a and b, at their original positions
             out = _int_offset_apply(_leg_offsets((dims[a], dims[b]), (strides[a], strides[b]), op), m, {})
             return {k: v for k, v in out.items() if v}
@@ -1519,11 +1538,11 @@ class BackendSpec:
                     legs[key] = legs.get(key, 0) + n * (-1) ** sum(x > y for x, y in combinations(triple, 2))
         terms = [(*ijk, _omega(n)) for ijk, n in legs.items() if n]
         if terms:
-            layers = (*layers[:2], _add(layers[2], insert_legs(flat(range(len(objs))).leaves(), terms, core.layers[0])))
+            layers = (*layers[:2], _add(layers[2], insert_legs(flat_word(objs).leaves(), terms, core.layers[0])))
         final = sorted(range(len(blocks)), key=lambda n: blocks[n][0])
         hi, lo, low = _relabelling(tuple(dims), tuple(final))
         layers = [(d, {(hi[r // low] + lo[r % low], j): v for (r, j), v in e.items()}) for d, e in layers]
-        return Morphism._of(core.source, flat(final), self.mode, layers)
+        return Morphism._of(core.source, flat_word(objs[n] for n in final), self.mode, layers)
 
     @lru_cache(maxsize=None)
     def _crossing_rest(self, over, left, right):

@@ -7,9 +7,9 @@ are joined by one canonical rebracketing, so evaluation is exact also for
 the non-strict Drinfeld backend.
 
 A strand is a leaf object of the backend: `SimpleObj(n)` going up,
-`DualObj(SimpleObj(n))` going down, as `ObjectExpr.leaves()` returns them.
-Interfaces between slices are tuples of strands carrying the implicit
-left-nested bracketing; coupons keep their own parenthesization as the
+`DualObj(SimpleObj(n))` going down.  Interfaces between slices are tuples
+of strands, as `ObjectExpr.leaves()` returns a word's leaves, carrying the
+implicit left-nested bracketing; coupons keep their own parenthesization as the
 source/target trees of their morphism.  In JSON a strand is
 [label, "+" or "-"].
 """
@@ -107,7 +107,7 @@ class TangleWord:
         """The interfaces between slices, and each slice's (cell, ins) pairs."""
         levels, placed = [self.bottom], []
         for index, cells in enumerate(self.slices):
-            strands, out, pos, io = levels[-1], [], 0, []
+            strands, out, pos, io = levels[-1], (), 0, []
             for cell in sorted(cells, key=lambda c: c.at):
                 if cell.at < pos:
                     raise WordError(f"overlapping cells in slice {index}")
@@ -118,7 +118,7 @@ class TangleWord:
                 out += strands[pos : cell.at] + outs
                 pos = cell.at + len(ins)
                 io.append((cell, ins))
-            levels.append(tuple(out) + strands[pos:])
+            levels.append(out + strands[pos:])
             placed.append(io)
         return levels, placed
 
@@ -179,7 +179,7 @@ def _cell_io(cell: Cell, strands, coupons):
         m = coupons.get(cell.coupon_id)
         if m is None:
             raise WordError(f"unknown coupon {cell.coupon_id!r}")
-        ins, outs = tuple(m.source.leaves()), tuple(m.target.leaves())
+        ins, outs = m.source.leaves(), m.target.leaves()
     elif k in _SPANS:
         ins = strands[p : p + _SPANS[k]]
         if len(ins) < _SPANS[k]:

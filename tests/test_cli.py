@@ -2,6 +2,7 @@ import argparse
 import inspect
 import itertools
 import json
+import os
 import random
 import shlex
 import subprocess
@@ -85,6 +86,23 @@ def test_verify_exit_codes_and_determinism(tmp_path):
     r1.pop("elapsed_ms")
     r2.pop("elapsed_ms")
     assert r1 == r2  # byte-identical up to timing
+
+
+def test_verify_does_not_depend_on_the_hash_seed():
+    """The moves suite on Drinfeld(3) in two interpreters with different hash seeds: equal reports apart from
+    `elapsed_ms`, so no hash that varies between runs (of a str, or of an id()) reaches an output order."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    args = ["verify", "--suite", "moves", "--backend", "drinfeld", "--order", "3"]
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "skeinlab.cli", *args], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["cases"] > 0
 
 
 def test_verify_reports_the_order_of_the_ring_that_ran():

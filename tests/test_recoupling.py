@@ -16,6 +16,10 @@ the squared Wigner 6j symbol from the Racah sum (Racah, Phys. Rev. 62
 categories are braided equivalent (Drinfeld-Kohno) and P_ef is a gauge
 invariant, so the two agree at the same order; Drinfeld's CG maps are
 classical, so its h^2 terms come from the associator alone.
+
+The braiding of V_a with itself acts on each component V_c of V_a V_a by
+one scalar, +-q^((C_c - 2 C_a)/2) with C_n = n(n+2)/2 and q = e^(h/2);
+one eigenvalue per component, so no gauge enters.
 """
 
 from fractions import Fraction
@@ -25,6 +29,7 @@ from math import factorial
 import pytest
 
 from skeinlab.ribbon_backend import Morphism, make_backend, simple
+from skeinlab.scalars import ScalarSeries
 
 
 def _spins(x, y):
@@ -146,3 +151,37 @@ def test_the_first_quantum_correction():
     for name in ("quantum", "drinfeld"):
         p = recoupling(make_backend(name, 3), 1, 1, 1, 1)[0, 0]
         assert p.coeffs == (Fraction(1, 4), 0, Fraction(-1, 16)), name
+
+
+def braiding_eigenvalue(a, c, order):
+    """The coefficients of +-q^((C_c - 2 C_a)/2) = +-exp(h (C_c - 2 C_a)/4), C_n = n(n+2)/2, up to h^(order-1).
+
+    The sign is the classical flip's on V_c in V_a V_a.  At c = 2a the
+    component holds u_0 (x) u_0, which the flip fixes.  Each step down by 2
+    adds one to m = (2a - c)/2: the highest-weight vector of V_c is
+    sum_{i+j=m} (-1)^i x_i u_i (x) u_j with x_i = x_{m-i}, and the flip, which
+    swaps i and j, multiplies it by (-1)^m.
+    """
+    sign = (-1) ** ((2 * a - c) // 2)
+    x = Fraction(c * (c + 2) - 2 * a * (a + 2), 8)  # (C_c - 2 C_a)/4
+    return [sign * x**n / factorial(n) for n in range(order)]
+
+
+@pytest.mark.parametrize("name,order", [("classical", 1), ("epsilon", 2), ("drinfeld", 2), ("drinfeld", 3),
+                                        ("quantum", 3), ("quantum", 5), ("quantum", 8)])
+def test_the_braiding_acts_on_each_component_by_its_eigenvalue(name, order):
+    """project_c o braiding(V_a, V_a) o embed_c = +-q^((C_c - 2 C_a)/2) on V_c, for a <= 4.
+
+    On epsilon the braiding is flip(1 + e r) with r = t/2 + r_a; the flip
+    takes V_c to itself and r_a to -r_a, so r_a drops out of the component
+    and epsilon follows the same formula to first order."""
+    bk = make_backend(name, order)
+    checked = 0
+    for a in range(1, 5):
+        va = simple(a)
+        braiding = bk.braiding(va, va)
+        for vc, embed, project in bk.cg_decompose(va, va):
+            want = ScalarSeries.from_coeffs(bk.mode, braiding_eigenvalue(a, vc.spin, order))
+            assert project @ braiding @ embed == Morphism.identity(vc, bk.mode).scale(want), (name, order, a, vc)
+            checked += 1
+    assert checked == 2 + 3 + 4 + 5

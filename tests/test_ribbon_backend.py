@@ -61,11 +61,43 @@ def test_object_dims_and_duals():
     w = tensor_word([V, VS, ADJ])
     assert w.dim == 12
     # duals reverse the word (the tree comes out right-nested)
-    assert dual(w).leaves() == [DualObj(ADJ), V, VS]
+    assert dual(w).leaves() == (DualObj(ADJ), V, VS)
     assert dual(dual(w)).leaves() == w.leaves()
     assert object_from_json(w.to_json()) == w
     with pytest.raises(LabelError):
         simple("W7")
+
+
+def test_one_node_per_word():
+    """Constructors, JSON, duals, copies and pickles all return the one node of a word."""
+    import copy
+    import pickle
+
+    w = tensor_word([V, VS, ADJ])
+    assert TensorObj(V, VS) is TensorObj(V, VS) and tensor_word([V, VS]) is TensorObj(V, VS)
+    assert simple("V") is SimpleObj(1) and UnitObj() is UNIT and DualObj(V) is VS
+    assert object_from_json(w.to_json()) is w and dual(dual(w)) is w and dual(w) is dual(w)
+    assert w.leaves() == (V, VS, ADJ) and w == TensorObj(TensorObj(V, VS), ADJ) and w != dual(w)
+    for x in (UNIT, V, VS, w, dual(w)):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+    for node, name in ((V, "spin"), (VS, "inner"), (w, "left"), (w, "dim"), (UNIT, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, V)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(TypeError):
+        TensorObj(V)
+
+
+def test_a_word_rebuilt_from_json_hits_the_backend_caches():
+    bk = make_backend("classical")
+    x = tensor_word([V, ADJ, VS])
+    basis = bk.invariant_hom_basis(x, x)
+    before = BackendSpec.invariant_hom_basis.cache_info()
+    again = object_from_json(x.to_json())
+    assert bk.invariant_hom_basis(again, again) is basis
+    after = BackendSpec.invariant_hom_basis.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_word_repr_str_json_dim_leaves_and_hash_are_pinned():

@@ -30,9 +30,9 @@ backend the inverse braiding and the inverse twist are the series inverses
 pairing and the copairing; a dual's ev and coev are the right duality of
 its simple V, ev(V) c(V, V*) (theta_V (x) id) and
 (id (x) theta_V) c(V, V*) coev(V); on a tensor word they nest the
-factors' maps.  With a nontrivial associator `coev` divides the
-copairing by its snake through associator(x, x*, x) (the Drinfeld snake
-scale), so the snake identities hold exactly.
+factors' maps.  On every backend `coev` divides the copairing by its
+snake through associator(x, x*, x) (a scalar, 1 where the associator is
+trivial), so the snake identities hold exactly.
 Every two-leg tensor (r, t, r_a) and the three-leg [t12, t23] act through
 `insert_legs`, on a given matrix: each term is one small integer operator
 on the factors its legs touch, cached, and acts in one pass over the
@@ -50,15 +50,17 @@ identity.  On the other backends it relabels.
 `BackendSpec.apply_chain` is the one way local morphisms (crossings,
 coupons, cups, caps) act inside a word, step after step: it moves a core's
 sparse rows by mixed-radix index arithmetic, never builds id (x) m (x) id,
-and rebrackets once per step boundary.  As in `cg_reduce`, each operator
-layer goes straight to its output degree, in one pass per core layer.
+and rebrackets once per step boundary, onto the step's raw block word
+(where the associator is trivial, a relabelling).  As in `cg_reduce`, each
+operator layer goes straight to its output degree, in one pass per core
+layer.
 `apply` is its one-step case and `flat_apply` is `apply` on the identity.
 `sort_blocks` walks the crossings that reorder a word's blocks: each acts at
 the blocks' fixed positions, then the rows move once, and it builds no word
 per crossing (on Drinfeld(3) it reads each crossing's coherence off the leaf
 indices).  `cg_reduce` reduces a skein handle's two ends to every
-Clebsch-Gordan component in one pass, through the chain's step onto a raw
-word, `_on_raw_word`.  Only this module reads or builds a morphism's layers.
+Clebsch-Gordan component in one pass, on the raw word of its blocks as
+`apply_chain` does.  Only this module reads or builds a morphism's layers.
 
 All exact linear solving goes through one solver on integer layers:
 `_factor` reduces the constant layer once, fraction-free (rows stay
@@ -1352,19 +1354,18 @@ class BackendSpec:
 
     @lru_cache(maxsize=None)
     def coev(self, x: ObjectExpr) -> Morphism:
-        """Coevaluation unit -> x (x) dual(x)."""
+        """Coevaluation unit -> x (x) dual(x); on a simple, the copairing divided by its snake through
+        associator(x, x*, x), a scalar (1 where the associator is trivial), so the snake identities hold."""
         if isinstance(x, UnitObj):
             return Morphism.identity(UNIT, self.mode)
         if isinstance(x, SimpleObj):
-            # the copairing; through a nontrivial associator its snake scales x,
-            # so it is divided by that scalar to make the snake the identity
-            d = x.dim
-            m = Morphism(UNIT, TensorObj(x, DualObj(x)), self.mode, [{(i * d + i, 0): 1 for i in range(d)}])
-            if self.nontrivial_associator:
-                idx = Morphism.identity(x, self.mode)
-                snake = idx.tensor(self.ev(x)) @ self.associator(x, DualObj(x), x) @ m.tensor(idx)
-                m = m.scale(snake.entry(0, 0).inverse())
-            return m
+            d, word, zeros = x.dim, [x, DualObj(x), x], _zero_layers(self.mode.order - 1)
+            pairs = [i * d + i for i in range(d)]
+            m = Morphism._of(UNIT, TensorObj(x, DualObj(x)), self.mode, ((1, {(r, 0): 1 for r in pairs}), *zeros))
+            # the snake is a scalar times id_x: read it off its first column, from the copairing (x) e_0
+            column = Morphism._of(UNIT, tensor_word(word), self.mode, ((1, {(r * d, 0): 1 for r in pairs}), *zeros))
+            snake = self.apply_chain([(word, [(1, 2, self.ev(x))])], column)
+            return m.scale(snake.entry(0, 0).inverse())
         if isinstance(x, DualObj):  # the right coevaluation of V = x.inner: (id (x) theta_V) o c(V, V*) o coev(V)
             v = x.inner
             return Morphism.identity(x, self.mode).tensor(self.twist(v)) @ self.braiding(v, x) @ self.coev(v)
@@ -1419,7 +1420,7 @@ class BackendSpec:
         if source.leaves() != m.source.leaves() or target.leaves() != m.target.leaves():
             raise ModeError(f"rebracket needs equal flat words: {m.source} -> {m.target} vs {source} -> {target}")
         if not self.nontrivial_associator:
-            return m.retyped(source, target)
+            return Morphism._of(source, target, self.mode, m.layers)
         m0, m1, m2 = m.layers
         if target != m.target:
             legs = [(i, j, k, _omega(n)) for i, j, k, n in _coherence_legs(m.target, target)]
@@ -1435,53 +1436,43 @@ class BackendSpec:
 
     def apply_chain(self, steps, core: Morphism) -> Morphism:
         """`core` (on a left-nested word) followed by each (context, placed) step's flat_apply; each context
-        must be on the flat word the last step ended on.  Placed morphisms act on the core's rows by index
-        arithmetic (`_series_apply`, every operator layer to its output degree in one pass per core layer)
-        on the step's raw placement word (`_on_raw_word`), where the core stays until the next step: with
-        h^3 = 0, X(a -> b) + X(b -> c) = X(a -> c), so one rebracket per step boundary and one back at the
-        end equal a round trip per step."""
+        must be on the flat word the last step ended on, and the placements must not overlap or leave it.
+        Each step rebrackets the core onto its raw placement word (the tensor of the step's blocks), acts on
+        its rows by index arithmetic (`_series_apply`, every operator layer to its output degree in one pass
+        per core layer) and leaves it on the raw output word until the next step: with h^3 = 0,
+        X(a -> b) + X(b -> c) = X(a -> c), so one rebracket per step boundary and one back at the end equal
+        a round trip per step."""
 
         def flat(objs):
             return tuple(leaf for obj in objs for leaf in obj.leaves())
 
-        nested = core.target
-        word = nested.leaves()
-        if core.mode != self.mode or tensor_word(word) is not nested:
+        word = core.target.leaves()
+        if core.mode != self.mode or tensor_word(word) is not core.target:
             raise ModeError(f"apply: core {core!r} is over another ring or does not end on a left-nested word")
         for context, placed in steps:
             factors, pos = [], 0
             for at, span, m in sorted(placed, key=lambda p: p[0]):
+                if at < pos or at + span > len(context):
+                    raise ModeError(f"apply: {m!r} at {at} overlaps another placement or leaves the context")
                 if m.mode != self.mode or flat(context[at : at + span]) != m.source.leaves():
                     raise ModeError(f"apply: {m!r} does not match the context at {at}")
                 factors += [*context[pos:at], m]
                 pos = at + span
             if flat(context) != word:
-                raise ModeError(f"apply: the context {context} is not on the word {nested}")
+                raise ModeError(f"apply: the context {context} is not on the word {core.target}")
             factors += context[pos:]
             sources = [f.source if isinstance(f, Morphism) else f for f in factors]
             targets = [f.target if isinstance(f, Morphism) else f for f in factors]
-            nested = tensor_word(word := flat(targets))
-
-            def act(layers):
-                dims = [s.dim for s in sources]
-                right = prod(dims)
-                for f, d in zip(factors, dims):
-                    right //= d
-                    if isinstance(f, Morphism):
-                        layers = _series_apply(f.layers, layers, right, d, f.target.dim)
-                return [(targets, nested, layers)]
-
-            (core,) = self._on_raw_word(core, sources, act)
-        return self.rebracket(core, target=nested)
-
-    def _on_raw_word(self, core, blocks, act):
-        """`act` on the layers of `core` on the raw word of `blocks`; it returns (out, target, layers) triples.
-        Only a nontrivial associator moves anything: `core` onto that raw word here, and each result, left on
-        the raw word of `out`, onto `target` in the caller's one `rebracket`; elsewhere results are on `target`."""
-        if not self.nontrivial_associator:
-            return [Morphism._of(core.source, target, self.mode, layers) for _, target, layers in act(core.layers)]
-        core = self.rebracket(core, target=tensor_word(blocks))
-        return [Morphism._of(core.source, tensor_word(out), self.mode, layers) for out, _, layers in act(core.layers)]
+            layers = self.rebracket(core, target=tensor_word(sources)).layers
+            dims = [s.dim for s in sources]
+            right = prod(dims)
+            for f, d in zip(factors, dims):
+                right //= d
+                if isinstance(f, Morphism):
+                    layers = _series_apply(f.layers, layers, right, d, f.target.dim)
+            core = Morphism._of(core.source, tensor_word(targets), self.mode, layers)
+            word = core.target.leaves()
+        return self.rebracket(core, target=tensor_word(word))
 
     def flat_apply(self, context, placed) -> Morphism:
         """Morphisms applied inside a word, as one matrix between left-nested words.
@@ -1515,6 +1506,8 @@ class BackendSpec:
         with the sign of their legs' permutation.
         """
         objs = [o for _, o in blocks]
+        if core.mode != self.mode or core.target is not flat_word(objs):
+            raise ModeError(f"sort_blocks: core {core!r} is over another ring or does not end on the blocks' word")
         dims = [o.dim for o in objs]
         strides = [prod(dims[p + 1 :]) for p in range(len(dims))]
         first = list(accumulate((len(o.leaves()) for o in objs), initial=0))  # block n's leaves start at first[n]
@@ -1538,7 +1531,7 @@ class BackendSpec:
                     legs[key] = legs.get(key, 0) + n * (-1) ** sum(x > y for x, y in combinations(triple, 2))
         terms = [(*ijk, _omega(n)) for ijk, n in legs.items() if n]
         if terms:
-            layers = (*layers[:2], _add(layers[2], insert_legs(flat_word(objs).leaves(), terms, core.layers[0])))
+            layers = (*layers[:2], _add(layers[2], insert_legs(core.target.leaves(), terms, core.layers[0])))
         final = sorted(range(len(blocks)), key=lambda n: blocks[n][0])
         hi, lo, low = _relabelling(tuple(dims), tuple(final))
         layers = [(d, {(hi[r // low] + lo[r % low], j): v for (r, j), v in e.items()}) for d, e in layers]
@@ -1583,7 +1576,9 @@ class BackendSpec:
         projection at context[plus], the transposed embedding at
         context[minus].  One pass per core layer (`_int_pair_apply`, through
         `_cg_table`) writes every component, on the raw word of the context
-        as in `apply`.  `core` must end on the left-nested word of `context`.
+        as in `apply_chain`, and one `rebracket` per component moves it onto
+        the left-nested word.  `core` must end on the left-nested word of
+        `context`.
         """
         word = flat_word(context)
         if core.mode != self.mode or core.target != word:
@@ -1592,21 +1587,17 @@ class BackendSpec:
         targets, den, table = self._cg_table(lab.left, lab.right, plus < minus)
         dims = [o.dim for o in context]  # the two ends have the same dim
         walk = (dims[first], prod(dims[first + 1 : second]), prod(dims[second + 1 :]))
-        outputs = []
-        for target in targets:
+        out = [[[] for _ in core.layers] for _ in targets]  # per component and order: (den, entries) terms
+        for order, (d, entries) in enumerate(self.rebracket(core, target=tensor_word(context)).layers):
+            for (n, degree), acc in _int_pair_apply(table, entries, *walk, self.mode.order - order).items():
+                out[n][order + degree].append((d * den, acc))
+        reduced = []
+        for target, parts in zip(targets, out):
             blocks = list(context)
             blocks[plus], blocks[minus] = target, dual(target)
-            outputs.append((blocks, flat_word(blocks)))
-
-        def act(layers):
-            out = [[[] for _ in layers] for _ in targets]  # per component and order: (den, entries) terms
-            for order, (d, entries) in enumerate(layers):
-                for (n, degree), acc in _int_pair_apply(table, entries, *walk, self.mode.order - order).items():
-                    out[n][order + degree].append((d * den, acc))
-            return [(blocks, target, [_sum(t) for t in parts]) for (blocks, target), parts in zip(outputs, out)]
-
-        raw = self._on_raw_word(core, context, act)
-        return [(t, self.rebracket(m, target=nested)) for t, (_, nested), m in zip(targets, outputs, raw)]
+            m = Morphism._of(core.source, tensor_word(blocks), self.mode, [_sum(t) for t in parts])
+            reduced.append((target, self.rebracket(m, target=flat_word(blocks))))
+        return reduced
 
     @lru_cache(maxsize=None)
     def _cg_table(self, b: SimpleObj, c: SimpleObj, plus_first: bool):

@@ -464,3 +464,22 @@ def test_the_layer_format_has_one_owner():
             text = path.read_text(encoding="utf-8")
             found += [(path.name, word) for word in ("nontrivial_associator", "rebracket") if word in text]
     assert found == []
+
+
+def test_only_rebracket_and_sort_blocks_read_the_associator_flag():
+    """One bracketing path on every backend: in `ribbon_backend`, only `BackendSpec.rebracket` and
+    `BackendSpec.sort_blocks` (its closed-form crossing coherence) read `nontrivial_associator`, which
+    `__init__` sets, and no strict-backend shortcut such as `_on_raw_word` remains."""
+    tree = ast.parse(Path(ribbon_backend.__file__).read_text(encoding="utf-8"))
+    (spec,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "BackendSpec"]
+
+    def uses(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "nontrivial_associator"]
+
+    methods = [(type(n.ctx).__name__, f.name) for f in spec.body if isinstance(f, ast.FunctionDef) for n in uses(f)]
+    assert len(methods) == len(uses(tree))  # every use is inside a BackendSpec method
+    assert set(methods) == {("Store", "__init__"), ("Load", "rebracket"), ("Load", "sort_blocks")}
+    names = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_on_raw_word" not in names

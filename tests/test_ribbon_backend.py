@@ -1847,6 +1847,37 @@ def test_apply_chain_keeps_the_refusals_of_apply():
             bk.apply_chain([first, ([V, VS, V], [(0, 2, bk.ev(V).tensor(Morphism.identity(UNIT, bk.mode)))])], core)
 
 
+@pytest.mark.parametrize("name,order", APPLY_BACKENDS)
+def test_apply_refuses_overlapping_and_out_of_range_placements(name, order):
+    """A placement must start at or after the end of the one before it and end inside the context."""
+    bk = make_backend(name, order)
+    braid = bk.braiding(V, V)
+    with pytest.raises(ModeError, match="overlaps"):  # the two crossings share the middle strand
+        bk.flat_apply([V, V, V], [(0, 2, braid), (1, 2, braid)])
+    for at in (5, 3, -1):  # past the end, and before the start (context[-1:-1] is empty)
+        with pytest.raises(ModeError, match="overlaps"):
+            bk.flat_apply([V, V], [(at, 0, bk.coev(V))])
+    with pytest.raises(ModeError, match="overlaps"):  # a span running past the end, its source the one strand left
+        bk.flat_apply([V, V], [(1, 2, bk.twist(V))])
+    # span 0 at the end, and two insertions at one position, still place
+    assert bk.flat_apply([V, V], [(2, 0, bk.coev(V))]).target is flat_word([V, V, V, VS])
+    assert bk.flat_apply([V], [(1, 0, bk.coev(V)), (1, 0, bk.coev(ADJ))]).target is flat_word([V, V, VS, ADJ, DualObj(ADJ)])
+
+
+@pytest.mark.parametrize("name,order", APPLY_BACKENDS)
+def test_sort_blocks_refuses_cores_off_the_blocks_word(name, order):
+    """The core must be over the backend's ring and end on the left-nested word of the blocks' leaves."""
+    bk = make_backend(name, order)
+    other = make_backend("epsilon" if name == "classical" else "classical")
+    word = flat_word([ADJ, V])
+    bk.sort_blocks([(1, ADJ), (0, V)], True, Morphism.identity(word, bk.mode))
+    with pytest.raises(ModeError):  # another word of the same length
+        bk.sort_blocks([(1, ADJ), (0, V)], True, Morphism.identity(flat_word([V, V]), bk.mode))
+    with pytest.raises(ModeError):  # another bracketing of the blocks' word
+        bk.sort_blocks([(1, V), (0, TensorObj(V, VS))], True, Morphism.identity(TensorObj(V, TensorObj(V, VS)), bk.mode))
+    with pytest.raises(ModeError):  # another ring
+        bk.sort_blocks([(1, ADJ), (0, V)], True, Morphism.identity(word, other.mode))
+
 def _reference_transpose(bk, u):
     """`transpose` as three applies, each a full round trip through the left-nested word."""
     a, b = u.source, u.target

@@ -25,6 +25,7 @@ from skeinlab.tangle import (
 
 V1 = simple(1)
 BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("drinfeld", 3)]
+APPLY_BACKENDS = [("classical", 1), ("epsilon", 2), ("quantum", 3), ("quantum", 5), ("drinfeld", 2), ("drinfeld", 3)]
 
 
 def test_empty_word_is_identity_on_unit():
@@ -181,9 +182,12 @@ def test_golden_tangle_boundaries_round_trip_byte_for_byte(name):
         assert json.dumps(out[key]) == json.dumps(data[key])
 
 
-def test_a_coupon_on_composite_words_takes_and_puts_back_their_leaves():
-    """Coupon boundaries are bracketed words; the interfaces hold their leaves, down strands as duals."""
-    dr = make_backend("drinfeld", 3)
+@pytest.mark.parametrize("name,order", APPLY_BACKENDS)
+def test_a_coupon_on_composite_words_takes_and_puts_back_their_leaves(name, order):
+    """Coupon boundaries are bracketed words; the interfaces hold their leaves, down strands as duals.
+
+    Neither side is left-nested, so every backend evaluates the coupon on its raw words."""
+    dr = make_backend(name, order)
     v, vs, adj = simple(1), DualObj(simple(1)), simple(2)
     source, target = TensorObj(v, TensorObj(vs, adj)), TensorObj(TensorObj(adj, v), vs)
     m = dr.random_invariant(source, target, random.Random(6))

@@ -39,8 +39,11 @@ def _load(kind, path):
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SkeinlabError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 

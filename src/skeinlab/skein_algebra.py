@@ -146,8 +146,15 @@ class SkeinElement:
     def equal(self, other: "SkeinElement") -> bool:
         """Exact equality of canonical forms.
 
-        Over the classical backend the holonomy realizations are compared
-        as well, as an independent cross-check of the canonicalization.
+        Over the classical backend, two canonical forms that differ are
+        cross-checked by their holonomy realizations: equal holonomies raise
+        AlgebraError, since distinct canonical forms are distinct functions
+        on SL2^handles.  Equal forms need no evaluation: `holonomy_evaluate`
+        is a pure function of the pattern, the label tuples, the cores and
+        the dimension of the flat argument word.  Both sides share the
+        pattern and the flat argument before the forms are compared, and
+        equal forms share the labels and the cores, so their holonomies are
+        equal and the cross-check cannot fire.
         """
         self._check_compatible(other)
         if self._flat_argument() != other._flat_argument():
@@ -155,14 +162,11 @@ class SkeinElement:
         a, b = self.canonical(), other.canonical()
         keys_a = [tuple(l.spin for l in labels) for labels, _ in a.terms]
         keys_b = [tuple(l.spin for l in labels) for labels, _ in b.terms]
-        matrix_equal = keys_a == keys_b and all(
-            ca == cb for (_, ca), (_, cb) in zip(a.terms, b.terms)
-        )
-        if self.backend.name == "classical":
-            hol_equal = holonomy_evaluate(a) == holonomy_evaluate(b)
-            if hol_equal != matrix_equal:
-                raise AlgebraError("canonical form and holonomy oracle disagree")
-        return matrix_equal
+        if keys_a == keys_b and all(ca == cb for (_, ca), (_, cb) in zip(a.terms, b.terms)):
+            return True
+        if self.backend.name == "classical" and holonomy_evaluate(a) == holonomy_evaluate(b):
+            raise AlgebraError("canonical form and holonomy oracle disagree")
+        return False
 
     # -- truncation calculus ----------------------------------------------------
 

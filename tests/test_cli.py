@@ -526,6 +526,14 @@ def test_out_writes_what_stdout_would_print(command, tmp_path):
     assert written == expected
 
 
+@pytest.mark.parametrize("target", ["{dir}", "{dir}/missing/out.json"], ids=["directory", "missing-parent"])
+def test_out_that_cannot_be_written_exit_2(target, tmp_path):
+    path = target.format(dir=tmp_path)
+    code, out, err = run_cli(["verify", "--suite", "torsion", "--out", path])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
 def test_non_integer_env_seed_exit_2(monkeypatch):
     monkeypatch.setenv("SKEINLAB_SEED", "abc")
     code, out, err = run_cli(["verify", "--suite", "torsion"])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from skeinlab import ribbon_backend
+from skeinlab import ribbon_backend, skein_algebra
 from skeinlab.errors import AlgebraError, ModeError
 from skeinlab.polynomials import SL2Poly
 from skeinlab.ribbon_backend import BackendSpec, DualObj, Morphism, TensorObj, UNIT, make_backend, simple, tensor_word
@@ -449,6 +449,62 @@ def test_drinfeld_product_inserts_each_leaf_triple_once(monkeypatch):
     triples = [legs for call in calls for legs in call]
     assert triples and all(i < j < k for i, j, k in triples)
     assert all(len(set(call)) == len(call) for call in calls)
+
+
+EQUAL_CASES = [(DISK, (V, V), (0, 1, 2)), (ANN, (UNIT,), (0, 1, 2)), (TOR, (UNIT,), (0, 1))]
+
+
+def counted_holonomy(monkeypatch):
+    """Spy on the holonomy oracle that `equal` calls: returns the list of its arguments."""
+    calls = []
+    evaluate = skein_algebra.holonomy_evaluate
+
+    def counted(s):
+        calls.append(s)
+        return evaluate(s)
+
+    monkeypatch.setattr(skein_algebra, "holonomy_evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pattern,args,pool", EQUAL_CASES, ids=["disk", "annulus", "torus"])
+def test_equal_evaluates_holonomy_only_on_differing_classical_forms(pattern, args, pool, monkeypatch):
+    """Equal canonical forms have equal holonomies, so `equal` evaluates none; differing forms get both."""
+    rng = random.Random(35)
+    a, b = (random_element(CL, pattern, rng, label_pool=pool, argument=args) for _ in range(2))
+    calls = counted_holonomy(monkeypatch)
+    p, q = mu(a, b), mu(a, b)
+    assert p.terms and p.equal(q) and calls == []
+    assert not p.equal(p.scale(2)) and len(calls) == 2
+    for bk in (EP, Q3):
+        calls.clear()
+        lp, lq = lift_element(p, bk), lift_element(q, bk)
+        assert lp.equal(lq) and not lp.equal(lq.scale(2)) and calls == []
+
+
+@pytest.mark.parametrize("pattern,args,pool", EQUAL_CASES, ids=["disk", "annulus", "torus"])
+def test_equal_raises_when_differing_forms_have_equal_holonomy(pattern, args, pool, monkeypatch):
+    rng = random.Random(36)
+    p = random_element(CL, pattern, rng, label_pool=pool, argument=args)
+    assert not p.equal(p.scale(2))
+    monkeypatch.setattr(skein_algebra, "holonomy_evaluate", lambda s: [SL2Poly.constant(pattern.n_handles, 1)])
+    with pytest.raises(AlgebraError, match="canonical form and holonomy oracle disagree"):
+        p.equal(p.scale(2))
+    assert p.equal(p.scale(1))
+
+
+def test_genus_two_products_compare_without_holonomy(monkeypatch):
+    """Two separately computed genus-two products with V labels are equal with no holonomy evaluation.
+
+    The pair is the reach ladder's genus-two {V} rung; evaluating both
+    holonomies took about 1.6 s of a 0.04 s product.
+    """
+    g2 = genus_two_one_boundary()
+    rng = random.Random("ladder/1/genus_two/V")
+    argument = tuple(UNIT for _ in range(g2.n_vertices))
+    a, b = (random_element(CL, g2, rng, label_pool=(1,), argument=argument) for _ in range(2))
+    calls = counted_holonomy(monkeypatch)
+    assert mu(a, b).equal(mu(a, b)) and calls == []
 
 
 @pytest.mark.parametrize(

@@ -200,6 +200,9 @@ class SkeinElement:
         the argument word to the boundary word of its labels and lie in the
         span of `element_hom_basis`; anything else raises."""
         backend = make_backend(data["backend"], data.get("order", 3))
+        order = data.get("order", backend.mode.order)
+        if type(order) is not int or order != backend.mode.order:
+            raise ModeError(f"the {backend.name} backend's ring has order {backend.mode.order}, got {order!r}")
         pattern = SurfacePattern.from_json(data["pattern"])
         argument = tuple(object_from_json(a) for a in data["argument"])
         element = SkeinElement(backend, pattern, argument, [])

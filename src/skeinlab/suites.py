@@ -77,7 +77,7 @@ def _splice(word, lvl, gadget, coupons=()):
 
 def _apply_random_move(word, kind, backend, rng):
     """Return (before, after) words for the move, or None if no site fits."""
-    levels = word.interfaces()
+    levels = word.interfaces
     if kind == "R2":
         sites = [(l, p) for l, s in enumerate(levels[:-1]) for p in range(len(s) - 1)]
         if not sites:

@@ -119,6 +119,9 @@ class SurfacePattern:
         n_vertices = _index(data["vertices"], "vertex count")
         if n_vertices > 2 * len(handles) + 1:
             raise FusionError(f"vertex count {n_vertices} exceeds the {2 * len(handles)} handle ends plus one")
+        marked = data.get("marked", list(range(n_vertices)))
+        if marked != list(range(n_vertices)) or any(type(m) is not int for m in marked):
+            raise FusionError(f"marked must list the vertices 0..{n_vertices - 1} in order, got {marked!r}")
         return SurfacePattern(n_vertices, handles)
 
 

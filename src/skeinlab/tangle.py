@@ -1,10 +1,12 @@
 """Slice-word tangles in the square and their Reshetikhin-Turaev evaluation.
 
 A tangle word is a list of horizontal slices acting on a boundary word of
-oriented labeled strands.  Evaluation applies the backend images of the
-cells slice by slice, as one `BackendSpec.apply_chain`; consecutive slices
-are joined by one canonical rebracketing, so evaluation is exact also for
-the non-strict Drinfeld backend.
+oriented labeled strands.  A word is checked and walked once, as it is
+built: it keeps its interfaces and each slice's placed cells, which
+evaluation, moves and juxtaposition read.  Evaluation applies the backend
+images of the cells slice by slice, as one `BackendSpec.apply_chain`;
+consecutive slices are joined by one canonical rebracketing, so evaluation
+is exact also for the non-strict Drinfeld backend.
 
 A strand is a leaf object of the backend: `SimpleObj(n)` going up,
 `DualObj(SimpleObj(n))` going down.  Interfaces between slices are tuples
@@ -91,22 +93,22 @@ class Cell:
         return Cell(kind=kind, at=at, label=label, flavor=flavor, coupon_id=cid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TangleWord:
+    """A slice word, checked as it is built: `interfaces` holds the strands between
+    slices (the bottom first, the top last), `placed` per slice the (cell, ins,
+    outs) triples of its cells in position order."""
+
     bottom: tuple
     slices: tuple  # tuple of tuples of Cell
     coupons: dict = field(default_factory=dict)  # id -> Morphism
+    interfaces: tuple = field(init=False, compare=False, repr=False)
+    placed: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.bottom = tuple(self.bottom)
-        self.slices = tuple(tuple(s) for s in self.slices)
-
-    # -- interfaces -----------------------------------------------------
-
-    def _walk(self):
-        """The interfaces between slices, and each slice's (cell, ins) pairs."""
-        levels, placed = [self.bottom], []
-        for index, cells in enumerate(self.slices):
+        bottom, slices = tuple(self.bottom), tuple(tuple(s) for s in self.slices)
+        levels, placed = [bottom], []
+        for index, cells in enumerate(slices):
             strands, out, pos, io = levels[-1], (), 0, []
             for cell in sorted(cells, key=lambda c: c.at):
                 if cell.at < pos:
@@ -117,19 +119,17 @@ class TangleWord:
                     raise WordError(f"slice {index}: {exc}") from None
                 out += strands[pos : cell.at] + outs
                 pos = cell.at + len(ins)
-                io.append((cell, ins))
+                io.append((cell, ins, outs))
             levels.append(out + strands[pos:])
-            placed.append(io)
-        return levels, placed
-
-    def interfaces(self):
-        """The strands between slices, each level a tuple of `SimpleObj`s (up) and
-        `DualObj`s (down): interfaces()[0] is the bottom, interfaces()[-1] the top."""
-        return self._walk()[0]
+            placed.append(tuple(io))
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "interfaces", tuple(levels))
+        object.__setattr__(self, "placed", tuple(placed))
 
     @property
     def top(self):
-        return self.interfaces()[-1]
+        return self.interfaces[-1]
 
     def to_json(self):
         return {
@@ -170,11 +170,8 @@ def _cell_io(cell: Cell, strands, coupons):
     if k in ("cup", "cap"):
         if cell.label is None:
             raise WordError(f"{k} at {p} has no label")
-        up = SimpleObj(cell.label)
-        pair = (up, DualObj(up))
-        if (k == "cup") != (cell.flavor == "l"):
-            pair = pair[::-1]
-        ins, outs = ((), pair) if k == "cup" else (pair, ())
+        x = SimpleObj(cell.label) if cell.flavor == "l" else DualObj(SimpleObj(cell.label))
+        ins, outs = ((), (x, dual(x))) if k == "cup" else ((dual(x), x), ())
     elif k == "coupon":
         m = coupons.get(cell.coupon_id)
         if m is None:
@@ -197,8 +194,8 @@ def _cell_io(cell: Cell, strands, coupons):
 # ---------------------------------------------------------------------------
 
 
-def _cell_morphism(cell: Cell, ins, coupons, backend: BackendSpec):
-    """The backend image of a cell whose input strands are `ins`."""
+def _cell_morphism(cell: Cell, ins, outs, coupons, backend: BackendSpec):
+    """The backend image of a cell that takes the strands `ins` to `outs`."""
     k = cell.kind
     if k == "braid+":
         return backend.braiding(ins[0], ins[1])
@@ -208,10 +205,10 @@ def _cell_morphism(cell: Cell, ins, coupons, backend: BackendSpec):
         return backend.twist(ins[0])
     if k == "twist-":
         return backend.twist_inv(ins[0])
-    if k in ("cup", "cap"):
-        lab = SimpleObj(cell.label)
-        duality = backend.coev if k == "cup" else backend.ev
-        return duality(lab if cell.flavor == "l" else DualObj(lab))
+    if k == "cup":
+        return backend.coev(outs[0])
+    if k == "cap":
+        return backend.ev(ins[1])
     if k == "coupon":
         return coupons[cell.coupon_id]
     return Morphism.identity(tensor_word(ins), backend.mode)  # assoc+-
@@ -222,9 +219,8 @@ def rt_evaluate(word: TangleWord, backend: BackendSpec) -> Morphism:
     for cid, m in word.coupons.items():
         if m.mode != backend.mode:
             raise ModeError(f"coupon {cid!r} lives in {m.mode}, backend is {backend.mode}")
-    levels, placed = word._walk()
-    steps = [(strands, [(c.at, len(ins), _cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells])
-             for strands, cells in zip(levels, placed)]
+    steps = [(strands, [(c.at, len(ins), _cell_morphism(c, ins, outs, word.coupons, backend)) for c, ins, outs in cells])
+             for strands, cells in zip(word.interfaces, word.placed)]
     return backend.apply_chain(steps, Morphism.identity(tensor_word(word.bottom), backend.mode))
 
 
@@ -256,13 +252,12 @@ def compose(upper: TangleWord, lower: TangleWord) -> TangleWord:
 
 def tensor(left: TangleWord, right: TangleWord) -> TangleWord:
     """Juxtapose two words side by side."""
-    llevels = left.interfaces()
     coupons, right_slices = _merge_coupons(left, right)
     slices = []
     for i in range(max(len(left.slices), len(right.slices))):
         cells = list(left.slices[i]) if i < len(left.slices) else []
         # right's cells shift past left's strands at this level
-        width = len(llevels[min(i, len(left.slices))])
+        width = len(left.interfaces[min(i, len(left.slices))])
         if i < len(right_slices):
             cells.extend(replace(c, at=c.at + width) for c in right_slices[i])
         slices.append(tuple(cells))
@@ -350,7 +345,7 @@ def _lone_cell(word, level):
 
 
 def _strands_at(word, level, pos, count):
-    levels = word.interfaces()
+    levels = word.interfaces
     if not (0 <= level < len(levels) and 0 <= pos and pos + count <= len(levels[level])):
         raise MoveError(f"no {count} strand(s) at {pos} on level {level}")
     return levels[level][pos : pos + count]
@@ -374,10 +369,8 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWo
     """A random well-formed word over V and dual(V), with assorted cells; a cup needs fewer than 5 strands."""
     up, down = SimpleObj(1), DualObj(SimpleObj(1))
     bottom = tuple(rng.choice((up, down)) for _ in range(n_strands))
-    word = TangleWord(bottom, (), {})
-    coupon_count = 0
+    strands, slices, coupons = bottom, [], {}
     for _ in range(n_slices):
-        strands = word.top
         width = len(strands)
         options = ["twist"]
         if width >= 2:
@@ -387,7 +380,6 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWo
         if width >= 1:
             options.append("coupon")
         kind = rng.choice(options)
-        cell = None
         if kind == "braid":
             p = rng.randrange(width - 1)
             cell = Cell(rng.choice(("braid+", "braid-")), p)
@@ -409,20 +401,20 @@ def random_word(rng, backend, n_strands: int = 3, n_slices: int = 4) -> TangleWo
                 continue
             p, flavor = rng.choice(sites)
             cell = Cell("cap", p, label=1, flavor=flavor)
-        elif kind == "coupon":
+        else:
             span = 1 if width == 1 else rng.choice((1, 2))
             p = rng.randrange(width - span + 1)
             source = tensor_word(strands[p : p + span])
             m = backend.random_invariant(source, source, rng)
             if m.is_zero:
                 continue
-            coupon_count += 1
-            cid = f"c{coupon_count}"
-            word.coupons[cid] = m
+            cid = f"c{len(coupons) + 1}"
+            coupons[cid] = m
             cell = Cell("coupon", p, coupon_id=cid)
-        if cell is not None:
-            word = TangleWord(word.bottom, word.slices + ((cell,),), word.coupons)
-    return word
+        ins, outs = _cell_io(cell, strands, coupons)
+        strands = strands[:p] + outs + strands[p + len(ins) :]
+        slices.append((cell,))
+    return TangleWord(bottom, tuple(slices), coupons)
 
 
 def reparenthesize_coupon(word: TangleWord, coupon_id: str, new_source, new_target, backend) -> TangleWord:

@@ -558,3 +558,42 @@ def test_coupon_over_another_ring_exit_2(tmp_path):
     code, out, err = run_cli(["eval-tangle", str(path), "--backend", "quantum", "--order", "3"])
     assert code == 2 and out == ""
     assert "coupon 'c' lives in epsilon" in err
+
+
+@pytest.mark.parametrize("backend", ["classical", "epsilon"])
+def test_an_element_order_must_be_its_ring_s_exit_2(backend, tmp_path):
+    """An element file's "order" must be the int order of its backend's ring, or absent;
+    on classical and epsilon any value was ignored."""
+    element = loop_element(make_backend("classical"), annulus(), [[0]])
+    if backend == "epsilon":
+        element = lift_element(element, make_backend("epsilon"))
+    data, ring_order = element.to_json(), element.backend.mode.order
+    right = tmp_path / "b.json"
+    right.write_text(json.dumps(data))
+    for order, wanted in ((ring_order, 0), (None, 0), (9, 2), ("3", 2), (str(ring_order), 2), (True, 2), (2.0, 2)):
+        edited = {k: v for k, v in data.items() if k != "order"} if order is None else {**data, "order": order}
+        left = tmp_path / "a.json"
+        left.write_text(json.dumps(edited))
+        code, out, err = run_cli(["product", str(left), str(right)])
+        assert code == wanted, (order, err)
+        if wanted:
+            assert out == "" and f"ring has order {ring_order}, got {order!r}" in err, err
+
+
+def test_a_pattern_marked_list_must_be_its_vertices_exit_2(tmp_path):
+    """A pattern's "marked" must be [0, ..., vertices - 1], as `to_json` writes it, or absent;
+    any value was ignored."""
+    pattern = json.loads(Path(_two_vertex_pattern(tmp_path, None, None)).read_text())
+    path = tmp_path / "marked.json"
+    for marked, wanted in (([0, 1], 0), (None, 0), ("x", 2), ([0], 2), ([1, 0], 2), ([0, 1, 2], 2),
+                           ([False, True], 2), ([0.0, 1], 2), ({}, 2)):
+        path.write_text(json.dumps(pattern if marked is None else {**pattern, "marked": marked}))
+        code, out, err = run_cli(["fuse", str(path), "0", "1"])
+        assert code == wanted, (marked, err)
+        if wanted:
+            assert out == "" and f"marked must list the vertices 0..1 in order, got {marked!r}" in err, err
+    torus = json.loads((GOLDEN_INPUTS / "torus_a.json").read_text(encoding="utf-8"))
+    torus["pattern"]["marked"] = "x"
+    path.write_text(json.dumps(torus))
+    code, out, err = run_cli(["product", str(path), str(GOLDEN_INPUTS / "torus_b.json")])
+    assert code == 2 and out == "" and "marked must list the vertices 0..0" in err, err

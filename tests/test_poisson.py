@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import ribbon_backend
+from skeinlab import poisson, ribbon_backend
 from skeinlab.errors import AlgebraError, ModeError
 from skeinlab.polynomials import SL2Poly
 from skeinlab.ribbon_backend import (
@@ -1005,3 +1005,13 @@ def test_sigma_mode_errors():
     a, b = loop_element(CL, TOR, [[0]]), loop_element(CL, TOR, [[1]])
     with pytest.raises(ModeError):
         sigma_algebraic(lift_element(a, q1), lift_element(b, q1))
+
+
+def test_sigma_algebraic_refuses_a_difference_with_a_classical_part(monkeypatch):
+    """mu - mu^op- must vanish classically; a product whose opposite is doubled does not."""
+    ep = make_backend("epsilon")
+    s = lift_element(loop_element(make_backend("classical"), annulus(), [[0]]), ep)
+    terms = poisson.product_terms
+    monkeypatch.setattr(poisson, "product_terms", lambda a, b, positive=True: terms(a, b, positive).scale(1 if positive else 2))
+    with pytest.raises(AlgebraError, match="product difference has a nonzero classical part"):
+        sigma_algebraic(s, s)

@@ -518,3 +518,34 @@ def test_genus_two_products_compare_without_holonomy(monkeypatch):
 def test_loop_element_refusals(backend, loops, error, match):
     with pytest.raises(error, match=match):
         loop_element(backend, TOR, loops)
+
+
+def test_canonical_refuses_a_label_that_is_not_a_pair_of_simples():
+    ((_, core),) = loop_element(CL, ANN, [[0]]).terms
+    odd = SkeinElement(CL, ANN, (UNIT,), [((TensorObj(TensorObj(V, V), V),), core)])
+    with pytest.raises(AlgebraError, match="cannot reduce handle label"):
+        odd.canonical()
+
+
+def test_equal_is_false_on_different_flat_arguments():
+    """Elements on different argument words differ, the zero elements too."""
+    on_units = random_element(CL, DISK, random.Random(1), label_pool=(0,))
+    on_vs = random_element(CL, DISK, random.Random(1), label_pool=(1,), argument=(V, V))
+    assert not on_units.equal(on_vs) and not on_vs.equal(on_units)
+    assert not on_units.scale(0).equal(on_vs.scale(0)) and on_vs.scale(0).equal(on_vs.scale(0))
+
+
+def test_random_element_refuses_a_pool_with_no_admissible_label():
+    with pytest.raises(AlgebraError, match="no labels from the pool admit a nonzero element"):
+        random_element(CL, DISK, random.Random(1), label_pool=(1,))
+
+
+def test_lift_element_refuses_the_classical_backend():
+    with pytest.raises(ModeError, match="cannot lift into classical"):
+        lift_element(loop_element(CL, ANN, [[0]]), CL)
+
+
+def test_action_refuses_a_morphism_onto_another_object():
+    s = random_element(CL, DISK, random.Random(1), label_pool=(1,), argument=(V, V))
+    with pytest.raises(AlgebraError, match="action target"):
+        action(Morphism.identity(simple(2), CL.mode), 0, s)

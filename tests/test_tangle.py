@@ -151,14 +151,66 @@ def test_coupon_slide_move_error():
         apply_move(w, "R3", (0, "lr"))
 
 
+def _cells(word):
+    return sum(len(cells) for cells in word.slices)
+
+
+def test_a_word_is_walked_once_as_it_is_built(monkeypatch):
+    """`_cell_io` runs once per cell when a word is built, and no more when the word is
+    read, evaluated, juxtaposed or searched for a move site; `random_word` builds one word."""
+    bk = make_backend("quantum", 3)
+    io_calls, built = [], []
+    cell_io, post_init = tangle._cell_io, TangleWord.__post_init__
+
+    def counted_io(*args):
+        io_calls.append(None)
+        return cell_io(*args)
+
+    def counted_build(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(tangle, "_cell_io", counted_io)
+    monkeypatch.setattr(TangleWord, "__post_init__", counted_build)
+    rng = random.Random(3)
+    words = []
+    for _ in range(12):
+        built.clear()
+        words.append(random_word(rng, bk, n_strands=rng.choice((2, 3)), n_slices=4))
+        assert len(built) == 1
+    assert sum(map(_cells, words)) >= 30
+    for word, other in zip(words, words[1:] + words[:1]):
+        io_calls.clear()
+        copy = TangleWord(word.bottom, word.slices, word.coupons)
+        assert len(io_calls) == _cells(word)
+        io_calls.clear()
+        assert copy.interfaces == word.interfaces and copy.top == word.top
+        rt_evaluate(copy, bk)
+        for level, strands in enumerate(copy.interfaces):
+            for p in range(len(strands)):
+                tangle._strands_at(copy, level, p, 1)
+        assert io_calls == []
+        joint = tensor(copy, other)
+        assert len(io_calls) == _cells(joint)
+        io_calls.clear()
+        grown = apply_move(copy, "R2", (0, 0, "insert"))
+        assert len(io_calls) == _cells(grown) == _cells(copy) + 2
+
+
 def test_malformed_words():
-    with pytest.raises(WordError):
-        TangleWord((V1,), ((Cell("braid+", 0),),), {}).interfaces()
-    with pytest.raises(WordError):
-        TangleWord((V1, V1), ((Cell("cap", 0, label=1, flavor="l"),),), {}).interfaces()
-    bad = TangleWord((V1,), ((Cell("coupon", 0, coupon_id="missing"),),), {})
-    with pytest.raises(WordError):
-        bad.interfaces()
+    """An ill-formed word is refused as it is built, naming its slice."""
+    for bottom, cells, message in [
+        ((V1,), (Cell("braid+", 0),), "slice 1: braid+ at 0 needs 2 strands"),
+        ((V1, V1), (Cell("cap", 0, label=1, flavor="l"),), "slice 1: cap at 0 does not match strands"),
+        ((V1,), (Cell("coupon", 0, coupon_id="missing"),), "slice 1: unknown coupon 'missing'"),
+        ((V1, V1), (Cell("twist+", 0), Cell("braid+", 0)), "overlapping cells in slice 1"),
+        ((V1,), (Cell("twist+", 2),), "slice 1: twist+ at 2 is past the 1 strands"),
+        ((V1,), (Cell("cup", 0),), "slice 1: cup at 0 has no label"),
+        ((V1,), (Cell("knot", 0),), "slice 1: unknown cell kind 'knot'"),
+    ]:
+        with pytest.raises(WordError) as raised:
+            TangleWord(bottom, ((Cell("twist+", 0),), cells), {})
+        assert str(raised.value).startswith(message), str(raised.value)
 
 
 def test_word_json_roundtrip():
@@ -192,9 +244,9 @@ def test_a_coupon_on_composite_words_takes_and_puts_back_their_leaves(name, orde
     source, target = TensorObj(v, TensorObj(vs, adj)), TensorObj(TensorObj(adj, v), vs)
     m = dr.random_invariant(source, target, random.Random(6))
     word = TangleWord((v, vs, adj), ((Cell("coupon", 0, coupon_id="c"),),), {"c": m})
-    (((_, ins),),) = word._walk()[1]
+    (((_, ins, outs),),) = word.placed
     assert ins == tuple(source.leaves()) == word.bottom
-    assert word.top == tuple(target.leaves()) == (adj, v, vs)
+    assert word.top == outs == tuple(target.leaves()) == (adj, v, vs)
     data = word.to_json()
     assert data["bottom"] == [["V", "+"], ["V", "-"], ["adj", "+"]] and data["top"] == [["adj", "+"], ["V", "+"], ["V", "-"]]
     assert TangleWord.from_json(data).top == word.top
@@ -253,7 +305,7 @@ def test_move_rules_keep_the_boundary():
     applied = set()
     for _ in range(80):
         word = random_word(rng, bk, n_strands=rng.choice((1, 2, 3)), n_slices=rng.choice((1, 2, 3)))
-        levels = word.interfaces()
+        levels = word.interfaces
         level = rng.randrange(len(levels))
         strands = levels[level]
         p = rng.randrange(max(1, len(strands)))
@@ -273,9 +325,8 @@ def test_move_rules_keep_the_boundary():
         if strands:
             plants.append(("CouponSlide", (level, p), coupon_then_cross("s", coupons["s"], p)))
         for move, site, planted in plants:
-            planted_word = TangleWord(word.bottom, word.slices[:level] + planted, coupons)
             try:
-                planted_word.interfaces()
+                planted_word = TangleWord(word.bottom, word.slices[:level] + planted, coupons)
                 apply_move(planted_word, move, site)
             except (MoveError, WordError):
                 continue
@@ -291,17 +342,18 @@ def test_move_rules_keep_the_boundary():
 # ---------------------------------------------------------------------------
 
 
-def _closure(n, braid, middle=(), label=1):
+def _closure(n, braid, middle=(), label=1, coupons=None):
     """Closure of an n-strand braid on V_label: n nested cups, the braid, n right caps.
 
     `braid` lists generators +-i for sigma_i^{+-1} (strands i-1, i; braid+
-    is the positive crossing); `middle` is extra slices after the braid.
+    is the positive crossing); `middle` is extra slices after the braid,
+    whose coupon ids `coupons` maps to their morphisms.
     """
     slices = [(Cell("cup", k, label=label),) for k in range(n)]
     slices += [(Cell("braid+" if g > 0 else "braid-", abs(g) - 1),) for g in braid]
     slices += list(middle)
     slices += [(Cell("cap", k, label=label, flavor="r"),) for k in reversed(range(n))]
-    return TangleWord((), tuple(slices), {})
+    return TangleWord((), tuple(slices), coupons or {})
 
 
 def _exp_h(a, order):
@@ -452,8 +504,7 @@ def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):
     bk = make_backend("drinfeld", 3)
     v = simple(1)
     coupon = bk.random_invariant(TensorObj(v, TensorObj(v, v)), tensor_word([v, v, v]), random.Random(4))
-    word = _closure(3, [1, -2, 1, -2], middle=[(Cell("coupon", 0, coupon_id="c"),)])
-    word.coupons["c"] = coupon
+    word = _closure(3, [1, -2, 1, -2], middle=[(Cell("coupon", 0, coupon_id="c"),)], coupons={"c": coupon})
     expected = rt_evaluate(word, bk)
     sizes, composed = [], []
     int_ident, compose_ = ribbon_backend._int_ident, Morphism.compose
@@ -482,10 +533,9 @@ def test_drinfeld_evaluation_rebrackets_without_coherence_matrices(monkeypatch):
 
 def _reference_rt_evaluate(word, backend):
     """`rt_evaluate` as one `apply` per slice, each a full round trip through the left-nested word."""
-    levels, placed = word._walk()
     total = Morphism.identity(tensor_word(word.bottom), backend.mode)
-    for strands, cells in zip(levels, placed):
-        morphisms = [(c.at, len(ins), tangle._cell_morphism(c, ins, word.coupons, backend)) for c, ins in cells]
+    for strands, cells in zip(word.interfaces, word.placed):
+        morphisms = [(c.at, len(ins), tangle._cell_morphism(c, ins, outs, word.coupons, backend)) for c, ins, outs in cells]
         total = backend.apply(strands, morphisms, total)
     return total
 
@@ -498,8 +548,8 @@ def _chain_words(bk):
     words += [random_word(rng, bk, n_strands=rng.choice((1, 2, 3)), n_slices=rng.choice((2, 3, 5))) for _ in range(8)]
     words += [tensor(random_word(rng, bk, 2, 3), random_word(rng, bk, 1, 2)) for _ in range(2)]
     v = simple(1)
-    closure = _closure(3, [1, -2], middle=[(Cell("coupon", 0, coupon_id="c"),)])
-    closure.coupons["c"] = bk.random_invariant(TensorObj(v, TensorObj(v, v)), tensor_word([v, v, v]), rng)
+    coupon = bk.random_invariant(TensorObj(v, TensorObj(v, v)), tensor_word([v, v, v]), rng)
+    closure = _closure(3, [1, -2], middle=[(Cell("coupon", 0, coupon_id="c"),)], coupons={"c": coupon})
     return words + [closure]
 
 
@@ -559,7 +609,7 @@ def test_an_assoc_slice_leaves_the_evaluation_unchanged(kind, level):
     assert data["slices"][level] == [{"cell": kind, "at": 0}]
     assert TangleWord.from_json(json.loads(json.dumps(data))).slices == with_assoc.slices
     with pytest.raises(WordError, match="needs 3 strands"):
-        TangleWord((V1, V1), ((Cell(kind, 0),),), {}).interfaces()
+        TangleWord((V1, V1), ((Cell(kind, 0),),), {})
 
 
 @pytest.mark.parametrize("name,order", [("classical", 1), ("quantum", 3), ("drinfeld", 3)])
@@ -619,3 +669,24 @@ ONE_BRAID = TangleWord((V1, V1), ((Cell("braid+", 0),),), {})
 def test_move_and_rebracket_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_compose_refuses_mismatched_boundaries():
+    with pytest.raises(WordError, match="boundaries do not match for composition"):
+        compose(TangleWord((V1,), (), {}), TangleWord((V1, V1), (), {}))
+
+
+def test_random_moves_give_up_where_no_site_fits(monkeypatch):
+    """R2 needs two adjacent strands below some slice; CouponSlide redraws a zero coupon
+    at most eight times."""
+    bk = make_backend("quantum", 3)
+    assert _apply_random_move(TangleWord((V1,), ((Cell("twist+", 0),),), {}), "R2", bk, random.Random(1)) is None
+    drawn = []
+
+    def zero(self, source, target, rng):
+        drawn.append(None)
+        return Morphism.zero(source, target, self.mode)
+
+    monkeypatch.setattr(BackendSpec, "random_invariant", zero)
+    assert _apply_random_move(TangleWord((V1, V1), (), {}), "CouponSlide", bk, random.Random(1)) is None
+    assert len(drawn) == 8
